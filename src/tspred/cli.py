@@ -26,22 +26,10 @@ class UsageError(Exception):
     pass
 
 
-def _load_config_file(path):
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, value = ln.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
 def _merge_config(args, keys):
     """File values fill in flags the user left at None."""
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
+        file_values = simkit.load_key_values(args.config)
         for key, cast in keys.items():
             if getattr(args, key, None) is None and key in file_values:
                 setattr(args, key, cast(file_values[key]))
@@ -84,8 +72,7 @@ def cmd_generate(args):
         scenarios = simkit.build_scenario_grid(**spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    trajectories = [simkit.simulate_trajectory(model, sc)
-                    for sc in scenarios]
+    trajectories = simkit.simulate_scenarios(model, scenarios)
     kb = features.build_knowledge_base(
         trajectories, model.n_generators, spec["seed"],
         provenance=f"{model.name}:{Path(grid_path).name}")
@@ -173,27 +160,8 @@ def cmd_evaluate(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def report_for(rows):
-        t0 = time.perf_counter()
-        scores = elm.predict_full(model, kb.samples[rows])
-        predict_time = time.perf_counter() - t0
-        predicted = np.where(scores >= 0.0, 1, -1)
-        cm = metrics.ConfusionMatrix.from_labels(kb.labels[rows], predicted)
-        acc = metrics.accuracy(cm)
-        kap = metrics.kappa(cm)
-        try:
-            auc_value = metrics.auc(scores, kb.labels[rows])
-            eta_value = metrics.eta(acc, kap, auc_value)
-            note = ""
-        except metrics.SingleClassError as exc:
-            auc_value = eta_value = None
-            note = f"AUC undefined: {exc}"
-        return metrics.EvaluationReport(
-            confusion=cm, acc=acc, kap=kap, auc=auc_value, eta=eta_value,
-            train_time_s=0.0, predict_time_s=predict_time, note=note)
-
-    rows = [("test", report_for(split.test)),
-            ("train", report_for(split.train))]
+    rows = [(name, metrics.evaluate(model, kb.samples[idx], kb.labels[idx]))
+            for name, idx in (("test", split.test), ("train", split.train))]
     metrics.save_report_csv(rows, out_dir / "metrics.csv")
     text = (f"seed {seed}\n"
             + metrics.render_table(rows, include_time=False)

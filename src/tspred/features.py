@@ -85,7 +85,6 @@ def extract_features(trajectory):
     total_h = h.sum()
     omega0 = 2.0 * np.pi * f0
 
-    idx0 = int(round(t_clear / dt))
     values = []
     for k in range(WINDOW_SAMPLES):
         idx = min(int(round((t_clear + k / WINDOW_RATE_HZ) / dt)),
@@ -166,22 +165,21 @@ def standardize(kb, train_indices=None):
     train = kb.samples[rows]
     means = train.mean(axis=0)
     stds = train.std(axis=0, ddof=1)
-    constant = stds < _CONSTANT_SIGMA
-    safe = np.where(constant, 1.0, stds)
-    z = (kb.samples - means) / safe
-    z[:, constant] = 0.0
     return replace(
-        kb, samples=z, means=means, stds=stds,
-        constant_features=tuple(kb.names[j]
-                                for j in np.nonzero(constant)[0]))
+        kb, samples=_zscore(kb.samples, means, stds), means=means, stds=stds,
+        constant_features=tuple(
+            kb.names[j] for j in np.nonzero(stds < _CONSTANT_SIGMA)[0]))
 
 
 def apply_standardization(x, means, stds):
     """Standardize raw rows with stored statistics (inference path)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return _zscore(np.atleast_2d(np.asarray(x, dtype=float)), means, stds)
+
+
+def _zscore(x, means, stds):
+    """(x − mean) / std per column; a constant column maps to zeros."""
     constant = stds < _CONSTANT_SIGMA
-    safe = np.where(constant, 1.0, stds)
-    z = (x - means) / safe
+    z = (x - means) / np.where(constant, 1.0, stds)
     z[:, constant] = 0.0
     return z
 

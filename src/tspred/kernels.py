@@ -1,121 +1,56 @@
-"""Hot numerical kernels: classical swing-equation RK4 integration.
+"""Swing-equation numerics: electrical power and one classical RK4 step.
 
-The inner loop is compiled with numba when available. Set the environment
-variable ``TSPRED_NO_NUMBA=1`` to force the pure-Python/numpy fallback
-(same code, interpreted); both paths execute identical floating-point
-operations and produce identical results.
+Each function broadcasts over leading axes, so one state (G,) and a batch
+of scenarios (S, G), each with its own EMFs and matrix, share the code.
 """
-
-import os
 
 import numpy as np
 
-STATUS_OK = 0
-STATUS_OVERFLOW = 1
 
-NUMBA_ENABLED = os.environ.get("TSPRED_NO_NUMBA", "0").lower() not in (
-    "1", "true", "yes")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def _jit(func):
-        return _njit(cache=True)(func)
-else:
-    def _jit(func):
-        return func
-
-
-def _swing_rhs(delta, omega, H, D, E, Pm, G, B, w0, dd, dw):
-    """Right-hand side of dδ/dt = Δω, (2H/ω0)·dΔω/dt = Pm − Pe − D·Δω.
-
-    Angles in radians, speeds in rad/s. Writes into dd/dw.
-    """
-    ng = delta.shape[0]
-    for i in range(ng):
-        pe = E[i] * E[i] * G[i, i]
-        for j in range(ng):
-            if j != i:
-                a = delta[i] - delta[j]
-                pe += E[i] * E[j] * (G[i, j] * np.cos(a) + B[i, j] * np.sin(a))
-        dd[i] = omega[i]
-        dw[i] = (w0 / (2.0 * H[i])) * (Pm[i] - pe - D[i] * omega[i])
-
-
-swing_rhs = _jit(_swing_rhs)
-
-
-def _electrical_power_into(delta, E, G, B, pe):
-    ng = delta.shape[0]
-    for i in range(ng):
-        p = E[i] * E[i] * G[i, i]
-        for j in range(ng):
-            if j != i:
-                a = delta[i] - delta[j]
-                p += E[i] * E[j] * (G[i, j] * np.cos(a) + B[i, j] * np.sin(a))
-        pe[i] = p
-
-
-electrical_power_into = _jit(_electrical_power_into)
-
-
-def _rk4_span(delta, omega, dt, nsteps, H, D, E, Pm, G, B, w0, limit,
-              out_d, out_w):
-    """Advance `nsteps` fixed RK4 steps under one admittance matrix.
-
-    Writes the state after each step into out_d/out_w rows. Returns
-    STATUS_OVERFLOW as soon as any |δ| exceeds `limit` (radians).
-    """
-    ng = delta.shape[0]
-    d = delta.copy()
-    w = omega.copy()
-    k1d = np.empty(ng)
-    k1w = np.empty(ng)
-    k2d = np.empty(ng)
-    k2w = np.empty(ng)
-    k3d = np.empty(ng)
-    k3w = np.empty(ng)
-    k4d = np.empty(ng)
-    k4w = np.empty(ng)
-    tmp_d = np.empty(ng)
-    tmp_w = np.empty(ng)
-    for s in range(nsteps):
-        swing_rhs(d, w, H, D, E, Pm, G, B, w0, k1d, k1w)
-        for i in range(ng):
-            tmp_d[i] = d[i] + 0.5 * dt * k1d[i]
-            tmp_w[i] = w[i] + 0.5 * dt * k1w[i]
-        swing_rhs(tmp_d, tmp_w, H, D, E, Pm, G, B, w0, k2d, k2w)
-        for i in range(ng):
-            tmp_d[i] = d[i] + 0.5 * dt * k2d[i]
-            tmp_w[i] = w[i] + 0.5 * dt * k2w[i]
-        swing_rhs(tmp_d, tmp_w, H, D, E, Pm, G, B, w0, k3d, k3w)
-        for i in range(ng):
-            tmp_d[i] = d[i] + dt * k3d[i]
-            tmp_w[i] = w[i] + dt * k3w[i]
-        swing_rhs(tmp_d, tmp_w, H, D, E, Pm, G, B, w0, k4d, k4w)
-        for i in range(ng):
-            d[i] = d[i] + (dt / 6.0) * (k1d[i] + 2.0 * k2d[i]
-                                        + 2.0 * k3d[i] + k4d[i])
-            w[i] = w[i] + (dt / 6.0) * (k1w[i] + 2.0 * k2w[i]
-                                        + 2.0 * k3w[i] + k4w[i])
-        for i in range(ng):
-            out_d[s, i] = d[i]
-            out_w[s, i] = w[i]
-            if np.abs(d[i]) > limit:
-                return STATUS_OVERFLOW
-    return STATUS_OK
-
-
-rk4_span = _jit(_rk4_span)
+def _pair_power(delta, E, G, B):
+    """E_i·E_j·(G_ij·cos δij + B_ij·sin δij) for every ordered pair (i, j)."""
+    a = delta[..., :, None] - delta[..., None, :]
+    return (E[..., :, None] * E[..., None, :]) * (G * np.cos(a)
+                                                  + B * np.sin(a))
 
 
 def electrical_power(delta, E, G, B):
-    """Per-generator electrical power at rotor angles `delta` (radians)."""
-    pe = np.empty(delta.shape[0])
-    electrical_power_into(np.ascontiguousarray(delta, dtype=np.float64),
-                          E, G, B, pe)
-    return pe
+    """Per-generator electrical power at rotor angles `delta` (radians).
+
+    The sum over j of the pair terms; the j = i term is E_i²·G_ii. `G` and
+    `B` are the real and imaginary parts of the admittance matrix.
+    """
+    return _pair_power(delta, E, G, B).sum(axis=-1)
+
+
+def power_jacobian(delta, E, G, B):
+    """∂Pe_i/∂δ_j for one state: the pair terms with (G, B) → (−B, G) off
+    the diagonal, minus their row sums on it."""
+    dpair = _pair_power(delta, E, -B, G)
+    return dpair - np.diag(dpair.sum(axis=-1))
+
+
+def swing_rhs(delta, omega, H, D, E, Pm, G, B, w0):
+    """(dδ/dt, dΔω/dt) of dδ/dt = Δω, (2H/ω0)·dΔω/dt = Pm − Pe − D·Δω.
+
+    Angles in radians, speeds in rad/s.
+    """
+    pe = electrical_power(delta, E, G, B)
+    return omega, (w0 / (2.0 * H)) * (Pm - pe - D * omega)
+
+
+def rk4_step(delta, omega, dt, H, D, E, Pm, G, B, w0):
+    """New (delta, omega) after one RK4 step, the matrix held over it.
+
+    `dt` is a scalar or an (S, 1) array of per-scenario step sizes; the
+    inputs are not modified.
+    """
+    args = (H, D, E, Pm, G, B, w0)
+    k1d, k1w = swing_rhs(delta, omega, *args)
+    k2d, k2w = swing_rhs(delta + 0.5 * dt * k1d, omega + 0.5 * dt * k1w,
+                         *args)
+    k3d, k3w = swing_rhs(delta + 0.5 * dt * k2d, omega + 0.5 * dt * k2w,
+                         *args)
+    k4d, k4w = swing_rhs(delta + dt * k3d, omega + dt * k3w, *args)
+    return (delta + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d),
+            omega + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))

@@ -6,7 +6,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import elm
 
@@ -80,8 +79,10 @@ def auc(scores, labels):
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs both classes present")
-    ranks = rankdata(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    # U = negatives below each positive, plus one half per tie
+    negatives = np.sort(scores[neg])
+    u = (np.searchsorted(negatives, scores[pos], side="left").sum()
+         + np.searchsorted(negatives, scores[pos], side="right").sum()) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -106,16 +107,19 @@ class EvaluationReport:
 def evaluate(model, samples, labels, train_time_s=0.0):
     """Score every sample once and assemble all metrics.
 
-    `samples` must already be restricted/standardized to what the model
-    expects (use elm.predict_full upstream for raw rows). A single-class
-    test set yields acc/kappa only, with the AUC error noted.
+    A model carrying a feature mask is scored on raw full-dimension rows
+    through elm.predict_full (standardize, mask, score); a bare model on
+    rows already standardized and restricted to its inputs. A
+    single-class set yields acc/kappa only, with the AUC error noted.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     labels = np.asarray(labels)
     if samples.shape[0] == 0:
         raise EmptyEvaluationError("no samples to evaluate")
+    score = elm.predict_score if model.feature_mask is None \
+        else elm.predict_full
     t0 = time.perf_counter()
-    scores = np.atleast_1d(elm.predict_score(model, samples))
+    scores = np.atleast_1d(score(model, samples))
     predict_time = time.perf_counter() - t0
     predicted = np.where(scores >= 0.0, 1, -1)
     cm = ConfusionMatrix.from_labels(labels, predicted)

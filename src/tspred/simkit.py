@@ -8,11 +8,10 @@ represented purely by switching matrices.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy import optimize
 
 from . import kernels
 
@@ -28,6 +27,7 @@ LOAD_LEVEL_RANGE = (0.8, 1.3)
 
 _MATRIX_SYMMETRY_TOL = 1e-9
 _EQUILIBRIUM_TOL = 1e-8
+_NEWTON_STEP_TOL = 1e-12
 
 
 class SimkitError(Exception):
@@ -47,6 +47,10 @@ class NumericOverflowError(SimkitError):
 
 
 def _readonly(arr, dtype=float):
+    """Read-only array of `dtype`; one that already is one is not copied."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and not arr.flags.writeable):
+        return arr
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -177,40 +181,36 @@ class Trajectory:
         return int(self.delta_deg.shape[1])
 
 
-def _power_mismatch(delta, model, pm=None):
+def _power_mismatch(delta, model):
     """Pm − Pe(δ) under the prefault matrix; δ in radians."""
-    pm = model.pm if pm is None else pm
-    g = np.ascontiguousarray(model.y_prefault.real)
-    b = np.ascontiguousarray(model.y_prefault.imag)
-    pe = kernels.electrical_power(delta, model.emf, g, b)
-    return pm - pe
+    y = model.y_prefault
+    return model.pm - kernels.electrical_power(delta, model.emf, y.real,
+                                               y.imag)
 
 
-def solve_equilibrium(model, tol=_EQUILIBRIUM_TOL, max_iter=200):
+def solve_equilibrium(model, tol=_EQUILIBRIUM_TOL, max_iter=50):
     """Prefault operating point: rotor angles (radians) with Δω = 0.
 
-    The last machine's angle is the reference (fixed at 0); the remaining
-    angles are solved so every machine's power mismatch vanishes. Raises
-    NoEquilibriumError when the root-finder fails or the full residual
-    (including the reference machine) stays above `tol`.
+    The last machine's angle is the reference (fixed at 0); Newton's
+    method on the analytic ∂Pe/∂δ, started from equal angles, solves the
+    remaining angles so every machine's power mismatch vanishes. Raises
+    NoEquilibriumError when the full residual (including the reference
+    machine) stays above `tol` after at most `max_iter` Newton steps.
     """
-    ng = model.n_generators
-    if ng == 1:
-        delta = np.zeros(1)
-        if np.max(np.abs(_power_mismatch(delta, model))) > tol:
-            raise NoEquilibriumError(
-                "single-machine power mismatch is not balanced")
-        return delta
-
-    def residual(free):
-        delta = np.append(free, 0.0)
-        return _power_mismatch(delta, model)[:-1]
-
-    sol = optimize.root(residual, np.zeros(ng - 1), method="hybr",
-                        options={"maxfev": max_iter * ng, "xtol": 1e-13})
-    delta = np.append(sol.x, 0.0)
+    y = model.y_prefault
+    delta = np.zeros(model.n_generators)
+    for _ in range(max_iter if model.n_generators > 1 else 0):
+        jac = kernels.power_jacobian(delta, model.emf, y.real, y.imag)
+        try:
+            step = np.linalg.solve(jac[:-1, :-1],
+                                   _power_mismatch(delta, model)[:-1])
+        except np.linalg.LinAlgError:
+            break
+        delta[:-1] += step
+        if not np.max(np.abs(step)) > _NEWTON_STEP_TOL:
+            break
     mismatch = np.max(np.abs(_power_mismatch(delta, model)))
-    if not sol.success or mismatch > tol:
+    if not mismatch <= tol:
         raise NoEquilibriumError(
             f"no prefault equilibrium (max mismatch {mismatch:.3e} pu)")
     return delta
@@ -244,102 +244,90 @@ def apply_load_level(model, level):
     return rescaled
 
 
-def _pe_series(delta_rad, model, t_clear, time, fault):
-    """Electrical power at each grid point with the stage-appropriate matrix."""
-    g_pre = np.ascontiguousarray(model.y_prefault.real)
-    b_pre = np.ascontiguousarray(model.y_prefault.imag)
-    g_flt = np.ascontiguousarray(model.y_fault[fault].real)
-    b_flt = np.ascontiguousarray(model.y_fault[fault].imag)
-    g_post = np.ascontiguousarray(model.y_postfault.real)
-    b_post = np.ascontiguousarray(model.y_postfault.imag)
-    pe = np.empty_like(delta_rad)
-    for k, t in enumerate(time):
-        if k == 0:
-            g, b = g_pre, b_pre
-        elif t < t_clear:
-            g, b = g_flt, b_flt
-        else:
-            g, b = g_post, b_post
-        pe[k] = kernels.electrical_power(delta_rad[k], model.emf, g, b)
-    return pe
+def simulate_scenarios(model, scenarios):
+    """Integrate fault scenarios together with fixed-step RK4.
 
-
-def simulate_trajectory(model, scenario):
-    """Integrate one fault scenario with fixed-step RK4.
-
-    The during-fault matrix is active on [0, t_clear), the postfault one
-    afterwards; the step containing t_clear is split in two so the state
-    is continuous and the switching instant is hit exactly. Output is
-    sampled on the uniform integration grid.
+    Each scenario starts from the prefault equilibrium at its load level,
+    solved once per distinct level. Its during-fault matrix is active on
+    [0, t_clear), the postfault one afterwards; the step containing
+    t_clear is split in two so the state is continuous and the switching
+    instant is hit exactly (a clearing on the step grid gets a first part
+    of length zero). All scenarios share one step and horizon. Returns one
+    Trajectory per scenario, sampled on the integration grid.
     """
-    model = apply_load_level(model, scenario.load_level)
-    if scenario.fault not in model.y_fault:
-        raise ValueError(f"unknown fault id '{scenario.fault}'")
-    dt = scenario.step
-    t_clear = scenario.clearing_time(model.f0)
-    if scenario.horizon < t_clear:
+    dt, horizon = scenarios[0].step, scenarios[0].horizon
+    if any(sc.step != dt or sc.horizon != horizon for sc in scenarios):
+        raise ValueError("scenarios must share one step and horizon")
+    for sc in scenarios:
+        if sc.fault not in model.y_fault:
+            raise ValueError(f"unknown fault id '{sc.fault}'")
+    t_clear = np.array([sc.clearing_time(model.f0) for sc in scenarios])
+    if np.any(horizon < t_clear):
         raise ValueError("horizon shorter than the fault clearing time")
-    nsteps = int(round(scenario.horizon / dt))
+    operating = {}
+    for level in dict.fromkeys(sc.load_level for sc in scenarios):
+        level_model = apply_load_level(model, level)
+        operating[level] = (level_model, solve_equilibrium(level_model))
+    levels = [operating[sc.load_level] for sc in scenarios]
+
+    nsteps = int(round(horizon / dt))
     time = np.arange(nsteps + 1) * dt
+    emf = np.array([m.emf for m, _ in levels])
+    pm = np.array([m.pm for m, _ in levels])
+    y_fault = np.array([model.y_fault[sc.fault] for sc in scenarios])
+    delta = np.empty((len(scenarios), nsteps + 1, model.n_generators))
+    speed = np.zeros_like(delta)
+    delta[:, 0] = [delta0 for _, delta0 in levels]
+
+    eps = 1e-12
+    n_fault = np.minimum(np.floor(t_clear / dt + eps), nsteps).astype(int)
+    rem = t_clear - n_fault * dt
+    rem[rem <= eps] = 0.0
+    clears = {k: np.nonzero(n_fault == k)[0] for k in np.unique(n_fault)}
+    y_post = model.y_postfault
+    g, b = y_fault.real.copy(), y_fault.imag.copy()
+    hd = (model.inertia, model.damping)
     limit = math.radians(OVERFLOW_LIMIT_DEG)
-
-    delta0 = solve_equilibrium(model)
-    args = (model.inertia, model.damping, model.emf, model.pm)
-
-    def span(d, w, step_size, count, ymat, out_d, out_w):
-        status = kernels.rk4_span(
-            d, w, step_size, count,
-            *args,
-            np.ascontiguousarray(ymat.real), np.ascontiguousarray(ymat.imag),
-            model.omega0, limit, out_d, out_w)
-        if status != kernels.STATUS_OK:
+    d, w = delta[:, 0], speed[:, 0]
+    for k in range(nsteps):
+        cut = clears.get(k, ())
+        step = dt
+        if len(cut):
+            step = np.full((len(d), 1), dt)
+            step[cut, 0] = rem[cut]
+        d, w = kernels.rk4_step(d, w, step, *hd, emf, pm, g, b, model.omega0)
+        if len(cut):
+            g[cut], b[cut] = y_post.real, y_post.imag
+            d[cut], w[cut] = kernels.rk4_step(
+                d[cut], w[cut], dt - rem[cut, None], *hd, emf[cut], pm[cut],
+                g[cut], b[cut], model.omega0)
+        if not np.all(np.abs(d) <= limit):
             raise NumericOverflowError(
                 "rotor angle exceeded the overflow guard "
                 f"({OVERFLOW_LIMIT_DEG:g} degrees)")
+        delta[:, k + 1] = d
+        speed[:, k + 1] = w
 
-    ng = model.n_generators
-    delta = np.empty((nsteps + 1, ng))
-    speed = np.empty((nsteps + 1, ng))
-    delta[0] = delta0
-    speed[0] = 0.0
+    # stored Pe: prefault at t = 0, during-fault while t < t_clear, then
+    # postfault; one scenario at a time keeps the temporaries small
+    stage = np.where(time < t_clear[:, None], 1, 2)
+    stage[:, 0] = 0
+    pe = np.empty_like(delta)
+    for s, y_s in enumerate(y_fault):
+        y = np.array([model.y_prefault, y_s, y_post])[stage[s]]
+        pe[s] = kernels.electrical_power(delta[s], emf[s], y.real, y.imag)
+    np.degrees(delta, out=delta)
+    for arr in (time, delta, speed, pe):
+        arr.setflags(write=False)
+    return [Trajectory(time=time, delta_deg=delta[s], speed_dev=speed[s],
+                       pm=m.pm, pe=pe[s], inertia=m.inertia, f0=m.f0,
+                       scenario=sc)
+            for s, (sc, (m, _)) in enumerate(zip(scenarios, levels))]
 
-    y_during = model.y_fault[scenario.fault]
-    eps = 1e-12
-    if t_clear <= eps:
-        span(delta[0], speed[0], dt, nsteps, model.y_postfault,
-             delta[1:], speed[1:])
-    else:
-        n_fault = min(int(math.floor(t_clear / dt + eps)), nsteps)
-        if n_fault > 0:
-            span(delta[0], speed[0], dt, n_fault, y_during,
-                 delta[1:n_fault + 1], speed[1:n_fault + 1])
-        rem = t_clear - n_fault * dt
-        start = n_fault
-        if rem > eps and n_fault < nsteps:
-            # split the step containing t_clear at the switching instant
-            mid_d = np.empty((1, ng))
-            mid_w = np.empty((1, ng))
-            span(delta[n_fault], speed[n_fault], rem, 1, y_during,
-                 mid_d, mid_w)
-            span(mid_d[0], mid_w[0], dt - rem, 1, model.y_postfault,
-                 delta[n_fault + 1:n_fault + 2],
-                 speed[n_fault + 1:n_fault + 2])
-            start = n_fault + 1
-        if start < nsteps:
-            span(delta[start], speed[start], dt, nsteps - start,
-                 model.y_postfault, delta[start + 1:], speed[start + 1:])
 
-    pe = _pe_series(delta, model, t_clear, time, scenario.fault)
-    return Trajectory(
-        time=time,
-        delta_deg=np.degrees(delta),
-        speed_dev=speed,
-        pm=model.pm,
-        pe=pe,
-        inertia=model.inertia,
-        f0=model.f0,
-        scenario=scenario,
-    )
+def simulate_trajectory(model, scenario):
+    """Integrate one fault scenario: simulate_scenarios on a batch of one."""
+    return simulate_scenarios(model, [scenario])[0]
 
 
 def _scenario_seed(master_seed, index):
@@ -490,16 +478,23 @@ def save_grid_spec(path, faults, clearing_cycles, load_levels, seed,
         fh.write("\n".join(lines) + "\n")
 
 
-def load_grid_spec(path):
-    """Parse the .grid file into build_scenario_grid keyword arguments."""
-    spec = {}
+def load_key_values(path):
+    """`key = value` lines (.grid and --config files) as a dict of strings."""
+    values = {}
     with open(path, encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
             key, _, value = ln.partition("=")
-            spec[key.strip()] = value.strip()
+            values[key.strip()] = value.strip()
+    return values
+
+
+def load_grid_spec(path):
+    """Parse the .grid file into build_scenario_grid keyword arguments."""
+    spec = load_key_values(path)
+
     def _split(text):
         return [v.strip() for v in text.split(",") if v.strip()]
 

@@ -214,6 +214,16 @@ class TestPredict:
         assert line.startswith(("+1", "-1"))
         assert "score=" in line and "latency_ms=" in line
 
+    def test_unstable_row_passed_with_equals(self, kb_csv, trained, capsys):
+        # an unstable KB row starts with "-1", which argparse reads as an
+        # option after a separate --row; --row=<row> keeps it a value
+        row = next(ln for ln in kb_csv.read_text().splitlines()[1:]
+                   if ln.startswith("-1"))
+        assert run(["predict", "--model", str(trained / "model.elm"),
+                    f"--row={row}"]) == cli.EXIT_OK
+        line = capsys.readouterr().out.strip()
+        assert line.startswith(("+1", "-1")) and "score=" in line
+
     def test_predict_matches_training_labels(self, kb_csv, trained,
                                              capsys):
         # predictions on all rows agree with evaluate-level accuracy:

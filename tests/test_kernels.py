@@ -1,14 +1,11 @@
-"""Tests for the compiled swing-equation kernels and their fallback."""
-
-import json
-import os
-import subprocess
-import sys
+"""Tests for the swing-equation kernels: Pe, its Jacobian and the RK4 step."""
 
 import numpy as np
 import pytest
 
-from tspred import kernels
+from tspred import kernels, simkit
+
+W0 = 2 * np.pi * 60.0
 
 
 def workload(n_gen=4, seed=0):
@@ -25,24 +22,25 @@ def workload(n_gen=4, seed=0):
     return dict(H=H, D=D, E=E, G=G, B=B, delta0=delta0, Pm=Pm)
 
 
-def integrate(w, nsteps=480, dt=1.0 / 240.0):
-    out_d = np.empty((nsteps, len(w["H"])))
-    out_w = np.empty_like(out_d)
-    status = kernels.rk4_span(
-        w["delta0"].copy(), np.zeros_like(w["delta0"]), dt, nsteps,
-        w["H"], w["D"], w["E"], w["Pm"], w["G"], w["B"],
-        2.0 * np.pi * 60.0, 1e6, out_d, out_w)
-    return status, out_d, out_w
+def integrate(w, nsteps=480, dt=1.0 / 240.0, delta=None, omega=None):
+    """States after each of `nsteps` RK4 steps, as (nsteps, G) arrays."""
+    d = w["delta0"] if delta is None else delta
+    o = np.zeros_like(d) if omega is None else omega
+    out_d, out_w = [], []
+    for _ in range(nsteps):
+        d, o = kernels.rk4_step(d, o, dt, w["H"], w["D"], w["E"], w["Pm"],
+                                w["G"], w["B"], W0)
+        out_d.append(d)
+        out_w.append(o)
+    return np.array(out_d), np.array(out_w)
 
 
 class TestSwingRhs:
     def test_equilibrium_is_fixed_point(self):
         # Pm matched to Pe at delta0 with zero speed: zero derivatives
         w = workload(seed=3)
-        dd = np.empty(4)
-        dw = np.empty(4)
-        kernels.swing_rhs(w["delta0"], np.zeros(4), w["H"], w["D"], w["E"],
-                          w["Pm"], w["G"], w["B"], 2 * np.pi * 60, dd, dw)
+        dd, dw = kernels.swing_rhs(w["delta0"], np.zeros(4), w["H"], w["D"],
+                                   w["E"], w["Pm"], w["G"], w["B"], W0)
         assert np.allclose(dd, 0.0, atol=1e-14)
         assert np.allclose(dw, 0.0, atol=1e-12)
 
@@ -54,12 +52,9 @@ class TestSwingRhs:
         Pm = np.array([0.5])
         G = np.array([[0.2]])
         B = np.zeros((1, 1))
-        dd = np.empty(1)
-        dw = np.empty(1)
-        w0 = 2 * np.pi * 60
-        kernels.swing_rhs(np.array([0.3]), np.array([0.02]),
-                          H, D, E, Pm, G, B, w0, dd, dw)
-        expected = w0 / 4.0 * (0.5 - 1.05 ** 2 * 0.2 - 0.1 * 0.02)
+        dd, dw = kernels.swing_rhs(np.array([0.3]), np.array([0.02]),
+                                   H, D, E, Pm, G, B, W0)
+        expected = W0 / 4.0 * (0.5 - 1.05 ** 2 * 0.2 - 0.1 * 0.02)
         assert dd[0] == 0.02
         assert dw[0] == pytest.approx(expected, abs=1e-14)
 
@@ -79,54 +74,68 @@ class TestElectricalPower:
                                       np.array([[0.3]]), np.zeros((1, 1)))
         assert pe[0] == pytest.approx(1.1 ** 2 * 0.3, abs=1e-15)
 
+    def test_jacobian_matches_central_differences(self):
+        w = workload(seed=6)
+        w["G"] = w["G"] + 0.05 * (1.0 - np.eye(4))   # lossy off-diagonals
+        jac = kernels.power_jacobian(w["delta0"], w["E"], w["G"], w["B"])
+        h = 1e-6
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            column = (kernels.electrical_power(w["delta0"] + e, w["E"],
+                                               w["G"], w["B"])
+                      - kernels.electrical_power(w["delta0"] - e, w["E"],
+                                                 w["G"], w["B"])) / (2 * h)
+            assert np.allclose(jac[:, j], column, atol=1e-8)
+
 
 class TestRk4Span:
+    """RK4 over a span of steps, and the simulator's guard around it."""
+
     def test_fills_every_row(self):
-        status, out_d, out_w = integrate(workload(seed=1), nsteps=100)
-        assert status == kernels.STATUS_OK
+        out_d, out_w = integrate(workload(seed=1), nsteps=100)
+        assert out_d.shape == (100, 4)
         assert np.all(np.isfinite(out_d))
         assert np.all(np.isfinite(out_w))
 
     def test_overflow_status(self):
-        w = workload(seed=2)
-        w["Pm"] = w["Pm"] + 50.0   # runaway acceleration
-        out_d = np.empty((5000, 4))
-        out_w = np.empty_like(out_d)
-        status = kernels.rk4_span(
-            w["delta0"].copy(), np.zeros(4), 1.0 / 240.0, 5000,
-            w["H"], w["D"], w["E"], w["Pm"], w["G"], w["B"],
-            2 * np.pi * 60.0, 10.0, out_d, out_w)
-        assert status == kernels.STATUS_OVERFLOW
+        # one runaway scenario (a sustained bolted fault on a light,
+        # heavily loaded machine) aborts the whole batch; alone, the
+        # scenario cleared at t = 0 stays at rest
+        y = np.array([[-1.0j, 1.0j], [1.0j, -1.0j]])
+        model = simkit.PowerSystemModel(
+            name="runaway", f0=60.0,
+            inertia=np.array([0.01, 0.01]), damping=np.zeros(2),
+            xd=np.array([0.3, 0.3]), emf=np.array([1.0, 1.0]),
+            pm=np.array([0.9, -0.9]),
+            y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
+            y_postfault=y.copy())
+        calm, runaway = (
+            simkit.SimulationScenario(fault="fault", clearing_cycles=c,
+                                      horizon=3.0)
+            for c in (0.0, 180.0))
+        simkit.simulate_scenarios(model, [calm])
+        with pytest.raises(simkit.NumericOverflowError):
+            simkit.simulate_scenarios(model, [calm, runaway])
 
     def test_two_half_spans_equal_one(self):
-        # step-splitting identity used by the event-aware integrator
+        # a step reads its inputs only, so restarting from a saved state
+        # continues the run bit for bit
         w = workload(seed=4)
-        _, full_d, full_w = integrate(w, nsteps=200)
-        out_d1 = np.empty((100, 4))
-        out_w1 = np.empty_like(out_d1)
-        kernels.rk4_span(w["delta0"].copy(), np.zeros(4), 1 / 240.0, 100,
-                         w["H"], w["D"], w["E"], w["Pm"], w["G"], w["B"],
-                         2 * np.pi * 60.0, 1e6, out_d1, out_w1)
-        out_d2 = np.empty((100, 4))
-        out_w2 = np.empty_like(out_d2)
-        kernels.rk4_span(out_d1[-1].copy(), out_w1[-1].copy(), 1 / 240.0,
-                         100, w["H"], w["D"], w["E"], w["Pm"], w["G"],
-                         w["B"], 2 * np.pi * 60.0, 1e6, out_d2, out_w2)
-        assert np.array_equal(full_d[100:], out_d2)
-        assert np.array_equal(full_w[100:], out_w2)
+        full_d, full_w = integrate(w, nsteps=200)
+        half_d, half_w = integrate(w, nsteps=100)
+        rest_d, rest_w = integrate(w, nsteps=100, delta=half_d[-1].copy(),
+                                   omega=half_w[-1].copy())
+        assert np.array_equal(full_d[100:], rest_d)
+        assert np.array_equal(full_w[100:], rest_w)
 
     def test_fourth_order_convergence(self):
         # halving dt shrinks the error by ~2^4 (perturbed off equilibrium)
         w = workload(seed=5)
-        w0_speed = np.array([1.0, -0.5, 0.3, 0.8])
+        speed0 = np.array([1.0, -0.5, 0.3, 0.8])
 
         def end_state(dt, nsteps):
-            out_d = np.empty((nsteps, 4))
-            out_w = np.empty_like(out_d)
-            kernels.rk4_span(w["delta0"].copy(), w0_speed.copy(), dt,
-                             nsteps, w["H"], w["D"], w["E"], w["Pm"],
-                             w["G"], w["B"], 2 * np.pi * 60.0, 1e6,
-                             out_d, out_w)
+            out_d, _ = integrate(w, nsteps=nsteps, dt=dt, omega=speed0)
             return out_d[-1]
 
         ref = end_state(1.0 / 3840.0, 3840)
@@ -134,39 +143,3 @@ class TestRk4Span:
         err_coarse = np.max(np.abs(end_state(1 / 60.0, 60) - ref))
         err_fine = np.max(np.abs(end_state(1 / 120.0, 120) - ref))
         assert err_coarse / err_fine > 10.0
-
-
-class TestFallbackEquivalence:
-    def test_numba_flag_visible(self):
-        assert isinstance(kernels.NUMBA_ENABLED, bool)
-
-    def test_fallback_matches_bit_for_bit(self):
-        # [DERIVED] compiled and interpreted paths execute the same IEEE
-        # operations; compare through a fresh interpreter with the flag.
-        w = workload(seed=7)
-        status, out_d, out_w = integrate(w, nsteps=240)
-        assert status == kernels.STATUS_OK
-        here = np.concatenate([out_d.ravel(), out_w.ravel()])
-
-        code = (
-            "import json, sys\n"
-            "import numpy as np\n"
-            "sys.path.insert(0, %r)\n"
-            "from test_kernels import workload, integrate\n"
-            "from tspred import kernels\n"
-            "assert kernels.NUMBA_ENABLED is %s\n"
-            "status, out_d, out_w = integrate(workload(seed=7), nsteps=240)\n"
-            "vec = np.concatenate([out_d.ravel(), out_w.ravel()])\n"
-            "print(json.dumps([status, vec.tobytes().hex()]))\n"
-        ) % (os.path.dirname(os.path.abspath(__file__)),
-             not kernels.NUMBA_ENABLED)
-
-        env = dict(os.environ)
-        env["TSPRED_NO_NUMBA"] = "0" if not kernels.NUMBA_ENABLED else "1"
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        status_other, hex_other = json.loads(proc.stdout)
-        assert status_other == status
-        assert bytes.fromhex(hex_other) == here.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tspred import fixtures, simkit
+from tspred import features, fixtures, kernels, simkit
 
 
 def test_smib_equilibrium_is_arcsine(smib):
@@ -112,18 +112,17 @@ def test_energy_drift_is_small_without_damping():
         pm=np.array([0.4, -0.4]),
         y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
         y_postfault=y.copy())
-    delta0 = simkit.solve_equilibrium(model) + np.array([0.1, 0.0])
+    d = simkit.solve_equilibrium(model) + np.array([0.1, 0.0])
+    w = np.zeros(2)
     w0 = model.omega0
     dt = 1.0 / 960.0
     nsteps = 960
     out_d = np.empty((nsteps, 2))
     out_w = np.empty((nsteps, 2))
-    from tspred import kernels
-    kernels.rk4_span(delta0, np.zeros(2), dt, nsteps,
-                     model.inertia, model.damping, model.emf, model.pm,
-                     np.ascontiguousarray(y.real),
-                     np.ascontiguousarray(y.imag),
-                     w0, 1e9, out_d, out_w)
+    for k in range(nsteps):
+        d, w = kernels.rk4_step(d, w, dt, model.inertia, model.damping,
+                                model.emf, model.pm, y.real, y.imag, w0)
+        out_d[k], out_w[k] = d, w
 
     def energy(d, w):
         kinetic = np.sum(model.inertia * w ** 2 / w0)
@@ -134,6 +133,29 @@ def test_energy_drift_is_small_without_damping():
     drift = max(abs(energy(out_d[k], out_w[k]) - e0)
                 for k in range(nsteps))
     assert drift < 1e-4
+
+
+def test_batch_matches_per_scenario_runs(three_machine):
+    # 3 faults x off-grid and on-grid clearings x several load levels in
+    # one batch; SIMD sin/cos may round differently with array length, so
+    # the match is to 1e-9 degrees, not bitwise
+    grid = simkit.build_scenario_grid(
+        sorted(three_machine.y_fault), [5.3, 6.0, 7.77, 9.9],
+        [0.8, 1.0, 1.15, 1.3], seed=2)
+    batch = simkit.simulate_scenarios(three_machine, grid)
+    assert len(batch) == len(grid) == 48
+    labels = set()
+    for sc, traj in zip(grid, batch):
+        alone = simkit.simulate_trajectory(three_machine, sc)
+        assert traj.scenario == sc
+        assert np.max(np.abs(traj.delta_deg - alone.delta_deg)) < 1e-9
+        assert np.max(np.abs(traj.speed_dev - alone.speed_dev)) < 1e-9
+        assert np.max(np.abs(traj.pe - alone.pe)) < 1e-9
+        assert np.array_equal(traj.pm, alone.pm)
+        label = features.label_trajectory(traj)
+        assert label == features.label_trajectory(alone)
+        labels.add(label)
+    assert labels == {features.STABLE, features.UNSTABLE}
 
 
 def test_determinism_byte_identical(smib):
