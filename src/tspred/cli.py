@@ -223,6 +223,8 @@ def cmd_predict(args):
     _merge_config(args, {"model": str, "input": str})
     model_path = _require(args.model, "model file")
     model = elm.load_model(model_path)
+    if model.feature_mask is None:
+        raise UsageError(f"model {model_path} carries no feature mask")
     n_full = model.feature_mask.shape[0]
     if args.row:
         raw_rows = [args.row]
@@ -234,7 +236,7 @@ def cmd_predict(args):
             raw_rows = raw_rows[1:]
     else:
         raise UsageError("provide --row or --input")
-    for raw in raw_rows:
+    for row_no, raw in enumerate(raw_rows, start=1):
         try:
             values = [float(v) for v in raw.split(",")]
         except ValueError as exc:
@@ -244,6 +246,8 @@ def cmd_predict(args):
         if len(values) != n_full:
             raise UsageError(
                 f"sample has {len(values)} values, model expects {n_full}")
+        if not np.all(np.isfinite(values)):
+            raise UsageError(f"sample row {row_no} holds a non-finite value")
         t0 = time.perf_counter()
         score = float(elm.predict_full(model, values)[0])
         latency_ms = (time.perf_counter() - t0) * 1e3

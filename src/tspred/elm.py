@@ -99,16 +99,18 @@ def hidden_matrix(arch, x):
     return h
 
 
-def pseudoinverse(h):
+def pseudoinverse(h, width=None):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below 1e-12 · max(N, L) · s_max are treated as zero.
+    Singular values below 1e-12 · max(N, width) · s_max are treated as
+    zero. `width` defaults to L; pass the full L when h holds only the
+    nonzero columns of a wider matrix, to get that matrix's solution.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     u, s, vt = np.linalg.svd(h, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((h.shape[1], h.shape[0]))
-    cutoff = 1e-12 * max(h.shape) * s[0]
+    cutoff = 1e-12 * max(h.shape[0], width or h.shape[1]) * s[0]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 

@@ -140,15 +140,16 @@ class SimulationScenario:
     load_level: float = 1.0
     step: float = DEFAULT_STEP
     horizon: float = DEFAULT_HORIZON
-    seed: int = 0
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("integration step must be positive")
         if self.clearing_cycles < 0:
             raise ValueError("clearing time must be non-negative")
-        if self.horizon < self.clearing_time(60.0) and self.horizon <= 0:
+        if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if self.horizon < self.clearing_time(60.0):
+            raise ValueError("horizon shorter than the fault clearing time")
 
     def clearing_time(self, f0):
         """Fault clearing time in seconds at base frequency f0."""
@@ -330,17 +331,12 @@ def simulate_trajectory(model, scenario):
     return simulate_scenarios(model, [scenario])[0]
 
 
-def _scenario_seed(master_seed, index):
-    return int(np.random.SeedSequence([master_seed, index])
-               .generate_state(1)[0])
-
-
 def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
                         step=DEFAULT_STEP, horizon=DEFAULT_HORIZON):
     """Cartesian product of faults × clearing times × load levels.
 
-    Deterministic order; each scenario carries a seed derived from the
-    master seed by its index.
+    Deterministic order. `seed` is the grid file's master seed; no
+    scenario depends on it, so the same lists give the same grid.
     """
     if not faults or not len(clearing_cycles) or not len(load_levels):
         raise ValueError("grid lists must be non-empty")
@@ -352,14 +348,11 @@ def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
     for lv in load_levels:
         if not llo <= lv <= lhi:
             raise ValueError(f"load level {lv} outside [{llo}, {lhi}]")
-    scenarios = []
-    for idx, (fault, cyc, lvl) in enumerate(
-            product(faults, clearing_cycles, load_levels)):
-        scenarios.append(SimulationScenario(
-            fault=fault, clearing_cycles=float(cyc), load_level=float(lvl),
-            step=step, horizon=horizon,
-            seed=_scenario_seed(seed, idx)))
-    return scenarios
+    return [SimulationScenario(fault=fault, clearing_cycles=float(cyc),
+                               load_level=float(lvl), step=step,
+                               horizon=horizon)
+            for fault, cyc, lvl in product(faults, clearing_cycles,
+                                           load_levels)]
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,13 @@ class FitnessContext:
     samples: np.ndarray
     labels: np.ndarray
     spec: EncodingSpec
-    folds: tuple
+    folds: tuple                # (train_rows, test_rows) per fold
 
     @classmethod
     def build(cls, samples, labels, spec, n_folds=5, seed=0):
-        folds = tuple(kfold_partition(labels, n_folds, seed))
+        rows = np.arange(len(labels))
+        folds = tuple((np.setdiff1d(rows, fold), fold)
+                      for fold in kfold_partition(labels, n_folds, seed))
         return cls(samples=samples, labels=labels, spec=spec, folds=folds)
 
     def __call__(self, position):
@@ -147,20 +149,26 @@ class FitnessContext:
 def evaluate_fitness(position, spec, ctx):
     """Fraction of held-out samples classified correctly over all folds.
 
+    Each fold solves for the output weights as `elm.train` does, on one
+    hidden layer of the active neurons over all rows: an `ACT_OFF` column
+    is zero, so at the full width's SVD cutoff it gets zero weight anyway.
+
     A degenerate particle that breaks training scores 0 (logged) so the
     optimizer never crashes mid-run.
     """
     try:
         arch, mask = decode_particle(position, spec)
-        x = ctx.samples[:, mask]
+        on = arch.activations != elm.ACT_OFF
+        active = elm.ElmArchitecture(arch.input_weights[on], arch.biases[on],
+                                     arch.activations[on])
+        h = elm.hidden_matrix(active, ctx.samples[:, mask])
+        y = np.asarray(ctx.labels, dtype=float)
         correct = 0
-        for fold in ctx.folds:
-            train_rows = np.setdiff1d(np.arange(len(ctx.labels)), fold,
-                                      assume_unique=False)
-            model = elm.train(arch, x[train_rows], ctx.labels[train_rows])
-            pred = elm.predict_label(model, x[fold])
-            correct += int(np.sum(pred == ctx.labels[fold]))
-        return correct / len(ctx.labels)
+        for train, test in ctx.folds:
+            beta = elm.pseudoinverse(h[train], width=spec.hidden) @ y[train]
+            pred = np.where(h[test] @ beta >= 0.0, 1, -1)
+            correct += int(np.count_nonzero(pred == y[test]))
+        return correct / len(y)
     except (elm.ElmError, np.linalg.LinAlgError) as exc:
         logger.warning("degenerate particle scored 0: %s", exc)
         return 0.0
@@ -233,14 +241,29 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
     for i in range(n):
         positions[i] = _rng(config.seed, _STREAM_INIT, i).random(dim)
     velocities = np.zeros((n, dim))
-    fits = np.array([fitness(positions[i]) for i in range(n)])
-    evaluations = n
+    fits = np.empty(n)
     pbest = positions.copy()
-    pbest_fit = fits.copy()
-    g_idx = int(np.argmax(pbest_fit))
-    gbest = pbest[g_idx].copy()
-    gbest_fit = float(pbest_fit[g_idx])
+    pbest_fit = np.full(n, -np.inf)
+    evaluations, g_idx, gbest, gbest_fit = 0, None, None, -np.inf
 
+    def score(rows):
+        """Score `rows`, update the bests; True if the global one rose."""
+        nonlocal evaluations, g_idx, gbest, gbest_fit
+        for i in rows:
+            fits[i] = fitness(positions[i])
+            evaluations += 1
+            if fits[i] > pbest_fit[i]:
+                pbest_fit[i] = fits[i]
+                pbest[i] = positions[i].copy()
+        new_idx = int(np.argmax(pbest_fit))
+        if pbest_fit[new_idx] <= gbest_fit:
+            return False
+        g_idx = new_idx
+        gbest = pbest[g_idx].copy()
+        gbest_fit = float(pbest_fit[g_idx])
+        return True
+
+    score(range(n))
     var = fitness_variance(fits)
     trace = [IterationRecord(0, gbest_fit, float(fits.mean()), var, False)]
     k = 0
@@ -256,17 +279,7 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
             np.clip(v, -config.v_max, config.v_max, out=v)
             velocities[i] = v
             positions[i] = np.clip(positions[i] + v, 0.0, 1.0)
-            fits[i] = fitness(positions[i])
-            evaluations += 1
-            if fits[i] > pbest_fit[i]:
-                pbest_fit[i] = fits[i]
-                pbest[i] = positions[i].copy()
-        new_idx = int(np.argmax(pbest_fit))
-        improved = pbest_fit[new_idx] > gbest_fit
-        if improved:
-            g_idx = new_idx
-            gbest = pbest[g_idx].copy()
-            gbest_fit = float(pbest_fit[g_idx])
+        improved = score(range(n))
 
         var_prev = var
         var = fitness_variance(fits)
@@ -276,19 +289,7 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
             mutated = True
             rng = _rng(config.seed, _STREAM_MUTATE, k)
             positions = mutate(positions, config, rng, exempt=g_idx)
-            for i in range(n):
-                if i == g_idx:
-                    continue
-                fits[i] = fitness(positions[i])
-                evaluations += 1
-                if fits[i] > pbest_fit[i]:
-                    pbest_fit[i] = fits[i]
-                    pbest[i] = positions[i].copy()
-            new_idx = int(np.argmax(pbest_fit))
-            if pbest_fit[new_idx] > gbest_fit:
-                g_idx = new_idx
-                gbest = pbest[g_idx].copy()
-                gbest_fit = float(pbest_fit[g_idx])
+            score([i for i in range(n) if i != g_idx])
             var = fitness_variance(fits)
         trace.append(IterationRecord(k, gbest_fit, float(fits.mean()),
                                      var, mutated))

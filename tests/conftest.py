@@ -21,9 +21,10 @@ def make_trajectory(delta_deg, dt=1.0 / 240.0, f0=60.0, inertia=None,
     n_t, ng = delta_deg.shape
     if inertia is None:
         inertia = np.ones(ng)
+    # a one-sample series still gets a positive, one-step horizon
     scenario = simkit.SimulationScenario(
         fault="fault", clearing_cycles=clearing_cycles,
-        step=dt, horizon=(n_t - 1) * dt)
+        step=dt, horizon=max(n_t - 1, 1) * dt)
     return simkit.Trajectory(
         time=np.arange(n_t) * dt,
         delta_deg=delta_deg,

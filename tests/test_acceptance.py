@@ -116,7 +116,7 @@ def test_criterion_03_smib_critical_clearing_time(capsys):
         def stable_at(clear_s):
             sc = simkit.SimulationScenario(
                 fault="fault", clearing_cycles=clear_s * model.f0,
-                load_level=1.0, seed=0)
+                load_level=1.0)
             traj = simkit.simulate_trajectory(model, sc)
             return features.label_trajectory(traj) == features.STABLE
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tspred import cli, features
+from tspred import cli, elm, features
 
 FIXTURES = "fixtures"
 
@@ -245,6 +245,34 @@ class TestPredict:
     def test_dimension_mismatch_usage_error(self, trained):
         assert run(["predict", "--model", str(trained / "model.elm"),
                     "--row", "1.0,2.0"]) == cli.EXIT_USAGE
+
+    def test_model_without_mask_usage_error(self, trained, tmp_path,
+                                            capsys):
+        model = elm.load_model(trained / "model.elm")
+        bare = tmp_path / "bare.elm"
+        elm.save_model(elm.ElmModel(architecture=model.architecture,
+                                    output_weights=model.output_weights),
+                       bare)
+        assert run(["predict", "--model", str(bare),
+                    "--row", "1.0"]) == cli.EXIT_USAGE
+        assert "feature mask" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_row_usage_error(self, kb_csv, trained, tmp_path,
+                                        capsys, bad):
+        good = kb_csv.read_text().splitlines()[1]
+        values = good.split(",")
+        values[3] = bad
+        row = ",".join(values)
+        model = str(trained / "model.elm")
+        assert run(["predict", "--model", model,
+                    f"--row={row}"]) == cli.EXIT_USAGE
+        assert "row 1 " in capsys.readouterr().err
+        rows = tmp_path / "rows.csv"
+        rows.write_text(good + "\n" + row + "\n")
+        assert run(["predict", "--model", model,
+                    "--input", str(rows)]) == cli.EXIT_USAGE
+        assert "row 2 " in capsys.readouterr().err
 
     def test_missing_input_usage_error(self, trained):
         assert run(["predict",

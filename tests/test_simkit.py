@@ -45,6 +45,17 @@ def test_clearing_zero_is_a_fixed_point(smib):
     assert np.max(np.abs(traj.pm - traj.pe[0])) < 1e-6
 
 
+@pytest.mark.parametrize("horizon, cycles", [
+    (0.0, 0.0),     # zero horizon with an instant clearing
+    (-1.0, 0.0),
+    (0.05, 6.0),    # positive, but ends before the 0.1 s clearing
+])
+def test_scenario_rejects_bad_horizon(horizon, cycles):
+    with pytest.raises(ValueError):
+        simkit.SimulationScenario(fault="fault", clearing_cycles=cycles,
+                                  horizon=horizon)
+
+
 def test_sustained_fault_goes_unstable(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=180.0,
                                    horizon=3.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspred import elm, swarm
+from tspred import elm, features, swarm
 from conftest import separable_kb
 
 
@@ -209,6 +209,20 @@ class TestMutate:
         assert np.all(out[2] == 0.55)
 
 
+def reference_fitness(position, spec, samples, labels, seed):
+    """5-fold CV fitness with `elm.train`/`elm.predict_label` per fold on
+    the full decoded architecture, ACT_OFF neurons included."""
+    arch, mask = swarm.decode_particle(position, spec)
+    x = samples[:, mask]
+    correct = 0
+    for fold in features.kfold_partition(labels, 5, seed):
+        train_rows = np.setdiff1d(np.arange(len(labels)), fold)
+        model = elm.train(arch, x[train_rows], labels[train_rows])
+        pred = elm.predict_label(model, x[fold])
+        correct += int(np.sum(pred == labels[fold]))
+    return correct / len(labels)
+
+
 class TestEvaluateFitness:
     def test_separable_toy_reaches_one(self):
         # [DERIVED] label = sign of feature 0, linear neuron on feature 0
@@ -238,6 +252,47 @@ class TestEvaluateFitness:
         for _ in range(5):
             f = swarm.evaluate_fitness(rng.random(SPEC.dim), SPEC, ctx)
             assert 0.0 <= f <= 1.0
+
+    # 48 training rows per fold. hidden=200 exceeds them, so the SVD cutoff
+    # scales with the width, and feature scales spread over 8 decades put
+    # singular values between the full and the active width's cutoffs.
+    @pytest.mark.parametrize("hidden, decades", [(4, 0), (200, 8)])
+    def test_matches_per_fold_reference(self, hidden, decades):
+        kb = separable_kb(n=60, n_features=6, seed=4)
+        x = kb.samples * np.logspace(0, -decades, 6)
+        spec = swarm.EncodingSpec(n_features=6, hidden=hidden)
+        ctx = swarm.FitnessContext.build(x, kb.labels, spec, seed=3)
+        rng = np.random.default_rng(hidden)
+        for _ in range(50):
+            pos = rng.random(spec.dim)
+            pos[spec.slices["cf"]] *= rng.random()  # vary the off share
+            assert swarm.evaluate_fitness(pos, spec, ctx) == \
+                reference_fitness(pos, spec, x, kb.labels, 3)
+
+    def test_off_neuron_weights_do_not_matter(self):
+        kb = separable_kb(n=60, n_features=6, seed=6)
+        spec = swarm.EncodingSpec(n_features=6, hidden=5)
+        ctx = swarm.FitnessContext.build(kb.samples, kb.labels, spec, seed=1)
+        rng = np.random.default_rng(2)
+        sl = spec.slices
+        pos = rng.random(spec.dim)
+        pos[sl["cf"]] = [0.1, 0.5, 0.9, 0.5, 0.9]   # neuron 0 off
+        base = swarm.evaluate_fitness(pos, spec, ctx)
+        for _ in range(5):
+            moved = pos.copy()
+            moved[sl["a"].start:sl["a"].start + 6] = rng.random(6)
+            moved[sl["b"].start] = rng.random()
+            assert swarm.evaluate_fitness(moved, spec, ctx) == base
+
+    def test_folds_partition_the_rows(self):
+        kb = separable_kb(n=47, n_features=3, seed=8)
+        ctx = swarm.FitnessContext.build(kb.samples, kb.labels, SPEC, seed=5)
+        rows = np.arange(47)
+        tests = np.concatenate([test for _, test in ctx.folds])
+        assert len(ctx.folds) == 5
+        assert np.array_equal(np.sort(tests), rows)
+        for train, test in ctx.folds:
+            assert np.array_equal(train, np.setdiff1d(rows, test))
 
 
 def sphere_fitness(pos):
