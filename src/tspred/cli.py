@@ -94,29 +94,26 @@ def _prepare_training(args):
     seed = args.seed if args.seed is not None else kb.seed
     fraction = args.split_fraction or DEFAULT_SPLIT_FRACTION
     split = features.split_train_test(kb, fraction, seed)
-    standardized = features.standardize(kb, train_indices=split.train)
-    return kb, standardized, split, seed
+    return kb, split, seed
 
 
-def _optimize_once(standardized, split, seed, optimizer, args):
-    hidden = args.hidden or DEFAULT_HIDDEN
-    spec = swarm.EncodingSpec(n_features=standardized.n_features,
-                              hidden=hidden)
-    ctx = swarm.FitnessContext.build(
-        standardized.samples[split.train],
-        standardized.labels[split.train], spec, n_folds=5, seed=seed)
+def _optimize_once(kb, split, scaled, seed, optimizer, args):
+    """Fit on the training rows of `scaled` = (z, means, stds); the model
+    carries the statistics so it scores raw rows."""
+    z, means, stds = scaled
+    x, y = z[split.train], kb.labels[split.train]
+    spec = swarm.EncodingSpec(n_features=kb.n_features,
+                              hidden=args.hidden or DEFAULT_HIDDEN)
+    ctx = swarm.FitnessContext.build(x, y, spec, seed=seed)
     config = _swarm_config(args, seed)
     t0 = time.perf_counter()
     result = swarm.OPTIMIZERS[optimizer](ctx, spec.dim, config)
     elapsed = time.perf_counter() - t0
     arch, mask = swarm.decode_particle(result.best_position, spec)
-    model = elm.train(arch, standardized.samples[split.train][:, mask],
-                      standardized.labels[split.train])
+    model = elm.train(arch, x[:, mask], y)
     model = elm.ElmModel(architecture=model.architecture,
                          output_weights=model.output_weights,
-                         feature_mask=mask,
-                         means=standardized.means,
-                         stds=standardized.stds)
+                         feature_mask=mask, means=means, stds=stds)
     return result, model, elapsed
 
 
@@ -127,13 +124,14 @@ def cmd_optimize(args):
                          "hidden": int, "target": float})
     if not args.out:
         raise UsageError("missing --out directory")
-    kb, standardized, split, seed = _prepare_training(args)
+    kb, split, seed = _prepare_training(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     optimizer = args.optimizer or "ipso"
     if optimizer not in swarm.OPTIMIZERS:
         raise UsageError(f"unknown optimizer '{optimizer}'")
-    result, model, elapsed = _optimize_once(standardized, split, seed,
+    scaled = features.standardize(kb.samples, split.train)
+    result, model, elapsed = _optimize_once(kb, split, scaled, seed,
                                             optimizer, args)
     model_path = out_dir / "model.elm"
     trace_path = out_dir / "trace.csv"
@@ -155,7 +153,7 @@ def cmd_evaluate(args):
     model_path = _require(args.model, "model file")
     if not args.out:
         raise UsageError("missing --out directory")
-    kb, _, split, seed = _prepare_training(args)
+    kb, split, seed = _prepare_training(args)
     model = elm.load_model(model_path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +162,7 @@ def cmd_evaluate(args):
             for name, idx in (("test", split.test), ("train", split.train))]
     metrics.save_report_csv(rows, out_dir / "metrics.csv")
     text = (f"seed {seed}\n"
-            + metrics.render_table(rows, include_time=False)
+            + metrics.render_table(rows)
             + f"prediction time: {rows[0][1].predict_time_s * 1e3:.3f} ms "
             f"({len(split.test)} test samples)\n")
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
@@ -182,14 +180,15 @@ def cmd_compare(args):
     repeats = args.repeats if args.repeats is not None else 1
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
-    kb, standardized, split, seed = _prepare_training(args)
+    kb, split, seed = _prepare_training(args)
+    scaled = features.standardize(kb.samples, split.train)
     runs = {name: [] for name in swarm.OPTIMIZERS}
     for name in swarm.OPTIMIZERS:
         for r in range(repeats):
             run_args = argparse.Namespace(**vars(args))
             run_args.seed = seed + r
             result, model, elapsed = _optimize_once(
-                standardized, split, seed + r, name, run_args)
+                kb, split, scaled, seed + r, name, run_args)
             runs[name].append(
                 (result.best_fitness,
                  model.architecture.effective_hidden_size, elapsed))
@@ -236,18 +235,22 @@ def cmd_predict(args):
             raw_rows = raw_rows[1:]
     else:
         raise UsageError("provide --row or --input")
+    samples = []  # every row is checked before any is scored
     for row_no, raw in enumerate(raw_rows, start=1):
         try:
             values = [float(v) for v in raw.split(",")]
         except ValueError as exc:
-            raise UsageError(f"malformed sample row: {exc}") from exc
+            raise UsageError(
+                f"malformed sample row {row_no}: {exc}") from exc
         if len(values) == n_full + 1:
             values = values[1:]  # leading label column from a KB CSV
         if len(values) != n_full:
-            raise UsageError(
-                f"sample has {len(values)} values, model expects {n_full}")
+            raise UsageError(f"sample row {row_no} has {len(values)} "
+                             f"values, model expects {n_full}")
         if not np.all(np.isfinite(values)):
             raise UsageError(f"sample row {row_no} holds a non-finite value")
+        samples.append(values)
+    for values in samples:
         t0 = time.perf_counter()
         score = float(elm.predict_full(model, values)[0])
         latency_ms = (time.perf_counter() - t0) * 1e3

@@ -60,17 +60,6 @@ class ElmArchitecture:
         return int(np.count_nonzero(self.activations != ACT_OFF))
 
 
-def activation(code, v):
-    """Per-neuron activation: 0 → off, 1 → sigmoid, 2 → identity."""
-    if code == ACT_OFF:
-        return np.zeros_like(np.asarray(v, dtype=float))
-    if code == ACT_SIGMOID:
-        return _sigmoid(np.asarray(v, dtype=float))
-    if code == ACT_LINEAR:
-        return np.asarray(v, dtype=float)
-    raise ElmError(f"unknown activation code {code}")
-
-
 def _sigmoid(v):
     # piecewise form avoids overflow in exp for large |v|
     out = np.empty_like(v, dtype=float)
@@ -82,7 +71,10 @@ def _sigmoid(v):
 
 
 def hidden_matrix(arch, x):
-    """N×L hidden-layer outputs for the sample matrix x (N×n)."""
+    """N×L hidden-layer outputs for the sample matrix x (N×n).
+
+    Per-neuron activation: 0 → off (zero), 1 → sigmoid, 2 → identity.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != arch.input_dim:
         raise ShapeMismatchError(
@@ -212,6 +204,7 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read an .elm file; refuse one whose stated and actual sizes differ."""
     fields = {"w": []}
     with open(path, encoding="utf-8") as fh:
         for ln in fh:
@@ -234,9 +227,24 @@ def load_model(path):
         if "means" in fields:
             means = np.array([float(v) for v in fields["means"]])
             stds = np.array([float(v) for v in fields["stds"]])
-        return ElmModel(
+        model = ElmModel(
             architecture=arch,
             output_weights=np.array([float(v) for v in fields["beta"]]),
             feature_mask=mask, means=means, stds=stds)
-    except (KeyError, ValueError) as exc:
+        hidden = int(fields["hidden"][0])
+        input_dim = int(fields["input_dim"][0])
+    except (KeyError, ValueError, IndexError, ElmError) as exc:
         raise ElmError(f"malformed model file {path}: {exc}") from exc
+    sizes = [("hidden vs hidden-layer rows", hidden, arch.hidden_size),
+             ("input_dim vs w columns", input_dim, arch.input_dim)]
+    if mask is not None:
+        sizes.append(("input_dim vs mask bits set", input_dim,
+                      int(mask.sum())))
+        if means is not None:
+            sizes += [("mask length vs means", mask.size, means.size),
+                      ("mask length vs stds", mask.size, stds.size)]
+    for what, stated, actual in sizes:
+        if stated != actual:
+            raise ShapeMismatchError(
+                f"malformed model file {path}: {what}: {stated} != {actual}")
+    return model

@@ -7,7 +7,7 @@ follow the sign of 360° minus the largest pairwise rotor-angle excursion.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,16 +113,13 @@ def extract_features(trajectory):
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Labeled feature matrix plus standardization state and provenance."""
+    """Labeled raw feature matrix plus its seed and provenance."""
 
     samples: np.ndarray        # (N, n)
     labels: np.ndarray         # (N,), values in {+1, -1}
     names: list
     seed: int
     provenance: str = ""
-    means: np.ndarray = None   # set once standardized
-    stds: np.ndarray = None
-    constant_features: tuple = ()
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
@@ -146,29 +143,20 @@ class KnowledgeBase:
     def n_features(self):
         return int(self.samples.shape[1])
 
-    @property
-    def standardized(self):
-        return self.means is not None
 
+def standardize(samples, train_rows):
+    """Z-score each column with statistics from the training rows only.
 
-def standardize(kb, train_indices=None):
-    """Z-score each feature; statistics from the training rows only.
-
-    Uses the sample standard deviation (N−1 divisor). Columns whose
-    training standard deviation is below 1e-12 are mapped to all zeros
-    and reported in `constant_features`.
+    Returns (z, means, stds). Uses the sample standard deviation (N−1
+    divisor); a column whose training standard deviation is below 1e-12
+    maps to all zeros.
     """
-    if kb.n_samples < 2:
+    if len(samples) < 2:
         raise DegenerateDatasetError("need at least 2 samples")
-    rows = np.arange(kb.n_samples) if train_indices is None \
-        else np.asarray(train_indices)
-    train = kb.samples[rows]
+    train = samples[np.asarray(train_rows)]
     means = train.mean(axis=0)
     stds = train.std(axis=0, ddof=1)
-    return replace(
-        kb, samples=_zscore(kb.samples, means, stds), means=means, stds=stds,
-        constant_features=tuple(
-            kb.names[j] for j in np.nonzero(stds < _CONSTANT_SIGMA)[0]))
+    return _zscore(samples, means, stds), means, stds
 
 
 def apply_standardization(x, means, stds):
@@ -188,7 +176,6 @@ def _zscore(x, means, stds):
 class SplitIndex:
     train: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "train", _frozen_int(self.train))
@@ -232,8 +219,7 @@ def split_train_test(kb, train_fraction, seed):
         train_parts.append(perm[:take])
         test_parts.append(perm[take:])
     return SplitIndex(train=np.sort(np.concatenate(train_parts)),
-                      test=np.sort(np.concatenate(test_parts)),
-                      seed=seed)
+                      test=np.sort(np.concatenate(test_parts)))
 
 
 def kfold_partition(labels, k, seed):
@@ -282,20 +268,16 @@ def save_knowledge_base(kb, csv_path, sidecar_path):
         writer.writerow(["label"] + [f"f_{j}" for j in range(kb.n_features)])
         for label, row in zip(kb.labels, kb.samples):
             writer.writerow([f"{label:+d}"] + [repr(float(v)) for v in row])
-    lines = [f"seed {kb.seed}",
-             f"standardized {'true' if kb.standardized else 'false'}",
-             f"provenance {kb.provenance}"]
-    if kb.constant_features:
-        lines.append("constant_features " + ",".join(kb.constant_features))
-    for j, name in enumerate(kb.names):
-        mean = repr(float(kb.means[j])) if kb.standardized else "-"
-        std = repr(float(kb.stds[j])) if kb.standardized else "-"
-        lines.append(f"feature {j} {name} {mean} {std}")
+    lines = [f"seed {kb.seed}", f"provenance {kb.provenance}"]
+    lines += [f"feature {j} {name}" for j, name in enumerate(kb.names)]
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_knowledge_base(csv_path, sidecar_path):
+    """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
+    `provenance` and `feature` (such as the standardization statistics
+    older sidecars hold) are skipped."""
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -303,15 +285,14 @@ def load_knowledge_base(csv_path, sidecar_path):
             raise FeatureError(f"{csv_path}: bad header")
         labels, rows = [], []
         for rec in reader:
-            labels.append(int(rec[0]))
-            rows.append([float(v) for v in rec[1:]])
+            if rec:
+                labels.append(int(rec[0]))
+                rows.append([float(v) for v in rec[1:]])
+    if not rows:
+        raise FeatureError(f"{csv_path}: no samples")
     seed = 0
     provenance = ""
-    standardized = False
-    constant = ()
     names = [None] * (len(header) - 1)
-    means = np.full(len(names), np.nan)
-    stds = np.full(len(names), np.nan)
     with open(sidecar_path, encoding="utf-8") as fh:
         for ln in fh:
             tokens = ln.strip().split(None, 1)
@@ -321,23 +302,11 @@ def load_knowledge_base(csv_path, sidecar_path):
             rest = tokens[1] if len(tokens) > 1 else ""
             if key == "seed":
                 seed = int(rest)
-            elif key == "standardized":
-                standardized = rest.strip() == "true"
             elif key == "provenance":
                 provenance = rest
-            elif key == "constant_features":
-                constant = tuple(rest.split(","))
             elif key == "feature":
-                j, name, mean, std = rest.split()
-                j = int(j)
-                names[j] = name
-                if mean != "-":
-                    means[j] = float(mean)
-                    stds[j] = float(std)
-    kb = KnowledgeBase(
+                j, name = rest.split()[:2]
+                names[int(j)] = name
+    return KnowledgeBase(
         samples=np.array(rows), labels=np.array(labels), names=names,
-        seed=seed, provenance=provenance,
-        means=means if standardized else None,
-        stds=stds if standardized else None,
-        constant_features=constant)
-    return kb
+        seed=seed, provenance=provenance)

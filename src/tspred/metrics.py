@@ -99,12 +99,11 @@ class EvaluationReport:
     kap: float
     auc: float          # None when the test set is single-class
     eta: float          # None when auc is None
-    train_time_s: float
     predict_time_s: float
     note: str = ""
 
 
-def evaluate(model, samples, labels, train_time_s=0.0):
+def evaluate(model, samples, labels):
     """Score every sample once and assemble all metrics.
 
     A model carrying a feature mask is scored on raw full-dimension rows
@@ -135,29 +134,23 @@ def evaluate(model, samples, labels, train_time_s=0.0):
         note = f"AUC undefined: {exc}"
     return EvaluationReport(confusion=cm, acc=acc_value, kap=kap_value,
                             auc=auc_value, eta=eta_value,
-                            train_time_s=train_time_s,
                             predict_time_s=predict_time, note=note)
 
 
-def _fmt(value, spec="{:.4f}"):
+def _fmt(value, spec):
     return "-" if value is None else spec.format(value)
 
 
-def render_table(rows, include_time=True):
-    """Aligned plain-text table: model, Acc/%, Kap, AUC, eta[, time/s]."""
+def render_table(rows):
+    """Aligned plain-text table: model, Acc/%, Kap, AUC, eta."""
     header = ["model", "Acc/%", "Kap", "AUC", "eta"]
-    if include_time:
-        header.append("time/s")
     table = [header]
     for name, report in rows:
-        row = [name,
-               _fmt(report.acc * 100.0, "{:.2f}"),
-               _fmt(report.kap, "{:.3f}"),
-               _fmt(report.auc, "{:.3f}"),
-               _fmt(report.eta, "{:.3f}")]
-        if include_time:
-            row.append(_fmt(report.train_time_s, "{:.3f}"))
-        table.append(row)
+        table.append([name,
+                      _fmt(report.acc * 100.0, "{:.2f}"),
+                      _fmt(report.kap, "{:.3f}"),
+                      _fmt(report.auc, "{:.3f}"),
+                      _fmt(report.eta, "{:.3f}")])
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]

@@ -27,6 +27,7 @@ LOAD_LEVEL_RANGE = (0.8, 1.3)
 
 _MATRIX_SYMMETRY_TOL = 1e-9
 _EQUILIBRIUM_TOL = 1e-8
+_NEWTON_MAX_STEPS = 50
 _NEWTON_STEP_TOL = 1e-12
 
 
@@ -142,11 +143,11 @@ class SimulationScenario:
     horizon: float = DEFAULT_HORIZON
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("integration step must be positive")
         if self.clearing_cycles < 0:
             raise ValueError("clearing time must be non-negative")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.horizon < self.clearing_time(60.0):
             raise ValueError("horizon shorter than the fault clearing time")
@@ -189,18 +190,18 @@ def _power_mismatch(delta, model):
                                                y.imag)
 
 
-def solve_equilibrium(model, tol=_EQUILIBRIUM_TOL, max_iter=50):
+def solve_equilibrium(model):
     """Prefault operating point: rotor angles (radians) with Δω = 0.
 
     The last machine's angle is the reference (fixed at 0); Newton's
     method on the analytic ∂Pe/∂δ, started from equal angles, solves the
     remaining angles so every machine's power mismatch vanishes. Raises
     NoEquilibriumError when the full residual (including the reference
-    machine) stays above `tol` after at most `max_iter` Newton steps.
+    machine) stays above 1e-8 pu after at most 50 Newton steps.
     """
     y = model.y_prefault
     delta = np.zeros(model.n_generators)
-    for _ in range(max_iter if model.n_generators > 1 else 0):
+    for _ in range(_NEWTON_MAX_STEPS if model.n_generators > 1 else 0):
         jac = kernels.power_jacobian(delta, model.emf, y.real, y.imag)
         try:
             step = np.linalg.solve(jac[:-1, :-1],
@@ -211,7 +212,7 @@ def solve_equilibrium(model, tol=_EQUILIBRIUM_TOL, max_iter=50):
         if not np.max(np.abs(step)) > _NEWTON_STEP_TOL:
             break
     mismatch = np.max(np.abs(_power_mismatch(delta, model)))
-    if not mismatch <= tol:
+    if not mismatch <= _EQUILIBRIUM_TOL:
         raise NoEquilibriumError(
             f"no prefault equilibrium (max mismatch {mismatch:.3e} pu)")
     return delta
@@ -418,6 +419,9 @@ def load_model(path):
             elif key == "generators":
                 pass  # count is implied by the gen lines
             elif key == "gen":
+                if len(tokens) < 6:
+                    raise ModelFormatError(
+                        f"{path}: '{lines[i]}' needs 5 values (H D xd E Pm)")
                 gens.append([float(v) for v in tokens[1:6]])
             elif key == "matrix":
                 label = tokens[1]

@@ -49,32 +49,29 @@ class EncodingSpec:
         }
 
 
+# IPSO runs with one fixed set of coefficients, as in the paper
+C1 = C2 = 2.0
+W_START, W_END = 0.9, 0.4       # inertia, falling linearly
+V_MAX = 0.2                     # velocity clamp, fraction of the unit range
+MUTATION_COEFF = 0.1
+BAND_LOW, BAND_HIGH = 0.9, 1.1  # premature-convergence ratio band
+VARIANCE_FLOOR = 1e-4           # stagnation needs a variance below this
+# GA operator probabilities
+CROSSOVER_PROB = 0.85
+MUTATION_PROB = 0.01
+N_FOLDS = 5                     # cross-validation folds of the fitness
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
     population: int = 20
     max_iterations: int = 200
-    c1: float = 2.0
-    c2: float = 2.0
-    w_start: float = 0.9
-    w_end: float = 0.4
-    v_max: float = 0.2              # fraction of the unit range
-    mutation_coeff: float = 0.1
-    band_low: float = 0.9           # premature-convergence ratio band
-    band_high: float = 1.1
-    variance_floor: float = 1e-4
     fitness_target: float = 0.99
     seed: int = 0
-    # GA-only operator probabilities
-    crossover_prob: float = 0.85
-    mutation_prob: float = 0.01
 
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be at least 2")
-        if not 0 < self.band_low < 1 < self.band_high:
-            raise ValueError("premature band must straddle 1")
-        if self.mutation_coeff <= 0:
-            raise ValueError("mutation coefficient must be positive")
         if not 0 <= self.fitness_target <= 1:
             raise ValueError("fitness target must be in [0, 1]")
 
@@ -128,7 +125,7 @@ def decode_particle(position, spec):
 
 @dataclass(frozen=True)
 class FitnessContext:
-    """Cross-validation fitness over a fixed fold partition."""
+    """5-fold cross-validation fitness over a fixed fold partition."""
 
     samples: np.ndarray
     labels: np.ndarray
@@ -136,10 +133,10 @@ class FitnessContext:
     folds: tuple                # (train_rows, test_rows) per fold
 
     @classmethod
-    def build(cls, samples, labels, spec, n_folds=5, seed=0):
+    def build(cls, samples, labels, spec, seed=0):
         rows = np.arange(len(labels))
         folds = tuple((np.setdiff1d(rows, fold), fold)
-                      for fold in kfold_partition(labels, n_folds, seed))
+                      for fold in kfold_partition(labels, N_FOLDS, seed))
         return cls(samples=samples, labels=labels, spec=spec, folds=folds)
 
     def __call__(self, position):
@@ -189,20 +186,20 @@ def fitness_variance(fitnesses):
     return float(np.sum((dev / f_best) ** 2))
 
 
-def premature_check(var_prev, var_cur, config, best_improved=False):
+def premature_check(var_prev, var_cur, best_improved=False):
     """Stagnation detector for the mutation rescue.
 
-    Fires when the variance ratio sits inside (band_low, band_high), the
+    Fires when the variance ratio sits inside (BAND_LOW, BAND_HIGH), the
     current variance is below the stagnation floor, and the global best
     did not improve this iteration. Two consecutive zero variances count
     as a ratio of one.
     """
-    if best_improved or var_cur >= config.variance_floor:
+    if best_improved or var_cur >= VARIANCE_FLOOR:
         return False
     if var_prev == 0.0:
         return var_cur == 0.0
     ratio = var_cur / var_prev
-    return config.band_low < ratio < config.band_high
+    return BAND_LOW < ratio < BAND_HIGH
 
 
 def velocity_update(v, s, p_best, g_best, w, c1, c2, r1, r2):
@@ -210,14 +207,14 @@ def velocity_update(v, s, p_best, g_best, w, c1, c2, r1, r2):
     return w * v + c1 * r1 * (p_best - s) + c2 * r2 * (g_best - s)
 
 
-def mutate(positions, config, rng, exempt=None):
+def mutate(positions, rng, exempt=None):
     """Perturb positions by c_m·(rand − 0.5) per entry, clamped to [0,1].
 
     Row `exempt` (the global-best particle) is left untouched.
     """
     positions = np.array(positions, dtype=float)
     rand = rng.random(positions.shape)
-    moved = positions + config.mutation_coeff * (rand - 0.5)
+    moved = positions + MUTATION_COEFF * (rand - 0.5)
     if exempt is not None:
         moved[exempt] = positions[exempt]
     return np.clip(moved, 0.0, 1.0)
@@ -230,9 +227,9 @@ def _rng(seed, *key):
 def _inertia(config, k):
     """Linear 0.9 → 0.4 schedule over the iteration budget."""
     if config.max_iterations <= 1:
-        return config.w_start
+        return W_START
     frac = (k - 1) / (config.max_iterations - 1)
-    return config.w_start + (config.w_end - config.w_start) * frac
+    return W_START + (W_END - W_START) * frac
 
 
 def _run_swarm(fitness, dim, config, mutation_enabled):
@@ -275,8 +272,8 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
             r1 = rng.random(dim)
             r2 = rng.random(dim)
             v = velocity_update(velocities[i], positions[i], pbest[i],
-                                gbest, w, config.c1, config.c2, r1, r2)
-            np.clip(v, -config.v_max, config.v_max, out=v)
+                                gbest, w, C1, C2, r1, r2)
+            np.clip(v, -V_MAX, V_MAX, out=v)
             velocities[i] = v
             positions[i] = np.clip(positions[i] + v, 0.0, 1.0)
         improved = score(range(n))
@@ -285,10 +282,10 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
         var = fitness_variance(fits)
         mutated = False
         if (mutation_enabled
-                and premature_check(var_prev, var, config, improved)):
+                and premature_check(var_prev, var, improved)):
             mutated = True
             rng = _rng(config.seed, _STREAM_MUTATE, k)
-            positions = mutate(positions, config, rng, exempt=g_idx)
+            positions = mutate(positions, rng, exempt=g_idx)
             score([i for i in range(n) if i != g_idx])
             var = fitness_variance(fits)
         trace.append(IterationRecord(k, gbest_fit, float(fits.mean()),
@@ -333,12 +330,12 @@ def run_ga(fitness, dim, config):
         for c in range(1, n):
             pa = _tournament(fits, rng)
             pb = _tournament(fits, rng)
-            if rng.random() < config.crossover_prob:
+            if rng.random() < CROSSOVER_PROB:
                 take_a = rng.random(dim) < 0.5
                 child = np.where(take_a, positions[pa], positions[pb])
             else:
                 child = positions[pa].copy()
-            reset = rng.random(dim) < config.mutation_prob
+            reset = rng.random(dim) < MUTATION_PROB
             if reset.any():
                 child = np.where(reset, rng.random(dim), child)
             children[c] = child

@@ -165,7 +165,7 @@ def test_criterion_05_swarm_worked_examples(capsys):
             def random(self, shape):
                 return np.ones(shape)
 
-        out = swarm.mutate(np.full((1, 1), 0.5), swarm.SwarmConfig(), One())
+        out = swarm.mutate(np.full((1, 1), 0.5), One())
         assert abs(out[0, 0] - 0.55) < 1e-12
 
 
@@ -233,10 +233,10 @@ def test_criterion_09_mutation_rescue(capsys):
         # hand-constructed stagnation: identical fitness below target
         fits = np.full(config.population, 0.5)
         var = swarm.fitness_variance(fits)
-        assert swarm.premature_check(var, var, config) is True
+        assert swarm.premature_check(var, var) is True
         positions = np.full((config.population, 5), 0.4)
         rng = swarm._rng(config.seed, 99)
-        moved = swarm.mutate(positions, config, rng, exempt=2)
+        moved = swarm.mutate(positions, rng, exempt=2)
         changed = int(np.sum(np.any(moved != positions, axis=1)))
         assert changed >= config.population - 1
         assert np.array_equal(moved[2], positions[2])
@@ -253,15 +253,14 @@ def test_criterion_09_mutation_rescue(capsys):
 def _train_and_score(kb, seed, hidden=50, population=20, iterations=200,
                      target=0.99):
     split = features.split_train_test(kb, cli.DEFAULT_SPLIT_FRACTION, seed)
-    std = features.standardize(kb, train_indices=split.train)
-    spec = swarm.EncodingSpec(n_features=std.n_features, hidden=hidden)
-    ctx = swarm.FitnessContext.build(std.samples[split.train],
-                                     std.labels[split.train], spec,
-                                     n_folds=5, seed=seed)
+    z, _, _ = features.standardize(kb.samples, split.train)
+    spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=hidden)
+    ctx = swarm.FitnessContext.build(z[split.train], kb.labels[split.train],
+                                     spec, seed=seed)
     config = swarm.SwarmConfig(population=population,
                                max_iterations=iterations,
                                fitness_target=target, seed=seed)
-    return std, split, spec, ctx, config
+    return z, split, spec, ctx, config
 
 
 def test_criterion_10_desk_scale_pipeline(capsys, smib_kb_path, multi_kb,
@@ -278,14 +277,13 @@ def test_criterion_10_desk_scale_pipeline(capsys, smib_kb_path, multi_kb,
             assert 0.2 <= frac_stable <= 0.8
         successes = 0
         for seed in range(10):
-            std, split, spec, ctx, config = _train_and_score(multi_kb, seed)
+            z, split, spec, ctx, config = _train_and_score(multi_kb, seed)
             result = swarm.run_ipso(ctx, spec.dim, config)
             arch, mask = swarm.decode_particle(result.best_position, spec)
-            model = elm.train(arch, std.samples[split.train][:, mask],
-                              std.labels[split.train])
-            report = metrics.evaluate(model,
-                                      std.samples[split.test][:, mask],
-                                      std.labels[split.test])
+            model = elm.train(arch, z[split.train][:, mask],
+                              multi_kb.labels[split.train])
+            report = metrics.evaluate(model, z[split.test][:, mask],
+                                      multi_kb.labels[split.test])
             if (report.acc >= 0.90 and report.eta is not None
                     and report.eta >= 0.85):
                 successes += 1
@@ -298,7 +296,7 @@ def test_criterion_11_ipso_vs_pso_direction(capsys, multi_kb):
                                "PSO over 20 paired seeds"):
         results = {"ipso": [], "pso": []}
         for seed in range(20):
-            std, split, spec, ctx, config = _train_and_score(
+            _, _, spec, ctx, config = _train_and_score(
                 multi_kb, seed, hidden=20, iterations=30, target=1.0)
             for name in results:
                 res = swarm.OPTIMIZERS[name](ctx, spec.dim, config)

@@ -1,5 +1,9 @@
 """End-to-end tests for the command-line pipeline."""
 
+import re
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -158,12 +162,10 @@ class TestEvaluate:
         split = features.split_train_test(kb, 0.7, 5)
         corrupted = kb.samples.copy()
         corrupted[split.test] *= 100.0
-        kb2 = features.KnowledgeBase(samples=corrupted, labels=kb.labels,
-                                     names=kb.names, seed=kb.seed)
-        s1 = features.standardize(kb, train_indices=split.train)
-        s2 = features.standardize(kb2, train_indices=split.train)
-        assert np.array_equal(s1.means, s2.means)
-        assert np.array_equal(s1.stds, s2.stds)
+        _, means1, stds1 = features.standardize(kb.samples, split.train)
+        _, means2, stds2 = features.standardize(corrupted, split.train)
+        assert np.array_equal(means1, means2)
+        assert np.array_equal(stds1, stds2)
 
 
 class TestCompare:
@@ -274,7 +276,73 @@ class TestPredict:
                     "--input", str(rows)]) == cli.EXIT_USAGE
         assert "row 2 " in capsys.readouterr().err
 
+    def test_refused_row_prints_no_prediction(self, kb_csv, trained,
+                                              tmp_path, capsys):
+        # every row is checked before the first prediction is printed
+        good = kb_csv.read_text().splitlines()[1]
+        values = good.split(",")
+        values[3] = "nan"
+        rows = tmp_path / "rows.csv"
+        rows.write_text(good + "\n" + ",".join(values) + "\n")
+        assert run(["predict", "--model", str(trained / "model.elm"),
+                    "--input", str(rows)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 2 " in captured.err
+
+    def test_model_with_bad_mask_runtime_error(self, kb_csv, trained,
+                                               tmp_path, capsys):
+        text = (trained / "model.elm").read_text().splitlines()
+        bad = tmp_path / "bad.elm"
+        bad.write_text("\n".join(
+            " ".join(["mask"] + ["1"] * (len(ln.split()) - 1))
+            if ln.startswith("mask") else ln for ln in text) + "\n")
+        row = kb_csv.read_text().splitlines()[1]
+        assert run(["predict", "--model", str(bad),
+                    f"--row={row}"]) == cli.EXIT_RUNTIME
+        assert "mask bits set" in capsys.readouterr().err
+
     def test_missing_input_usage_error(self, trained):
         assert run(["predict",
                     "--model", str(trained / "model.elm")]) == \
             cli.EXIT_USAGE
+
+
+def _write_malformed(case, kb_csv, tmp_path):
+    """Write the input of one malformed case; returns the argv to run."""
+    kb = tmp_path / "kb.csv"
+    if case.startswith("kb"):
+        lines = kb_csv.read_text().splitlines(keepends=True)
+        kb.write_text("".join(lines[:3] + ["\n"] + lines[3:])
+                      if case == "kb blank line" else lines[0])
+        shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
+        return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
+                "--hidden", "4", "--population", "4", "--iterations", "1"]
+    model_text = Path(FIXTURES, "smib.sys").read_text()
+    grid_text = Path(FIXTURES, "smib.grid").read_text()
+    if case == "sys short gen line":
+        model_text = model_text.replace("gen 1.5 0.0 0.3 1.0 0.5",
+                                        "gen 1.5 0.0 0.3")
+    else:
+        key = case.split()[-1]      # step or horizon
+        grid_text = re.sub(rf"^{key} = .*$", f"{key} = nan", grid_text,
+                           flags=re.M)
+    model, grid = tmp_path / "model.sys", tmp_path / "model.grid"
+    model.write_text(model_text)
+    grid.write_text(grid_text)
+    return ["generate", "--model", str(model), "--grid", str(grid),
+            "--out", str(kb)]
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("kb blank line", cli.EXIT_OK, ""),
+    ("kb header only", cli.EXIT_RUNTIME, "no samples"),
+    ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
+    ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
+    ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
+])
+def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
+                                   capsys):
+    # never a traceback: a blank KB record is skipped, the rest refused
+    assert run(_write_malformed(case, kb_csv, tmp_path)) == code
+    assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,19 +11,27 @@ def identity_arch():
                                activations=[elm.ACT_LINEAR])
 
 
+def activate(code, v):
+    """One neuron with unit weight and zero bias: its activation of v."""
+    arch = elm.ElmArchitecture(input_weights=[[1.0]], biases=[0.0],
+                               activations=[code])
+    return elm.hidden_matrix(arch, [[v]])[0, 0]
+
+
 class TestActivation:
     def test_off_branch(self):
-        assert elm.activation(0, 5.0) == 0.0
+        assert activate(elm.ACT_OFF, 5.0) == 0.0
 
     def test_sigmoid_midpoint(self):
-        assert elm.activation(1, 0.0) == pytest.approx(0.5)
+        assert activate(elm.ACT_SIGMOID, 0.0) == pytest.approx(0.5)
 
     def test_identity_branch(self):
-        assert elm.activation(2, -3.0) == -3.0
+        assert activate(elm.ACT_LINEAR, -3.0) == -3.0
 
     def test_sigmoid_saturates_without_overflow(self):
-        assert elm.activation(1, 1e4) == pytest.approx(1.0)
-        assert elm.activation(1, -1e4) == pytest.approx(0.0)
+        with np.errstate(over="raise"):
+            assert activate(elm.ACT_SIGMOID, 1e4) == pytest.approx(1.0)
+            assert activate(elm.ACT_SIGMOID, -1e4) == pytest.approx(0.0)
 
 
 class TestHiddenMatrix:
@@ -211,7 +221,8 @@ class TestPredict:
         assert np.all(np.sign(elm.predict_score(model, x)) == y)
 
 
-def test_model_file_round_trip(tmp_path):
+def saved_model(path):
+    """Write a 6-neuron model on 3 of 5 features; returns it."""
     rng = np.random.default_rng(11)
     arch = elm.ElmArchitecture(
         input_weights=rng.uniform(-1, 1, size=(6, 3)),
@@ -226,10 +237,34 @@ def test_model_file_round_trip(tmp_path):
                          feature_mask=mask,
                          means=rng.normal(size=5),
                          stds=rng.uniform(0.5, 2.0, size=5))
-    path = tmp_path / "model.elm"
     elm.save_model(model, path)
+    return model
+
+
+def test_model_file_round_trip(tmp_path):
+    path = tmp_path / "model.elm"
+    model = saved_model(path)
     loaded = elm.load_model(path)
-    raw = rng.normal(size=(4, 5))
+    raw = np.random.default_rng(12).normal(size=(4, 5))
     assert np.allclose(elm.predict_full(loaded, raw),
                        elm.predict_full(model, raw), atol=1e-12)
-    assert np.array_equal(loaded.feature_mask, mask)
+    assert np.array_equal(loaded.feature_mask, model.feature_mask)
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (r"^mask .*$", "mask 1 1 1 1 1"),       # 5 bits set for 3 inputs
+    (r"^w .*\n(?=mask)", ""),                # drop the last w row
+    (r"^hidden 6$", "hidden 7"),
+    (r"^input_dim 3$", "input_dim 4"),
+    (r"^(means .*) \S+$", r"\1"),             # one mean short
+], ids=["all-ones mask", "dropped w row", "hidden line", "input_dim line",
+        "short means"])
+def test_model_file_shape_mismatch_refused(tmp_path, pattern, replacement):
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    text = path.read_text()
+    edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
+    assert edited != text
+    path.write_text(edited)
+    with pytest.raises(elm.ElmError, match="model file"):
+        elm.load_model(path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,50 +102,48 @@ class TestExtraction:
 
 
 class TestStandardize:
-    def _kb(self, column):
-        x = np.column_stack([column, np.arange(len(column), dtype=float)])
-        labels = np.resize([1, -1], len(column))
-        return features.KnowledgeBase(
-            samples=x, labels=labels, names=["a", "b"], seed=0)
+    @staticmethod
+    def _x(column):
+        return np.column_stack([column, np.arange(len(column), dtype=float)])
+
+    @staticmethod
+    def _all_rows(samples):
+        return features.standardize(samples, np.arange(len(samples)))
 
     def test_sample_std_convention(self):
-        kb = features.standardize(self._kb([1.0, 2.0, 3.0]))
-        assert kb.samples[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        z, _, _ = self._all_rows(self._x([1.0, 2.0, 3.0]))
+        assert z[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
 
     def test_constant_column_flagged_and_zeroed(self):
-        kb = features.standardize(self._kb([5.0, 5.0, 5.0]))
-        assert np.all(kb.samples[:, 0] == 0.0)
-        assert kb.constant_features == ("a",)
+        z, _, stds = self._all_rows(self._x([5.0, 5.0, 5.0]))
+        assert np.all(z[:, 0] == 0.0)
+        assert stds[0] == 0.0
 
     def test_idempotent(self):
-        kb = features.standardize(self._kb([1.0, 4.0, 7.0, 2.0]))
-        again = features.standardize(kb)
-        assert np.allclose(again.samples, kb.samples, atol=1e-9)
+        z, _, _ = self._all_rows(self._x([1.0, 4.0, 7.0, 2.0]))
+        again, _, _ = self._all_rows(z)
+        assert np.allclose(again, z, atol=1e-9)
 
     def test_statistics_from_training_rows_only(self):
-        kb = self._kb([1.0, 2.0, 3.0, 1000.0])
-        out = features.standardize(kb, train_indices=[0, 1, 2])
-        assert out.means[0] == pytest.approx(2.0)
+        x = self._x([1.0, 2.0, 3.0, 1000.0])
+        _, means, stds = features.standardize(x, [0, 1, 2])
+        assert means[0] == pytest.approx(2.0)
         # corrupting test rows must not change the statistics
-        corrupted = self._kb([1.0, 2.0, 3.0, -999.0])
-        out2 = features.standardize(corrupted, train_indices=[0, 1, 2])
-        assert out.means[0] == out2.means[0]
-        assert out.stds[0] == out2.stds[0]
+        corrupted = self._x([1.0, 2.0, 3.0, -999.0])
+        _, means2, stds2 = features.standardize(corrupted, [0, 1, 2])
+        assert means[0] == means2[0]
+        assert stds[0] == stds2[0]
 
     def test_inverse_transform_recovers_values(self):
         rng = np.random.default_rng(5)
         x = rng.normal(3.0, 2.5, size=(20, 4))
-        kb = features.KnowledgeBase(
-            samples=x, labels=np.resize([1, -1], 20),
-            names=list("abcd"), seed=0)
-        out = features.standardize(kb)
-        recovered = out.samples * out.stds + out.means
-        assert np.allclose(recovered, x, atol=1e-9)
+        z, means, stds = self._all_rows(x)
+        assert np.allclose(z * stds + means, x, atol=1e-9)
 
     def test_columns_normalized(self):
-        kb = features.standardize(separable_kb(40))
-        assert np.allclose(kb.samples.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(kb.samples.std(axis=0, ddof=1), 1.0, atol=1e-9)
+        z, _, _ = self._all_rows(separable_kb(40).samples)
+        assert np.allclose(z.mean(axis=0), 0.0, atol=1e-9)
+        assert np.allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-9)
 
 
 class TestSplit:
@@ -208,7 +208,7 @@ class TestKFold:
 
 
 def test_knowledge_base_round_trip(tmp_path, smib_kb):
-    kb = features.standardize(smib_kb)
+    kb = smib_kb
     csv_path = tmp_path / "kb.csv"
     meta_path = tmp_path / "kb.meta"
     features.save_knowledge_base(kb, csv_path, meta_path)
@@ -216,9 +216,23 @@ def test_knowledge_base_round_trip(tmp_path, smib_kb):
     assert np.array_equal(loaded.samples, kb.samples)
     assert np.array_equal(loaded.labels, kb.labels)
     assert loaded.names == kb.names
-    assert np.array_equal(loaded.means, kb.means)
-    assert np.array_equal(loaded.stds, kb.stds)
     assert loaded.seed == kb.seed
+    assert [f.name for f in dataclasses.fields(loaded)] == [
+        "samples", "labels", "names", "seed", "provenance"]
+
+
+def test_loads_sidecar_with_standardization_columns(tmp_path):
+    # older sidecars carry a standardized flag, constant-feature names and
+    # per-feature mean/std columns; the loader skips them
+    csv_path = tmp_path / "kb.csv"
+    meta_path = tmp_path / "kb.meta"
+    csv_path.write_text("label,f_0,f_1\n+1,1.0,2.0\n-1,3.0,2.0\n")
+    meta_path.write_text("seed 4\nstandardized true\nprovenance m:g\n"
+                         "constant_features b\nfeature 0 a 2.0 1.4\n"
+                         "feature 1 b 2.0 0.0\n")
+    kb = features.load_knowledge_base(csv_path, meta_path)
+    assert (kb.seed, kb.provenance, kb.names) == (4, "m:g", ["a", "b"])
+    assert np.array_equal(kb.samples, [[1.0, 2.0], [3.0, 2.0]])
 
 
 def test_smib_kb_has_both_classes(smib_kb):

@@ -225,18 +225,17 @@ class TestRendering:
         model = linear_model([1.0])
         x = np.array([[0.9], [-0.2], [0.5], [-0.1]])
         labels = np.array([1, 1, -1, -1])
-        report = metrics.evaluate(model, x, labels, train_time_s=0.25)
+        report = metrics.evaluate(model, x, labels)
         return [("demo", report)]
 
     def test_table_header_and_percent(self):
         text = metrics.render_table(self.sample_rows())
         lines = text.splitlines()
-        assert lines[0].split() == ["model", "Acc/%", "Kap", "AUC", "eta",
-                                    "time/s"]
+        assert lines[0].split() == ["model", "Acc/%", "Kap", "AUC", "eta"]
         assert "50.00" in lines[1]
 
     def test_table_without_time(self):
-        text = metrics.render_table(self.sample_rows(), include_time=False)
+        text = metrics.render_table(self.sample_rows())
         assert "time/s" not in text
 
     def test_csv_round_trip(self, tmp_path):

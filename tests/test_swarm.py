@@ -1,5 +1,7 @@
 """Tests for the swarm optimizers and the mixed-integer ELM encoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,27 +135,24 @@ class TestFitnessVariance:
 
 
 class TestPrematureCheck:
-    CONFIG = swarm.SwarmConfig()
-
     def test_flat_tiny_variance_fires(self):
         # [TRIVIAL] ratio 1 inside band, below floor, no improvement
-        assert swarm.premature_check(1e-5, 1e-5, self.CONFIG) is True
+        assert swarm.premature_check(1e-5, 1e-5) is True
 
     def test_above_floor_blocks(self):
-        assert swarm.premature_check(0.5, 0.5, self.CONFIG) is False
+        assert swarm.premature_check(0.5, 0.5) is False
 
     def test_ratio_outside_band_blocks(self):
-        assert swarm.premature_check(1e-5, 1e-7, self.CONFIG) is False
+        assert swarm.premature_check(1e-5, 1e-7) is False
 
     def test_improvement_blocks(self):
-        assert swarm.premature_check(
-            1e-5, 1e-5, self.CONFIG, best_improved=True) is False
+        assert swarm.premature_check(1e-5, 1e-5, best_improved=True) is False
 
     def test_double_zero_counts(self):
-        assert swarm.premature_check(0.0, 0.0, self.CONFIG) is True
+        assert swarm.premature_check(0.0, 0.0) is True
 
     def test_zero_then_positive_blocks(self):
-        assert swarm.premature_check(0.0, 1e-6, self.CONFIG) is False
+        assert swarm.premature_check(0.0, 1e-6) is False
 
 
 class TestVelocityUpdate:
@@ -183,27 +182,24 @@ class _ConstRng:
 
 
 class TestMutate:
-    CONFIG = swarm.SwarmConfig()
-
     def test_zero_perturbation(self):
         # [TRIVIAL] x=0.5, c_m=0.1, rand=0.5 -> 0.5
-        out = swarm.mutate(np.full((2, 3), 0.5), self.CONFIG, _ConstRng(0.5))
+        out = swarm.mutate(np.full((2, 3), 0.5), _ConstRng(0.5))
         assert np.all(out == 0.5)
 
     def test_worked_example(self):
         # [PAPER] x=0.5, c_m=0.1, rand=1.0 -> 0.55
-        out = swarm.mutate(np.full((1, 1), 0.5), self.CONFIG, _ConstRng(1.0))
+        out = swarm.mutate(np.full((1, 1), 0.5), _ConstRng(1.0))
         assert out[0, 0] == pytest.approx(0.55, abs=1e-12)
 
     def test_clamped_at_one(self):
         # [TRIVIAL] 0.999 + 0.05 -> 1.0 after clamp
-        out = swarm.mutate(np.full((1, 1), 0.999), self.CONFIG,
-                           _ConstRng(1.0))
+        out = swarm.mutate(np.full((1, 1), 0.999), _ConstRng(1.0))
         assert out[0, 0] == 1.0
 
     def test_exempt_row_untouched(self):
         pos = np.full((3, 4), 0.5)
-        out = swarm.mutate(pos, self.CONFIG, _ConstRng(1.0), exempt=1)
+        out = swarm.mutate(pos, _ConstRng(1.0), exempt=1)
         assert np.all(out[1] == 0.5)
         assert np.all(out[0] == 0.55)
         assert np.all(out[2] == 0.55)
@@ -397,11 +393,12 @@ class TestRunSwarm:
         child = np.where(take_a, pos, pos)
         assert np.array_equal(child, pos)
 
-    def test_ga_elitism_without_operators(self):
+    def test_ga_elitism_without_operators(self, monkeypatch):
         # [TRIVIAL] p_c = p_m = 0 with elitism: best never decreases
+        monkeypatch.setattr(swarm, "CROSSOVER_PROB", 0.0)
+        monkeypatch.setattr(swarm, "MUTATION_PROB", 0.0)
         config = swarm.SwarmConfig(max_iterations=10, seed=6,
-                                   fitness_target=1.0,
-                                   crossover_prob=0.0, mutation_prob=0.0)
+                                   fitness_target=1.0)
         res = swarm.run_ga(sphere_fitness, 2, config)
         best = [rec.best_fitness for rec in res.trace]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
@@ -412,17 +409,18 @@ class TestSwarmConfig:
         c = swarm.SwarmConfig()
         assert c.population == 20
         assert c.max_iterations == 200
-        assert c.c1 == c.c2 == 2.0
-        assert (c.w_start, c.w_end) == (0.9, 0.4)
         assert c.fitness_target == 0.99
+        assert c.seed == 0
+        assert [f.name for f in dataclasses.fields(c)] == [
+            "population", "max_iterations", "fitness_target", "seed"]
+        assert swarm.C1 == swarm.C2 == 2.0
+        assert (swarm.W_START, swarm.W_END) == (0.9, 0.4)
+        assert swarm.MUTATION_COEFF == 0.1
+        assert swarm.BAND_LOW < 1 < swarm.BAND_HIGH
 
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError):
             swarm.SwarmConfig(population=1)
-
-    def test_rejects_bad_band(self):
-        with pytest.raises(ValueError):
-            swarm.SwarmConfig(band_low=1.2)
 
     def test_inertia_schedule_endpoints(self):
         c = swarm.SwarmConfig(max_iterations=200)
