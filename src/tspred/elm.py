@@ -15,6 +15,9 @@ ACT_OFF = 0
 ACT_SIGMOID = 1
 ACT_LINEAR = 2
 
+# pseudoinverse: singular values at or below this · max(N, L) · s_max are 0
+PINV_RTOL = 1e-12
+
 
 class ElmError(Exception):
     pass
@@ -102,7 +105,7 @@ def pseudoinverse(h, width=None):
     u, s, vt = np.linalg.svd(h, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((h.shape[1], h.shape[0]))
-    cutoff = 1e-12 * max(h.shape[0], width or h.shape[1]) * s[0]
+    cutoff = PINV_RTOL * max(h.shape[0], width or h.shape[1]) * s[0]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 

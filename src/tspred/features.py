@@ -274,6 +274,25 @@ def save_knowledge_base(kb, csv_path, sidecar_path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _name_feature(names, tokens, sidecar_path):
+    """Apply one sidecar `feature <j> <name>` line to `names`."""
+    line = " ".join(["feature", *tokens])
+    if len(tokens) < 2:
+        raise FeatureError(
+            f"{sidecar_path}: '{line}' needs an index and a name")
+    try:
+        j = int(tokens[0])
+    except ValueError:
+        raise FeatureError(
+            f"{sidecar_path}: '{line}': index is not an integer") from None
+    if not 0 <= j < len(names):
+        raise FeatureError(f"{sidecar_path}: feature {j} is not one of the "
+                           f"CSV's {len(names)} columns")
+    if names[j] is not None:
+        raise FeatureError(f"{sidecar_path}: feature {j} named twice")
+    names[j] = tokens[1]
+
+
 def load_knowledge_base(csv_path, sidecar_path):
     """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
     `provenance` and `feature` (such as the standardization statistics
@@ -305,8 +324,7 @@ def load_knowledge_base(csv_path, sidecar_path):
             elif key == "provenance":
                 provenance = rest
             elif key == "feature":
-                j, name = rest.split()[:2]
-                names[int(j)] = name
+                _name_feature(names, rest.split(), sidecar_path)
     return KnowledgeBase(
         samples=np.array(rows), labels=np.array(labels), names=names,
         seed=seed, provenance=provenance)

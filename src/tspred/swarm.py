@@ -131,24 +131,41 @@ class FitnessContext:
     labels: np.ndarray
     spec: EncodingSpec
     folds: tuple                # (train_rows, test_rows) per fold
+    # (N_FOLDS, max fold size) test rows; shorter folds are padded with
+    # row N, which the Gram path reads as a zero row
+    test_index: np.ndarray
 
     @classmethod
     def build(cls, samples, labels, spec, seed=0):
         rows = np.arange(len(labels))
-        folds = tuple((np.setdiff1d(rows, fold), fold)
-                      for fold in kfold_partition(labels, N_FOLDS, seed))
-        return cls(samples=samples, labels=labels, spec=spec, folds=folds)
+        tests = kfold_partition(labels, N_FOLDS, seed)
+        folds = tuple((np.setdiff1d(rows, test), test) for test in tests)
+        test_index = np.full((N_FOLDS, max(map(len, tests))), len(labels))
+        for k, test in enumerate(tests):
+            test_index[k, :len(test)] = test
+        return cls(samples=samples, labels=labels, spec=spec, folds=folds,
+                   test_index=test_index)
 
     def __call__(self, position):
         return evaluate_fitness(position, self.spec, self)
 
 
+# Band of the Gram path, relative to each fold's largest eigenvalue: at or
+# below GRAM_ZERO an eigenvalue is a null direction, at or above GRAM_KEEP
+# it is kept; one strictly between sends the particle to the SVD
+GRAM_ZERO, GRAM_KEEP = 1e-12, 1e-9
+
+
 def evaluate_fitness(position, spec, ctx):
     """Fraction of held-out samples classified correctly over all folds.
 
-    Each fold solves for the output weights as `elm.train` does, on one
-    hidden layer of the active neurons over all rows: an `ACT_OFF` column
-    is zero, so at the full width's SVD cutoff it gets zero weight anyway.
+    One hidden layer of the active neurons is built over all rows; an
+    `ACT_OFF` column is zero, so it would get zero weight anyway. Each
+    fold's output weights are the minimal-norm least-squares fit that
+    `elm.train` computes: from the eigendecomposition of the fold's
+    training Gram matrix (`_gram_fold_scores`), or, when that cannot tell
+    a small singular value from a zero one, from `elm.pseudoinverse` at
+    the full width's cutoff.
 
     A degenerate particle that breaks training scores 0 (logged) so the
     optimizer never crashes mid-run.
@@ -160,15 +177,77 @@ def evaluate_fitness(position, spec, ctx):
                                      arch.activations[on])
         h = elm.hidden_matrix(active, ctx.samples[:, mask])
         y = np.asarray(ctx.labels, dtype=float)
-        correct = 0
-        for train, test in ctx.folds:
-            beta = elm.pseudoinverse(h[train], width=spec.hidden) @ y[train]
-            pred = np.where(h[test] @ beta >= 0.0, 1, -1)
-            correct += int(np.count_nonzero(pred == y[test]))
+        correct = _gram_fold_scores(h, y, ctx)
+        if correct is None:
+            correct = _svd_fold_scores(h, y, ctx)
         return correct / len(y)
     except (elm.ElmError, np.linalg.LinAlgError) as exc:
         logger.warning("degenerate particle scored 0: %s", exc)
         return 0.0
+
+
+def _svd_fold_scores(h, y, ctx):
+    """Held-out rows classified correctly over all folds, each fold solved
+    by `elm.pseudoinverse` at the full width's cutoff (the reference)."""
+    correct = 0
+    for train, test in ctx.folds:
+        beta = elm.pseudoinverse(h[train], width=ctx.spec.hidden) @ y[train]
+        pred = np.where(h[test] @ beta >= 0.0, 1, -1)
+        correct += int(np.count_nonzero(pred == y[test]))
+    return correct
+
+
+def _gram_fold_scores(h, y, ctx):
+    """Held-out rows classified correctly over all folds, or None.
+
+    A = [h|y]ᵀ[h|y] over all rows minus a fold's test-row Gram gives that
+    fold's training HᵀH and Hᵀy; one batched `eigh` pseudo-inverts all of
+    them, β = V·diag(1/λ)·Vᵀ·Hᵀy. The Gram squares the singular values,
+    so it returns None, for the SVD to decide, when a Gram is non-finite
+    or zero, has an eigenvalue inside (GRAM_ZERO, GRAM_KEEP)·λ_max, or has
+    a null direction that h's training rows map above the SVD's cutoff.
+    The all-row Gram is screened first, and a layer wider than a fold's
+    training rows goes straight to the SVD: on the three-machine KB such
+    layers, and those at L=120, were always in the band.
+    """
+    n, width = h.shape
+    if width > n - ctx.test_index.shape[1]:
+        return None
+    hy = np.zeros((n + 1, width + 1))
+    hy[:n, :width] = h
+    hy[:n, width] = y
+    full = hy.T @ hy
+    if not np.all(np.isfinite(full)) or _in_band(
+            np.linalg.eigvalsh(full[:width, :width])[None]):
+        return None
+    held = hy[ctx.test_index]               # (folds, rows, width + 1)
+    grams = full - held.transpose(0, 2, 1) @ held
+    lam, vec = np.linalg.eigh(grams[:, :width, :width])
+    if _in_band(lam):
+        return None
+    keep = lam >= GRAM_KEEP * lam[:, -1:]
+    for k in np.flatnonzero(~keep.all(axis=1)):
+        train = ctx.folds[k][0]
+        cutoff = elm.PINV_RTOL * max(len(train), ctx.spec.hidden)
+        null = h[train] @ vec[k][:, ~keep[k]]
+        if np.linalg.norm(null) > cutoff * np.sqrt(lam[k, -1]):
+            return None
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    vec_t = vec.transpose(0, 2, 1)
+    beta = vec @ (inv[:, :, None] * (vec_t @ grams[:, :width, width:]))
+    scores = (held[:, :, :width] @ beta)[:, :, 0]
+    pred = np.where(scores >= 0.0, 1.0, -1.0)
+    return int(np.count_nonzero(pred == held[:, :, width]))
+
+
+def _in_band(lam):
+    """True when a row of ascending eigenvalues has a non-positive top or
+    one whose size lies strictly inside (GRAM_ZERO, GRAM_KEEP)·top."""
+    top = lam[:, -1:]
+    if np.any(top <= 0.0):
+        return True
+    return bool(np.any((np.abs(lam) > GRAM_ZERO * top)
+                       & (lam < GRAM_KEEP * top)))
 
 
 def fitness_variance(fitnesses):
@@ -202,9 +281,10 @@ def premature_check(var_prev, var_cur, best_improved=False):
     return BAND_LOW < ratio < BAND_HIGH
 
 
-def velocity_update(v, s, p_best, g_best, w, c1, c2, r1, r2):
-    """One PSO velocity step (elementwise; no clamping)."""
-    return w * v + c1 * r1 * (p_best - s) + c2 * r2 * (g_best - s)
+def velocity_update(v, s, p_best, g_best, w, r1, r2):
+    """One PSO velocity step with c1 = C1, c2 = C2 (elementwise; no
+    clamping)."""
+    return w * v + C1 * r1 * (p_best - s) + C2 * r2 * (g_best - s)
 
 
 def mutate(positions, rng, exempt=None):
@@ -272,7 +352,7 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
             r1 = rng.random(dim)
             r2 = rng.random(dim)
             v = velocity_update(velocities[i], positions[i], pbest[i],
-                                gbest, w, C1, C2, r1, r2)
+                                gbest, w, r1, r2)
             np.clip(v, -V_MAX, V_MAX, out=v)
             velocities[i] = v
             positions[i] = np.clip(positions[i] + v, 0.0, 1.0)

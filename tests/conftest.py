@@ -60,3 +60,15 @@ def smib_kb(smib):
         seed=3)
     trajectories = [simkit.simulate_trajectory(smib, sc) for sc in scenarios]
     return features.build_knowledge_base(trajectories, smib.n_generators, 3)
+
+
+@pytest.fixture(scope="session")
+def three_machine_kb():
+    """The knowledge base `generate` builds from the three-machine fixture
+    files (378 scenarios, 132 features)."""
+    model = simkit.load_model("fixtures/three_machine.sys")
+    spec = simkit.load_grid_spec("fixtures/three_machine.grid")
+    trajectories = simkit.simulate_scenarios(
+        model, simkit.build_scenario_grid(**spec))
+    return features.build_knowledge_base(trajectories, model.n_generators,
+                                         spec["seed"])

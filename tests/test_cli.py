@@ -311,6 +311,16 @@ class TestPredict:
 def _write_malformed(case, kb_csv, tmp_path):
     """Write the input of one malformed case; returns the argv to run."""
     kb = tmp_path / "kb.csv"
+    if case.startswith("meta"):
+        shutil.copy(kb_csv, kb)
+        meta = kb_csv.with_suffix(".meta").read_text()
+        kb.with_suffix(".meta").write_text(meta + {
+            "meta feature out of range": "feature 9999 extra\n",
+            "meta feature negative": "feature -1 extra\n",
+            "meta feature repeated": "feature 0 again\n",
+            "meta feature without name": "feature 3\n"}[case])
+        return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
+                "--hidden", "4", "--population", "4", "--iterations", "1"]
     if case.startswith("kb"):
         lines = kb_csv.read_text().splitlines(keepends=True)
         kb.write_text("".join(lines[:3] + ["\n"] + lines[3:])
@@ -340,6 +350,11 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
     ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
+    ("meta feature out of range", cli.EXIT_RUNTIME, "feature 9999 is not"),
+    ("meta feature negative", cli.EXIT_RUNTIME, "feature -1 is not"),
+    ("meta feature repeated", cli.EXIT_RUNTIME, "feature 0 named twice"),
+    ("meta feature without name", cli.EXIT_RUNTIME,
+     "'feature 3' needs an index and a name"),
 ])
 def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
                                    capsys):

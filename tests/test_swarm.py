@@ -159,15 +159,13 @@ class TestVelocityUpdate:
     def test_worked_example(self):
         # [PAPER] w=0.9, c1=c2=2, r1=r2=0.5, v=0.1, s=0.5,
         # pbest=0.6, gbest=0.7 -> v'=0.39, s'=0.89
-        v = swarm.velocity_update(0.1, 0.5, 0.6, 0.7, 0.9, 2.0, 2.0,
-                                  0.5, 0.5)
+        v = swarm.velocity_update(0.1, 0.5, 0.6, 0.7, 0.9, 0.5, 0.5)
         assert v == pytest.approx(0.39, abs=1e-12)
         assert 0.5 + v == pytest.approx(0.89, abs=1e-12)
 
     def test_fixed_point(self):
         # [TRIVIAL] particle at pbest = gbest = s with v = 0 stays put
-        v = swarm.velocity_update(0.0, 0.4, 0.4, 0.4, 0.9, 2.0, 2.0,
-                                  0.3, 0.8)
+        v = swarm.velocity_update(0.0, 0.4, 0.4, 0.4, 0.9, 0.3, 0.8)
         assert v == 0.0
 
 
@@ -264,6 +262,52 @@ class TestEvaluateFitness:
             pos[spec.slices["cf"]] *= rng.random()  # vary the off share
             assert swarm.evaluate_fitness(pos, spec, ctx) == \
                 reference_fitness(pos, spec, x, kb.labels, 3)
+
+    # The Gram path must answer for most particles at L <= 50, or the
+    # agreement would only test the SVD; at L=120 every spectrum on this
+    # KB reaches the band and the SVD answers.
+    @pytest.mark.parametrize("hidden, gram_at_least", [
+        (8, 95), (20, 95), (50, 90), (120, 0)])
+    def test_gram_path_matches_reference_on_three_machine_kb(
+            self, three_machine_kb, monkeypatch, hidden, gram_at_least):
+        kb = three_machine_kb
+        split = features.split_train_test(kb, 2 / 3, 7)
+        z, _, _ = features.standardize(kb.samples, split.train)
+        x, y = z[split.train], kb.labels[split.train]
+        spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=hidden)
+        ctx = swarm.FitnessContext.build(x, y, spec, seed=7)
+        answers = []
+        solve = swarm._gram_fold_scores
+
+        def recorded(*args):
+            answers.append(solve(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(swarm, "_gram_fold_scores", recorded)
+        rng = np.random.default_rng(hidden)
+        for _ in range(100):
+            pos = rng.random(spec.dim)
+            assert swarm.evaluate_fitness(pos, spec, ctx) == \
+                reference_fitness(pos, spec, x, y, 7)
+        assert sum(a is not None for a in answers) >= gram_at_least
+
+    def test_gram_guard_sends_particle_to_svd(self):
+        # [DERIVED] orthonormal columns scaled by 1, t and 0 over 40 rows
+        # (32 training rows per fold; SVD cutoff 1e-12·32·s_max).
+        # t = 1e-5: eigenvalue ~1e-10·λ_max, inside the band. t = 1e-9:
+        # eigenvalue ~1e-18·λ_max reads as zero, but the SVD keeps the
+        # singular value, so the null-direction check refuses it. Without
+        # the t column the zero column is a true null direction.
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(40, 3)))
+        y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        spec = swarm.EncodingSpec(n_features=1, hidden=3)
+        ctx = swarm.FitnessContext.build(np.zeros((40, 1)), y, spec)
+        for t in (1e-5, 1e-9):
+            assert swarm._gram_fold_scores(q * [1.0, t, 0.0], y, ctx) is None
+        assert swarm._gram_fold_scores(q * [1.0, 0.0, 0.0], y, ctx) \
+            is not None
+        assert swarm._gram_fold_scores(np.zeros((40, 3)), y, ctx) is None
 
     def test_off_neuron_weights_do_not_matter(self):
         kb = separable_kb(n=60, n_features=6, seed=6)
