@@ -185,10 +185,8 @@ def cmd_compare(args):
     runs = {name: [] for name in swarm.OPTIMIZERS}
     for name in swarm.OPTIMIZERS:
         for r in range(repeats):
-            run_args = argparse.Namespace(**vars(args))
-            run_args.seed = seed + r
             result, model, elapsed = _optimize_once(
-                kb, split, scaled, seed + r, name, run_args)
+                kb, split, scaled, seed + r, name, args)
             runs[name].append(
                 (result.best_fitness,
                  model.architecture.effective_hidden_size, elapsed))

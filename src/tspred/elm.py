@@ -156,13 +156,6 @@ def predict_score(model, x):
     return scores if np.ndim(x) == 2 else float(scores[0])
 
 
-def predict_label(model, x):
-    """+1 when the score is >= 0 (tie at exactly 0 counts stable)."""
-    scores = np.atleast_1d(predict_score(model, x))
-    labels = np.where(scores >= 0.0, 1, -1)
-    return labels if np.ndim(x) == 2 else int(labels[0])
-
-
 def predict_full(model, x_full):
     """Score raw full-dimension rows: standardize, mask, then score."""
     x_full = np.atleast_2d(np.asarray(x_full, dtype=float))

@@ -31,7 +31,6 @@ def smib_model(h=1.5, pm=0.5, pmax=1.0, f0=60.0, damping=0.0):
         f0=f0,
         inertia=np.array([h, INFINITE_INERTIA]),
         damping=np.array([damping, 0.0]),
-        xd=np.array([0.3, 0.0001]),
         emf=np.array([1.0, 1.0]),
         pm=np.array([pm, -pm]),
         y_prefault=y_pre,
@@ -52,8 +51,8 @@ def smib_critical_clearing_time(model, load_level=1.0):
     pmax = (float(model.y_prefault[0, 1].imag)
             * float(model.emf[0]) * float(model.emf[1]))
     if pm > pmax:
-        # mirror apply_load_level: EMFs are rescaled by sqrt(level) only
-        # when the original magnitudes no longer admit an equilibrium
+        # mirror simkit.operating_point: EMFs are rescaled by sqrt(level)
+        # only when the original magnitudes no longer admit an equilibrium
         pmax *= load_level
     ratio = pm / pmax
     if not 0 < ratio < 1:
@@ -106,7 +105,6 @@ def three_machine_model(f0=60.0):
         f0=f0,
         inertia=np.array([2.4, 1.9, 1.5]),
         damping=np.array([0.05, 0.05, 0.05]),
-        xd=np.array([0.25, 0.3, 0.35]),
         emf=emf,
         pm=pm,
         y_prefault=y_pre,

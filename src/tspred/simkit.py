@@ -69,7 +69,6 @@ class PowerSystemModel:
     f0: float
     inertia: np.ndarray        # H_i, seconds on machine base
     damping: np.ndarray        # D_i, per-unit
-    xd: np.ndarray             # transient reactance, per-unit (bookkeeping)
     emf: np.ndarray            # internal EMF magnitude E_i, per-unit
     pm: np.ndarray             # mechanical power, per-unit
     y_prefault: np.ndarray     # complex G×G
@@ -77,7 +76,7 @@ class PowerSystemModel:
     y_postfault: np.ndarray    # complex G×G, equals y_prefault
 
     def __post_init__(self):
-        for name in ("inertia", "damping", "xd", "emf", "pm"):
+        for name in ("inertia", "damping", "emf", "pm"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "y_prefault",
                            _readonly(self.y_prefault, complex))
@@ -92,7 +91,7 @@ class PowerSystemModel:
         ng = self.n_generators
         if ng == 0:
             raise ModelFormatError("model has no generators")
-        for name in ("damping", "xd", "emf", "pm"):
+        for name in ("damping", "emf", "pm"):
             if getattr(self, name).shape != (ng,):
                 raise ModelFormatError(f"{name} length != generator count")
         if np.any(self.inertia <= 0):
@@ -151,6 +150,10 @@ class SimulationScenario:
             raise ValueError("horizon must be positive")
         if self.horizon < self.clearing_time(60.0):
             raise ValueError("horizon shorter than the fault clearing time")
+        lo, hi = LOAD_LEVEL_RANGE
+        if not lo <= self.load_level <= hi:
+            raise ValueError(
+                f"load level {self.load_level} outside [{lo}, {hi}]")
 
     def clearing_time(self, f0):
         """Fault clearing time in seconds at base frequency f0."""
@@ -218,32 +221,29 @@ def solve_equilibrium(model):
     return delta
 
 
-def apply_load_level(model, level):
-    """Scale mechanical power by `level`, keeping an equilibrium solvable.
+def operating_point(model, level):
+    """The model at load `level` and its prefault angles (radians).
 
-    Pm is always scaled. The EMF magnitudes are kept when the scaled
-    system still has an equilibrium; otherwise they are re-derived as
-    E·sqrt(level), which scales every power-flow term by `level` and
-    preserves the base-case angles exactly.
+    Level 1 is the model itself. Otherwise Pm is scaled by `level`; the
+    EMF magnitudes are kept when the scaled system still has an
+    equilibrium, else re-derived as E·sqrt(level), which scales every
+    power-flow term by `level` and preserves the base-case angles exactly.
+    The angles come from the solve that succeeded, so each candidate model
+    is solved once.
     """
-    lo, hi = LOAD_LEVEL_RANGE
-    if not lo <= level <= hi:
-        raise ValueError(f"load level {level} outside [{lo}, {hi}]")
     if level == 1.0:
-        return model
+        return model, solve_equilibrium(model)
     scaled = replace(model, pm=model.pm * level)
     try:
-        solve_equilibrium(scaled)
-        return scaled
+        return scaled, solve_equilibrium(scaled)
     except NoEquilibriumError:
         pass
     rescaled = replace(scaled, emf=model.emf * math.sqrt(level))
     try:
-        solve_equilibrium(rescaled)
+        return rescaled, solve_equilibrium(rescaled)
     except NoEquilibriumError as exc:
         raise NoEquilibriumError(
             f"load level {level} destroys the operating point") from exc
-    return rescaled
 
 
 def simulate_scenarios(model, scenarios):
@@ -266,10 +266,8 @@ def simulate_scenarios(model, scenarios):
     t_clear = np.array([sc.clearing_time(model.f0) for sc in scenarios])
     if np.any(horizon < t_clear):
         raise ValueError("horizon shorter than the fault clearing time")
-    operating = {}
-    for level in dict.fromkeys(sc.load_level for sc in scenarios):
-        level_model = apply_load_level(model, level)
-        operating[level] = (level_model, solve_equilibrium(level_model))
+    operating = {lv: operating_point(model, lv)
+                 for lv in dict.fromkeys(sc.load_level for sc in scenarios)}
     levels = [operating[sc.load_level] for sc in scenarios]
 
     nsteps = int(round(horizon / dt))
@@ -345,10 +343,6 @@ def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
     for c in clearing_cycles:
         if not lo <= c <= hi:
             raise ValueError(f"clearing time {c} cycles outside [{lo}, {hi}]")
-    llo, lhi = LOAD_LEVEL_RANGE
-    for lv in load_levels:
-        if not llo <= lv <= lhi:
-            raise ValueError(f"load level {lv} outside [{llo}, {lhi}]")
     return [SimulationScenario(fault=fault, clearing_cycles=float(cyc),
                                load_level=float(lvl), step=step,
                                horizon=horizon)
@@ -360,44 +354,6 @@ def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
 # Textual file formats
 # ---------------------------------------------------------------------------
 
-def _format_matrix_rows(mat):
-    lines = []
-    for row in mat:
-        parts = []
-        for z in row:
-            parts.append(repr(float(z.real)))
-            parts.append(repr(float(z.imag)))
-        lines.append(" ".join(parts))
-    return lines
-
-
-def save_model(model, path):
-    """Write the textual .sys model file (see README for the layout)."""
-    lines = [
-        f"name {model.name}",
-        f"f0 {model.f0!r}",
-        f"generators {model.n_generators}",
-        "# H D xd E Pm",
-    ]
-    for i in range(model.n_generators):
-        lines.append("gen " + " ".join(
-            repr(float(v)) for v in (model.inertia[i], model.damping[i],
-                                     model.xd[i], model.emf[i],
-                                     model.pm[i])))
-    ng = model.n_generators
-
-    def emit(label, mat):
-        lines.append(f"matrix {label} {ng}")
-        lines.extend(_format_matrix_rows(mat))
-
-    emit("prefault", model.y_prefault)
-    for fid, mat in model.y_fault.items():
-        emit(f"fault:{fid}", mat)
-    emit("postfault", model.y_postfault)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_model(path):
     """Parse the textual .sys model file."""
     with open(path, encoding="utf-8") as fh:
@@ -405,6 +361,7 @@ def load_model(path):
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
     name = "unnamed"
     f0 = 60.0
+    declared = None
     gens = []
     matrices = {}
     i = 0
@@ -417,11 +374,13 @@ def load_model(path):
             elif key == "f0":
                 f0 = float(tokens[1])
             elif key == "generators":
-                pass  # count is implied by the gen lines
+                declared = int(tokens[1])
             elif key == "gen":
                 if len(tokens) < 6:
                     raise ModelFormatError(
-                        f"{path}: '{lines[i]}' needs 5 values (H D xd E Pm)")
+                        f"{path}: '{lines[i]}' needs 5 values (H D x'd E Pm)")
+                # x'd is checked to be numeric; the classical model has
+                # no use for it
                 gens.append([float(v) for v in tokens[1:6]])
             elif key == "matrix":
                 label = tokens[1]
@@ -444,6 +403,9 @@ def load_model(path):
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
     if not gens:
         raise ModelFormatError(f"{path}: no generators defined")
+    if declared is not None and declared != len(gens):
+        raise ModelFormatError(
+            f"{path}: 'generators {declared}' but {len(gens)} gen lines")
     if "prefault" not in matrices or "postfault" not in matrices:
         raise ModelFormatError(f"{path}: prefault/postfault matrix missing")
     faults = {label.split(":", 1)[1]: mat
@@ -451,28 +413,11 @@ def load_model(path):
     arr = np.array(gens)
     return PowerSystemModel(
         name=name, f0=f0,
-        inertia=arr[:, 0], damping=arr[:, 1], xd=arr[:, 2],
-        emf=arr[:, 3], pm=arr[:, 4],
+        inertia=arr[:, 0], damping=arr[:, 1], emf=arr[:, 3], pm=arr[:, 4],
         y_prefault=matrices["prefault"],
         y_fault=faults,
         y_postfault=matrices["postfault"],
     )
-
-
-def save_grid_spec(path, faults, clearing_cycles, load_levels, seed,
-                   step=DEFAULT_STEP, horizon=DEFAULT_HORIZON):
-    """Write the key-value .grid scenario specification."""
-    lines = [
-        "faults = " + ", ".join(faults),
-        "clearing_cycles = " + ", ".join(repr(float(c))
-                                         for c in clearing_cycles),
-        "load_levels = " + ", ".join(repr(float(v)) for v in load_levels),
-        f"step = {step!r}",
-        f"horizon = {horizon!r}",
-        f"seed = {seed}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def load_key_values(path):

@@ -333,6 +333,9 @@ def _write_malformed(case, kb_csv, tmp_path):
     if case == "sys short gen line":
         model_text = model_text.replace("gen 1.5 0.0 0.3 1.0 0.5",
                                         "gen 1.5 0.0 0.3")
+    elif case.startswith("sys generators"):
+        model_text = model_text.replace("generators 2",
+                                        f"generators {case.split()[-1]}")
     else:
         key = case.split()[-1]      # step or horizon
         grid_text = re.sub(rf"^{key} = .*$", f"{key} = nan", grid_text,
@@ -348,6 +351,8 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("kb blank line", cli.EXIT_OK, ""),
     ("kb header only", cli.EXIT_RUNTIME, "no samples"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
+    ("sys generators 4", cli.EXIT_RUNTIME, "'generators 4' but 2 gen lines"),
+    ("sys generators x", cli.EXIT_RUNTIME, "invalid literal for int()"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
     ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
     ("meta feature out of range", cli.EXIT_RUNTIME, "feature 9999 is not"),

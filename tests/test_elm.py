@@ -196,12 +196,6 @@ class TestTrain:
 
 
 class TestPredict:
-    def test_sign_rule_and_tie(self):
-        model = elm.train(identity_arch(), [[1.0]], [1.0])
-        assert elm.predict_label(model, [0.3]) == 1
-        assert elm.predict_label(model, [-0.3]) == -1
-        assert elm.predict_label(model, [0.0]) == 1  # documented tie rule
-
     def test_deterministic(self):
         model = elm.train(identity_arch(), [[1.0]], [1.0])
         x = np.random.default_rng(0).normal(size=(5, 1))

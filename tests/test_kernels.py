@@ -106,7 +106,7 @@ class TestRk4Span:
         model = simkit.PowerSystemModel(
             name="runaway", f0=60.0,
             inertia=np.array([0.01, 0.01]), damping=np.zeros(2),
-            xd=np.array([0.3, 0.3]), emf=np.array([1.0, 1.0]),
+            emf=np.array([1.0, 1.0]),
             pm=np.array([0.9, -0.9]),
             y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
             y_postfault=y.copy())

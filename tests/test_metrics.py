@@ -186,6 +186,14 @@ class TestEvaluate:
         assert report.eta == pytest.approx(
             (report.acc + report.kap + report.auc) / 3.0, abs=1e-15)
 
+    def test_sign_rule_and_tie(self):
+        # a score of exactly 0 counts as stable (+1)
+        model = linear_model([1.0])
+        x = np.array([[0.3], [-0.3], [0.0], [0.0]])
+        labels = np.array([1, -1, 1, -1])
+        cm = metrics.evaluate(model, x, labels).confusion
+        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (2, 0, 1, 1)
+
     def test_single_class_noted(self):
         model = linear_model([1.0], bias=10.0)
         x = np.array([[1.0], [2.0]])

@@ -17,7 +17,7 @@ def test_zero_injection_equilibrium_has_equal_angles():
     model = simkit.PowerSystemModel(
         name="idle", f0=60.0,
         inertia=np.array([3.0, 3.0]), damping=np.zeros(2),
-        xd=np.array([0.3, 0.3]), emf=np.array([1.0, 1.0]),
+        emf=np.array([1.0, 1.0]),
         pm=np.zeros(2), y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
         y_postfault=y.copy())
     delta = simkit.solve_equilibrium(model)
@@ -119,7 +119,7 @@ def test_energy_drift_is_small_without_damping():
     model = simkit.PowerSystemModel(
         name="lossless", f0=60.0,
         inertia=np.array([3.0, 4.0]), damping=np.zeros(2),
-        xd=np.array([0.3, 0.3]), emf=np.array([1.0, 1.0]),
+        emf=np.array([1.0, 1.0]),
         pm=np.array([0.4, -0.4]),
         y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
         y_postfault=y.copy())
@@ -185,7 +185,7 @@ def test_overflow_guard():
     model = simkit.PowerSystemModel(
         name="pathological", f0=60.0,
         inertia=np.array([0.01, 0.01]), damping=np.zeros(2),
-        xd=np.array([0.3, 0.3]), emf=np.array([1.0, 1.0]),
+        emf=np.array([1.0, 1.0]),
         pm=np.array([0.9, -0.9]),
         y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
         y_postfault=y.copy())
@@ -217,28 +217,62 @@ class TestScenarioGrid:
 
 class TestLoadLevel:
     def test_identity(self, smib):
-        assert simkit.apply_load_level(smib, 1.0) is smib
+        level_model, delta0 = simkit.operating_point(smib, 1.0)
+        assert level_model is smib
+        assert np.array_equal(delta0, simkit.solve_equilibrium(smib))
 
     def test_smib_closed_form(self, smib):
-        scaled = simkit.apply_load_level(smib, 1.3)
+        scaled, delta0 = simkit.operating_point(smib, 1.3)
         assert scaled.pm[0] == pytest.approx(smib.pm[0] * 1.3)
-        delta = simkit.solve_equilibrium(scaled)
-        assert np.degrees(delta[0]) == pytest.approx(
+        assert np.array_equal(scaled.emf, smib.emf)
+        assert np.degrees(delta0[0]) == pytest.approx(
             math.degrees(math.asin(0.65)), abs=1e-6)
 
     def test_three_machine_residual(self, three_machine):
-        scaled = simkit.apply_load_level(three_machine, 0.8)
-        delta = simkit.solve_equilibrium(scaled)
-        assert np.max(np.abs(simkit._power_mismatch(delta, scaled))) < 1e-8
+        scaled, delta0 = simkit.operating_point(three_machine, 0.8)
+        assert np.array_equal(scaled.emf, three_machine.emf * math.sqrt(0.8))
+        assert np.max(np.abs(simkit._power_mismatch(delta0, scaled))) < 1e-8
 
     def test_original_model_unmodified(self, three_machine):
         pm_before = three_machine.pm.copy()
-        simkit.apply_load_level(three_machine, 1.2)
+        emf_before = three_machine.emf.copy()
+        simkit.operating_point(three_machine, 1.2)
         assert np.array_equal(three_machine.pm, pm_before)
+        assert np.array_equal(three_machine.emf, emf_before)
 
-    def test_out_of_range(self, smib):
-        with pytest.raises(ValueError):
-            simkit.apply_load_level(smib, 1.4)
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="load level 1.4 outside"):
+            simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
+                                      load_level=1.4)
+
+
+def test_one_solve_per_candidate_model(monkeypatch):
+    # [DERIVED] fixtures/three_machine.grid has 21 load levels. Level 1.0
+    # is solved once; each of the other 20 fails the scaled-Pm solve and
+    # succeeds with E·sqrt(level): 1 + 20·2 = 41 solves, 20 raising, one
+    # success per level. A second solve of the chosen model would make
+    # it 61.
+    solve = simkit.solve_equilibrium
+    outcomes = []
+
+    def counted(model):
+        try:
+            delta = solve(model)
+        except simkit.NoEquilibriumError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return delta
+
+    monkeypatch.setattr(simkit, "solve_equilibrium", counted)
+    spec = simkit.load_grid_spec("fixtures/three_machine.grid")
+    scenarios = simkit.build_scenario_grid(**spec)
+    simkit.simulate_scenarios(simkit.load_model("fixtures/three_machine.sys"),
+                              scenarios)
+    assert len(spec["load_levels"]) == 21
+    assert len(outcomes) == 41
+    assert outcomes.count(False) == 20
+    assert outcomes.count(True) == len(spec["load_levels"])
 
 
 class TestModelValidation:
@@ -248,7 +282,7 @@ class TestModelValidation:
         with pytest.raises(simkit.ModelFormatError):
             simkit.PowerSystemModel(
                 name="bad", f0=60.0, inertia=smib.inertia,
-                damping=smib.damping, xd=smib.xd, emf=smib.emf, pm=smib.pm,
+                damping=smib.damping, emf=smib.emf, pm=smib.pm,
                 y_prefault=y, y_fault=dict(smib.y_fault),
                 y_postfault=y.copy())
 
@@ -256,7 +290,7 @@ class TestModelValidation:
         with pytest.raises(simkit.ModelFormatError):
             simkit.PowerSystemModel(
                 name="bad", f0=60.0, inertia=smib.inertia,
-                damping=smib.damping, xd=smib.xd, emf=smib.emf, pm=smib.pm,
+                damping=smib.damping, emf=smib.emf, pm=smib.pm,
                 y_prefault=smib.y_prefault, y_fault=dict(smib.y_fault),
                 y_postfault=smib.y_prefault * 0.5)
 
@@ -264,30 +298,34 @@ class TestModelValidation:
         with pytest.raises(simkit.ModelFormatError):
             simkit.PowerSystemModel(
                 name="bad", f0=60.0, inertia=np.array([0.0, 1.0]),
-                damping=smib.damping, xd=smib.xd, emf=smib.emf, pm=smib.pm,
+                damping=smib.damping, emf=smib.emf, pm=smib.pm,
                 y_prefault=smib.y_prefault, y_fault=dict(smib.y_fault),
                 y_postfault=smib.y_postfault)
 
 
-def test_model_file_round_trip(tmp_path, three_machine):
-    path = tmp_path / "sys.txt"
-    simkit.save_model(three_machine, path)
-    loaded = simkit.load_model(path)
-    assert loaded.name == three_machine.name
-    assert np.array_equal(loaded.inertia, three_machine.inertia)
-    assert np.array_equal(loaded.pm, three_machine.pm)
-    assert np.array_equal(loaded.y_prefault, three_machine.y_prefault)
-    assert sorted(loaded.y_fault) == sorted(three_machine.y_fault)
-    for fid in loaded.y_fault:
-        assert np.array_equal(loaded.y_fault[fid],
-                              three_machine.y_fault[fid])
-
-
-def test_grid_spec_round_trip(tmp_path):
-    path = tmp_path / "grid.txt"
-    simkit.save_grid_spec(path, ["a", "b"], [5.0, 6.5], [0.8, 1.3], seed=11,
-                          step=0.002, horizon=2.5)
-    spec = simkit.load_grid_spec(path)
-    assert spec == {"faults": ["a", "b"], "clearing_cycles": [5.0, 6.5],
-                    "load_levels": [0.8, 1.3], "seed": 11,
-                    "step": 0.002, "horizon": 2.5}
+def test_fixture_files_match_builders():
+    for name, build in (("three_machine", fixtures.three_machine_model),
+                        ("smib", fixtures.smib_model)):
+        loaded = simkit.load_model(f"fixtures/{name}.sys")
+        built = build()
+        assert (loaded.name, loaded.f0) == (built.name, built.f0)
+        for field in ("inertia", "damping", "emf", "pm", "y_prefault",
+                      "y_postfault"):
+            assert np.array_equal(getattr(loaded, field),
+                                  getattr(built, field)), (name, field)
+        assert list(loaded.y_fault) == list(built.y_fault)
+        for fid, mat in built.y_fault.items():
+            assert np.array_equal(loaded.y_fault[fid], mat), (name, fid)
+    common = {"clearing_cycles": [5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
+              "step": 0.004166666666666667, "horizon": 3.0, "seed": 7}
+    assert simkit.load_grid_spec("fixtures/smib.grid") == {
+        "faults": ["fault"],
+        "load_levels": [0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2,
+                        1.25, 1.3],
+        **common}
+    assert simkit.load_grid_spec("fixtures/three_machine.grid") == {
+        "faults": ["bus1", "bus2", "bus3"],
+        "load_levels": [0.8, 0.825, 0.85, 0.875, 0.9, 0.925, 0.95, 0.975,
+                        1.0, 1.025, 1.05, 1.075, 1.1, 1.125, 1.15, 1.175,
+                        1.2, 1.225, 1.25, 1.275, 1.3],
+        **common}

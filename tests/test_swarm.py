@@ -204,15 +204,15 @@ class TestMutate:
 
 
 def reference_fitness(position, spec, samples, labels, seed):
-    """5-fold CV fitness with `elm.train`/`elm.predict_label` per fold on
-    the full decoded architecture, ACT_OFF neurons included."""
+    """5-fold CV fitness with `elm.train` per fold on the full decoded
+    architecture, ACT_OFF neurons included; a score >= 0 predicts +1."""
     arch, mask = swarm.decode_particle(position, spec)
     x = samples[:, mask]
     correct = 0
     for fold in features.kfold_partition(labels, 5, seed):
         train_rows = np.setdiff1d(np.arange(len(labels)), fold)
         model = elm.train(arch, x[train_rows], labels[train_rows])
-        pred = elm.predict_label(model, x[fold])
+        pred = np.where(elm.predict_score(model, x[fold]) >= 0.0, 1, -1)
         correct += int(np.sum(pred == labels[fold]))
     return correct / len(labels)
 
