@@ -303,7 +303,9 @@ class TestModelValidation:
                 y_postfault=smib.y_postfault)
 
 
-def test_fixture_files_match_builders():
+def test_model_file_round_trip():
+    # the committed .sys fixtures are written from the builders; loading
+    # them must give the builders' arrays back exactly
     for name, build in (("three_machine", fixtures.three_machine_model),
                         ("smib", fixtures.smib_model)):
         loaded = simkit.load_model(f"fixtures/{name}.sys")
@@ -316,6 +318,9 @@ def test_fixture_files_match_builders():
         assert list(loaded.y_fault) == list(built.y_fault)
         for fid, mat in built.y_fault.items():
             assert np.array_equal(loaded.y_fault[fid], mat), (name, fid)
+
+
+def test_grid_spec_round_trip():
     common = {"clearing_cycles": [5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
               "step": 0.004166666666666667, "horizon": 3.0, "seed": 7}
     assert simkit.load_grid_spec("fixtures/smib.grid") == {
