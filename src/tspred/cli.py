@@ -6,6 +6,7 @@ failure, 2 usage or validation error.
 """
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -257,7 +258,17 @@ def cmd_predict(args):
     return EXIT_OK
 
 
+# main looks the command up here on every call, so a name rebound after
+# the cached parser was built (a wrapper, a test double) is the one to run
+COMMANDS = {"generate": cmd_generate, "optimize": cmd_optimize,
+            "evaluate": cmd_evaluate, "compare": cmd_compare,
+            "predict": cmd_predict}
+
+
+@functools.cache
 def build_parser():
+    """The argument grammar, built once per process: parse_args returns a
+    fresh namespace each call, so no value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="tspred",
         description="Transient stability prediction with a swarm-optimized "
@@ -274,7 +285,6 @@ def build_parser():
     p.add_argument("--model", help="power-system model (.sys)")
     p.add_argument("--grid", help="scenario grid spec (.grid)")
     p.add_argument("--out", help="knowledge base CSV path")
-    p.set_defaults(func=cmd_generate)
 
     def training_flags(p):
         common(p)
@@ -290,21 +300,18 @@ def build_parser():
     training_flags(p)
     p.add_argument("--optimizer", choices=sorted(swarm.OPTIMIZERS))
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="score the held-out rows of a "
                                         "knowledge base")
     training_flags(p)
     p.add_argument("--model", help="trained model (.elm)")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run ipso/pso/ga repeatedly and "
                                        "tabulate the comparison")
     training_flags(p)
     p.add_argument("--repeats", type=int)
     p.add_argument("--out", help="comparison CSV path")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("predict", help="score one raw sample with a "
                                        "persisted model")
@@ -312,15 +319,27 @@ def build_parser():
     p.add_argument("--model", help="trained model (.elm)")
     p.add_argument("--row", help="comma-separated raw feature row")
     p.add_argument("--input", help="file of comma-separated rows")
-    p.set_defaults(func=cmd_predict)
     return parser
 
 
+def _bind_row(argv):
+    """Join `--row <row>` into `--row=<row>`: argparse takes a separate
+    value that starts with "-", as every unstable KB row does, for an
+    option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--row":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(
+        _bind_row(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

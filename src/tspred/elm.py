@@ -5,6 +5,7 @@ optimizer); only the output weights are fitted, by the minimal-norm
 least-squares solve through the Moore-Penrose pseudoinverse.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,7 @@ class ElmModel:
     `feature_mask` echoes which columns of the full feature space the
     architecture consumes; `means`/`stds` carry the standardization
     statistics needed at inference time (None for pre-standardized use).
+    Every array is a read-only copy, so one model can be shared.
     """
 
     architecture: ElmArchitecture
@@ -133,10 +135,13 @@ class ElmModel:
             raise ElmError("non-finite output weights")
         beta.setflags(write=False)
         object.__setattr__(self, "output_weights", beta)
-        if self.feature_mask is not None:
-            mask = np.array(self.feature_mask, dtype=bool)
-            mask.setflags(write=False)
-            object.__setattr__(self, "feature_mask", mask)
+        for name, dtype in (("feature_mask", bool), ("means", float),
+                            ("stds", float)):
+            value = getattr(self, name)
+            if value is not None:
+                arr = np.array(value, dtype=dtype)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 def train(arch, x, y):
@@ -199,18 +204,39 @@ def save_model(model, path):
         fh.write("\n".join(lines) + "\n")
 
 
+# (bytes, model) of the last .elm file this process parsed; the key is the
+# whole content, so an edited file never matches and a refused one is
+# never stored
+_last_model = (None, None)
+
+
 def load_model(path):
-    """Read an .elm file; refuse one whose stated and actual sizes differ."""
+    """Read an .elm file; refuse one whose stated and actual sizes differ.
+
+    A file holding the same bytes as the last model parsed in this process
+    returns that same (read-only) model without parsing it again.
+    """
+    global _last_model
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data == _last_model[0]:
+        return _last_model[1]
+    model = _parse_model(data, path)
+    _last_model = (data, model)
+    return model
+
+
+def _parse_model(data, path):
     fields = {"w": []}
-    with open(path, encoding="utf-8") as fh:
-        for ln in fh:
-            tokens = ln.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if tokens[0] == "w":
-                fields["w"].append([float(v) for v in tokens[1:]])
-            else:
-                fields[tokens[0]] = tokens[1:]
+    # newline=None splits lines as a text-mode open() does
+    for ln in io.StringIO(data.decode("utf-8"), newline=None):
+        tokens = ln.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "w":
+            fields["w"].append([float(v) for v in tokens[1:]])
+        else:
+            fields[tokens[0]] = tokens[1:]
     try:
         arch = ElmArchitecture(
             input_weights=np.array(fields["w"], dtype=float),

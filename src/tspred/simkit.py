@@ -376,12 +376,13 @@ def load_model(path):
             elif key == "generators":
                 declared = int(tokens[1])
             elif key == "gen":
-                if len(tokens) < 6:
+                if len(tokens) != 6:
                     raise ModelFormatError(
-                        f"{path}: '{lines[i]}' needs 5 values (H D x'd E Pm)")
+                        f"{path}: '{lines[i]}' needs 5 values (H D x'd E Pm),"
+                        f" not {len(tokens) - 1}")
                 # x'd is checked to be numeric; the classical model has
                 # no use for it
-                gens.append([float(v) for v in tokens[1:6]])
+                gens.append([float(v) for v in tokens[1:]])
             elif key == "matrix":
                 label = tokens[1]
                 dim = int(tokens[2])

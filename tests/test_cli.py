@@ -226,6 +226,62 @@ class TestPredict:
         line = capsys.readouterr().out.strip()
         assert line.startswith(("+1", "-1")) and "score=" in line
 
+    def test_unstable_row_passed_after_separate_flag(self, kb_csv, trained,
+                                                     capsys):
+        # `--row "<row>"` binds a row that starts with "-1" as well
+        row = next(ln for ln in kb_csv.read_text().splitlines()[1:]
+                   if ln.startswith("-1"))
+        model = str(trained / "model.elm")
+        assert run(["predict", "--model", model, f"--row={row}"]) == \
+            cli.EXIT_OK
+        joined = capsys.readouterr().out
+        assert run(["predict", "--model", model, "--row", row]) == \
+            cli.EXIT_OK
+        separate = capsys.readouterr().out
+        assert separate.split()[:2] == joined.split()[:2]
+
+    def test_repeated_calls_share_no_arguments(self, kb_csv, trained,
+                                               tmp_path, monkeypatch,
+                                               capsys):
+        # one process, one parser: each call sees only its own flags and
+        # the config file it names
+        seen = []
+        for name in ("predict", "optimize"):
+            def record(args, command=cli.COMMANDS[name]):
+                code = command(args)
+                seen.append(dict(vars(args)))
+                return code
+            monkeypatch.setitem(cli.COMMANDS, name, record)
+        model = str(trained / "model.elm")
+        row = kb_csv.read_text().splitlines()[1]
+        config = tmp_path / "opt.cfg"
+        config.write_text(f"kb = {kb_csv}\nout = {tmp_path / 'a'}\n"
+                          "seed = 9\nsplit_fraction = 0.7\nhidden = 4\n"
+                          "population = 4\niterations = 2\n")
+        kb_seed = features.load_knowledge_base(
+            kb_csv, kb_csv.with_suffix(".meta")).seed
+        assert kb_seed != 9
+        calls = [
+            ["predict", "--model", model, "--row", row],
+            ["predict", "--model", model, "--input", str(kb_csv)],
+            ["optimize", "--config", str(config)],
+            ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "b"),
+             "--hidden", "3", "--population", "4", "--iterations", "1"],
+        ]
+        outputs = []
+        for argv in calls:
+            assert run(argv) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out.splitlines())
+        assert seen[0]["row"] == row and seen[0]["input"] is None
+        assert seen[1]["row"] is None and seen[1]["input"] == str(kb_csv)
+        assert len(outputs[0]) == 1 and len(outputs[1]) == 66
+        assert (seen[2]["seed"], seen[2]["hidden"], seen[2]["iterations"],
+                seen[2]["split_fraction"]) == (9, 4, 2, 0.7)
+        assert outputs[2][0] == "seed 9"
+        assert seen[3]["config"] is None and seen[3]["seed"] is None
+        assert seen[3]["split_fraction"] is None and seen[3]["hidden"] == 3
+        assert outputs[3][0] == f"seed {kb_seed}"
+
     def test_predict_matches_training_labels(self, kb_csv, trained,
                                              capsys):
         # predictions on all rows agree with evaluate-level accuracy:
@@ -333,6 +389,9 @@ def _write_malformed(case, kb_csv, tmp_path):
     if case == "sys short gen line":
         model_text = model_text.replace("gen 1.5 0.0 0.3 1.0 0.5",
                                         "gen 1.5 0.0 0.3")
+    elif case == "sys long gen line":
+        model_text = model_text.replace("gen 1.5 0.0 0.3 1.0 0.5",
+                                        "gen 1.5 0.0 0.3 1.0 0.5 9.9")
     elif case.startswith("sys generators"):
         model_text = model_text.replace("generators 2",
                                         f"generators {case.split()[-1]}")
@@ -351,6 +410,8 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("kb blank line", cli.EXIT_OK, ""),
     ("kb header only", cli.EXIT_RUNTIME, "no samples"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
+    ("sys long gen line", cli.EXIT_RUNTIME,
+     "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E Pm), not 6"),
     ("sys generators 4", cli.EXIT_RUNTIME, "'generators 4' but 2 gen lines"),
     ("sys generators x", cli.EXIT_RUNTIME, "invalid literal for int()"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),

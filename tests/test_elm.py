@@ -262,3 +262,77 @@ def test_model_file_shape_mismatch_refused(tmp_path, pattern, replacement):
     path.write_text(edited)
     with pytest.raises(elm.ElmError, match="model file"):
         elm.load_model(path)
+
+
+def test_unchanged_model_file_parsed_once(tmp_path):
+    # the same bytes, at any path, give back the model already parsed
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    first = elm.load_model(path)
+    copy = tmp_path / "copy.elm"
+    copy.write_bytes(path.read_bytes())
+    assert elm.load_model(path) is first
+    assert elm.load_model(copy) is first
+
+
+def test_overwritten_model_file_gives_new_scores(tmp_path):
+    path = tmp_path / "model.elm"
+    model = saved_model(path)
+    raw = np.random.default_rng(13).normal(size=(4, 5))
+    before = elm.predict_full(elm.load_model(path), raw)
+    flipped = elm.ElmModel(architecture=model.architecture,
+                           output_weights=-model.output_weights,
+                           feature_mask=model.feature_mask,
+                           means=model.means, stds=model.stds)
+    elm.save_model(flipped, path)
+    after = elm.predict_full(elm.load_model(path), raw)
+    assert np.allclose(after, -before, atol=1e-12)
+    assert np.allclose(after, elm.predict_full(flipped, raw), atol=1e-12)
+
+
+def test_malformed_overwrite_still_refused(tmp_path):
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    good = path.read_bytes()
+    elm.load_model(path)
+    path.write_bytes(re.sub(rb"^hidden 6$", b"hidden 7", good, flags=re.M))
+    for _ in range(2):      # a refused file is not kept either
+        with pytest.raises(elm.ElmError, match="hidden"):
+            elm.load_model(path)
+    path.write_bytes(good)
+    assert elm.load_model(path).architecture.hidden_size == 6
+
+
+def test_loaded_model_arrays_read_only(tmp_path):
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    model = elm.load_model(path)
+    arch = model.architecture
+    arrays = {"input_weights": arch.input_weights, "biases": arch.biases,
+              "activations": arch.activations,
+              "output_weights": model.output_weights,
+              "feature_mask": model.feature_mask, "means": model.means,
+              "stds": model.stds}
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("line_end, loads", [
+    ("\r\n", True), ("\r", True), ("\x0c", False), ("\x1c", False),
+    ("\u2028", False)], ids=["CRLF", "CR", "FF", "FS", "LS"])
+def test_model_file_line_ends(tmp_path, line_end, loads):
+    # lines end where a text-mode open() ends them; other Unicode line
+    # breaks are whitespace inside one line
+    path = tmp_path / "model.elm"
+    model = saved_model(path)
+    path.write_bytes(path.read_text().replace("\n", line_end)
+                     .encode("utf-8"))
+    raw = np.random.default_rng(14).normal(size=(4, 5))
+    if loads:
+        assert np.allclose(elm.predict_full(elm.load_model(path), raw),
+                           elm.predict_full(model, raw), atol=1e-12)
+    else:
+        with pytest.raises(elm.ElmError, match="model file"):
+            elm.load_model(path)
