@@ -258,8 +258,8 @@ def cmd_predict(args):
     return EXIT_OK
 
 
-# main looks the command up here on every call, so a name rebound after
-# the cached parser was built (a wrapper, a test double) is the one to run
+# Dispatch table: main looks the subcommand's handler up here at call time,
+# since the parser is built once and keeps no handler of its own
 COMMANDS = {"generate": cmd_generate, "optimize": cmd_optimize,
             "evaluate": cmd_evaluate, "compare": cmd_compare,
             "predict": cmd_predict}
