@@ -27,15 +27,6 @@ class UsageError(Exception):
     pass
 
 
-def _merge_config(args, keys):
-    """File values fill in flags the user left at None."""
-    if getattr(args, "config", None):
-        file_values = simkit.load_key_values(args.config)
-        for key, cast in keys.items():
-            if getattr(args, key, None) is None and key in file_values:
-                setattr(args, key, cast(file_values[key]))
-
-
 def _sidecar_path(csv_path):
     return str(Path(csv_path).with_suffix(".meta"))
 
@@ -48,19 +39,7 @@ def _require(path, what):
     return path
 
 
-def _swarm_config(args, seed):
-    kwargs = {"seed": seed}
-    for flag, name in (("population", "population"),
-                       ("iterations", "max_iterations"),
-                       ("target", "fitness_target")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[name] = value
-    return swarm.SwarmConfig(**kwargs)
-
-
 def cmd_generate(args):
-    _merge_config(args, {"model": str, "grid": str, "out": str, "seed": int})
     model_path = _require(args.model, "model file")
     grid_path = _require(args.grid, "grid spec")
     if not args.out:
@@ -77,6 +56,7 @@ def cmd_generate(args):
     kb = features.build_knowledge_base(
         trajectories, model.n_generators, spec["seed"],
         provenance=f"{model.name}:{Path(grid_path).name}")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     features.save_knowledge_base(kb, args.out, _sidecar_path(args.out))
     n_stable = int(np.sum(kb.labels == features.STABLE))
     print(f"seed {spec['seed']}")
@@ -93,20 +73,22 @@ def _prepare_training(args):
     if len(set(kb.labels.tolist())) < 2:
         raise UsageError("knowledge base contains a single class")
     seed = args.seed if args.seed is not None else kb.seed
-    fraction = args.split_fraction or DEFAULT_SPLIT_FRACTION
-    split = features.split_train_test(kb, fraction, seed)
+    split = features.split_train_test(kb, args.split_fraction, seed)
     return kb, split, seed
 
 
 def _optimize_once(kb, split, scaled, seed, optimizer, args):
     """Fit on the training rows of `scaled` = (z, means, stds); the model
     carries the statistics so it scores raw rows."""
+    if args.hidden < 1:
+        raise UsageError("hidden must be at least 1")
     z, means, stds = scaled
     x, y = z[split.train], kb.labels[split.train]
-    spec = swarm.EncodingSpec(n_features=kb.n_features,
-                              hidden=args.hidden or DEFAULT_HIDDEN)
+    spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=args.hidden)
     ctx = swarm.FitnessContext.build(x, y, spec, seed=seed)
-    config = _swarm_config(args, seed)
+    config = swarm.SwarmConfig(population=args.population,
+                               max_iterations=args.iterations,
+                               fitness_target=args.target, seed=seed)
     t0 = time.perf_counter()
     result = swarm.OPTIMIZERS[optimizer](ctx, spec.dim, config)
     elapsed = time.perf_counter() - t0
@@ -119,27 +101,20 @@ def _optimize_once(kb, split, scaled, seed, optimizer, args):
 
 
 def cmd_optimize(args):
-    _merge_config(args, {"kb": str, "out": str, "optimizer": str,
-                         "seed": int, "split_fraction": float,
-                         "population": int, "iterations": int,
-                         "hidden": int, "target": float})
     if not args.out:
         raise UsageError("missing --out directory")
     kb, split, seed = _prepare_training(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    optimizer = args.optimizer or "ipso"
-    if optimizer not in swarm.OPTIMIZERS:
-        raise UsageError(f"unknown optimizer '{optimizer}'")
     scaled = features.standardize(kb.samples, split.train)
     result, model, elapsed = _optimize_once(kb, split, scaled, seed,
-                                            optimizer, args)
+                                            args.optimizer, args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.elm"
     trace_path = out_dir / "trace.csv"
     elm.save_model(model, model_path)
     swarm.save_trace(result.trace, trace_path)
     print(f"seed {seed}")
-    print(f"optimizer {optimizer}: best CV fitness "
+    print(f"optimizer {args.optimizer}: best CV fitness "
           f"{result.best_fitness:.4f} after {len(result.trace) - 1} "
           f"iterations ({result.evaluations} evaluations, {elapsed:.2f}s)")
     print(f"effective hidden nodes: "
@@ -149,8 +124,6 @@ def cmd_optimize(args):
 
 
 def cmd_evaluate(args):
-    _merge_config(args, {"kb": str, "model": str, "out": str, "seed": int,
-                         "split_fraction": float})
     model_path = _require(args.model, "model file")
     if not args.out:
         raise UsageError("missing --out directory")
@@ -172,20 +145,15 @@ def cmd_evaluate(args):
 
 
 def cmd_compare(args):
-    _merge_config(args, {"kb": str, "out": str, "seed": int,
-                         "split_fraction": float, "repeats": int,
-                         "population": int, "iterations": int,
-                         "hidden": int, "target": float})
     if not args.out:
         raise UsageError("missing --out path for the comparison CSV")
-    repeats = args.repeats if args.repeats is not None else 1
-    if repeats < 1:
+    if args.repeats < 1:
         raise UsageError("repeats must be at least 1")
     kb, split, seed = _prepare_training(args)
     scaled = features.standardize(kb.samples, split.train)
     runs = {name: [] for name in swarm.OPTIMIZERS}
     for name in swarm.OPTIMIZERS:
-        for r in range(repeats):
+        for r in range(args.repeats):
             result, model, elapsed = _optimize_once(
                 kb, split, scaled, seed + r, name, args)
             runs[name].append(
@@ -212,13 +180,12 @@ def cmd_compare(args):
     out_path.write_text("\n".join(full_lines) + "\n", encoding="utf-8")
     det_path = out_path.with_name(out_path.stem + "_deterministic.csv")
     det_path.write_text("\n".join(det_lines) + "\n", encoding="utf-8")
-    print(f"seed {seed} (repeats {repeats})")
+    print(f"seed {seed} (repeats {args.repeats})")
     print("\n".join(full_lines))
     return EXIT_OK
 
 
 def cmd_predict(args):
-    _merge_config(args, {"model": str, "input": str})
     model_path = _require(args.model, "model file")
     model = elm.load_model(model_path)
     if model.feature_mask is None:
@@ -265,10 +232,24 @@ COMMANDS = {"generate": cmd_generate, "optimize": cmd_optimize,
             "predict": cmd_predict}
 
 
+def _config_args(path):
+    """A --config file's `key = value` lines as `--key=value` arguments
+    (`_` in a key read as `-`), which the grammar checks as it does flags."""
+    try:
+        values = simkit.load_key_values(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
+    if "config" in values:
+        raise argparse.ArgumentTypeError(f"{path} names another config file")
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, value in values.items()]
+
+
 @functools.cache
 def build_parser():
     """The argument grammar, built once per process: parse_args returns a
-    fresh namespace each call, so no value carries over between calls."""
+    fresh namespace each call, so no value carries over between calls.
+    Each subcommand takes only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="tspred",
         description="Transient stability prediction with a swarm-optimized "
@@ -276,29 +257,40 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key=value defaults file")
+        p.add_argument("--config", type=_config_args, metavar="FILE",
+                       help="key = value lines read as flags")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=int, help="master seed")
+
+    def training_flags(p):
+        seeded(p)
+        p.add_argument("--kb", help="knowledge base CSV")
+        p.add_argument("--split-fraction", type=float,
+                       default=DEFAULT_SPLIT_FRACTION)
+
+    def swarm_flags(p):
+        training_flags(p)
+        defaults = swarm.SwarmConfig
+        p.add_argument("--population", type=int, default=defaults.population)
+        p.add_argument("--iterations", type=int,
+                       default=defaults.max_iterations)
+        p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
+        p.add_argument("--target", type=float, default=defaults.fitness_target)
 
     p = sub.add_parser("generate", help="simulate a scenario grid into a "
                                         "knowledge base CSV")
-    common(p)
+    seeded(p)
     p.add_argument("--model", help="power-system model (.sys)")
     p.add_argument("--grid", help="scenario grid spec (.grid)")
     p.add_argument("--out", help="knowledge base CSV path")
 
-    def training_flags(p):
-        common(p)
-        p.add_argument("--kb", help="knowledge base CSV")
-        p.add_argument("--split-fraction", dest="split_fraction", type=float)
-        p.add_argument("--population", type=int)
-        p.add_argument("--iterations", type=int)
-        p.add_argument("--hidden", type=int)
-        p.add_argument("--target", type=float)
-
     p = sub.add_parser("optimize", help="fit the classifier with the "
                                         "selected optimizer")
-    training_flags(p)
-    p.add_argument("--optimizer", choices=sorted(swarm.OPTIMIZERS))
+    swarm_flags(p)
+    p.add_argument("--optimizer", choices=sorted(swarm.OPTIMIZERS),
+                   default="ipso")
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("evaluate", help="score the held-out rows of a "
@@ -309,8 +301,8 @@ def build_parser():
 
     p = sub.add_parser("compare", help="run ipso/pso/ga repeatedly and "
                                        "tabulate the comparison")
-    training_flags(p)
-    p.add_argument("--repeats", type=int)
+    swarm_flags(p)
+    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", help="comparison CSV path")
 
     p = sub.add_parser("predict", help="score one raw sample with a "
@@ -336,8 +328,12 @@ def _bind_row(argv):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(
-        _bind_row(sys.argv[1:] if argv is None else argv))
+    argv = _bind_row(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # after the subcommand, before the command line, whose flags win
+        args = parser.parse_args(argv[:1] + args.config + argv[1:])
     try:
         return COMMANDS[args.command](args)
     except UsageError as exc:

@@ -72,6 +72,8 @@ class SwarmConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be at least 2")
+        if self.max_iterations < 0:
+            raise ValueError("max iterations must be at least 0")
         if not 0 <= self.fitness_target <= 1:
             raise ValueError("fitness target must be in [0, 1]")
 

@@ -56,6 +56,13 @@ class TestGenerate:
         assert out.with_suffix(".meta").read_bytes() == \
             kb_csv.with_suffix(".meta").read_bytes()
 
+    def test_creates_output_directory(self, kb_csv, tmp_path):
+        out = tmp_path / "new" / "dir" / "kb.csv"
+        assert run(["generate", "--model", f"{FIXTURES}/smib.sys",
+                    "--grid", f"{FIXTURES}/smib.grid",
+                    "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_bytes() == kb_csv.read_bytes()
+
     def test_empty_grid_usage_error(self, tmp_path):
         grid = tmp_path / "empty.grid"
         grid.write_text("faults =\nclearing_cycles =\nload_levels =\n"
@@ -125,6 +132,55 @@ class TestOptimize:
         assert (out / "model.elm").read_bytes() == \
             (trained / "model.elm").read_bytes()
 
+    def test_flag_beats_config_key(self, kb_csv, trained, tmp_path):
+        # keys take either spelling of the flag name; --seed 5 on the
+        # command line beats seed = 9 in the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 9\nhidden = 8\npopulation = 8\n"
+                       "iterations = 12\nsplit-fraction = 0.7\n")
+        out = tmp_path / "from_cfg"
+        assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
+                    "--config", str(cfg), "--seed", "5"]) == cli.EXIT_OK
+        assert (out / "model.elm").read_bytes() == \
+            (trained / "model.elm").read_bytes()
+
+    @pytest.mark.parametrize("line", ["iterashuns = 3", "seed = abc",
+                                      "hidden = 2.5", "config = other.cfg"])
+    def test_config_line_refused_as_flag_would_be(self, kb_csv, tmp_path,
+                                                   line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"hidden = 4\npopulation = 4\niterations = 1\n"
+                       f"{line}\n")
+        (tmp_path / "other.cfg").write_text("seed = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", "--kb", str(kb_csv), "--out", str(tmp_path),
+                 "--config", str(cfg)])
+        assert exc.value.code == cli.EXIT_USAGE
+
+    def test_missing_config_file_usage_error(self, kb_csv, tmp_path,
+                                             capsys):
+        missing = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", "--kb", str(kb_csv), "--out", str(tmp_path),
+                 "--config", str(missing)])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--hidden", "0", cli.EXIT_USAGE),
+        ("--split-fraction", "0", cli.EXIT_RUNTIME),
+        ("--split-fraction", "1.5", cli.EXIT_RUNTIME),
+        ("--iterations", "-1", cli.EXIT_RUNTIME),
+    ])
+    def test_out_of_range_value_refused(self, kb_csv, tmp_path, flag, value,
+                                        code):
+        out = tmp_path / "run"
+        argv = ["optimize", "--kb", str(kb_csv), "--out", str(out),
+                "--hidden", "4", "--population", "4", "--iterations", "1"]
+        assert run(argv + [flag, value]) == code
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_reports_written_and_consistent(self, kb_csv, trained,
@@ -166,6 +222,23 @@ class TestEvaluate:
         _, means2, stds2 = features.standardize(corrupted, split.train)
         assert np.array_equal(means1, means2)
         assert np.array_equal(stds1, stds2)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--hidden"), ("evaluate", "--population"),
+    ("evaluate", "--iterations"), ("evaluate", "--target"),
+    ("predict", "--seed"),
+])
+def test_flag_the_handler_never_reads_refused(kb_csv, trained, tmp_path,
+                                              command, flag):
+    model = str(trained / "model.elm")
+    argv = {"evaluate": ["evaluate", "--kb", str(kb_csv), "--model", model,
+                         "--out", str(tmp_path)],
+            "predict": ["predict", "--model", model,
+                        "--row", kb_csv.read_text().splitlines()[1]]}
+    with pytest.raises(SystemExit) as exc:
+        run(argv[command] + [flag, "1"])
+    assert exc.value.code == cli.EXIT_USAGE
 
 
 class TestCompare:
@@ -240,6 +313,26 @@ class TestPredict:
         separate = capsys.readouterr().out
         assert separate.split()[:2] == joined.split()[:2]
 
+    def test_config_row_scored_and_flag_row_wins(self, kb_csv, trained,
+                                                 tmp_path, capsys):
+        rows = kb_csv.read_text().splitlines()[1:]
+        stable = next(r for r in rows if r.startswith("+1"))
+        unstable = next(r for r in rows if r.startswith("-1"))
+        model = str(trained / "model.elm")
+        scores = {}
+        for row in (stable, unstable):
+            assert run(["predict", "--model", model, "--row", row]) == \
+                cli.EXIT_OK
+            scores[row] = capsys.readouterr().out.split()[1]
+        assert scores[stable] != scores[unstable]
+        cfg = tmp_path / "predict.cfg"
+        cfg.write_text(f"model = {model}\nrow = {unstable}\n")
+        assert run(["predict", "--config", str(cfg)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.split()[1] == scores[unstable]
+        assert run(["predict", "--config", str(cfg), "--row", stable]) == \
+            cli.EXIT_OK
+        assert capsys.readouterr().out.split()[1] == scores[stable]
+
     def test_repeated_calls_share_no_arguments(self, kb_csv, trained,
                                                tmp_path, monkeypatch,
                                                capsys):
@@ -279,7 +372,8 @@ class TestPredict:
                 seen[2]["split_fraction"]) == (9, 4, 2, 0.7)
         assert outputs[2][0] == "seed 9"
         assert seen[3]["config"] is None and seen[3]["seed"] is None
-        assert seen[3]["split_fraction"] is None and seen[3]["hidden"] == 3
+        assert (seen[3]["split_fraction"] == cli.DEFAULT_SPLIT_FRACTION
+                and seen[3]["hidden"] == 3)
         assert outputs[3][0] == f"seed {kb_seed}"
 
     def test_predict_matches_training_labels(self, kb_csv, trained,

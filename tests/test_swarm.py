@@ -466,6 +466,11 @@ class TestSwarmConfig:
         with pytest.raises(ValueError):
             swarm.SwarmConfig(population=1)
 
+    def test_rejects_negative_iterations(self):
+        with pytest.raises(ValueError):
+            swarm.SwarmConfig(max_iterations=-1)
+        assert swarm.SwarmConfig(max_iterations=0).max_iterations == 0
+
     def test_inertia_schedule_endpoints(self):
         c = swarm.SwarmConfig(max_iterations=200)
         assert swarm._inertia(c, 1) == pytest.approx(0.9)
