@@ -255,6 +255,8 @@ def build_parser():
         description="Transient stability prediction with a swarm-optimized "
                     "extreme learning machine")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag or config key is spelled out: no prefix stands for a flag
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--config", type=_config_args, metavar="FILE",
@@ -279,34 +281,34 @@ def build_parser():
         p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
         p.add_argument("--target", type=float, default=defaults.fitness_target)
 
-    p = sub.add_parser("generate", help="simulate a scenario grid into a "
-                                        "knowledge base CSV")
+    p = add_parser("generate", help="simulate a scenario grid into a "
+                                    "knowledge base CSV")
     seeded(p)
     p.add_argument("--model", help="power-system model (.sys)")
     p.add_argument("--grid", help="scenario grid spec (.grid)")
     p.add_argument("--out", help="knowledge base CSV path")
 
-    p = sub.add_parser("optimize", help="fit the classifier with the "
-                                        "selected optimizer")
+    p = add_parser("optimize", help="fit the classifier with the "
+                                    "selected optimizer")
     swarm_flags(p)
     p.add_argument("--optimizer", choices=sorted(swarm.OPTIMIZERS),
                    default="ipso")
     p.add_argument("--out", help="output directory")
 
-    p = sub.add_parser("evaluate", help="score the held-out rows of a "
-                                        "knowledge base")
+    p = add_parser("evaluate", help="score the held-out rows of a "
+                                    "knowledge base")
     training_flags(p)
     p.add_argument("--model", help="trained model (.elm)")
     p.add_argument("--out", help="output directory")
 
-    p = sub.add_parser("compare", help="run ipso/pso/ga repeatedly and "
-                                       "tabulate the comparison")
+    p = add_parser("compare", help="run ipso/pso/ga repeatedly and "
+                                   "tabulate the comparison")
     swarm_flags(p)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", help="comparison CSV path")
 
-    p = sub.add_parser("predict", help="score one raw sample with a "
-                                       "persisted model")
+    p = add_parser("predict", help="score one raw sample with a "
+                                   "persisted model")
     common(p)
     p.add_argument("--model", help="trained model (.elm)")
     p.add_argument("--row", help="comma-separated raw feature row")

@@ -2,50 +2,44 @@
 
 Each function broadcasts over leading axes, so one state (G,) and a batch
 of scenarios (S, G), each with its own EMFs and matrix, share the code.
+Machine i's internal EMF is the phasor V_i = E_i·e^{jδ_i}, and `Y` is the
+complex admittance matrix between the internal buses.
 """
 
 import numpy as np
 
 
-def _pair_power(delta, E, G, B):
-    """E_i·E_j·(G_ij·cos δij + B_ij·sin δij) for every ordered pair (i, j)."""
-    a = delta[..., :, None] - delta[..., None, :]
-    return (E[..., :, None] * E[..., None, :]) * (G * np.cos(a)
-                                                  + B * np.sin(a))
+def electrical_power(delta, E, Y):
+    """Per-generator electrical power Re(conj(V_i)·(Y·V)_i) at rotor angles
+    `delta` (radians): Σ_j E_i·E_j·(G_ij·cos δij + B_ij·sin δij)."""
+    v = E * np.exp(1j * delta)
+    return (v.conj() * np.einsum("...ij,...j->...i", Y, v)).real
 
 
-def electrical_power(delta, E, G, B):
-    """Per-generator electrical power at rotor angles `delta` (radians).
-
-    The sum over j of the pair terms; the j = i term is E_i²·G_ii. `G` and
-    `B` are the real and imaginary parts of the admittance matrix.
-    """
-    return _pair_power(delta, E, G, B).sum(axis=-1)
-
-
-def power_jacobian(delta, E, G, B):
-    """∂Pe_i/∂δ_j for one state: the pair terms with (G, B) → (−B, G) off
-    the diagonal, minus their row sums on it."""
-    dpair = _pair_power(delta, E, -B, G)
+def power_jacobian(delta, E, Y):
+    """∂Pe_i/∂δ_j for one state: −Im(conj(V_i)·Y_ij·V_j) off the diagonal,
+    minus its row sums on it."""
+    v = E * np.exp(1j * delta)
+    dpair = -(v.conj()[:, None] * Y * v).imag
     return dpair - np.diag(dpair.sum(axis=-1))
 
 
-def swing_rhs(delta, omega, H, D, E, Pm, G, B, w0):
+def swing_rhs(delta, omega, H, D, E, Pm, Y, w0):
     """(dδ/dt, dΔω/dt) of dδ/dt = Δω, (2H/ω0)·dΔω/dt = Pm − Pe − D·Δω.
 
     Angles in radians, speeds in rad/s.
     """
-    pe = electrical_power(delta, E, G, B)
+    pe = electrical_power(delta, E, Y)
     return omega, (w0 / (2.0 * H)) * (Pm - pe - D * omega)
 
 
-def rk4_step(delta, omega, dt, H, D, E, Pm, G, B, w0):
+def rk4_step(delta, omega, dt, H, D, E, Pm, Y, w0):
     """New (delta, omega) after one RK4 step, the matrix held over it.
 
     `dt` is a scalar or an (S, 1) array of per-scenario step sizes; the
     inputs are not modified.
     """
-    args = (H, D, E, Pm, G, B, w0)
+    args = (H, D, E, Pm, Y, w0)
     k1d, k1w = swing_rhs(delta, omega, *args)
     k2d, k2w = swing_rhs(delta + 0.5 * dt * k1d, omega + 0.5 * dt * k1w,
                          *args)

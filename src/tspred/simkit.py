@@ -188,9 +188,8 @@ class Trajectory:
 
 def _power_mismatch(delta, model):
     """Pm − Pe(δ) under the prefault matrix; δ in radians."""
-    y = model.y_prefault
-    return model.pm - kernels.electrical_power(delta, model.emf, y.real,
-                                               y.imag)
+    return model.pm - kernels.electrical_power(delta, model.emf,
+                                               model.y_prefault)
 
 
 def solve_equilibrium(model):
@@ -202,10 +201,9 @@ def solve_equilibrium(model):
     NoEquilibriumError when the full residual (including the reference
     machine) stays above 1e-8 pu after at most 50 Newton steps.
     """
-    y = model.y_prefault
     delta = np.zeros(model.n_generators)
     for _ in range(_NEWTON_MAX_STEPS if model.n_generators > 1 else 0):
-        jac = kernels.power_jacobian(delta, model.emf, y.real, y.imag)
+        jac = kernels.power_jacobian(delta, model.emf, model.y_prefault)
         try:
             step = np.linalg.solve(jac[:-1, :-1],
                                    _power_mismatch(delta, model)[:-1])
@@ -285,7 +283,7 @@ def simulate_scenarios(model, scenarios):
     rem[rem <= eps] = 0.0
     clears = {k: np.nonzero(n_fault == k)[0] for k in np.unique(n_fault)}
     y_post = model.y_postfault
-    g, b = y_fault.real.copy(), y_fault.imag.copy()
+    y = y_fault.copy()
     hd = (model.inertia, model.damping)
     limit = math.radians(OVERFLOW_LIMIT_DEG)
     d, w = delta[:, 0], speed[:, 0]
@@ -295,12 +293,12 @@ def simulate_scenarios(model, scenarios):
         if len(cut):
             step = np.full((len(d), 1), dt)
             step[cut, 0] = rem[cut]
-        d, w = kernels.rk4_step(d, w, step, *hd, emf, pm, g, b, model.omega0)
+        d, w = kernels.rk4_step(d, w, step, *hd, emf, pm, y, model.omega0)
         if len(cut):
-            g[cut], b[cut] = y_post.real, y_post.imag
+            y[cut] = y_post
             d[cut], w[cut] = kernels.rk4_step(
                 d[cut], w[cut], dt - rem[cut, None], *hd, emf[cut], pm[cut],
-                g[cut], b[cut], model.omega0)
+                y[cut], model.omega0)
         if not np.all(np.abs(d) <= limit):
             raise NumericOverflowError(
                 "rotor angle exceeded the overflow guard "
@@ -315,7 +313,7 @@ def simulate_scenarios(model, scenarios):
     pe = np.empty_like(delta)
     for s, y_s in enumerate(y_fault):
         y = np.array([model.y_prefault, y_s, y_post])[stage[s]]
-        pe[s] = kernels.electrical_power(delta[s], emf[s], y.real, y.imag)
+        pe[s] = kernels.electrical_power(delta[s], emf[s], y)
     np.degrees(delta, out=delta)
     for arr in (time, delta, speed, pe):
         arr.setflags(write=False)

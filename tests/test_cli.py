@@ -478,6 +478,13 @@ def _write_malformed(case, kb_csv, tmp_path):
         shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
+    if case.startswith("abbreviated"):
+        argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
+        if case == "abbreviated flags":
+            return argv + ["--hid", "4", "--pop", "4", "--it", "2"]
+        config = tmp_path / "run.cfg"
+        config.write_text("pop = 4\niter = 2\nhid = 4\n")
+        return argv + ["--config", str(config)]
     model_text = Path(FIXTURES, "smib.sys").read_text()
     grid_text = Path(FIXTURES, "smib.grid").read_text()
     if case == "sys short gen line":
@@ -515,9 +522,18 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("meta feature repeated", cli.EXIT_RUNTIME, "feature 0 named twice"),
     ("meta feature without name", cli.EXIT_RUNTIME,
      "'feature 3' needs an index and a name"),
+    ("abbreviated flags", cli.EXIT_USAGE,
+     "unrecognized arguments: --hid 4 --pop 4 --it 2"),
+    ("abbreviated config keys", cli.EXIT_USAGE,
+     "unrecognized arguments: --pop=4 --iter=2 --hid=4"),
 ])
 def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
                                    capsys):
     # never a traceback: a blank KB record is skipped, the rest refused
-    assert run(_write_malformed(case, kb_csv, tmp_path)) == code
+    argv = _write_malformed(case, kb_csv, tmp_path)
+    try:
+        exit_code = run(argv)
+    except SystemExit as exc:       # argparse refuses the grammar's errors
+        exit_code = exc.code
+    assert exit_code == code
     assert message in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for the swing-equation kernels: Pe, its Jacobian and the RK4 step."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def workload(n_gen=4, seed=0):
     np.fill_diagonal(B, 0.0)
     G = np.diag(rng.uniform(0.1, 0.4, n_gen))
     delta0 = rng.uniform(-0.5, 0.5, n_gen)
-    Pm = kernels.electrical_power(delta0, E, G, B)
+    Pm = kernels.electrical_power(delta0, E, G + 1j * B)
     return dict(H=H, D=D, E=E, G=G, B=B, delta0=delta0, Pm=Pm)
 
 
@@ -29,7 +31,7 @@ def integrate(w, nsteps=480, dt=1.0 / 240.0, delta=None, omega=None):
     out_d, out_w = [], []
     for _ in range(nsteps):
         d, o = kernels.rk4_step(d, o, dt, w["H"], w["D"], w["E"], w["Pm"],
-                                w["G"], w["B"], W0)
+                                w["G"] + 1j * w["B"], W0)
         out_d.append(d)
         out_w.append(o)
     return np.array(out_d), np.array(out_w)
@@ -40,7 +42,8 @@ class TestSwingRhs:
         # Pm matched to Pe at delta0 with zero speed: zero derivatives
         w = workload(seed=3)
         dd, dw = kernels.swing_rhs(w["delta0"], np.zeros(4), w["H"], w["D"],
-                                   w["E"], w["Pm"], w["G"], w["B"], W0)
+                                   w["E"], w["Pm"], w["G"] + 1j * w["B"],
+                                   W0)
         assert np.allclose(dd, 0.0, atol=1e-14)
         assert np.allclose(dw, 0.0, atol=1e-12)
 
@@ -53,39 +56,77 @@ class TestSwingRhs:
         G = np.array([[0.2]])
         B = np.zeros((1, 1))
         dd, dw = kernels.swing_rhs(np.array([0.3]), np.array([0.02]),
-                                   H, D, E, Pm, G, B, W0)
+                                   H, D, E, Pm, G + 1j * B, W0)
         expected = W0 / 4.0 * (0.5 - 1.05 ** 2 * 0.2 - 0.1 * 0.02)
         assert dd[0] == 0.02
         assert dw[0] == pytest.approx(expected, abs=1e-14)
 
 
+def pairwise_power(delta, E, G, B):
+    """Reference Pe: Σ_j E_i·E_j·(G_ij·cos δij + B_ij·sin δij), summed pair
+    by pair for each state of a batch."""
+    pe = np.zeros(np.shape(delta))
+    n = pe.shape[-1]
+    for idx in np.ndindex(pe.shape[:-1]):
+        d, e, g, b = delta[idx], E[idx], G[idx], B[idx]
+        for i in range(n):
+            for j in range(n):
+                a = d[i] - d[j]
+                pe[idx + (i,)] += e[i] * e[j] * (g[i, j] * math.cos(a)
+                                                 + b[i, j] * math.sin(a))
+    return pe
+
+
+def lossy_batch(n_scen=5, n_gen=4, seed=11):
+    """(S, G) angles and EMFs with per-scenario lossy (S, G, G) matrices,
+    left unsymmetric so a transposed Y would not pass."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-np.pi, np.pi, (n_scen, n_gen)),
+            rng.uniform(0.9, 1.2, (n_scen, n_gen)),
+            rng.uniform(0.02, 0.2, (n_scen, n_gen, n_gen)),
+            rng.uniform(-1.2, 1.2, (n_scen, n_gen, n_gen)))
+
+
 class TestElectricalPower:
+    @pytest.mark.parametrize("delta, E, G, B", [
+        lossy_batch(),
+        (np.array([0.7]), np.array([1.1]), np.array([[0.3]]),
+         np.array([[-2.0]])),
+        (np.array([0.4, 0.0]), np.array([1.0, 1.0]), np.zeros((2, 2)),
+         np.array([[0.0, 1.5], [1.5, 0.0]])),
+    ], ids=["batched-lossy", "one-machine", "lossless-pair"])
+    def test_matches_pairwise_sum(self, delta, E, G, B):
+        pe = kernels.electrical_power(delta, E, G + 1j * B)
+        assert pe.shape == np.shape(delta)
+        assert np.max(np.abs(pe - pairwise_power(delta, E, G, B))) <= 1e-12
+
     def test_lossless_pair_antisymmetric(self):
         # pure-B tie: P1 = −P2 = E1·E2·B12·sin(δ12)
         E = np.array([1.0, 1.0])
         G = np.zeros((2, 2))
         B = np.array([[0.0, 1.5], [1.5, 0.0]])
-        pe = kernels.electrical_power(np.array([0.4, 0.0]), E, G, B)
+        pe = kernels.electrical_power(np.array([0.4, 0.0]), E, G + 1j * B)
         assert pe[0] == pytest.approx(1.5 * np.sin(0.4), abs=1e-14)
         assert pe[0] == pytest.approx(-pe[1], abs=1e-14)
 
     def test_self_conductance_only(self):
         pe = kernels.electrical_power(np.array([0.7]), np.array([1.1]),
-                                      np.array([[0.3]]), np.zeros((1, 1)))
+                                      np.array([[0.3]])
+                                      + 1j * np.zeros((1, 1)))
         assert pe[0] == pytest.approx(1.1 ** 2 * 0.3, abs=1e-15)
 
     def test_jacobian_matches_central_differences(self):
         w = workload(seed=6)
         w["G"] = w["G"] + 0.05 * (1.0 - np.eye(4))   # lossy off-diagonals
-        jac = kernels.power_jacobian(w["delta0"], w["E"], w["G"], w["B"])
+        Y = w["G"] + 1j * w["B"]
+        jac = kernels.power_jacobian(w["delta0"], w["E"], Y)
         h = 1e-6
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            column = (kernels.electrical_power(w["delta0"] + e, w["E"],
-                                               w["G"], w["B"])
-                      - kernels.electrical_power(w["delta0"] - e, w["E"],
-                                                 w["G"], w["B"])) / (2 * h)
+            column = (kernels.electrical_power(w["delta0"] + e, w["E"], Y)
+                      - kernels.electrical_power(w["delta0"] - e, w["E"], Y)
+                      ) / (2 * h)
             assert np.allclose(jac[:, j], column, atol=1e-8)
 
 

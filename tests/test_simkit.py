@@ -1,9 +1,13 @@
+import gzip
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tspred import features, fixtures, kernels, simkit
+
+REFERENCE_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def test_smib_equilibrium_is_arcsine(smib):
@@ -132,7 +136,7 @@ def test_energy_drift_is_small_without_damping():
     out_w = np.empty((nsteps, 2))
     for k in range(nsteps):
         d, w = kernels.rk4_step(d, w, dt, model.inertia, model.damping,
-                                model.emf, model.pm, y.real, y.imag, w0)
+                                model.emf, model.pm, y, w0)
         out_d[k], out_w[k] = d, w
 
     def energy(d, w):
@@ -167,6 +171,21 @@ def test_batch_matches_per_scenario_runs(three_machine):
         assert label == features.label_trajectory(alone)
         labels.add(label)
     assert labels == {features.STABLE, features.UNSTABLE}
+
+
+def test_fixture_kb_matches_frozen_reference(three_machine_kb, tmp_path):
+    # the frozen benchmark KB is `generate` on the three-machine fixture
+    # files; a kernel rewrite may move the features' last digits, never a
+    # label
+    for name in ("kb_3m.csv", "kb_3m.meta"):
+        with gzip.open(REFERENCE_DATA / f"{name}.gz", "rb") as fh:
+            (tmp_path / name).write_bytes(fh.read())
+    frozen = features.load_knowledge_base(tmp_path / "kb_3m.csv",
+                                          tmp_path / "kb_3m.meta")
+    kb = three_machine_kb
+    assert np.array_equal(kb.labels, frozen.labels)
+    assert int(np.sum(kb.labels == features.UNSTABLE)) == 117
+    assert np.allclose(kb.samples, frozen.samples, rtol=1e-9, atol=1e-12)
 
 
 def test_determinism_byte_identical(smib):
