@@ -52,9 +52,8 @@ def cmd_generate(args):
         scenarios = simkit.build_scenario_grid(**spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    trajectories = simkit.simulate_scenarios(model, scenarios)
     kb = features.build_knowledge_base(
-        trajectories, model.n_generators, spec["seed"],
+        simkit.simulate_scenarios(model, scenarios), spec["seed"],
         provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     features.save_knowledge_base(kb, args.out, _sidecar_path(args.out))

@@ -44,6 +44,8 @@ class ElmArchitecture:
             raise ShapeMismatchError("inconsistent hidden-layer sizes")
         if not np.all(np.isin(cf, (ACT_OFF, ACT_SIGMOID, ACT_LINEAR))):
             raise ElmError("activation codes must be 0, 1 or 2")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ElmError("non-finite input weights or biases")
         for arr in (w, b, cf):
             arr.setflags(write=False)
         object.__setattr__(self, "input_weights", w)
@@ -118,7 +120,8 @@ class ElmModel:
     `feature_mask` echoes which columns of the full feature space the
     architecture consumes; `means`/`stds` carry the standardization
     statistics needed at inference time (None for pre-standardized use).
-    Every array is a read-only copy, so one model can be shared.
+    Every array is a read-only copy, so one model can be shared; a
+    non-finite weight or statistic is refused.
     """
 
     architecture: ElmArchitecture
@@ -140,6 +143,8 @@ class ElmModel:
             value = getattr(self, name)
             if value is not None:
                 arr = np.array(value, dtype=dtype)
+                if not np.all(np.isfinite(arr)):
+                    raise ElmError(f"non-finite {name}")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 

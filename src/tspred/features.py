@@ -6,7 +6,6 @@ the center-of-inertia (COI) frame with prefault static quantities. Labels
 follow the sign of 360° minus the largest pairwise rotor-angle excursion.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,14 @@ def label_trajectory(trajectory):
     """+1 (stable) iff the largest pairwise angle gap stays below 360°.
 
     A gap of exactly 360° counts as unstable; conservative for a
-    protection trigger.
+    protection trigger. One scenario gives one label, a batch an (S,)
+    array of them.
     """
-    gaps = np.ptp(trajectory.delta_deg, axis=1)
-    return STABLE if float(np.max(gaps)) < INSTABILITY_THRESHOLD_DEG \
-        else UNSTABLE
+    delta = trajectory.delta_deg
+    # 64 instants at a time, so no temporary nears the history's size
+    gaps = np.max([np.ptp(delta[..., t:t + 64, :], axis=-1).max(axis=-1)
+                   for t in range(0, delta.shape[-2], 64)], axis=0)
+    return np.where(gaps < INSTABILITY_THRESHOLD_DEG, STABLE, UNSTABLE)[()]
 
 
 def feature_dimension(n_generators):
@@ -53,12 +55,8 @@ def feature_names(n_generators):
     names = []
     for k in range(WINDOW_SAMPLES):
         for i in range(n_generators):
-            names += [
-                f"w{k}_g{i}_angle_coi",
-                f"w{k}_g{i}_speed_coi",
-                f"w{k}_g{i}_acc_power",
-                f"w{k}_g{i}_kinetic",
-            ]
+            names += [f"w{k}_g{i}_{kind}" for kind in
+                      ("angle_coi", "speed_coi", "acc_power", "kinetic")]
         names += [f"w{k}_max_angle_gap", f"w{k}_coi_speed"]
     for i in range(n_generators):
         names += [f"static_g{i}_pm", f"static_g{i}_angle0_coi"]
@@ -66,54 +64,47 @@ def feature_names(n_generators):
 
 
 def extract_features(trajectory):
-    """Feature vector for one trajectory (see feature_names for layout).
+    """Feature row of one trajectory, or an (S, n) matrix of a batch's
+    rows (see feature_names for the layout).
 
     Window instants are t_clear + k/60 for k = 0..8, mapped to the
     integration grid by nearest-point selection.
     """
-    f0 = trajectory.f0
-    t_clear = trajectory.scenario.clearing_time(f0)
-    dt = trajectory.time[1] - trajectory.time[0]
-    t_end = trajectory.time[-1]
-    window_end = t_clear + (WINDOW_SAMPLES - 1) / WINDOW_RATE_HZ
-    if window_end > t_end + dt / 2:
+    time = trajectory.time
+    dt = time[1] - time[0]
+    window = (trajectory.t_clear[..., None]
+              + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ)
+    if np.max(window) > time[-1] + dt / 2:
         raise WindowOutOfRangeError(
-            f"trajectory ends at {t_end:.4f}s, window needs "
-            f"{window_end:.4f}s")
-
+            f"trajectory ends at {time[-1]:.4f}s, window needs "
+            f"{np.max(window):.4f}s")
+    idx = np.minimum(np.rint(window / dt).astype(int), len(time) - 1)
+    delta, speed, pe = (np.take_along_axis(x, idx[..., None], axis=-2)
+                        for x in (trajectory.delta_deg, trajectory.speed_dev,
+                                  trajectory.pe))
     h = trajectory.inertia
-    total_h = h.sum()
-    omega0 = 2.0 * np.pi * f0
 
-    values = []
-    for k in range(WINDOW_SAMPLES):
-        idx = min(int(round((t_clear + k / WINDOW_RATE_HZ) / dt)),
-                  len(trajectory.time) - 1)
-        delta = trajectory.delta_deg[idx]
-        speed = trajectory.speed_dev[idx]
-        coi_angle = float(h @ delta) / total_h
-        coi_speed = float(h @ speed) / total_h
-        acc = trajectory.pm - trajectory.pe[idx]
-        kinetic = h * speed ** 2 / omega0
-        for i in range(trajectory.n_generators):
-            values += [delta[i] - coi_angle, speed[i] - coi_speed,
-                       acc[i], kinetic[i]]
-        values += [float(np.ptp(delta)), coi_speed]
+    def coi(x):
+        return (x @ h / h.sum())[..., None]
 
-    delta0 = trajectory.delta_deg[0]
-    coi0 = float(h @ delta0) / total_h
-    for i in range(trajectory.n_generators):
-        values += [trajectory.pm[i], delta0[i] - coi0]
-
-    vec = np.array(values)
-    if not np.all(np.isfinite(vec)):
-        raise FeatureError("non-finite feature value")
-    return vec
+    pm = trajectory.pm[..., None, :]
+    per_machine = np.stack(
+        [delta - coi(delta), speed - coi(speed), pm - pe,
+         h * speed ** 2 / (2.0 * np.pi * trajectory.f0)], axis=-1)
+    per_instant = np.concatenate(
+        [per_machine.reshape(*idx.shape, -1),
+         np.ptp(delta, axis=-1)[..., None], coi(speed)], axis=-1)
+    delta0 = trajectory.delta_deg[..., :1, :]
+    statics = np.stack([pm, delta0 - coi(delta0)], axis=-1)
+    lead = idx.shape[:-1]
+    return np.concatenate([per_instant.reshape(*lead, -1),
+                           statics.reshape(*lead, -1)], axis=-1)
 
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Labeled raw feature matrix plus its seed and provenance."""
+    """Labeled raw feature matrix plus its seed and provenance; a
+    non-finite sample value or a label other than +1 or -1 is refused."""
 
     samples: np.ndarray        # (N, n)
     labels: np.ndarray         # (N,), values in {+1, -1}
@@ -123,13 +114,20 @@ class KnowledgeBase:
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
-        labels = np.array(self.labels, dtype=int)
+        labels = np.array(self.labels)
         if samples.shape[0] != labels.shape[0]:
             raise FeatureError("sample/label count mismatch")
         if samples.shape[1] != len(self.names):
             raise FeatureError("feature-name count mismatch")
-        if not np.all(np.isin(labels, (STABLE, UNSTABLE))):
-            raise FeatureError("labels must be +1 or -1")
+        table = np.column_stack([labels, samples])
+        bad = ~np.isfinite(table)
+        bad[:, 0] = ~np.isin(labels, (STABLE, UNSTABLE))
+        if np.any(bad):
+            row, col = np.argwhere(bad)[0]
+            want = "+1 or -1" if col == 0 else "a finite number"
+            raise FeatureError(f"sample {row + 1}, CSV column {col + 1} "
+                               f"holds {float(table[row, col])!r}, not {want}")
+        labels = labels.astype(int)
         samples.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -241,17 +239,13 @@ def kfold_partition(labels, k, seed):
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def build_knowledge_base(trajectories, n_generators, seed, provenance=""):
-    """Assemble raw (unstandardized) samples from simulated trajectories."""
-    names = feature_names(n_generators)
-    rows, labels = [], []
-    for traj in trajectories:
-        if traj.n_generators != n_generators:
-            raise FeatureError("trajectory generator count mismatch")
-        rows.append(extract_features(traj))
-        labels.append(label_trajectory(traj))
-    kb = KnowledgeBase(samples=np.array(rows), labels=np.array(labels),
-                       names=names, seed=seed, provenance=provenance)
+def build_knowledge_base(trajectory, seed, provenance=""):
+    """Raw (unstandardized) samples and labels of a simulated batch, one
+    row per scenario."""
+    kb = KnowledgeBase(samples=extract_features(trajectory),
+                       labels=label_trajectory(trajectory),
+                       names=feature_names(trajectory.inertia.size),
+                       seed=seed, provenance=provenance)
     if len(set(kb.labels.tolist())) < 2:
         raise DegenerateDatasetError(
             "knowledge base contains a single class")
@@ -263,11 +257,12 @@ def build_knowledge_base(trajectories, n_generators, seed, provenance=""):
 # ---------------------------------------------------------------------------
 
 def save_knowledge_base(kb, csv_path, sidecar_path):
+    """Write the KB CSV (CRLF line ends) and its sidecar."""
+    header = ",".join(["label"] + [f"f_{j}" for j in range(kb.n_features)])
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f_{j}" for j in range(kb.n_features)])
-        for label, row in zip(kb.labels, kb.samples):
-            writer.writerow([f"{label:+d}"] + [repr(float(v)) for v in row])
+        fh.write(header + "\r\n")
+        for label, row in zip(kb.labels.tolist(), kb.samples):
+            fh.write(f"{label:+d},{','.join(map(repr, row.tolist()))}\r\n")
     lines = [f"seed {kb.seed}", f"provenance {kb.provenance}"]
     lines += [f"feature {j} {name}" for j, name in enumerate(kb.names)]
     with open(sidecar_path, "w", encoding="utf-8") as fh:
@@ -296,19 +291,15 @@ def _name_feature(names, tokens, sidecar_path):
 def load_knowledge_base(csv_path, sidecar_path):
     """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
     `provenance` and `feature` (such as the standardization statistics
-    older sidecars hold) are skipped."""
+    older sidecars hold) are skipped, as are blank CSV lines."""
     with open(csv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "label":
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[0] != "label":
             raise FeatureError(f"{csv_path}: bad header")
-        labels, rows = [], []
-        for rec in reader:
-            if rec:
-                labels.append(int(rec[0]))
-                rows.append([float(v) for v in rec[1:]])
-    if not rows:
+        lines = fh.readlines()
+    if not any(map(str.strip, lines)):
         raise FeatureError(f"{csv_path}: no samples")
+    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     seed = 0
     provenance = ""
     names = [None] * (len(header) - 1)
@@ -326,5 +317,5 @@ def load_knowledge_base(csv_path, sidecar_path):
             elif key == "feature":
                 _name_feature(names, rest.split(), sidecar_path)
     return KnowledgeBase(
-        samples=np.array(rows), labels=np.array(labels), names=names,
-        seed=seed, provenance=provenance)
+        samples=table[:, 1:], labels=table[:, 0], names=names, seed=seed,
+        provenance=provenance)

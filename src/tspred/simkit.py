@@ -162,28 +162,33 @@ class SimulationScenario:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-domain response on a uniform grid.
+    """Time-domain response on a uniform grid, of one scenario or a batch.
 
-    Angles in degrees, speed deviations in rad/s, powers in per-unit.
+    Angles in degrees, speed deviations in rad/s, powers in per-unit,
+    clearing times in seconds. A batch puts a leading scenario axis S on
+    every series and on `pm` and `t_clear`; one scenario has none.
     `inertia` and `f0` are echoed from the model for feature extraction.
     """
 
-    time: np.ndarray           # (T,)
-    delta_deg: np.ndarray      # (T, G)
-    speed_dev: np.ndarray      # (T, G), rad/s
-    pm: np.ndarray             # (G,)
-    pe: np.ndarray             # (T, G)
+    time: np.ndarray           # (T+1,)
+    delta_deg: np.ndarray      # ([S,] T+1, G)
+    speed_dev: np.ndarray      # ([S,] T+1, G), rad/s
+    pm: np.ndarray             # ([S,] G)
+    pe: np.ndarray             # ([S,] T+1, G)
+    t_clear: np.ndarray        # ([S]), fault clearing time
     inertia: np.ndarray        # (G,)
     f0: float
-    scenario: SimulationScenario
 
     def __post_init__(self):
-        for name in ("time", "delta_deg", "speed_dev", "pm", "pe", "inertia"):
+        for name in ("time", "delta_deg", "speed_dev", "pm", "pe",
+                     "t_clear", "inertia"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-    @property
-    def n_generators(self):
-        return int(self.delta_deg.shape[1])
+    def row(self, s):
+        """Scenario `s` of a batch, without the scenario axis (views)."""
+        return replace(self, **{name: getattr(self, name)[s] for name in
+                                ("delta_deg", "speed_dev", "pm", "pe",
+                                 "t_clear")})
 
 
 def _power_mismatch(delta, model):
@@ -253,7 +258,7 @@ def simulate_scenarios(model, scenarios):
     t_clear is split in two so the state is continuous and the switching
     instant is hit exactly (a clearing on the step grid gets a first part
     of length zero). All scenarios share one step and horizon. Returns one
-    Trajectory per scenario, sampled on the integration grid.
+    Trajectory on the integration grid, scenario axis first.
     """
     dt, horizon = scenarios[0].step, scenarios[0].horizon
     if any(sc.step != dt or sc.horizon != horizon for sc in scenarios):
@@ -315,17 +320,16 @@ def simulate_scenarios(model, scenarios):
         y = np.array([model.y_prefault, y_s, y_post])[stage[s]]
         pe[s] = kernels.electrical_power(delta[s], emf[s], y)
     np.degrees(delta, out=delta)
-    for arr in (time, delta, speed, pe):
+    for arr in (time, delta, speed, pm, pe, t_clear):
         arr.setflags(write=False)
-    return [Trajectory(time=time, delta_deg=delta[s], speed_dev=speed[s],
-                       pm=m.pm, pe=pe[s], inertia=m.inertia, f0=m.f0,
-                       scenario=sc)
-            for s, (sc, (m, _)) in enumerate(zip(scenarios, levels))]
+    return Trajectory(time=time, delta_deg=delta, speed_dev=speed, pm=pm,
+                      pe=pe, t_clear=t_clear, inertia=model.inertia,
+                      f0=model.f0)
 
 
 def simulate_trajectory(model, scenario):
-    """Integrate one fault scenario: simulate_scenarios on a batch of one."""
-    return simulate_scenarios(model, [scenario])[0]
+    """Integrate one fault scenario: row 0 of a batch of one."""
+    return simulate_scenarios(model, [scenario]).row(0)
 
 
 def build_scenario_grid(faults, clearing_cycles, load_levels, seed,

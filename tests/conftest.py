@@ -15,25 +15,22 @@ def three_machine():
 
 
 def make_trajectory(delta_deg, dt=1.0 / 240.0, f0=60.0, inertia=None,
-                    clearing_cycles=0.0, speed=None, pm=None, pe=None):
-    """Synthetic Trajectory for tests that only need some of the series."""
+                    t_clear=0.0, speed=None, pm=None, pe=None):
+    """Synthetic Trajectory for tests that only need some of the series;
+    axes of `delta_deg` before (T+1, G) are scenario axes."""
     delta_deg = np.atleast_2d(np.asarray(delta_deg, dtype=float))
-    n_t, ng = delta_deg.shape
+    *lead, n_t, ng = delta_deg.shape
     if inertia is None:
         inertia = np.ones(ng)
-    # a one-sample series still gets a positive, one-step horizon
-    scenario = simkit.SimulationScenario(
-        fault="fault", clearing_cycles=clearing_cycles,
-        step=dt, horizon=max(n_t - 1, 1) * dt)
     return simkit.Trajectory(
         time=np.arange(n_t) * dt,
         delta_deg=delta_deg,
-        speed_dev=np.zeros((n_t, ng)) if speed is None else speed,
-        pm=np.zeros(ng) if pm is None else pm,
-        pe=np.zeros((n_t, ng)) if pe is None else pe,
+        speed_dev=np.zeros_like(delta_deg) if speed is None else speed,
+        pm=np.zeros((*lead, ng)) if pm is None else pm,
+        pe=np.zeros_like(delta_deg) if pe is None else pe,
+        t_clear=np.full(lead, t_clear),
         inertia=inertia,
         f0=f0,
-        scenario=scenario,
     )
 
 
@@ -58,8 +55,8 @@ def smib_kb(smib):
         clearing_cycles=[5.0, 7.5, 10.0],
         load_levels=[0.8, 0.9, 1.0, 1.1, 1.2, 1.25, 1.3],
         seed=3)
-    trajectories = [simkit.simulate_trajectory(smib, sc) for sc in scenarios]
-    return features.build_knowledge_base(trajectories, smib.n_generators, 3)
+    return features.build_knowledge_base(
+        simkit.simulate_scenarios(smib, scenarios), 3)
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +65,6 @@ def three_machine_kb():
     files (378 scenarios, 132 features)."""
     model = simkit.load_model("fixtures/three_machine.sys")
     spec = simkit.load_grid_spec("fixtures/three_machine.grid")
-    trajectories = simkit.simulate_scenarios(
-        model, simkit.build_scenario_grid(**spec))
-    return features.build_knowledge_base(trajectories, model.n_generators,
-                                         spec["seed"])
+    return features.build_knowledge_base(
+        simkit.simulate_scenarios(model, simkit.build_scenario_grid(**spec)),
+        spec["seed"])

@@ -473,11 +473,29 @@ def _write_malformed(case, kb_csv, tmp_path):
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
     if case.startswith("kb"):
         lines = kb_csv.read_text().splitlines(keepends=True)
-        kb.write_text("".join(lines[:3] + ["\n"] + lines[3:])
-                      if case == "kb blank line" else lines[0])
+        cells = lines[2].rstrip("\n").split(",")      # the second sample
+        if case == "kb blank line":
+            lines.insert(3, "\n")
+        elif case == "kb header only":
+            lines = lines[:1]
+        elif case == "kb ragged row":
+            lines[2] = ",".join(cells[:-1]) + "\n"
+        else:
+            col, value = {"kb nan cell": (-1, "nan"),
+                          "kb text cell": (5, "abc"),
+                          "kb fractional label": (0, "1.5")}[case]
+            cells[col] = value
+            lines[2] = ",".join(cells) + "\n"
+        kb.write_text("".join(lines))
         shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
+    if case == "elm nan mean":
+        model = tmp_path / "model.elm"
+        model.write_text("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 1\n"
+                         "beta 1.0\nw 1.0\nmask 1 0\nmeans nan 0.0\n"
+                         "stds 1.0 1.0\n")
+        return ["predict", "--model", str(model), "--row=1.0,2.0"]
     if case.startswith("abbreviated"):
         argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
         if case == "abbreviated flags":
@@ -510,6 +528,13 @@ def _write_malformed(case, kb_csv, tmp_path):
 @pytest.mark.parametrize("case, code, message", [
     ("kb blank line", cli.EXIT_OK, ""),
     ("kb header only", cli.EXIT_RUNTIME, "no samples"),
+    ("kb nan cell", cli.EXIT_RUNTIME,
+     "sample 2, CSV column 95 holds nan, not a finite number"),
+    ("kb fractional label", cli.EXIT_RUNTIME,
+     "sample 2, CSV column 1 holds 1.5, not +1 or -1"),
+    ("kb ragged row", cli.EXIT_RUNTIME, "number of columns changed"),
+    ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
+    ("elm nan mean", cli.EXIT_RUNTIME, "non-finite means"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
     ("sys long gen line", cli.EXIT_RUNTIME,
      "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E Pm), not 6"),

@@ -264,6 +264,24 @@ def test_model_file_shape_mismatch_refused(tmp_path, pattern, replacement):
         elm.load_model(path)
 
 
+@pytest.mark.parametrize("pattern, replacement, what", [
+    (r"^means \S+", "means nan", "means"),     # column 0 is masked in
+    (r"^stds \S+", "stds inf", "stds"),
+    (r"^w \S+", "w -inf", "input weights"),
+    (r"^biases \S+", "biases nan", "biases"),
+], ids=["nan mean", "inf std", "inf w", "nan bias"])
+def test_model_file_non_finite_refused(tmp_path, pattern, replacement, what):
+    # a model that would score every row nan gives no verdict
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    text = path.read_text()
+    edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
+    assert edited != text
+    path.write_text(edited)
+    with pytest.raises(elm.ElmError, match=f"model file.*non-finite.*{what}"):
+        elm.load_model(path)
+
+
 def test_unchanged_model_file_parsed_once(tmp_path):
     # the same bytes, at any path, give back the model already parsed
     path = tmp_path / "model.elm"

@@ -30,6 +30,7 @@ class TestLabeling:
 
     def test_agrees_with_pairwise_brute_force(self):
         rng = np.random.default_rng(1)
+        cases, expected = [], []
         for _ in range(50):
             ng = rng.integers(2, 5)
             delta = rng.uniform(-400, 400, size=(20, ng))
@@ -37,9 +38,14 @@ class TestLabeling:
             worst = max(abs(delta[t, i] - delta[t, j])
                         for t in range(delta.shape[0])
                         for i in range(ng) for j in range(ng))
-            expected = features.STABLE if worst < 360.0 \
-                else features.UNSTABLE
-            assert features.label_trajectory(traj) == expected
+            expected.append(features.STABLE if worst < 360.0
+                            else features.UNSTABLE)
+            assert features.label_trajectory(traj) == expected[-1]
+            # as one batch of 4 machines: copies of the last machine
+            # move no gap
+            cases.append(delta[:, np.minimum(np.arange(4), ng - 1)])
+        batch = features.label_trajectory(make_trajectory(np.array(cases)))
+        assert batch.tolist() == expected
 
     @given(offset=st.floats(-1000, 1000))
     @settings(max_examples=25, deadline=None)
@@ -75,6 +81,20 @@ class TestExtraction:
         with pytest.raises(features.WindowOutOfRangeError):
             features.extract_features(traj)
 
+    def test_batch_equals_stacked_scenarios(self, three_machine):
+        # off-grid and on-grid clearings at several load levels
+        grid = simkit.build_scenario_grid(
+            sorted(three_machine.y_fault), [5.3, 6.0, 7.77, 9.9],
+            [0.8, 1.0, 1.15, 1.3], seed=2)
+        batch = simkit.simulate_scenarios(three_machine, grid)
+        rows = [batch.row(s) for s in range(len(grid))]
+        labels = features.label_trajectory(batch)
+        assert labels.tolist() == [features.label_trajectory(r) for r in rows]
+        assert set(labels.tolist()) == {features.STABLE, features.UNSTABLE}
+        stacked = np.array([features.extract_features(r) for r in rows])
+        assert np.allclose(features.extract_features(batch), stacked,
+                           rtol=0.0, atol=1e-12)
+
     def test_generator_permutation_permutes_blocks(self, three_machine):
         sc = simkit.SimulationScenario(fault="bus1", clearing_cycles=6.0,
                                        horizon=1.0)
@@ -85,7 +105,7 @@ class TestExtraction:
             time=traj.time, delta_deg=traj.delta_deg[:, perm],
             speed_dev=traj.speed_dev[:, perm], pm=traj.pm[perm],
             pe=traj.pe[:, perm], inertia=traj.inertia[perm],
-            f0=traj.f0, scenario=traj.scenario)
+            t_clear=traj.t_clear, f0=traj.f0)
         vec_p = features.extract_features(permuted)
         names = features.feature_names(3)
         lookup = dict(zip(names, vec))

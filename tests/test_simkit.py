@@ -158,19 +158,18 @@ def test_batch_matches_per_scenario_runs(three_machine):
         sorted(three_machine.y_fault), [5.3, 6.0, 7.77, 9.9],
         [0.8, 1.0, 1.15, 1.3], seed=2)
     batch = simkit.simulate_scenarios(three_machine, grid)
-    assert len(batch) == len(grid) == 48
-    labels = set()
-    for sc, traj in zip(grid, batch):
+    assert len(batch.delta_deg) == len(grid) == 48
+    labels = features.label_trajectory(batch)
+    for s, sc in enumerate(grid):
         alone = simkit.simulate_trajectory(three_machine, sc)
-        assert traj.scenario == sc
-        assert np.max(np.abs(traj.delta_deg - alone.delta_deg)) < 1e-9
-        assert np.max(np.abs(traj.speed_dev - alone.speed_dev)) < 1e-9
-        assert np.max(np.abs(traj.pe - alone.pe)) < 1e-9
-        assert np.array_equal(traj.pm, alone.pm)
-        label = features.label_trajectory(traj)
-        assert label == features.label_trajectory(alone)
-        labels.add(label)
-    assert labels == {features.STABLE, features.UNSTABLE}
+        assert batch.t_clear[s] == alone.t_clear == \
+            sc.clearing_time(three_machine.f0)
+        assert np.max(np.abs(batch.delta_deg[s] - alone.delta_deg)) < 1e-9
+        assert np.max(np.abs(batch.speed_dev[s] - alone.speed_dev)) < 1e-9
+        assert np.max(np.abs(batch.pe[s] - alone.pe)) < 1e-9
+        assert np.array_equal(batch.pm[s], alone.pm)
+        assert labels[s] == features.label_trajectory(alone)
+    assert set(labels.tolist()) == {features.STABLE, features.UNSTABLE}
 
 
 def test_fixture_kb_matches_frozen_reference(three_machine_kb, tmp_path):
