@@ -53,7 +53,9 @@ def cmd_generate(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     kb = features.build_knowledge_base(
-        simkit.simulate_scenarios(model, scenarios), spec["seed"],
+        simkit.simulate_scenarios(model, scenarios,
+                                  keep=features.sample_steps),
+        spec["seed"],
         provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     features.save_knowledge_base(kb, args.out, _sidecar_path(args.out))

@@ -39,11 +39,8 @@ def label_trajectory(trajectory):
     protection trigger. One scenario gives one label, a batch an (S,)
     array of them.
     """
-    delta = trajectory.delta_deg
-    # 64 instants at a time, so no temporary nears the history's size
-    gaps = np.max([np.ptp(delta[..., t:t + 64, :], axis=-1).max(axis=-1)
-                   for t in range(0, delta.shape[-2], 64)], axis=0)
-    return np.where(gaps < INSTABILITY_THRESHOLD_DEG, STABLE, UNSTABLE)[()]
+    return np.where(trajectory.max_gap_deg < INSTABILITY_THRESHOLD_DEG,
+                    STABLE, UNSTABLE)[()]
 
 
 def feature_dimension(n_generators):
@@ -63,25 +60,26 @@ def feature_names(n_generators):
     return names
 
 
-def extract_features(trajectory):
-    """Feature row of one trajectory, or an (S, n) matrix of a batch's
-    rows (see feature_names for the layout).
-
-    Window instants are t_clear + k/60 for k = 0..8, mapped to the
-    integration grid by nearest-point selection.
-    """
-    time = trajectory.time
+def sample_steps(t_clear, time):
+    """Grid steps a feature row reads, ([S,] 10): step 0, then the window
+    instants t_clear + k/60 for k = 0..8 mapped to the integration grid
+    `time` by nearest-point selection."""
     dt = time[1] - time[0]
-    window = (trajectory.t_clear[..., None]
-              + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ)
+    window = t_clear[..., None] + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ
     if np.max(window) > time[-1] + dt / 2:
         raise WindowOutOfRangeError(
             f"trajectory ends at {time[-1]:.4f}s, window needs "
             f"{np.max(window):.4f}s")
     idx = np.minimum(np.rint(window / dt).astype(int), len(time) - 1)
-    delta, speed, pe = (np.take_along_axis(x, idx[..., None], axis=-2)
-                        for x in (trajectory.delta_deg, trajectory.speed_dev,
-                                  trajectory.pe))
+    return np.concatenate([np.zeros_like(idx[..., :1]), idx], axis=-1)
+
+
+def extract_features(trajectory):
+    """Feature row of one trajectory, or an (S, n) matrix of a batch's
+    rows (see feature_names for the layout), read at sample_steps."""
+    steps = sample_steps(trajectory.t_clear, trajectory.time)
+    delta0 = trajectory.at(steps[..., :1])[0]
+    delta, speed, pe = trajectory.at(steps[..., 1:])
     h = trajectory.inertia
 
     def coi(x):
@@ -92,11 +90,10 @@ def extract_features(trajectory):
         [delta - coi(delta), speed - coi(speed), pm - pe,
          h * speed ** 2 / (2.0 * np.pi * trajectory.f0)], axis=-1)
     per_instant = np.concatenate(
-        [per_machine.reshape(*idx.shape, -1),
+        [per_machine.reshape(*delta.shape[:-1], -1),
          np.ptp(delta, axis=-1)[..., None], coi(speed)], axis=-1)
-    delta0 = trajectory.delta_deg[..., :1, :]
     statics = np.stack([pm, delta0 - coi(delta0)], axis=-1)
-    lead = idx.shape[:-1]
+    lead = steps.shape[:-1]
     return np.concatenate([per_instant.reshape(*lead, -1),
                            statics.reshape(*lead, -1)], axis=-1)
 
@@ -288,6 +285,25 @@ def _name_feature(names, tokens, sidecar_path):
     names[j] = tokens[1]
 
 
+def _parse_error(csv_path, width, lines, exc):
+    """Name the first CSV body line that `exc` (from np.loadtxt) could
+    have come from, counting the header as line 1."""
+    for n, ln in enumerate(lines, start=2):
+        if not ln.strip():
+            continue
+        cells = ln.rstrip("\r\n").split(",")
+        if len(cells) != width:
+            return (f"{csv_path} line {n}: the number of columns changed "
+                    f"from {width} to {len(cells)}")
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return (f"{csv_path} line {n}: could not convert string "
+                        f"{cell!r} to float")
+    return f"{csv_path}: {exc}"
+
+
 def load_knowledge_base(csv_path, sidecar_path):
     """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
     `provenance` and `feature` (such as the standardization statistics
@@ -299,7 +315,11 @@ def load_knowledge_base(csv_path, sidecar_path):
         lines = fh.readlines()
     if not any(map(str.strip, lines)):
         raise FeatureError(f"{csv_path}: no samples")
-    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FeatureError(
+            _parse_error(csv_path, len(header), lines, exc)) from None
     seed = 0
     provenance = ""
     names = [None] * (len(header) - 1)

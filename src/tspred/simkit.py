@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import kernels
+from .features import INSTABILITY_THRESHOLD_DEG
 
 #: default integration step: a quarter of a 60 Hz cycle
 DEFAULT_STEP = 1.0 / 240.0
@@ -29,6 +30,8 @@ _MATRIX_SYMMETRY_TOL = 1e-9
 _EQUILIBRIUM_TOL = 1e-8
 _NEWTON_MAX_STEPS = 50
 _NEWTON_STEP_TOL = 1e-12
+#: samples per stored-Pe call; each gathers a G×G complex matrix per sample
+_PE_SAMPLES_PER_CALL = 8192
 
 
 class SimkitError(Exception):
@@ -162,33 +165,58 @@ class SimulationScenario:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-domain response on a uniform grid, of one scenario or a batch.
+    """Samples of a time-domain response on a uniform grid, of one
+    scenario or a batch.
 
-    Angles in degrees, speed deviations in rad/s, powers in per-unit,
-    clearing times in seconds. A batch puts a leading scenario axis S on
-    every series and on `pm` and `t_clear`; one scenario has none.
-    `inertia` and `f0` are echoed from the model for feature extraction.
+    `steps` names the grid step of each kept sample: every step of `time`
+    for a full history, fewer when the run kept only some. Angles in
+    degrees, speed deviations in rad/s, powers in per-unit, clearing times
+    in seconds. `max_gap_deg` is the largest pairwise rotor-angle gap the
+    run reached, over every step it integrated. A batch puts a leading
+    scenario axis S on every series and on `pm`, `t_clear` and
+    `max_gap_deg`; one scenario has none. `inertia` and `f0` are echoed
+    from the model for feature extraction.
     """
 
-    time: np.ndarray           # (T+1,)
-    delta_deg: np.ndarray      # ([S,] T+1, G)
-    speed_dev: np.ndarray      # ([S,] T+1, G), rad/s
+    time: np.ndarray           # (T+1,), the integration grid
+    steps: np.ndarray          # ([S,] K), grid step of each sample
+    delta_deg: np.ndarray      # ([S,] K, G)
+    speed_dev: np.ndarray      # ([S,] K, G), rad/s
     pm: np.ndarray             # ([S,] G)
-    pe: np.ndarray             # ([S,] T+1, G)
+    pe: np.ndarray             # ([S,] K, G)
     t_clear: np.ndarray        # ([S]), fault clearing time
+    max_gap_deg: np.ndarray    # ([S])
     inertia: np.ndarray        # (G,)
     f0: float
 
     def __post_init__(self):
         for name in ("time", "delta_deg", "speed_dev", "pm", "pe",
-                     "t_clear", "inertia"):
+                     "t_clear", "max_gap_deg", "inertia"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "steps", _readonly(self.steps, int))
 
     def row(self, s):
         """Scenario `s` of a batch, without the scenario axis (views)."""
         return replace(self, **{name: getattr(self, name)[s] for name in
-                                ("delta_deg", "speed_dev", "pm", "pe",
-                                 "t_clear")})
+                                ("steps", "delta_deg", "speed_dev", "pm",
+                                 "pe", "t_clear", "max_gap_deg")})
+
+    def at(self, steps):
+        """(delta_deg, speed_dev, pe) at grid `steps` ([S,] n), each
+        ([S,] n, G); a step the run did not keep raises ValueError."""
+        pos = np.argmax(self.steps[..., None, :] == steps[..., None], axis=-1)
+        if not np.array_equal(np.take_along_axis(self.steps, pos, -1),
+                              steps):
+            raise ValueError("trajectory keeps no sample at some of grid "
+                             f"steps {np.unique(steps).tolist()}")
+        return tuple(np.take_along_axis(x, pos[..., None], axis=-2)
+                     for x in (self.delta_deg, self.speed_dev, self.pe))
+
+
+def angle_gap(delta_deg):
+    """Largest pairwise rotor-angle gap at each instant: ptp over the
+    machine axis."""
+    return np.ptp(delta_deg, axis=-1)
 
 
 def _power_mismatch(delta, model):
@@ -249,7 +277,7 @@ def operating_point(model, level):
             f"load level {level} destroys the operating point") from exc
 
 
-def simulate_scenarios(model, scenarios):
+def simulate_scenarios(model, scenarios, keep=None):
     """Integrate fault scenarios together with fixed-step RK4.
 
     Each scenario starts from the prefault equilibrium at its load level,
@@ -257,8 +285,16 @@ def simulate_scenarios(model, scenarios):
     [0, t_clear), the postfault one afterwards; the step containing
     t_clear is split in two so the state is continuous and the switching
     instant is hit exactly (a clearing on the step grid gets a first part
-    of length zero). All scenarios share one step and horizon. Returns one
-    Trajectory on the integration grid, scenario axis first.
+    of length zero). All scenarios share one step and horizon.
+
+    `keep(t_clear, time)`, called before any step is taken, returns the
+    grid steps to record for each scenario, ([S,] K) ints; by default
+    every step is kept. Each step updates every running row's largest
+    angle gap; a row leaves the batch once that gap has reached the
+    instability threshold (its label cannot change) and its last kept
+    step is past, so with the default every row runs the whole horizon.
+    The overflow guard watches the rows still running. Pe is computed at
+    the kept samples only. Returns one Trajectory, scenario axis first.
     """
     dt, horizon = scenarios[0].step, scenarios[0].horizon
     if any(sc.step != dt or sc.horizon != horizon for sc in scenarios):
@@ -269,61 +305,92 @@ def simulate_scenarios(model, scenarios):
     t_clear = np.array([sc.clearing_time(model.f0) for sc in scenarios])
     if np.any(horizon < t_clear):
         raise ValueError("horizon shorter than the fault clearing time")
+    nsteps = int(round(horizon / dt))
+    time = np.arange(nsteps + 1) * dt
+    n_rows = len(scenarios)
+    steps = np.arange(nsteps + 1) if keep is None else keep(t_clear, time)
+    steps = np.broadcast_to(steps, (n_rows, np.shape(steps)[-1]))
+    if not np.all((0 <= steps) & (steps <= nsteps)):
+        raise ValueError("kept steps outside the integration grid")
     operating = {lv: operating_point(model, lv)
                  for lv in dict.fromkeys(sc.load_level for sc in scenarios)}
     levels = [operating[sc.load_level] for sc in scenarios]
 
-    nsteps = int(round(horizon / dt))
-    time = np.arange(nsteps + 1) * dt
     emf = np.array([m.emf for m, _ in levels])
     pm = np.array([m.pm for m, _ in levels])
     y_fault = np.array([model.y_fault[sc.fault] for sc in scenarios])
-    delta = np.empty((len(scenarios), nsteps + 1, model.n_generators))
-    speed = np.zeros_like(delta)
-    delta[:, 0] = [delta0 for _, delta0 in levels]
+    delta = np.empty((*steps.shape, model.n_generators))
+    speed = np.empty_like(delta)
+    max_gap = np.empty(n_rows)
 
     eps = 1e-12
     n_fault = np.minimum(np.floor(t_clear / dt + eps), nsteps).astype(int)
     rem = t_clear - n_fault * dt
     rem[rem <= eps] = 0.0
-    clears = {k: np.nonzero(n_fault == k)[0] for k in np.unique(n_fault)}
     y_post = model.y_postfault
-    y = y_fault.copy()
     hd = (model.inertia, model.damping)
     limit = math.radians(OVERFLOW_LIMIT_DEG)
-    d, w = delta[:, 0], speed[:, 0]
-    for k in range(nsteps):
-        cut = clears.get(k, ())
-        step = dt
-        if len(cut):
-            step = np.full((len(d), 1), dt)
-            step[cut, 0] = rem[cut]
-        d, w = kernels.rk4_step(d, w, step, *hd, emf, pm, y, model.omega0)
-        if len(cut):
-            y[cut] = y_post
-            d[cut], w[cut] = kernels.rk4_step(
-                d[cut], w[cut], dt - rem[cut, None], *hd, emf[cut], pm[cut],
-                y[cut], model.omega0)
-        if not np.all(np.abs(d) <= limit):
-            raise NumericOverflowError(
-                "rotor angle exceeded the overflow guard "
-                f"({OVERFLOW_LIMIT_DEG:g} degrees)")
-        delta[:, k + 1] = d
-        speed[:, k + 1] = w
+    recorded = set(np.unique(steps).tolist())
+    # the running batch: row r of these arrays is scenario rows[r]
+    rows = np.arange(n_rows)
+    d = np.array([delta0 for _, delta0 in levels])
+    w = np.zeros_like(d)
+    gap = np.full(n_rows, -np.inf)
+    run = (emf, pm, y_fault.copy(), n_fault, rem, steps,
+           steps.max(axis=1))
+    for k in range(nsteps + 1):
+        e, p, y, n_f, r_f, kept, last = run
+        if k:
+            cut = np.nonzero(n_f == k - 1)[0]
+            step = dt
+            if len(cut):
+                step = np.full((len(d), 1), dt)
+                step[cut, 0] = r_f[cut]
+            d, w = kernels.rk4_step(d, w, step, *hd, e, p, y, model.omega0)
+            if len(cut):
+                y[cut] = y_post
+                d[cut], w[cut] = kernels.rk4_step(
+                    d[cut], w[cut], dt - r_f[cut, None], *hd, e[cut],
+                    p[cut], y[cut], model.omega0)
+            if not np.all(np.abs(d) <= limit):
+                raise NumericOverflowError(
+                    "rotor angle exceeded the overflow guard "
+                    f"({OVERFLOW_LIMIT_DEG:g} degrees)")
+        gap = np.maximum(gap, angle_gap(np.degrees(d)))
+        if k in recorded:
+            at_r, at_c = np.nonzero(kept == k)
+            delta[rows[at_r], at_c] = d[at_r]
+            speed[rows[at_r], at_c] = w[at_r]
+        settled = (gap >= INSTABILITY_THRESHOLD_DEG) & (last <= k)
+        if np.any(settled):
+            max_gap[rows[settled]] = gap[settled]
+            going = ~settled
+            rows, d, w, gap = rows[going], d[going], w[going], gap[going]
+            run = tuple(a[going] for a in run)
+            if not len(rows):
+                break
+    max_gap[rows] = gap
 
     # stored Pe: prefault at t = 0, during-fault while t < t_clear, then
-    # postfault; one scenario at a time keeps the temporaries small
-    stage = np.where(time < t_clear[:, None], 1, 2)
-    stage[:, 0] = 0
+    # postfault. The matrix of every sample is gathered, so a full history
+    # takes a few rows per call; the ten samples of `generate` take one.
+    stage = np.where(time[steps] < t_clear[:, None], 1, 2)
+    stage[steps == 0] = 0
+    y_stage = np.stack([np.broadcast_to(model.y_prefault, y_fault.shape),
+                        y_fault, np.broadcast_to(y_post, y_fault.shape)],
+                       axis=1)
     pe = np.empty_like(delta)
-    for s, y_s in enumerate(y_fault):
-        y = np.array([model.y_prefault, y_s, y_post])[stage[s]]
-        pe[s] = kernels.electrical_power(delta[s], emf[s], y)
+    chunk = max(1, _PE_SAMPLES_PER_CALL // steps.shape[1])
+    for part in (slice(lo, lo + chunk) for lo in range(0, n_rows, chunk)):
+        y = np.take_along_axis(y_stage[part], stage[part, :, None, None],
+                               axis=1)
+        pe[part] = kernels.electrical_power(delta[part], emf[part, None], y)
     np.degrees(delta, out=delta)
-    for arr in (time, delta, speed, pm, pe, t_clear):
+    for arr in (time, delta, speed, pm, pe, t_clear, max_gap):
         arr.setflags(write=False)
-    return Trajectory(time=time, delta_deg=delta, speed_dev=speed, pm=pm,
-                      pe=pe, t_clear=t_clear, inertia=model.inertia,
+    return Trajectory(time=time, steps=steps, delta_deg=delta,
+                      speed_dev=speed, pm=pm, pe=pe, t_clear=t_clear,
+                      max_gap_deg=max_gap, inertia=model.inertia,
                       f0=model.f0)
 
 

@@ -16,19 +16,21 @@ def three_machine():
 
 def make_trajectory(delta_deg, dt=1.0 / 240.0, f0=60.0, inertia=None,
                     t_clear=0.0, speed=None, pm=None, pe=None):
-    """Synthetic Trajectory for tests that only need some of the series;
-    axes of `delta_deg` before (T+1, G) are scenario axes."""
+    """Synthetic full-history Trajectory for tests that only need some of
+    the series; axes of `delta_deg` before (T+1, G) are scenario axes."""
     delta_deg = np.atleast_2d(np.asarray(delta_deg, dtype=float))
     *lead, n_t, ng = delta_deg.shape
     if inertia is None:
         inertia = np.ones(ng)
     return simkit.Trajectory(
         time=np.arange(n_t) * dt,
+        steps=np.broadcast_to(np.arange(n_t), (*lead, n_t)),
         delta_deg=delta_deg,
         speed_dev=np.zeros_like(delta_deg) if speed is None else speed,
         pm=np.zeros((*lead, ng)) if pm is None else pm,
         pe=np.zeros_like(delta_deg) if pe is None else pe,
         t_clear=np.full(lead, t_clear),
+        max_gap_deg=simkit.angle_gap(delta_deg).max(axis=-1),
         inertia=inertia,
         f0=f0,
     )
@@ -56,7 +58,8 @@ def smib_kb(smib):
         load_levels=[0.8, 0.9, 1.0, 1.1, 1.2, 1.25, 1.3],
         seed=3)
     return features.build_knowledge_base(
-        simkit.simulate_scenarios(smib, scenarios), 3)
+        simkit.simulate_scenarios(smib, scenarios,
+                                  keep=features.sample_steps), 3)
 
 
 @pytest.fixture(scope="session")
@@ -66,5 +69,6 @@ def three_machine_kb():
     model = simkit.load_model("fixtures/three_machine.sys")
     spec = simkit.load_grid_spec("fixtures/three_machine.grid")
     return features.build_knowledge_base(
-        simkit.simulate_scenarios(model, simkit.build_scenario_grid(**spec)),
+        simkit.simulate_scenarios(model, simkit.build_scenario_grid(**spec),
+                                  keep=features.sample_steps),
         spec["seed"])

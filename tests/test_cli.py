@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspred import cli, elm, features
+from tspred import cli, elm, features, kernels
 
 FIXTURES = "fixtures"
 
@@ -76,6 +76,24 @@ class TestGenerate:
         assert run(["generate", "--model", "nope.sys",
                     "--grid", f"{FIXTURES}/smib.grid",
                     "--out", str(tmp_path / "kb.csv")]) == cli.EXIT_USAGE
+
+    def test_window_past_horizon_refused_before_integrating(
+            self, tmp_path, monkeypatch, capsys):
+        # a 10-cycle clearing needs the window to 0.3 s; the grid stops at
+        # 0.2 s, which is known before the first step
+        grid = tmp_path / "short.grid"
+        grid.write_text(Path(FIXTURES, "smib.grid").read_text().replace(
+            "horizon = 3.0", "horizon = 0.2"))
+        steps = []
+        rk4_step = kernels.rk4_step
+        monkeypatch.setattr(kernels, "rk4_step",
+                            lambda *args: steps.append(1) or rk4_step(*args))
+        assert run(["generate", "--model", f"{FIXTURES}/smib.sys",
+                    "--grid", str(grid),
+                    "--out", str(tmp_path / "kb.csv")]) == cli.EXIT_RUNTIME
+        assert "trajectory ends at 0.2000s, window needs 0.3000s" in \
+            capsys.readouterr().err
+        assert steps == []
 
 
 class TestOptimize:
@@ -562,3 +580,10 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
         exit_code = exc.code
     assert exit_code == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["kb ragged row", "kb text cell"])
+def test_kb_parse_error_names_file_and_line(case, kb_csv, tmp_path, capsys):
+    # the second sample is line 3 of the file, under the header
+    assert run(_write_malformed(case, kb_csv, tmp_path)) == cli.EXIT_RUNTIME
+    assert f"{tmp_path / 'kb.csv'} line 3: " in capsys.readouterr().err

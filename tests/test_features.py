@@ -101,11 +101,10 @@ class TestExtraction:
         traj = simkit.simulate_trajectory(three_machine, sc)
         vec = features.extract_features(traj)
         perm = [2, 0, 1]
-        permuted = simkit.Trajectory(
-            time=traj.time, delta_deg=traj.delta_deg[:, perm],
+        permuted = dataclasses.replace(
+            traj, delta_deg=traj.delta_deg[:, perm],
             speed_dev=traj.speed_dev[:, perm], pm=traj.pm[perm],
-            pe=traj.pe[:, perm], inertia=traj.inertia[perm],
-            t_clear=traj.t_clear, f0=traj.f0)
+            pe=traj.pe[:, perm], inertia=traj.inertia[perm])
         vec_p = features.extract_features(permuted)
         names = features.feature_names(3)
         lookup = dict(zip(names, vec))
