@@ -94,10 +94,8 @@ def _optimize_once(kb, split, scaled, seed, optimizer, args):
     result = swarm.OPTIMIZERS[optimizer](ctx, spec.dim, config)
     elapsed = time.perf_counter() - t0
     arch, mask = swarm.decode_particle(result.best_position, spec)
-    model = elm.train(arch, x[:, mask], y)
-    model = elm.ElmModel(architecture=model.architecture,
-                         output_weights=model.output_weights,
-                         feature_mask=mask, means=means, stds=stds)
+    model = elm.ElmModel(arch, elm.train(arch, x[:, mask], y), mask, means,
+                         stds)
     return result, model, elapsed
 
 
@@ -189,8 +187,6 @@ def cmd_compare(args):
 def cmd_predict(args):
     model_path = _require(args.model, "model file")
     model = elm.load_model(model_path)
-    if model.feature_mask is None:
-        raise UsageError(f"model {model_path} carries no feature mask")
     n_full = model.feature_mask.shape[0]
     if args.row:
         raw_rows = [args.row]

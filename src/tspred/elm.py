@@ -115,69 +115,60 @@ def pseudoinverse(h, width=None):
 
 @dataclass(frozen=True)
 class ElmModel:
-    """Trained classifier: architecture plus output weights.
+    """Trained classifier: the architecture, its output weights, the
+    columns of the full feature space it consumes and the training
+    standardization statistics, so it scores raw rows.
 
-    `feature_mask` echoes which columns of the full feature space the
-    architecture consumes; `means`/`stds` carry the standardization
-    statistics needed at inference time (None for pre-standardized use).
     Every array is a read-only copy, so one model can be shared; a
-    non-finite weight or statistic is refused.
+    non-finite weight or statistic, or sizes that disagree, are refused.
     """
 
     architecture: ElmArchitecture
-    output_weights: np.ndarray      # (L,)
-    feature_mask: np.ndarray = None  # (n_full,) booleans
-    means: np.ndarray = None
-    stds: np.ndarray = None
+    output_weights: np.ndarray   # (L,)
+    feature_mask: np.ndarray     # (n_full,) booleans
+    means: np.ndarray            # (n_full,)
+    stds: np.ndarray             # (n_full,)
 
     def __post_init__(self):
-        beta = np.array(self.output_weights, dtype=float)
-        if beta.shape != (self.architecture.hidden_size,):
-            raise ShapeMismatchError("output-weight length != hidden size")
-        if not np.all(np.isfinite(beta)):
-            raise ElmError("non-finite output weights")
-        beta.setflags(write=False)
-        object.__setattr__(self, "output_weights", beta)
-        for name, dtype in (("feature_mask", bool), ("means", float),
-                            ("stds", float)):
-            value = getattr(self, name)
-            if value is not None:
-                arr = np.array(value, dtype=dtype)
-                if not np.all(np.isfinite(arr)):
-                    raise ElmError(f"non-finite {name}")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name, dtype in (("output_weights", float), ("feature_mask", bool),
+                            ("means", float), ("stds", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if not np.all(np.isfinite(arr)):
+                raise ElmError(f"non-finite {name.replace('_', ' ')}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        arch, mask = self.architecture, self.feature_mask
+        sizes = [("output weights vs hidden size", self.output_weights.shape,
+                  (arch.hidden_size,)),
+                 ("mask length vs means", mask.shape, self.means.shape),
+                 ("mask length vs stds", mask.shape, self.stds.shape),
+                 ("input_dim vs mask bits set", arch.input_dim,
+                  int(np.count_nonzero(mask)))]
+        for what, a, b in sizes:
+            if a != b:
+                raise ShapeMismatchError(f"{what}: {a} != {b}")
 
 
 def train(arch, x, y):
-    """Minimal-norm least-squares fit of the output weights: β = H†·y."""
+    """Minimal-norm least-squares output weights: β = H†·y."""
     y = np.asarray(y, dtype=float)
     h = hidden_matrix(arch, x)
     if y.shape != (h.shape[0],):
         raise ShapeMismatchError("target length != sample count")
-    beta = pseudoinverse(h) @ y
-    return ElmModel(architecture=arch, output_weights=beta)
-
-
-def predict_score(model, x):
-    """Raw decision score(s); the sign is the class, the value ranks."""
-    h = hidden_matrix(model.architecture, x)
-    scores = h @ model.output_weights
-    return scores if np.ndim(x) == 2 else float(scores[0])
+    return pseudoinverse(h) @ y
 
 
 def predict_full(model, x_full):
-    """Score raw full-dimension rows: standardize, mask, then score."""
+    """Decision scores of raw full-dimension rows (standardize, mask,
+    score); the sign is the class, the value ranks."""
     x_full = np.atleast_2d(np.asarray(x_full, dtype=float))
-    if model.feature_mask is None:
-        raise ElmError("model carries no feature mask")
     if x_full.shape[1] != model.feature_mask.shape[0]:
         raise ShapeMismatchError(
             f"expected {model.feature_mask.shape[0]} features, "
             f"got {x_full.shape[1]}")
-    if model.means is not None:
-        x_full = apply_standardization(x_full, model.means, model.stds)
-    return predict_score(model, x_full[:, model.feature_mask])
+    z = apply_standardization(x_full, model.means, model.stds)
+    return (hidden_matrix(model.architecture, z[:, model.feature_mask])
+            @ model.output_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +187,11 @@ def save_model(model, path):
         _vector_line("biases", arch.biases),
         "activations " + " ".join(str(int(c)) for c in arch.activations),
         _vector_line("beta", model.output_weights),
+        *(_vector_line("w", row) for row in arch.input_weights),
+        "mask " + " ".join(str(int(m)) for m in model.feature_mask),
+        _vector_line("means", model.means),
+        _vector_line("stds", model.stds),
     ]
-    for i in range(arch.hidden_size):
-        lines.append(_vector_line("w", arch.input_weights[i]))
-    if model.feature_mask is not None:
-        lines.append("mask " + " ".join(
-            "1" if m else "0" for m in model.feature_mask))
-    if model.means is not None:
-        lines.append(_vector_line("means", model.means))
-        lines.append(_vector_line("stds", model.stds))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -216,7 +203,8 @@ _last_model = (None, None)
 
 
 def load_model(path):
-    """Read an .elm file; refuse one whose stated and actual sizes differ.
+    """Read an .elm file; refuse one that lacks a line or whose sizes
+    disagree.
 
     A file holding the same bytes as the last model parsed in this process
     returns that same (read-only) model without parsing it again.
@@ -243,34 +231,28 @@ def _parse_model(data, path):
         else:
             fields[tokens[0]] = tokens[1:]
     try:
+        if not set(fields["mask"]) <= {"0", "1"}:
+            raise ElmError("mask tokens must be 0 or 1")
         arch = ElmArchitecture(
             input_weights=np.array(fields["w"], dtype=float),
             biases=np.array([float(v) for v in fields["biases"]]),
             activations=np.array([int(v) for v in fields["activations"]]))
-        mask = None
-        if "mask" in fields:
-            mask = np.array([v == "1" for v in fields["mask"]])
-        means = stds = None
-        if "means" in fields:
-            means = np.array([float(v) for v in fields["means"]])
-            stds = np.array([float(v) for v in fields["stds"]])
         model = ElmModel(
             architecture=arch,
             output_weights=np.array([float(v) for v in fields["beta"]]),
-            feature_mask=mask, means=means, stds=stds)
+            feature_mask=np.array([v == "1" for v in fields["mask"]]),
+            means=np.array([float(v) for v in fields["means"]]),
+            stds=np.array([float(v) for v in fields["stds"]]))
         hidden = int(fields["hidden"][0])
         input_dim = int(fields["input_dim"][0])
-    except (KeyError, ValueError, IndexError, ElmError) as exc:
+    except KeyError as exc:
+        raise ElmError(
+            f"malformed model file {path}: no {exc.args[0]} line") from exc
+    except (ValueError, IndexError, ElmError) as exc:
         raise ElmError(f"malformed model file {path}: {exc}") from exc
-    sizes = [("hidden vs hidden-layer rows", hidden, arch.hidden_size),
-             ("input_dim vs w columns", input_dim, arch.input_dim)]
-    if mask is not None:
-        sizes.append(("input_dim vs mask bits set", input_dim,
-                      int(mask.sum())))
-        if means is not None:
-            sizes += [("mask length vs means", mask.size, means.size),
-                      ("mask length vs stds", mask.size, stds.size)]
-    for what, stated, actual in sizes:
+    for what, stated, actual in (
+            ("hidden vs hidden-layer rows", hidden, arch.hidden_size),
+            ("input_dim vs w columns", input_dim, arch.input_dim)):
         if stated != actual:
             raise ShapeMismatchError(
                 f"malformed model file {path}: {what}: {stated} != {actual}")

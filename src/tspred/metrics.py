@@ -104,21 +104,17 @@ class EvaluationReport:
 
 
 def evaluate(model, samples, labels):
-    """Score every sample once and assemble all metrics.
+    """Score every raw full-dimension sample once through
+    elm.predict_full (standardize, mask, score) and assemble all metrics.
 
-    A model carrying a feature mask is scored on raw full-dimension rows
-    through elm.predict_full (standardize, mask, score); a bare model on
-    rows already standardized and restricted to its inputs. A
-    single-class set yields acc/kappa only, with the AUC error noted.
+    A single-class set yields acc/kappa only, with the AUC error noted.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     labels = np.asarray(labels)
     if samples.shape[0] == 0:
         raise EmptyEvaluationError("no samples to evaluate")
-    score = elm.predict_score if model.feature_mask is None \
-        else elm.predict_full
     t0 = time.perf_counter()
-    scores = np.atleast_1d(score(model, samples))
+    scores = elm.predict_full(model, samples)
     predict_time = time.perf_counter() - t0
     predicted = np.where(scores >= 0.0, 1, -1)
     cm = ConfusionMatrix.from_labels(labels, predicted)

@@ -30,8 +30,6 @@ _MATRIX_SYMMETRY_TOL = 1e-9
 _EQUILIBRIUM_TOL = 1e-8
 _NEWTON_MAX_STEPS = 50
 _NEWTON_STEP_TOL = 1e-12
-#: samples per stored-Pe call; each gathers a G×G complex matrix per sample
-_PE_SAMPLES_PER_CALL = 8192
 
 
 class SimkitError(Exception):
@@ -372,19 +370,12 @@ def simulate_scenarios(model, scenarios, keep=None):
     max_gap[rows] = gap
 
     # stored Pe: prefault at t = 0, during-fault while t < t_clear, then
-    # postfault. The matrix of every sample is gathered, so a full history
-    # takes a few rows per call; the ten samples of `generate` take one.
+    # postfault; each stage's matrix scores every kept sample once
     stage = np.where(time[steps] < t_clear[:, None], 1, 2)
     stage[steps == 0] = 0
-    y_stage = np.stack([np.broadcast_to(model.y_prefault, y_fault.shape),
-                        y_fault, np.broadcast_to(y_post, y_fault.shape)],
-                       axis=1)
-    pe = np.empty_like(delta)
-    chunk = max(1, _PE_SAMPLES_PER_CALL // steps.shape[1])
-    for part in (slice(lo, lo + chunk) for lo in range(0, n_rows, chunk)):
-        y = np.take_along_axis(y_stage[part], stage[part, :, None, None],
-                               axis=1)
-        pe[part] = kernels.electrical_power(delta[part], emf[part, None], y)
+    pe = np.choose(stage[..., None], [
+        kernels.electrical_power(delta, emf[:, None], y)
+        for y in (model.y_prefault, y_fault[:, None], y_post)])
     np.degrees(delta, out=delta)
     for arr in (time, delta, speed, pm, pe, t_clear, max_gap):
         arr.setflags(write=False)

@@ -98,8 +98,8 @@ def test_criterion_02_elm_exact_fit(capsys):
             s = np.linalg.svd(h, compute_uv=False)
             if s[-1] < 1e-6 * s[0]:
                 continue   # near rank-deficient draw: regenerate weights
-            model = elm.train(arch, x, y)
-            residual = np.linalg.norm(h @ model.output_weights - y)
+            beta = elm.train(arch, x, y)
+            residual = np.linalg.norm(h @ beta - y)
             assert residual < 1e-6
             done += 1
         assert time.perf_counter() - t0 < 10.0
@@ -252,14 +252,14 @@ def test_criterion_09_mutation_rescue(capsys):
 def _train_and_score(kb, seed, hidden=50, population=20, iterations=200,
                      target=0.99):
     split = features.split_train_test(kb, cli.DEFAULT_SPLIT_FRACTION, seed)
-    z, _, _ = features.standardize(kb.samples, split.train)
+    z, means, stds = features.standardize(kb.samples, split.train)
     spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=hidden)
     ctx = swarm.FitnessContext.build(z[split.train], kb.labels[split.train],
                                      spec, seed=seed)
     config = swarm.SwarmConfig(population=population,
                                max_iterations=iterations,
                                fitness_target=target, seed=seed)
-    return z, split, spec, ctx, config
+    return (z, means, stds), split, spec, ctx, config
 
 
 def test_criterion_10_desk_scale_pipeline(capsys, smib_kb_path, multi_kb,
@@ -276,12 +276,15 @@ def test_criterion_10_desk_scale_pipeline(capsys, smib_kb_path, multi_kb,
             assert 0.2 <= frac_stable <= 0.8
         successes = 0
         for seed in range(10):
-            z, split, spec, ctx, config = _train_and_score(multi_kb, seed)
+            (z, means, stds), split, spec, ctx, config = _train_and_score(
+                multi_kb, seed)
             result = swarm.run_ipso(ctx, spec.dim, config)
             arch, mask = swarm.decode_particle(result.best_position, spec)
-            model = elm.train(arch, z[split.train][:, mask],
-                              multi_kb.labels[split.train])
-            report = metrics.evaluate(model, z[split.test][:, mask],
+            beta = elm.train(arch, z[split.train][:, mask],
+                             multi_kb.labels[split.train])
+            # raw test rows through the full model, as the CLI scores them
+            model = elm.ElmModel(arch, beta, mask, means, stds)
+            report = metrics.evaluate(model, multi_kb.samples[split.test],
                                       multi_kb.labels[split.test])
             if (report.acc >= 0.90 and report.eta is not None
                     and report.eta >= 0.85):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspred import cli, elm, features, kernels
+from tspred import cli, features, kernels
 
 FIXTURES = "fixtures"
 
@@ -416,16 +416,15 @@ class TestPredict:
         assert run(["predict", "--model", str(trained / "model.elm"),
                     "--row", "1.0,2.0"]) == cli.EXIT_USAGE
 
-    def test_model_without_mask_usage_error(self, trained, tmp_path,
-                                            capsys):
-        model = elm.load_model(trained / "model.elm")
+    def test_model_without_mask_runtime_error(self, kb_csv, trained,
+                                              tmp_path, capsys):
+        text = (trained / "model.elm").read_text()
         bare = tmp_path / "bare.elm"
-        elm.save_model(elm.ElmModel(architecture=model.architecture,
-                                    output_weights=model.output_weights),
-                       bare)
+        bare.write_text(re.sub(r"^mask .*\n", "", text, flags=re.M))
+        row = kb_csv.read_text().splitlines()[1]
         assert run(["predict", "--model", str(bare),
-                    "--row", "1.0"]) == cli.EXIT_USAGE
-        assert "feature mask" in capsys.readouterr().err
+                    f"--row={row}"]) == cli.EXIT_RUNTIME
+        assert "no mask line" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_row_usage_error(self, kb_csv, trained, tmp_path,
@@ -514,6 +513,19 @@ def _write_malformed(case, kb_csv, tmp_path):
                          "beta 1.0\nw 1.0\nmask 1 0\nmeans nan 0.0\n"
                          "stds 1.0 1.0\n")
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
+    if case.startswith("elm no"):
+        # one linear neuron on the first of the KB's features
+        n = kb_csv.read_text().split("\n", 1)[0].count(",")
+        lines = ["hidden 1", "input_dim 1", "biases 0.0", "activations 2",
+                 "beta 1.0", "w 1.0", "mask 1" + " 0" * (n - 1),
+                 "means" + " 0.0" * n, "stds" + " 1.0" * n]
+        dropped = {"elm no stds": ("stds",),
+                   "elm no standardization": ("means", "stds")}[case]
+        model = tmp_path / "model.elm"
+        model.write_text("".join(ln + "\n" for ln in lines
+                                 if ln.split()[0] not in dropped))
+        return ["evaluate", "--kb", str(kb_csv), "--model", str(model),
+                "--out", str(tmp_path / "run")]
     if case.startswith("abbreviated"):
         argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
         if case == "abbreviated flags":
@@ -553,6 +565,8 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("kb ragged row", cli.EXIT_RUNTIME, "number of columns changed"),
     ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
     ("elm nan mean", cli.EXIT_RUNTIME, "non-finite means"),
+    ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),
+    ("elm no standardization", cli.EXIT_RUNTIME, "no means line"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
     ("sys long gen line", cli.EXIT_RUNTIME,
      "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E Pm), not 6"),

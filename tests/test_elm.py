@@ -11,6 +11,14 @@ def identity_arch():
                                activations=[elm.ACT_LINEAR])
 
 
+def identity_model(arch, beta):
+    """A model that scores its rows as given: every column kept, zero
+    means and unit standard deviations."""
+    n = arch.input_dim
+    return elm.ElmModel(arch, beta, np.ones(n, dtype=bool), np.zeros(n),
+                        np.ones(n))
+
+
 def activate(code, v):
     """One neuron with unit weight and zero bias: its activation of v."""
     arch = elm.ElmArchitecture(input_weights=[[1.0]], biases=[0.0],
@@ -114,9 +122,10 @@ class TestPseudoinverse:
 
 class TestTrain:
     def test_exact_single_neuron(self):
-        model = elm.train(identity_arch(), [[1.0]], [1.0])
-        assert model.output_weights == pytest.approx([1.0])
-        assert elm.predict_score(model, [1.0]) == pytest.approx(1.0)
+        beta = elm.train(identity_arch(), [[1.0]], [1.0])
+        assert beta == pytest.approx([1.0])
+        assert elm.hidden_matrix(identity_arch(), [[1.0]]) @ beta == \
+            pytest.approx([1.0])
 
     def test_square_full_rank_exact_fit(self):
         rng = np.random.default_rng(2)
@@ -126,17 +135,17 @@ class TestTrain:
             activations=np.full(5, elm.ACT_SIGMOID))
         x = rng.normal(size=(5, 3))
         y = rng.choice([-1.0, 1.0], size=5)
-        model = elm.train(arch, x, y)
+        beta = elm.train(arch, x, y)
         h = elm.hidden_matrix(arch, x)
-        assert np.linalg.norm(h @ model.output_weights - y) < 1e-6
+        assert np.linalg.norm(h @ beta - y) < 1e-6
 
     def test_all_off_gives_zero_model(self):
         arch = elm.ElmArchitecture(input_weights=np.ones((2, 1)),
                                    biases=np.zeros(2),
                                    activations=np.zeros(2, dtype=int))
-        model = elm.train(arch, [[1.0], [2.0]], [1.0, -1.0])
-        assert np.all(model.output_weights == 0.0)
-        assert elm.predict_score(model, [3.0]) == 0.0
+        beta = elm.train(arch, [[1.0], [2.0]], [1.0, -1.0])
+        assert np.all(beta == 0.0)
+        assert elm.hidden_matrix(arch, [[3.0]]) @ beta == 0.0
 
     def test_minimal_norm_among_least_squares_solutions(self):
         rng = np.random.default_rng(4)
@@ -148,9 +157,8 @@ class TestTrain:
             activations=np.full(4, elm.ACT_LINEAR))
         x = rng.normal(size=(8, 2))
         y = rng.choice([-1.0, 1.0], size=8)
-        model = elm.train(arch, x, y)
+        beta = elm.train(arch, x, y)
         h = elm.hidden_matrix(arch, x)
-        beta = model.output_weights
         _, _, vt = np.linalg.svd(h)
         null_vec = vt[-1]
         assert np.linalg.norm(h @ null_vec) < 1e-9
@@ -171,9 +179,9 @@ class TestTrain:
             arch = elm.ElmArchitecture(
                 input_weights=weights[:L], biases=biases[:L],
                 activations=np.full(L, elm.ACT_SIGMOID))
-            model = elm.train(arch, x, y)
+            beta = elm.train(arch, x, y)
             h = elm.hidden_matrix(arch, x)
-            residual = np.linalg.norm(h @ model.output_weights - y)
+            residual = np.linalg.norm(h @ beta - y)
             assert residual <= prev_residual + 1e-9
             prev_residual = residual
 
@@ -186,21 +194,23 @@ class TestTrain:
         y = rng.choice([-1.0, 1.0], size=10)
         cf_pruned = cf.copy()
         cf_pruned[2] = 0
-        pruned = elm.train(elm.ElmArchitecture(w, b, cf_pruned), x, y)
+        pruned = elm.ElmArchitecture(w, b, cf_pruned)
         keep = [0, 1, 3, 4]
-        deleted = elm.train(
-            elm.ElmArchitecture(w[keep], b[keep], cf[keep]), x, y)
+        deleted = elm.ElmArchitecture(w[keep], b[keep], cf[keep])
         xs = rng.normal(size=(6, 3))
-        assert np.allclose(elm.predict_score(pruned, xs),
-                           elm.predict_score(deleted, xs), atol=1e-12)
+        assert np.allclose(
+            elm.hidden_matrix(pruned, xs) @ elm.train(pruned, x, y),
+            elm.hidden_matrix(deleted, xs) @ elm.train(deleted, x, y),
+            atol=1e-12)
 
 
 class TestPredict:
     def test_deterministic(self):
-        model = elm.train(identity_arch(), [[1.0]], [1.0])
+        arch = identity_arch()
+        model = identity_model(arch, elm.train(arch, [[1.0]], [1.0]))
         x = np.random.default_rng(0).normal(size=(5, 1))
-        assert np.array_equal(elm.predict_score(model, x),
-                              elm.predict_score(model, x))
+        assert np.array_equal(elm.predict_full(model, x),
+                              elm.predict_full(model, x))
 
     def test_separable_training_points_scored_correctly(self):
         rng = np.random.default_rng(9)
@@ -211,8 +221,8 @@ class TestPredict:
             input_weights=rng.uniform(-1, 1, size=(20, 2)),
             biases=rng.uniform(-1, 1, size=20),
             activations=np.full(20, elm.ACT_SIGMOID))
-        model = elm.train(arch, x, y)
-        assert np.all(np.sign(elm.predict_score(model, x)) == y)
+        model = identity_model(arch, elm.train(arch, x, y))
+        assert np.all(np.sign(elm.predict_full(model, x)) == y)
 
 
 def saved_model(path):
@@ -224,10 +234,9 @@ def saved_model(path):
         activations=np.array([0, 1, 2, 1, 1, 2]))
     x = rng.normal(size=(10, 3))
     y = rng.choice([-1.0, 1.0], size=10)
-    trained = elm.train(arch, x, y)
     mask = np.array([True, False, True, True, False])
     model = elm.ElmModel(architecture=arch,
-                         output_weights=trained.output_weights,
+                         output_weights=elm.train(arch, x, y),
                          feature_mask=mask,
                          means=rng.normal(size=5),
                          stds=rng.uniform(0.5, 2.0, size=5))
@@ -251,8 +260,10 @@ def test_model_file_round_trip(tmp_path):
     (r"^hidden 6$", "hidden 7"),
     (r"^input_dim 3$", "input_dim 4"),
     (r"^(means .*) \S+$", r"\1"),             # one mean short
+    (r"^mask 1 0", "mask 1 2"),              # only 1 selects, 0 drops
+    (r"^mask 1 0", "mask 1 0.0"),
 ], ids=["all-ones mask", "dropped w row", "hidden line", "input_dim line",
-        "short means"])
+        "short means", "mask token 2", "mask token 0.0"])
 def test_model_file_shape_mismatch_refused(tmp_path, pattern, replacement):
     path = tmp_path / "model.elm"
     saved_model(path)
@@ -262,6 +273,36 @@ def test_model_file_shape_mismatch_refused(tmp_path, pattern, replacement):
     path.write_text(edited)
     with pytest.raises(elm.ElmError, match="model file"):
         elm.load_model(path)
+
+
+@pytest.mark.parametrize("line", ["mask", "means", "stds"])
+def test_model_file_missing_line_refused(tmp_path, line):
+    # a model without its mask or its standardization would score the
+    # wrong columns, or raw rows as if standardized
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    text = path.read_text()
+    edited = re.sub(rf"^{line} .*\n", "", text, flags=re.M)
+    assert edited != text
+    path.write_text(edited)
+    with pytest.raises(elm.ElmError, match=f"model file.*no {line} line"):
+        elm.load_model(path)
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("feature_mask", [True, True, True, True, False], "mask bits set"),
+    ("means", np.zeros(4), "mask length vs means"),
+    ("stds", np.ones(6), "mask length vs stds"),
+    ("output_weights", np.ones(5), "output weights vs hidden size"),
+], ids=["mask bits", "means", "stds", "beta"])
+def test_model_sizes_checked_on_construction(tmp_path, field, value, what):
+    model = saved_model(tmp_path / "model.elm")
+    fields = {"architecture": model.architecture,
+              "output_weights": model.output_weights,
+              "feature_mask": model.feature_mask, "means": model.means,
+              "stds": model.stds, field: value}
+    with pytest.raises(elm.ShapeMismatchError, match=what):
+        elm.ElmModel(**fields)
 
 
 @pytest.mark.parametrize("pattern, replacement, what", [

@@ -211,8 +211,8 @@ def reference_fitness(position, spec, samples, labels, seed):
     correct = 0
     for fold in features.kfold_partition(labels, 5, seed):
         train_rows = np.setdiff1d(np.arange(len(labels)), fold)
-        model = elm.train(arch, x[train_rows], labels[train_rows])
-        pred = np.where(elm.predict_score(model, x[fold]) >= 0.0, 1, -1)
+        beta = elm.train(arch, x[train_rows], labels[train_rows])
+        pred = np.where(elm.hidden_matrix(arch, x[fold]) @ beta >= 0.0, 1, -1)
         correct += int(np.sum(pred == labels[fold]))
     return correct / len(labels)
 
