@@ -42,7 +42,7 @@ class ElmArchitecture:
         cf = np.array(self.activations, dtype=int)
         if w.shape[0] != b.shape[0] or w.shape[0] != cf.shape[0]:
             raise ShapeMismatchError("inconsistent hidden-layer sizes")
-        if not np.all(np.isin(cf, (ACT_OFF, ACT_SIGMOID, ACT_LINEAR))):
+        if not np.all((cf >= ACT_OFF) & (cf <= ACT_LINEAR)):
             raise ElmError("activation codes must be 0, 1 or 2")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ElmError("non-finite input weights or biases")
@@ -67,34 +67,25 @@ class ElmArchitecture:
 
 
 def _sigmoid(v):
-    # piecewise form avoids overflow in exp for large |v|
-    out = np.empty_like(v, dtype=float)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # piecewise form: exp never sees a positive argument, so never overflows
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def activate(pre, cf):
+    """Hidden-layer outputs of pre-activations pre (N×L) under per-neuron
+    codes cf (L,): 0 → off (zero), 1 → sigmoid, 2 → identity."""
+    return np.where(cf == ACT_SIGMOID, _sigmoid(pre),
+                    np.where(cf == ACT_LINEAR, pre, 0.0))
 
 
 def hidden_matrix(arch, x):
-    """N×L hidden-layer outputs for the sample matrix x (N×n).
-
-    Per-neuron activation: 0 → off (zero), 1 → sigmoid, 2 → identity.
-    """
+    """N×L hidden-layer outputs for the sample matrix x (N×n)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != arch.input_dim:
         raise ShapeMismatchError(
             f"input dim {x.shape[1]} != architecture dim {arch.input_dim}")
-    pre = x @ arch.input_weights.T + arch.biases
-    h = np.zeros_like(pre)
-    cf = arch.activations
-    sig = cf == ACT_SIGMOID
-    lin = cf == ACT_LINEAR
-    if np.any(sig):
-        h[:, sig] = _sigmoid(pre[:, sig])
-    if np.any(lin):
-        h[:, lin] = pre[:, lin]
-    return h
+    return activate(x @ arch.input_weights.T + arch.biases, arch.activations)
 
 
 def pseudoinverse(h, width=None):
@@ -227,14 +218,18 @@ def _parse_model(data, path):
         if not tokens or tokens[0].startswith("#"):
             continue
         if tokens[0] == "w":
-            fields["w"].append([float(v) for v in tokens[1:]])
+            fields["w"].append(tokens[1:])
+        elif tokens[0] in fields:
+            raise ElmError(
+                f"malformed model file {path}: a second {tokens[0]} line")
         else:
             fields[tokens[0]] = tokens[1:]
     try:
         if not set(fields["mask"]) <= {"0", "1"}:
             raise ElmError("mask tokens must be 0 or 1")
         arch = ElmArchitecture(
-            input_weights=np.array(fields["w"], dtype=float),
+            input_weights=np.array([[float(v) for v in row]
+                                    for row in fields["w"]], dtype=float),
             biases=np.array([float(v) for v in fields["biases"]]),
             activations=np.array([int(v) for v in fields["activations"]]))
         model = ElmModel(

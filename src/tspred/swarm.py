@@ -96,7 +96,14 @@ class OptimizationResult:
 
 
 def decode_particle(position, spec):
-    """Map a unit-cube position to (architecture, feature mask).
+    """Map a unit-cube position to (architecture, feature mask)."""
+    a, b, mask, cf = _decode(position, spec)
+    return elm.ElmArchitecture(a[:, mask], b, cf), mask
+
+
+def _decode(position, spec):
+    """Map a unit-cube position to (weights a (L×n), biases b, feature
+    mask, activation codes cf); a is over all n features.
 
     Weights and biases go affinely to [−1, 1]; mask bits switch at 0.5;
     activation codes split [0,1] into thirds. Empty masks and all-off
@@ -105,7 +112,7 @@ def decode_particle(position, spec):
     position = np.asarray(position, dtype=float)
     if position.shape != (spec.dim,):
         raise ValueError(f"position length {position.shape} != {spec.dim}")
-    if np.any(position < 0.0) or np.any(position > 1.0):
+    if not np.all((position >= 0.0) & (position <= 1.0)):
         raise ValueError("position outside the unit cube")
     sl = spec.slices
     a = 2.0 * position[sl["a"]].reshape(spec.hidden, spec.n_features) - 1.0
@@ -114,15 +121,11 @@ def decode_particle(position, spec):
     raw_cf = position[sl["cf"]]
     mask = raw_s >= 0.5
     if not mask.any():
-        mask = mask.copy()
         mask[int(np.argmax(raw_s))] = True
     cf = np.minimum(np.floor(raw_cf * 3.0).astype(int), elm.ACT_LINEAR)
     if not np.any(cf != elm.ACT_OFF):
-        cf = cf.copy()
         cf[int(np.argmax(raw_cf))] = elm.ACT_SIGMOID
-    arch = elm.ElmArchitecture(input_weights=a[:, mask], biases=b,
-                               activations=cf)
-    return arch, mask
+    return a, b, mask, cf
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class FitnessContext:
     """5-fold cross-validation fitness over a fixed fold partition."""
 
     samples: np.ndarray
-    labels: np.ndarray
+    labels: np.ndarray          # float ±1
     spec: EncodingSpec
     folds: tuple                # (train_rows, test_rows) per fold
     # (N_FOLDS, max fold size) test rows; shorter folds are padded with
@@ -145,8 +148,8 @@ class FitnessContext:
         test_index = np.full((N_FOLDS, max(map(len, tests))), len(labels))
         for k, test in enumerate(tests):
             test_index[k, :len(test)] = test
-        return cls(samples=samples, labels=labels, spec=spec, folds=folds,
-                   test_index=test_index)
+        return cls(samples=samples, labels=np.asarray(labels, dtype=float),
+                   spec=spec, folds=folds, test_index=test_index)
 
     def __call__(self, position):
         return evaluate_fitness(position, self.spec, self)
@@ -161,7 +164,8 @@ GRAM_ZERO, GRAM_KEEP = 1e-12, 1e-9
 def evaluate_fitness(position, spec, ctx):
     """Fraction of held-out samples classified correctly over all folds.
 
-    One hidden layer of the active neurons is built over all rows; an
+    The position is decoded once, and one hidden layer of the active
+    neurons only is built over all rows, with no `ElmArchitecture`; an
     `ACT_OFF` column is zero, so it would get zero weight anyway. Each
     fold's output weights are the minimal-norm least-squares fit that
     `elm.train` computes: from the eigendecomposition of the fold's
@@ -172,20 +176,17 @@ def evaluate_fitness(position, spec, ctx):
     A degenerate particle that breaks training scores 0 (logged) so the
     optimizer never crashes mid-run.
     """
+    a, b, mask, cf = _decode(position, spec)
+    on = cf != elm.ACT_OFF
+    h = elm.activate(ctx.samples[:, mask] @ a[on][:, mask].T + b[on], cf[on])
     try:
-        arch, mask = decode_particle(position, spec)
-        on = arch.activations != elm.ACT_OFF
-        active = elm.ElmArchitecture(arch.input_weights[on], arch.biases[on],
-                                     arch.activations[on])
-        h = elm.hidden_matrix(active, ctx.samples[:, mask])
-        y = np.asarray(ctx.labels, dtype=float)
-        correct = _gram_fold_scores(h, y, ctx)
+        correct = _gram_fold_scores(h, ctx.labels, ctx)
         if correct is None:
-            correct = _svd_fold_scores(h, y, ctx)
-        return correct / len(y)
-    except (elm.ElmError, np.linalg.LinAlgError) as exc:
+            correct = _svd_fold_scores(h, ctx.labels, ctx)
+    except np.linalg.LinAlgError as exc:
         logger.warning("degenerate particle scored 0: %s", exc)
         return 0.0
+    return correct / len(ctx.labels)
 
 
 def _svd_fold_scores(h, y, ctx):

@@ -507,11 +507,15 @@ def _write_malformed(case, kb_csv, tmp_path):
         shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
-    if case == "elm nan mean":
+    if case.startswith("elm") and not case.startswith("elm no"):
+        text = ("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 1\n"
+                "beta 1.0\nw 1.0\nmask 1 0\nmeans 0.0 0.0\nstds 1.0 1.0\n")
+        edit = {"elm nan mean": ("means 0.0", "means nan"),
+                "elm repeated beta": ("beta 1.0\n", "beta 1.0\nbeta 2.0\n"),
+                "elm text weight": ("w 1.0", "w abc"),
+                "elm activation code 3": ("activations 1", "activations 3")}
         model = tmp_path / "model.elm"
-        model.write_text("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 1\n"
-                         "beta 1.0\nw 1.0\nmask 1 0\nmeans nan 0.0\n"
-                         "stds 1.0 1.0\n")
+        model.write_text(text.replace(*edit[case]))
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
     if case.startswith("elm no"):
         # one linear neuron on the first of the KB's features
@@ -565,6 +569,11 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("kb ragged row", cli.EXIT_RUNTIME, "number of columns changed"),
     ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
     ("elm nan mean", cli.EXIT_RUNTIME, "non-finite means"),
+    ("elm repeated beta", cli.EXIT_RUNTIME, "a second beta line"),
+    ("elm text weight", cli.EXIT_RUNTIME,
+     "model.elm: could not convert string to float: 'abc'"),
+    ("elm activation code 3", cli.EXIT_RUNTIME,
+     "activation codes must be 0, 1 or 2"),
     ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),
     ("elm no standardization", cli.EXIT_RUNTIME, "no means line"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),

@@ -26,6 +26,18 @@ def activate(code, v):
     return elm.hidden_matrix(arch, [[v]])[0, 0]
 
 
+EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
+               1e4, -1e4]
+
+
+def piecewise_sigmoid(v):
+    """Reference: 1/(1+exp(−v)) for v ≥ 0, exp(v)/(1+exp(v)) below."""
+    if v >= 0:
+        return 1.0 / (1.0 + np.exp(-v))
+    ev = np.exp(v)
+    return ev / (1.0 + ev)
+
+
 class TestActivation:
     def test_off_branch(self):
         assert activate(elm.ACT_OFF, 5.0) == 0.0
@@ -40,6 +52,29 @@ class TestActivation:
         with np.errstate(over="raise"):
             assert activate(elm.ACT_SIGMOID, 1e4) == pytest.approx(1.0)
             assert activate(elm.ACT_SIGMOID, -1e4) == pytest.approx(0.0)
+
+    def test_bit_exact_at_edges(self):
+        # exp(−|v|) underflows to a subnormal or zero past |v| ≈ 708, as
+        # the reference's exp does; nothing else may raise
+        v = np.array(EDGE_VALUES)
+        with np.errstate(under="ignore"):
+            sig = np.array([piecewise_sigmoid(x) for x in v])
+        codes = np.array([elm.ACT_SIGMOID, elm.ACT_LINEAR, elm.ACT_OFF])
+        want = np.stack([sig, v, np.zeros_like(v)], axis=1)
+        arch = elm.ElmArchitecture(input_weights=[[1.0]], biases=[-0.0],
+                                   activations=[elm.ACT_SIGMOID])
+        with np.errstate(all="raise", under="ignore"):
+            got = elm.activate(v[:, None], codes)
+            # x·1 + (−0) is v itself, and ±0 both map to 0.5
+            hidden = elm.hidden_matrix(arch, v[:, None])[:, 0]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(hidden.view(np.int64), sig.view(np.int64))
+
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_code_out_of_range_refused(self, code):
+        with pytest.raises(elm.ElmError, match="activation codes"):
+            elm.ElmArchitecture(input_weights=[[1.0]], biases=[0.0],
+                                activations=[code])
 
 
 class TestHiddenMatrix:
@@ -320,6 +355,29 @@ def test_model_file_non_finite_refused(tmp_path, pattern, replacement, what):
     assert edited != text
     path.write_text(edited)
     with pytest.raises(elm.ElmError, match=f"model file.*non-finite.*{what}"):
+        elm.load_model(path)
+
+
+@pytest.mark.parametrize("key", ["beta", "mask", "means", "hidden"])
+def test_model_file_repeated_line_refused(tmp_path, key):
+    # a second copy would otherwise silently replace the first
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    text = path.read_text()
+    path.write_text(text + re.search(rf"^{key} .*\n", text, re.M).group(0))
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: a second {key} line")):
+        elm.load_model(path)
+
+
+def test_model_file_text_weight_names_file(tmp_path):
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    text = path.read_text()
+    path.write_text(re.sub(r"^w \S+", "w abc", text, count=1, flags=re.M))
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: could not convert string to "
+            "float: 'abc'")):
         elm.load_model(path)
 
 

@@ -95,6 +95,20 @@ class TestDecodeParticle:
         with pytest.raises(ValueError):
             swarm.decode_particle(pos, SPEC)
 
+    @pytest.mark.parametrize("value", [1.5, -0.5, np.nan])
+    @pytest.mark.parametrize("part", ["a", "b", "s", "cf"])
+    def test_out_of_cube_rejected_in_every_slice(self, part, value):
+        # a NaN is outside the cube too: in cf it would cast to INT_MIN,
+        # in s it would read as a cleared bit
+        kb = separable_kb(n=40, n_features=3, seed=1)
+        ctx = swarm.FitnessContext.build(kb.samples, kb.labels, SPEC)
+        pos = make_position(SPEC)
+        pos[SPEC.slices[part].start] = value
+        with pytest.raises(ValueError, match="outside the unit cube"):
+            swarm.decode_particle(pos, SPEC)
+        with pytest.raises(ValueError, match="outside the unit cube"):
+            swarm.evaluate_fitness(pos, SPEC, ctx)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             swarm.decode_particle(np.zeros(SPEC.dim + 1), SPEC)
