@@ -196,6 +196,8 @@ def cmd_predict(args):
             raw_rows = [ln.strip() for ln in fh if ln.strip()]
         if raw_rows and raw_rows[0].startswith("label"):
             raw_rows = raw_rows[1:]
+        if not raw_rows:
+            raise UsageError(f"no sample rows in {args.input}")
     else:
         raise UsageError("provide --row or --input")
     samples = []  # every row is checked before any is scored
@@ -308,8 +310,9 @@ def build_parser():
                                    "persisted model")
     common(p)
     p.add_argument("--model", help="trained model (.elm)")
-    p.add_argument("--row", help="comma-separated raw feature row")
-    p.add_argument("--input", help="file of comma-separated rows")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--row", help="comma-separated raw feature row")
+    rows.add_argument("--input", help="file of comma-separated rows")
     return parser
 
 

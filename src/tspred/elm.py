@@ -238,6 +238,9 @@ def _parse_model(data, path):
             feature_mask=np.array([v == "1" for v in fields["mask"]]),
             means=np.array([float(v) for v in fields["means"]]),
             stds=np.array([float(v) for v in fields["stds"]]))
+        for key in ("hidden", "input_dim"):
+            if len(fields[key]) != 1:
+                raise ElmError(f"the {key} line must hold exactly one value")
         hidden = int(fields["hidden"][0])
         input_dim = int(fields["input_dim"][0])
     except KeyError as exc:

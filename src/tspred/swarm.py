@@ -155,10 +155,10 @@ class FitnessContext:
         return evaluate_fitness(position, self.spec, self)
 
 
-# Band of the Gram path, relative to each fold's largest eigenvalue: at or
-# below GRAM_ZERO an eigenvalue is a null direction, at or above GRAM_KEEP
-# it is kept; one strictly between sends the particle to the SVD
-GRAM_ZERO, GRAM_KEEP = 1e-12, 1e-9
+# Certificate floor of the Gram path, relative to the trace of the all-row
+# HᵀH: a fold whose smallest training-Gram eigenvalue is not certified above
+# it sends the particle to the SVD
+GRAM_KEEP = 1e-9
 
 
 def evaluate_fitness(position, spec, ctx):
@@ -168,10 +168,10 @@ def evaluate_fitness(position, spec, ctx):
     neurons only is built over all rows, with no `ElmArchitecture`; an
     `ACT_OFF` column is zero, so it would get zero weight anyway. Each
     fold's output weights are the minimal-norm least-squares fit that
-    `elm.train` computes: from the eigendecomposition of the fold's
-    training Gram matrix (`_gram_fold_scores`), or, when that cannot tell
-    a small singular value from a zero one, from `elm.pseudoinverse` at
-    the full width's cutoff.
+    `elm.train` computes: a solve with the fold's training Gram matrix
+    when a Cholesky factorization certifies it well conditioned
+    (`_gram_fold_scores`), and otherwise `elm.pseudoinverse` at the full
+    width's cutoff.
 
     A degenerate particle that breaks training scores 0 (logged) so the
     optimizer never crashes mid-run.
@@ -204,14 +204,13 @@ def _gram_fold_scores(h, y, ctx):
     """Held-out rows classified correctly over all folds, or None.
 
     A = [h|y]ᵀ[h|y] over all rows minus a fold's test-row Gram gives that
-    fold's training HᵀH and Hᵀy; one batched `eigh` pseudo-inverts all of
-    them, β = V·diag(1/λ)·Vᵀ·Hᵀy. The Gram squares the singular values,
-    so it returns None, for the SVD to decide, when a Gram is non-finite
-    or zero, has an eigenvalue inside (GRAM_ZERO, GRAM_KEEP)·λ_max, or has
-    a null direction that h's training rows map above the SVD's cutoff.
-    The all-row Gram is screened first, and a layer wider than a fold's
-    training rows goes straight to the SVD: on the three-machine KB such
-    layers, and those at L=120, were always in the band.
+    fold's training G = HᵀH and Hᵀy. One batched Cholesky of G − τ·I, with
+    τ = GRAM_KEEP·trace(HᵀH over all rows), certifies λ_min(G) > τ ≥
+    GRAM_KEEP·λ_max(G): every singular value of the fold's H is kept by the
+    SVD, so the minimal-norm fit is β = G⁻¹·Hᵀy, one batched solve. It
+    returns None, for the SVD to decide, when the Gram is non-finite or
+    zero, when any fold is not certified, and when the layer is wider than
+    a fold's training rows.
     """
     n, width = h.shape
     if width > n - ctx.test_index.shape[1]:
@@ -220,37 +219,21 @@ def _gram_fold_scores(h, y, ctx):
     hy[:n, :width] = h
     hy[:n, width] = y
     full = hy.T @ hy
-    if not np.all(np.isfinite(full)) or _in_band(
-            np.linalg.eigvalsh(full[:width, :width])[None]):
+    if not np.all(np.isfinite(full)):
+        return None
+    tau = GRAM_KEEP * np.trace(full[:width, :width])
+    if tau <= 0.0:
         return None
     held = hy[ctx.test_index]               # (folds, rows, width + 1)
     grams = full - held.transpose(0, 2, 1) @ held
-    lam, vec = np.linalg.eigh(grams[:, :width, :width])
-    if _in_band(lam):
+    try:
+        np.linalg.cholesky(grams[:, :width, :width] - tau * np.eye(width))
+    except np.linalg.LinAlgError:
         return None
-    keep = lam >= GRAM_KEEP * lam[:, -1:]
-    for k in np.flatnonzero(~keep.all(axis=1)):
-        train = ctx.folds[k][0]
-        cutoff = elm.PINV_RTOL * max(len(train), ctx.spec.hidden)
-        null = h[train] @ vec[k][:, ~keep[k]]
-        if np.linalg.norm(null) > cutoff * np.sqrt(lam[k, -1]):
-            return None
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    vec_t = vec.transpose(0, 2, 1)
-    beta = vec @ (inv[:, :, None] * (vec_t @ grams[:, :width, width:]))
+    beta = np.linalg.solve(grams[:, :width, :width], grams[:, :width, width:])
     scores = (held[:, :, :width] @ beta)[:, :, 0]
     pred = np.where(scores >= 0.0, 1.0, -1.0)
     return int(np.count_nonzero(pred == held[:, :, width]))
-
-
-def _in_band(lam):
-    """True when a row of ascending eigenvalues has a non-positive top or
-    one whose size lies strictly inside (GRAM_ZERO, GRAM_KEEP)·top."""
-    top = lam[:, -1:]
-    if np.any(top <= 0.0):
-        return True
-    return bool(np.any((np.abs(lam) > GRAM_ZERO * top)
-                       & (lam < GRAM_KEEP * top)))
 
 
 def fitness_variance(fitnesses):

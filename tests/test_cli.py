@@ -474,6 +474,29 @@ class TestPredict:
                     "--model", str(trained / "model.elm")]) == \
             cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "label,f_0,f_1\n"],
+                             ids=["empty", "blank lines", "header only"])
+    def test_input_without_rows_usage_error(self, trained, tmp_path, capsys,
+                                            text):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(text)
+        assert run(["predict", "--model", str(trained / "model.elm"),
+                    "--input", str(rows)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no sample rows in {rows}" in captured.err
+
+    def test_row_and_input_conflict(self, kb_csv, trained, capsys):
+        # --row would otherwise silently win over the file
+        row = kb_csv.read_text().splitlines()[1]
+        with pytest.raises(SystemExit) as exc:
+            run(["predict", "--model", str(trained / "model.elm"),
+                 f"--row={row}", "--input", str(kb_csv)])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
 
 def _write_malformed(case, kb_csv, tmp_path):
     """Write the input of one malformed case; returns the argv to run."""
@@ -513,6 +536,7 @@ def _write_malformed(case, kb_csv, tmp_path):
         edit = {"elm nan mean": ("means 0.0", "means nan"),
                 "elm repeated beta": ("beta 1.0\n", "beta 1.0\nbeta 2.0\n"),
                 "elm text weight": ("w 1.0", "w abc"),
+                "elm extra hidden value": ("hidden 1", "hidden 1 99"),
                 "elm activation code 3": ("activations 1", "activations 3")}
         model = tmp_path / "model.elm"
         model.write_text(text.replace(*edit[case]))
@@ -572,6 +596,8 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("elm repeated beta", cli.EXIT_RUNTIME, "a second beta line"),
     ("elm text weight", cli.EXIT_RUNTIME,
      "model.elm: could not convert string to float: 'abc'"),
+    ("elm extra hidden value", cli.EXIT_RUNTIME,
+     "model.elm: the hidden line must hold exactly one value"),
     ("elm activation code 3", cli.EXIT_RUNTIME,
      "activation codes must be 0, 1 or 2"),
     ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),

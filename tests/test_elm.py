@@ -370,6 +370,30 @@ def test_model_file_repeated_line_refused(tmp_path, key):
         elm.load_model(path)
 
 
+@pytest.mark.parametrize("pattern, replacement", [
+    (r"^hidden 6$", "hidden 6 99"),
+    (r"^input_dim 3$", "input_dim 3 7"),
+    (r"^hidden 6$", "hidden"),
+    (r"^input_dim 3$", "input_dim"),
+], ids=["hidden extra value", "input_dim extra value", "hidden no value",
+        "input_dim no value"])
+def test_model_file_size_line_holds_one_value(tmp_path, pattern,
+                                              replacement):
+    # a size line with more values than its key takes is a corrupt or
+    # hand-edited file, not one whose extra tokens may be ignored
+    path = tmp_path / "model.elm"
+    saved_model(path)
+    text = path.read_text()
+    edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
+    assert edited != text
+    path.write_text(edited)
+    key = replacement.split()[0]
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: the {key} line must hold "
+            "exactly one value")):
+        elm.load_model(path)
+
+
 def test_model_file_text_weight_names_file(tmp_path):
     path = tmp_path / "model.elm"
     saved_model(path)

@@ -279,7 +279,7 @@ class TestEvaluateFitness:
 
     # The Gram path must answer for most particles at L <= 50, or the
     # agreement would only test the SVD; at L=120 every spectrum on this
-    # KB reaches the band and the SVD answers.
+    # KB fails the certificate and the SVD answers.
     @pytest.mark.parametrize("hidden, gram_at_least", [
         (8, 95), (20, 95), (50, 90), (120, 0)])
     def test_gram_path_matches_reference_on_three_machine_kb(
@@ -305,13 +305,45 @@ class TestEvaluateFitness:
                 reference_fitness(pos, spec, x, y, 7)
         assert sum(a is not None for a in answers) >= gram_at_least
 
+    def test_ipso_run_matches_reference_on_three_machine_kb(
+            self, three_machine_kb, monkeypatch):
+        # the swarm clips positions to the cube's faces, where saturated
+        # or repeated neurons make Grams that uniform draws rarely give
+        kb = three_machine_kb
+        split = features.split_train_test(kb, 2 / 3, 7)
+        z, _, _ = features.standardize(kb.samples, split.train)
+        x, y = z[split.train], kb.labels[split.train]
+        spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=50)
+        ctx = swarm.FitnessContext.build(x, y, spec, seed=7)
+        answers = []
+        solve = swarm._gram_fold_scores
+
+        def recorded(*args):
+            answers.append(solve(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(swarm, "_gram_fold_scores", recorded)
+        scored = []
+
+        def fitness(pos):
+            scored.append((pos.copy(), ctx(pos)))
+            return scored[-1][1]
+
+        config = swarm.SwarmConfig(max_iterations=5, fitness_target=1.0,
+                                   seed=7)
+        result = swarm.run_ipso(fitness, spec.dim, config)
+        assert result.evaluations == len(scored) >= 120
+        for pos, fit in scored:
+            assert fit == reference_fitness(pos, spec, x, y, 7)
+        assert sum(a is not None for a in answers) >= 100
+
     def test_gram_guard_sends_particle_to_svd(self):
-        # [DERIVED] orthonormal columns scaled by 1, t and 0 over 40 rows
-        # (32 training rows per fold; SVD cutoff 1e-12·32·s_max).
-        # t = 1e-5: eigenvalue ~1e-10·λ_max, inside the band. t = 1e-9:
-        # eigenvalue ~1e-18·λ_max reads as zero, but the SVD keeps the
-        # singular value, so the null-direction check refuses it. Without
-        # the t column the zero column is a true null direction.
+        # [DERIVED] orthonormal columns over 40 rows, 32 training rows per
+        # fold. The certificate needs each fold's λ_min above 1e-9 times
+        # the all-row trace, about 1: a column scaled by t = 1e-5
+        # (λ ~ 1e-10) or 1e-9, an exact zero column and an all-zero layer
+        # are refused; columns scaled by 1, 0.1 and 0.01 (λ ~ 1e-4) pass
+        # and score what the SVD scores.
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.normal(size=(40, 3)))
         y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
@@ -319,9 +351,12 @@ class TestEvaluateFitness:
         ctx = swarm.FitnessContext.build(np.zeros((40, 1)), y, spec)
         for t in (1e-5, 1e-9):
             assert swarm._gram_fold_scores(q * [1.0, t, 0.0], y, ctx) is None
-        assert swarm._gram_fold_scores(q * [1.0, 0.0, 0.0], y, ctx) \
-            is not None
+        assert swarm._gram_fold_scores(q * [1.0, 0.0, 0.0], y, ctx) is None
         assert swarm._gram_fold_scores(np.zeros((40, 3)), y, ctx) is None
+        h = q * [1.0, 0.1, 0.01]
+        correct = swarm._gram_fold_scores(h, y, ctx)
+        assert correct is not None
+        assert correct == swarm._svd_fold_scores(h, y, ctx)
 
     def test_off_neuron_weights_do_not_matter(self):
         kb = separable_kb(n=60, n_features=6, seed=6)
