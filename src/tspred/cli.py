@@ -93,9 +93,10 @@ def _optimize_once(kb, split, scaled, seed, optimizer, args):
     t0 = time.perf_counter()
     result = swarm.OPTIMIZERS[optimizer](ctx, spec.dim, config)
     elapsed = time.perf_counter() - t0
-    arch, mask = swarm.decode_particle(result.best_position, spec)
-    model = elm.ElmModel(arch, elm.train(arch, x[:, mask], y), mask, means,
-                         stds)
+    a, b, mask, cf = swarm.decode_particle(result.best_position, spec)
+    w = a[:, mask]
+    model = elm.ElmModel(w, b, cf, elm.train(w, b, cf, x[:, mask], y), mask,
+                         means, stds)
     return result, model, elapsed
 
 
@@ -116,8 +117,7 @@ def cmd_optimize(args):
     print(f"optimizer {args.optimizer}: best CV fitness "
           f"{result.best_fitness:.4f} after {len(result.trace) - 1} "
           f"iterations ({result.evaluations} evaluations, {elapsed:.2f}s)")
-    print(f"effective hidden nodes: "
-          f"{model.architecture.effective_hidden_size}")
+    print(f"effective hidden nodes: {model.effective_hidden_size}")
     print(f"wrote {model_path} and {trace_path}")
     return EXIT_OK
 
@@ -157,7 +157,7 @@ def cmd_compare(args):
                 kb, split, scaled, seed + r, name, args)
             runs[name].append(
                 (result.best_fitness,
-                 model.architecture.effective_hidden_size, elapsed))
+                 model.effective_hidden_size, elapsed))
     best_overall = max(f for rows in runs.values() for f, _, _ in rows)
     threshold = 0.95 * best_overall
     out_path = Path(args.out)

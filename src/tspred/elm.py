@@ -28,64 +28,19 @@ class ShapeMismatchError(ElmError):
     pass
 
 
-@dataclass(frozen=True)
-class ElmArchitecture:
-    """Hidden layer: L×n input weights, L biases, L activation codes."""
-
-    input_weights: np.ndarray   # (L, n)
-    biases: np.ndarray          # (L,)
-    activations: np.ndarray     # (L,), codes in {0, 1, 2}
-
-    def __post_init__(self):
-        w = np.array(self.input_weights, dtype=float, ndmin=2)
-        b = np.array(self.biases, dtype=float)
-        cf = np.array(self.activations, dtype=int)
-        if w.shape[0] != b.shape[0] or w.shape[0] != cf.shape[0]:
-            raise ShapeMismatchError("inconsistent hidden-layer sizes")
-        if not np.all((cf >= ACT_OFF) & (cf <= ACT_LINEAR)):
-            raise ElmError("activation codes must be 0, 1 or 2")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ElmError("non-finite input weights or biases")
-        for arr in (w, b, cf):
-            arr.setflags(write=False)
-        object.__setattr__(self, "input_weights", w)
-        object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "activations", cf)
-
-    @property
-    def hidden_size(self):
-        return int(self.biases.shape[0])
-
-    @property
-    def input_dim(self):
-        return int(self.input_weights.shape[1])
-
-    @property
-    def effective_hidden_size(self):
-        """Neurons with a non-zero activation code."""
-        return int(np.count_nonzero(self.activations != ACT_OFF))
-
-
 def _sigmoid(v):
     # piecewise form: exp never sees a positive argument, so never overflows
     e = np.exp(-np.abs(v))
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def activate(pre, cf):
-    """Hidden-layer outputs of pre-activations pre (N×L) under per-neuron
-    codes cf (L,): 0 → off (zero), 1 → sigmoid, 2 → identity."""
+def hidden_matrix(x, w, b, cf):
+    """N×L hidden-layer outputs of the sample matrix x (N×n) under input
+    weights w (L×n), biases b (L,) and per-neuron activation codes cf
+    (L,): 0 → off (zero), 1 → sigmoid, 2 → identity."""
+    pre = x @ w.T + b
     return np.where(cf == ACT_SIGMOID, _sigmoid(pre),
                     np.where(cf == ACT_LINEAR, pre, 0.0))
-
-
-def hidden_matrix(arch, x):
-    """N×L hidden-layer outputs for the sample matrix x (N×n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != arch.input_dim:
-        raise ShapeMismatchError(
-            f"input dim {x.shape[1]} != architecture dim {arch.input_dim}")
-    return activate(x @ arch.input_weights.T + arch.biases, arch.activations)
 
 
 def pseudoinverse(h, width=None):
@@ -106,44 +61,65 @@ def pseudoinverse(h, width=None):
 
 @dataclass(frozen=True)
 class ElmModel:
-    """Trained classifier: the architecture, its output weights, the
-    columns of the full feature space it consumes and the training
-    standardization statistics, so it scores raw rows.
+    """Trained classifier: the hidden layer (weights over the masked
+    features, biases, activation codes), its output weights, the feature
+    mask and the training standardization statistics, so it scores raw rows.
 
     Every array is a read-only copy, so one model can be shared; a
-    non-finite weight or statistic, or sizes that disagree, are refused.
+    non-finite weight or statistic, an unknown activation code, a negative
+    std, or sizes that disagree, are refused.
     """
 
-    architecture: ElmArchitecture
+    input_weights: np.ndarray    # (L, n), n = mask bits set
+    biases: np.ndarray           # (L,)
+    activations: np.ndarray      # (L,), codes in {0, 1, 2}
     output_weights: np.ndarray   # (L,)
     feature_mask: np.ndarray     # (n_full,) booleans
     means: np.ndarray            # (n_full,)
     stds: np.ndarray             # (n_full,)
 
     def __post_init__(self):
-        for name, dtype in (("output_weights", float), ("feature_mask", bool),
-                            ("means", float), ("stds", float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+        for name, dtype, ndmin in (
+                ("input_weights", float, 2), ("biases", float, 0),
+                ("activations", int, 0), ("output_weights", float, 0),
+                ("feature_mask", bool, 0), ("means", float, 0),
+                ("stds", float, 0)):
+            arr = np.array(getattr(self, name), dtype=dtype, ndmin=ndmin)
             if not np.all(np.isfinite(arr)):
                 raise ElmError(f"non-finite {name.replace('_', ' ')}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        arch, mask = self.architecture, self.feature_mask
-        sizes = [("output weights vs hidden size", self.output_weights.shape,
-                  (arch.hidden_size,)),
+        cf, mask = self.activations, self.feature_mask
+        if not np.all((cf >= ACT_OFF) & (cf <= ACT_LINEAR)):
+            raise ElmError("activation codes must be 0, 1 or 2")
+        # _zscore would read a negative std as a constant column
+        if np.any(self.stds < 0.0):
+            raise ElmError("stds must not be negative")
+        rows, cols = self.input_weights.shape
+        hidden = self.biases.shape
+        sizes = [("input weights vs hidden size", (rows,), hidden),
+                 ("activations vs hidden size", cf.shape, hidden),
+                 ("output weights vs hidden size", self.output_weights.shape,
+                  hidden),
                  ("mask length vs means", mask.shape, self.means.shape),
                  ("mask length vs stds", mask.shape, self.stds.shape),
-                 ("input_dim vs mask bits set", arch.input_dim,
+                 ("input_dim vs mask bits set", cols,
                   int(np.count_nonzero(mask)))]
         for what, a, b in sizes:
             if a != b:
                 raise ShapeMismatchError(f"{what}: {a} != {b}")
 
+    @property
+    def effective_hidden_size(self):
+        """Neurons with a non-zero activation code."""
+        return int(np.count_nonzero(self.activations != ACT_OFF))
 
-def train(arch, x, y):
-    """Minimal-norm least-squares output weights: β = H†·y."""
+
+def train(w, b, cf, x, y):
+    """Minimal-norm least-squares output weights of layer (w, b, cf):
+    β = H†·y."""
     y = np.asarray(y, dtype=float)
-    h = hidden_matrix(arch, x)
+    h = hidden_matrix(x, w, b, cf)
     if y.shape != (h.shape[0],):
         raise ShapeMismatchError("target length != sample count")
     return pseudoinverse(h) @ y
@@ -158,7 +134,8 @@ def predict_full(model, x_full):
             f"expected {model.feature_mask.shape[0]} features, "
             f"got {x_full.shape[1]}")
     z = apply_standardization(x_full, model.means, model.stds)
-    return (hidden_matrix(model.architecture, z[:, model.feature_mask])
+    return (hidden_matrix(z[:, model.feature_mask], model.input_weights,
+                          model.biases, model.activations)
             @ model.output_weights)
 
 
@@ -171,14 +148,14 @@ def _vector_line(name, values):
 
 
 def save_model(model, path):
-    arch = model.architecture
+    hidden, input_dim = model.input_weights.shape
     lines = [
-        f"hidden {arch.hidden_size}",
-        f"input_dim {arch.input_dim}",
-        _vector_line("biases", arch.biases),
-        "activations " + " ".join(str(int(c)) for c in arch.activations),
+        f"hidden {hidden}",
+        f"input_dim {input_dim}",
+        _vector_line("biases", model.biases),
+        "activations " + " ".join(str(int(c)) for c in model.activations),
         _vector_line("beta", model.output_weights),
-        *(_vector_line("w", row) for row in arch.input_weights),
+        *(_vector_line("w", row) for row in model.input_weights),
         "mask " + " ".join(str(int(m)) for m in model.feature_mask),
         _vector_line("means", model.means),
         _vector_line("stds", model.stds),
@@ -227,13 +204,11 @@ def _parse_model(data, path):
     try:
         if not set(fields["mask"]) <= {"0", "1"}:
             raise ElmError("mask tokens must be 0 or 1")
-        arch = ElmArchitecture(
+        model = ElmModel(
             input_weights=np.array([[float(v) for v in row]
                                     for row in fields["w"]], dtype=float),
             biases=np.array([float(v) for v in fields["biases"]]),
-            activations=np.array([int(v) for v in fields["activations"]]))
-        model = ElmModel(
-            architecture=arch,
+            activations=np.array([int(v) for v in fields["activations"]]),
             output_weights=np.array([float(v) for v in fields["beta"]]),
             feature_mask=np.array([v == "1" for v in fields["mask"]]),
             means=np.array([float(v) for v in fields["means"]]),
@@ -248,9 +223,10 @@ def _parse_model(data, path):
             f"malformed model file {path}: no {exc.args[0]} line") from exc
     except (ValueError, IndexError, ElmError) as exc:
         raise ElmError(f"malformed model file {path}: {exc}") from exc
+    rows, cols = model.input_weights.shape
     for what, stated, actual in (
-            ("hidden vs hidden-layer rows", hidden, arch.hidden_size),
-            ("input_dim vs w columns", input_dim, arch.input_dim)):
+            ("hidden vs hidden-layer rows", hidden, rows),
+            ("input_dim vs w columns", input_dim, cols)):
         if stated != actual:
             raise ShapeMismatchError(
                 f"malformed model file {path}: {what}: {stated} != {actual}")

@@ -96,12 +96,6 @@ class OptimizationResult:
 
 
 def decode_particle(position, spec):
-    """Map a unit-cube position to (architecture, feature mask)."""
-    a, b, mask, cf = _decode(position, spec)
-    return elm.ElmArchitecture(a[:, mask], b, cf), mask
-
-
-def _decode(position, spec):
     """Map a unit-cube position to (weights a (L×n), biases b, feature
     mask, activation codes cf); a is over all n features.
 
@@ -152,7 +146,7 @@ class FitnessContext:
                    spec=spec, folds=folds, test_index=test_index)
 
     def __call__(self, position):
-        return evaluate_fitness(position, self.spec, self)
+        return evaluate_fitness(position, self)
 
 
 # Certificate floor of the Gram path, relative to the trace of the all-row
@@ -161,24 +155,23 @@ class FitnessContext:
 GRAM_KEEP = 1e-9
 
 
-def evaluate_fitness(position, spec, ctx):
+def evaluate_fitness(position, ctx):
     """Fraction of held-out samples classified correctly over all folds.
 
-    The position is decoded once, and one hidden layer of the active
-    neurons only is built over all rows, with no `ElmArchitecture`; an
-    `ACT_OFF` column is zero, so it would get zero weight anyway. Each
-    fold's output weights are the minimal-norm least-squares fit that
-    `elm.train` computes: a solve with the fold's training Gram matrix
-    when a Cholesky factorization certifies it well conditioned
-    (`_gram_fold_scores`), and otherwise `elm.pseudoinverse` at the full
-    width's cutoff.
+    The position is decoded once under `ctx.spec`, and one hidden layer of
+    the active neurons only is built over all rows; an `ACT_OFF` column is
+    zero, so it would get zero weight anyway. Each fold's output weights
+    are the minimal-norm least-squares fit that `elm.train` computes: a
+    solve with the fold's training Gram matrix when a Cholesky
+    factorization certifies it well conditioned (`_gram_fold_scores`), and
+    otherwise `elm.pseudoinverse` at the full width's cutoff.
 
     A degenerate particle that breaks training scores 0 (logged) so the
     optimizer never crashes mid-run.
     """
-    a, b, mask, cf = _decode(position, spec)
+    a, b, mask, cf = decode_particle(position, ctx.spec)
     on = cf != elm.ACT_OFF
-    h = elm.activate(ctx.samples[:, mask] @ a[on][:, mask].T + b[on], cf[on])
+    h = elm.hidden_matrix(ctx.samples[:, mask], a[on][:, mask], b[on], cf[on])
     try:
         correct = _gram_fold_scores(h, ctx.labels, ctx)
         if correct is None:
@@ -298,11 +291,15 @@ def _inertia(config, k):
     return W_START + (W_END - W_START) * frac
 
 
+def _initial_positions(dim, config):
+    """The seeded population both the swarm and the GA start from."""
+    return np.array([_rng(config.seed, _STREAM_INIT, i).random(dim)
+                     for i in range(config.population)])
+
+
 def _run_swarm(fitness, dim, config, mutation_enabled):
     n = config.population
-    positions = np.empty((n, dim))
-    for i in range(n):
-        positions[i] = _rng(config.seed, _STREAM_INIT, i).random(dim)
+    positions = _initial_positions(dim, config)
     velocities = np.zeros((n, dim))
     fits = np.empty(n)
     pbest = positions.copy()
@@ -377,9 +374,7 @@ def run_ga(fitness, dim, config):
     reset mutation, elitism of one.
     """
     n = config.population
-    positions = np.empty((n, dim))
-    for i in range(n):
-        positions[i] = _rng(config.seed, _STREAM_INIT, i).random(dim)
+    positions = _initial_positions(dim, config)
     fits = np.array([fitness(positions[i]) for i in range(n)])
     evaluations = n
     best_idx = int(np.argmax(fits))

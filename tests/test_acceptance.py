@@ -90,15 +90,14 @@ def test_criterion_02_elm_exact_fit(capsys):
             n_feat = int(rng.integers(1, 8))
             x = rng.normal(size=(n_samples, n_feat))
             y = rng.normal(size=n_samples)
-            arch = elm.ElmArchitecture(
-                input_weights=rng.uniform(-1, 1, (n_hidden, n_feat)),
-                biases=rng.uniform(-1, 1, n_hidden),
-                activations=np.full(n_hidden, elm.ACT_SIGMOID))
-            h = elm.hidden_matrix(arch, x)
+            layer = (rng.uniform(-1, 1, (n_hidden, n_feat)),
+                     rng.uniform(-1, 1, n_hidden),
+                     np.full(n_hidden, elm.ACT_SIGMOID))
+            h = elm.hidden_matrix(x, *layer)
             s = np.linalg.svd(h, compute_uv=False)
             if s[-1] < 1e-6 * s[0]:
                 continue   # near rank-deficient draw: regenerate weights
-            beta = elm.train(arch, x, y)
+            beta = elm.train(*layer, x, y)
             residual = np.linalg.norm(h @ beta - y)
             assert residual < 1e-6
             done += 1
@@ -279,11 +278,12 @@ def test_criterion_10_desk_scale_pipeline(capsys, smib_kb_path, multi_kb,
             (z, means, stds), split, spec, ctx, config = _train_and_score(
                 multi_kb, seed)
             result = swarm.run_ipso(ctx, spec.dim, config)
-            arch, mask = swarm.decode_particle(result.best_position, spec)
-            beta = elm.train(arch, z[split.train][:, mask],
+            a, b, mask, cf = swarm.decode_particle(result.best_position, spec)
+            w = a[:, mask]
+            beta = elm.train(w, b, cf, z[split.train][:, mask],
                              multi_kb.labels[split.train])
             # raw test rows through the full model, as the CLI scores them
-            model = elm.ElmModel(arch, beta, mask, means, stds)
+            model = elm.ElmModel(w, b, cf, beta, mask, means, stds)
             report = metrics.evaluate(model, multi_kb.samples[split.test],
                                       multi_kb.labels[split.test])
             if (report.acc >= 0.90 and report.eta is not None

@@ -537,7 +537,8 @@ def _write_malformed(case, kb_csv, tmp_path):
                 "elm repeated beta": ("beta 1.0\n", "beta 1.0\nbeta 2.0\n"),
                 "elm text weight": ("w 1.0", "w abc"),
                 "elm extra hidden value": ("hidden 1", "hidden 1 99"),
-                "elm activation code 3": ("activations 1", "activations 3")}
+                "elm activation code 3": ("activations 1", "activations 3"),
+                "elm negative std": ("stds 1.0", "stds -1.0")}
         model = tmp_path / "model.elm"
         model.write_text(text.replace(*edit[case]))
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
@@ -600,6 +601,7 @@ def _write_malformed(case, kb_csv, tmp_path):
      "model.elm: the hidden line must hold exactly one value"),
     ("elm activation code 3", cli.EXIT_RUNTIME,
      "activation codes must be 0, 1 or 2"),
+    ("elm negative std", cli.EXIT_RUNTIME, "stds must not be negative"),
     ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),
     ("elm no standardization", cli.EXIT_RUNTIME, "no means line"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,24 +7,22 @@ import pytest
 from tspred import elm
 
 
-def identity_arch():
-    return elm.ElmArchitecture(input_weights=[[1.0]], biases=[0.0],
-                               activations=[elm.ACT_LINEAR])
+def identity_layer(code=elm.ACT_LINEAR):
+    """One neuron with unit weight and zero bias: (w, b, cf)."""
+    return np.array([[1.0]]), np.array([0.0]), np.array([code])
 
 
-def identity_model(arch, beta):
-    """A model that scores its rows as given: every column kept, zero
-    means and unit standard deviations."""
-    n = arch.input_dim
-    return elm.ElmModel(arch, beta, np.ones(n, dtype=bool), np.zeros(n),
+def identity_model(layer, beta):
+    """A model of the layer (w, b, cf) that scores its rows as given:
+    every column kept, zero means and unit standard deviations."""
+    n = layer[0].shape[1]
+    return elm.ElmModel(*layer, beta, np.ones(n, dtype=bool), np.zeros(n),
                         np.ones(n))
 
 
 def activate(code, v):
     """One neuron with unit weight and zero bias: its activation of v."""
-    arch = elm.ElmArchitecture(input_weights=[[1.0]], biases=[0.0],
-                               activations=[code])
-    return elm.hidden_matrix(arch, [[v]])[0, 0]
+    return elm.hidden_matrix(np.array([[v]]), *identity_layer(code))[0, 0]
 
 
 EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
@@ -59,50 +58,48 @@ class TestActivation:
         v = np.array(EDGE_VALUES)
         with np.errstate(under="ignore"):
             sig = np.array([piecewise_sigmoid(x) for x in v])
+        # x·1 + 0 is v itself, but for −0, which comes out +0 (−0 + +0 is
+        # +0, whatever sign the product sum gives), and ±0 both map to 0.5
         codes = np.array([elm.ACT_SIGMOID, elm.ACT_LINEAR, elm.ACT_OFF])
-        want = np.stack([sig, v, np.zeros_like(v)], axis=1)
-        arch = elm.ElmArchitecture(input_weights=[[1.0]], biases=[-0.0],
-                                   activations=[elm.ACT_SIGMOID])
+        want = np.stack([sig, v + 0.0, np.zeros_like(v)], axis=1)
         with np.errstate(all="raise", under="ignore"):
-            got = elm.activate(v[:, None], codes)
-            # x·1 + (−0) is v itself, and ±0 both map to 0.5
-            hidden = elm.hidden_matrix(arch, v[:, None])[:, 0]
+            got = elm.hidden_matrix(v[:, None], np.ones((3, 1)), np.zeros(3),
+                                    codes)
+            hidden = elm.hidden_matrix(v[:, None], np.ones((1, 1)),
+                                       np.array([-0.0]),
+                                       np.array([elm.ACT_SIGMOID]))[:, 0]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(hidden.view(np.int64), sig.view(np.int64))
 
     @pytest.mark.parametrize("code", [-1, 3])
     def test_code_out_of_range_refused(self, code):
         with pytest.raises(elm.ElmError, match="activation codes"):
-            elm.ElmArchitecture(input_weights=[[1.0]], biases=[0.0],
-                                activations=[code])
+            identity_model(identity_layer(code), [1.0])
 
 
 class TestHiddenMatrix:
     def test_identity_neuron(self):
-        h = elm.hidden_matrix(identity_arch(), [[1.0]])
+        h = elm.hidden_matrix(np.array([[1.0]]), *identity_layer())
         assert np.allclose(h, [[1.0]])
 
     def test_all_off_gives_zeros(self):
-        arch = elm.ElmArchitecture(input_weights=np.ones((3, 2)),
-                                   biases=np.ones(3),
-                                   activations=np.zeros(3, dtype=int))
-        h = elm.hidden_matrix(arch, np.random.default_rng(0).normal(
-            size=(4, 2)))
+        h = elm.hidden_matrix(np.random.default_rng(0).normal(size=(4, 2)),
+                              np.ones((3, 2)), np.ones(3),
+                              np.zeros(3, dtype=int))
         assert np.all(h == 0.0)
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(3)
-        arch = elm.ElmArchitecture(
-            input_weights=rng.normal(size=(4, 2)),
-            biases=rng.normal(size=4),
-            activations=np.array([0, 1, 2, 1]))
+        w = rng.normal(size=(4, 2))
+        b = rng.normal(size=4)
+        cf = np.array([0, 1, 2, 1])
         x = rng.normal(size=(3, 2))
-        h = elm.hidden_matrix(arch, x)
+        h = elm.hidden_matrix(x, w, b, cf)
         assert h.shape == (3, 4)
         for r in range(3):
             for c in range(4):
-                pre = float(arch.input_weights[c] @ x[r] + arch.biases[c])
-                code = int(arch.activations[c])
+                pre = float(w[c] @ x[r] + b[c])
+                code = int(cf[c])
                 if code == 0:
                     expected = 0.0
                 elif code == 1:
@@ -112,8 +109,11 @@ class TestHiddenMatrix:
                 assert h[r, c] == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch(self):
+        # hidden_matrix takes its arrays as given; predict_full checks the
+        # width of the rows that come from outside
         with pytest.raises(elm.ShapeMismatchError):
-            elm.hidden_matrix(identity_arch(), [[1.0, 2.0]])
+            elm.predict_full(identity_model(identity_layer(), [1.0]),
+                             [[1.0, 2.0]])
 
 
 def moore_penrose_holds(h, hp, tol=1e-8):
@@ -157,43 +157,37 @@ class TestPseudoinverse:
 
 class TestTrain:
     def test_exact_single_neuron(self):
-        beta = elm.train(identity_arch(), [[1.0]], [1.0])
+        beta = elm.train(*identity_layer(), [[1.0]], [1.0])
         assert beta == pytest.approx([1.0])
-        assert elm.hidden_matrix(identity_arch(), [[1.0]]) @ beta == \
+        assert elm.hidden_matrix([[1.0]], *identity_layer()) @ beta == \
             pytest.approx([1.0])
 
     def test_square_full_rank_exact_fit(self):
         rng = np.random.default_rng(2)
-        arch = elm.ElmArchitecture(
-            input_weights=rng.uniform(-1, 1, size=(5, 3)),
-            biases=rng.uniform(-1, 1, size=5),
-            activations=np.full(5, elm.ACT_SIGMOID))
+        layer = (rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=5),
+                 np.full(5, elm.ACT_SIGMOID))
         x = rng.normal(size=(5, 3))
         y = rng.choice([-1.0, 1.0], size=5)
-        beta = elm.train(arch, x, y)
-        h = elm.hidden_matrix(arch, x)
+        beta = elm.train(*layer, x, y)
+        h = elm.hidden_matrix(x, *layer)
         assert np.linalg.norm(h @ beta - y) < 1e-6
 
     def test_all_off_gives_zero_model(self):
-        arch = elm.ElmArchitecture(input_weights=np.ones((2, 1)),
-                                   biases=np.zeros(2),
-                                   activations=np.zeros(2, dtype=int))
-        beta = elm.train(arch, [[1.0], [2.0]], [1.0, -1.0])
+        layer = (np.ones((2, 1)), np.zeros(2), np.zeros(2, dtype=int))
+        beta = elm.train(*layer, [[1.0], [2.0]], [1.0, -1.0])
         assert np.all(beta == 0.0)
-        assert elm.hidden_matrix(arch, [[3.0]]) @ beta == 0.0
+        assert elm.hidden_matrix([[3.0]], *layer) @ beta == 0.0
 
     def test_minimal_norm_among_least_squares_solutions(self):
         rng = np.random.default_rng(4)
         # rank-deficient H: duplicated linear neurons give a null space
         w = rng.uniform(-1, 1, size=(1, 2))
-        arch = elm.ElmArchitecture(
-            input_weights=np.vstack([w, w, rng.uniform(-1, 1, (2, 2))]),
-            biases=np.zeros(4),
-            activations=np.full(4, elm.ACT_LINEAR))
+        layer = (np.vstack([w, w, rng.uniform(-1, 1, (2, 2))]), np.zeros(4),
+                 np.full(4, elm.ACT_LINEAR))
         x = rng.normal(size=(8, 2))
         y = rng.choice([-1.0, 1.0], size=8)
-        beta = elm.train(arch, x, y)
-        h = elm.hidden_matrix(arch, x)
+        beta = elm.train(*layer, x, y)
+        h = elm.hidden_matrix(x, *layer)
         _, _, vt = np.linalg.svd(h)
         null_vec = vt[-1]
         assert np.linalg.norm(h @ null_vec) < 1e-9
@@ -211,11 +205,9 @@ class TestTrain:
         weights = rng.uniform(-1, 1, size=(12, 4))
         biases = rng.uniform(-1, 1, size=12)
         for L in (2, 4, 8, 12):
-            arch = elm.ElmArchitecture(
-                input_weights=weights[:L], biases=biases[:L],
-                activations=np.full(L, elm.ACT_SIGMOID))
-            beta = elm.train(arch, x, y)
-            h = elm.hidden_matrix(arch, x)
+            layer = (weights[:L], biases[:L], np.full(L, elm.ACT_SIGMOID))
+            beta = elm.train(*layer, x, y)
+            h = elm.hidden_matrix(x, *layer)
             residual = np.linalg.norm(h @ beta - y)
             assert residual <= prev_residual + 1e-9
             prev_residual = residual
@@ -229,20 +221,20 @@ class TestTrain:
         y = rng.choice([-1.0, 1.0], size=10)
         cf_pruned = cf.copy()
         cf_pruned[2] = 0
-        pruned = elm.ElmArchitecture(w, b, cf_pruned)
+        pruned = (w, b, cf_pruned)
         keep = [0, 1, 3, 4]
-        deleted = elm.ElmArchitecture(w[keep], b[keep], cf[keep])
+        deleted = (w[keep], b[keep], cf[keep])
         xs = rng.normal(size=(6, 3))
         assert np.allclose(
-            elm.hidden_matrix(pruned, xs) @ elm.train(pruned, x, y),
-            elm.hidden_matrix(deleted, xs) @ elm.train(deleted, x, y),
+            elm.hidden_matrix(xs, *pruned) @ elm.train(*pruned, x, y),
+            elm.hidden_matrix(xs, *deleted) @ elm.train(*deleted, x, y),
             atol=1e-12)
 
 
 class TestPredict:
     def test_deterministic(self):
-        arch = identity_arch()
-        model = identity_model(arch, elm.train(arch, [[1.0]], [1.0]))
+        layer = identity_layer()
+        model = identity_model(layer, elm.train(*layer, [[1.0]], [1.0]))
         x = np.random.default_rng(0).normal(size=(5, 1))
         assert np.array_equal(elm.predict_full(model, x),
                               elm.predict_full(model, x))
@@ -252,26 +244,23 @@ class TestPredict:
         x = np.vstack([rng.normal(loc=(2, 2), size=(8, 2)),
                        rng.normal(loc=(-2, -2), size=(8, 2))])
         y = np.array([1.0] * 8 + [-1.0] * 8)
-        arch = elm.ElmArchitecture(
-            input_weights=rng.uniform(-1, 1, size=(20, 2)),
-            biases=rng.uniform(-1, 1, size=20),
-            activations=np.full(20, elm.ACT_SIGMOID))
-        model = identity_model(arch, elm.train(arch, x, y))
+        layer = (rng.uniform(-1, 1, size=(20, 2)), rng.uniform(-1, 1, size=20),
+                 np.full(20, elm.ACT_SIGMOID))
+        model = identity_model(layer, elm.train(*layer, x, y))
         assert np.all(np.sign(elm.predict_full(model, x)) == y)
 
 
 def saved_model(path):
     """Write a 6-neuron model on 3 of 5 features; returns it."""
     rng = np.random.default_rng(11)
-    arch = elm.ElmArchitecture(
-        input_weights=rng.uniform(-1, 1, size=(6, 3)),
-        biases=rng.uniform(-1, 1, size=6),
-        activations=np.array([0, 1, 2, 1, 1, 2]))
+    w = rng.uniform(-1, 1, size=(6, 3))
+    b = rng.uniform(-1, 1, size=6)
+    cf = np.array([0, 1, 2, 1, 1, 2])
     x = rng.normal(size=(10, 3))
     y = rng.choice([-1.0, 1.0], size=10)
     mask = np.array([True, False, True, True, False])
-    model = elm.ElmModel(architecture=arch,
-                         output_weights=elm.train(arch, x, y),
+    model = elm.ElmModel(input_weights=w, biases=b, activations=cf,
+                         output_weights=elm.train(w, b, cf, x, y),
                          feature_mask=mask,
                          means=rng.normal(size=5),
                          stds=rng.uniform(0.5, 2.0, size=5))
@@ -329,15 +318,13 @@ def test_model_file_missing_line_refused(tmp_path, line):
     ("means", np.zeros(4), "mask length vs means"),
     ("stds", np.ones(6), "mask length vs stds"),
     ("output_weights", np.ones(5), "output weights vs hidden size"),
-], ids=["mask bits", "means", "stds", "beta"])
+    ("input_weights", np.ones((5, 3)), "input weights vs hidden size"),
+    ("activations", np.ones(5, dtype=int), "activations vs hidden size"),
+], ids=["mask bits", "means", "stds", "beta", "input weights", "activations"])
 def test_model_sizes_checked_on_construction(tmp_path, field, value, what):
     model = saved_model(tmp_path / "model.elm")
-    fields = {"architecture": model.architecture,
-              "output_weights": model.output_weights,
-              "feature_mask": model.feature_mask, "means": model.means,
-              "stds": model.stds, field: value}
     with pytest.raises(elm.ShapeMismatchError, match=what):
-        elm.ElmModel(**fields)
+        dataclasses.replace(model, **{field: value})
 
 
 @pytest.mark.parametrize("pattern, replacement, what", [
@@ -421,10 +408,7 @@ def test_overwritten_model_file_gives_new_scores(tmp_path):
     model = saved_model(path)
     raw = np.random.default_rng(13).normal(size=(4, 5))
     before = elm.predict_full(elm.load_model(path), raw)
-    flipped = elm.ElmModel(architecture=model.architecture,
-                           output_weights=-model.output_weights,
-                           feature_mask=model.feature_mask,
-                           means=model.means, stds=model.stds)
+    flipped = dataclasses.replace(model, output_weights=-model.output_weights)
     elm.save_model(flipped, path)
     after = elm.predict_full(elm.load_model(path), raw)
     assert np.allclose(after, -before, atol=1e-12)
@@ -441,19 +425,16 @@ def test_malformed_overwrite_still_refused(tmp_path):
         with pytest.raises(elm.ElmError, match="hidden"):
             elm.load_model(path)
     path.write_bytes(good)
-    assert elm.load_model(path).architecture.hidden_size == 6
+    assert elm.load_model(path).input_weights.shape[0] == 6
 
 
 def test_loaded_model_arrays_read_only(tmp_path):
     path = tmp_path / "model.elm"
     saved_model(path)
     model = elm.load_model(path)
-    arch = model.architecture
-    arrays = {"input_weights": arch.input_weights, "biases": arch.biases,
-              "activations": arch.activations,
-              "output_weights": model.output_weights,
-              "feature_mask": model.feature_mask, "means": model.means,
-              "stds": model.stds}
+    arrays = {f.name: getattr(model, f.name)
+              for f in dataclasses.fields(model)}
+    assert len(arrays) == 7
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):

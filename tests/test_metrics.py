@@ -28,11 +28,9 @@ def linear_model(weights, bias=0.0):
     """Single linear neuron producing score = w.x + bias via beta."""
     weights = np.asarray(weights, dtype=float)
     n = len(weights)
-    arch = elm.ElmArchitecture(
-        input_weights=weights.reshape(1, n),
-        biases=np.array([bias]),
-        activations=np.array([elm.ACT_LINEAR]))
-    return elm.ElmModel(architecture=arch,
+    return elm.ElmModel(input_weights=weights.reshape(1, n),
+                        biases=np.array([bias]),
+                        activations=np.array([elm.ACT_LINEAR]),
                         output_weights=np.array([1.0]),
                         feature_mask=np.ones(n, dtype=bool),
                         means=np.zeros(n), stds=np.ones(n))

@@ -43,7 +43,7 @@ class TestDecodeParticle:
         # [TRIVIAL] raw s [0.7, 0.2, 0.5] -> mask [1, 0, 1], ties to 1
         pos = make_position(SPEC)
         pos[SPEC.slices["s"]] = [0.7, 0.2, 0.5]
-        _, mask = swarm.decode_particle(pos, SPEC)
+        _, _, mask, _ = swarm.decode_particle(pos, SPEC)
         assert mask.tolist() == [True, False, True]
 
     def test_activation_thirds(self):
@@ -51,42 +51,42 @@ class TestDecodeParticle:
         spec = swarm.EncodingSpec(n_features=2, hidden=3)
         pos = make_position(spec)
         pos[spec.slices["cf"]] = [0.1, 0.4, 0.9]
-        arch, _ = swarm.decode_particle(pos, spec)
-        assert arch.activations.tolist() == [0, 1, 2]
+        _, _, _, cf = swarm.decode_particle(pos, spec)
+        assert cf.tolist() == [0, 1, 2]
 
     def test_affine_midpoint(self):
         # [TRIVIAL] raw a entry 0.5 -> weight 0.0
         pos = make_position(SPEC, a=0.5)
-        arch, _ = swarm.decode_particle(pos, SPEC)
-        assert np.all(arch.input_weights == 0.0)
+        a, _, _, _ = swarm.decode_particle(pos, SPEC)
+        assert np.all(a == 0.0)
 
     def test_affine_endpoints(self):
         lo = make_position(SPEC, a=0.0, b=0.0)
         hi = make_position(SPEC, a=1.0, b=1.0)
-        arch_lo, _ = swarm.decode_particle(lo, SPEC)
-        arch_hi, _ = swarm.decode_particle(hi, SPEC)
-        assert np.all(arch_lo.input_weights == -1.0)
-        assert np.all(arch_lo.biases == -1.0)
-        assert np.all(arch_hi.input_weights == 1.0)
-        assert np.all(arch_hi.biases == 1.0)
+        a_lo, b_lo, _, _ = swarm.decode_particle(lo, SPEC)
+        a_hi, b_hi, _, _ = swarm.decode_particle(hi, SPEC)
+        assert np.all(a_lo == -1.0)
+        assert np.all(b_lo == -1.0)
+        assert np.all(a_hi == 1.0)
+        assert np.all(b_hi == 1.0)
 
     def test_empty_mask_repaired(self):
         pos = make_position(SPEC)
         pos[SPEC.slices["s"]] = [0.1, 0.3, 0.2]
-        _, mask = swarm.decode_particle(pos, SPEC)
+        _, _, mask, _ = swarm.decode_particle(pos, SPEC)
         assert mask.tolist() == [False, True, False]
 
     def test_all_off_activations_repaired(self):
         pos = make_position(SPEC)
         pos[SPEC.slices["cf"]] = [0.05, 0.2]
-        arch, _ = swarm.decode_particle(pos, SPEC)
-        assert arch.activations.tolist() == [0, 1]
+        _, _, _, cf = swarm.decode_particle(pos, SPEC)
+        assert cf.tolist() == [0, 1]
 
     def test_weight_columns_follow_mask(self):
         pos = make_position(SPEC)
         pos[SPEC.slices["s"]] = [0.9, 0.1, 0.9]
-        arch, mask = swarm.decode_particle(pos, SPEC)
-        assert arch.input_weights.shape == (2, 2)
+        a, _, mask, _ = swarm.decode_particle(pos, SPEC)
+        assert a[:, mask].shape == (2, 2)
         assert int(mask.sum()) == 2
 
     def test_out_of_range_rejected(self):
@@ -107,7 +107,7 @@ class TestDecodeParticle:
         with pytest.raises(ValueError, match="outside the unit cube"):
             swarm.decode_particle(pos, SPEC)
         with pytest.raises(ValueError, match="outside the unit cube"):
-            swarm.evaluate_fitness(pos, SPEC, ctx)
+            swarm.evaluate_fitness(pos, ctx)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -116,15 +116,15 @@ class TestDecodeParticle:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_decode_total_on_unit_cube(self, seed):
-        # Property: every position decodes to a trainable architecture.
+        # Property: every position decodes to a trainable hidden layer.
         rng = np.random.default_rng(seed)
         pos = rng.random(SPEC.dim)
-        arch, mask = swarm.decode_particle(pos, SPEC)
+        a, b, mask, cf = swarm.decode_particle(pos, SPEC)
         assert mask.any()
-        assert np.any(arch.activations != elm.ACT_OFF)
-        assert arch.input_weights.shape == (2, int(mask.sum()))
-        assert np.all(np.abs(arch.input_weights) <= 1.0)
-        assert np.all(np.abs(arch.biases) <= 1.0)
+        assert np.any(cf != elm.ACT_OFF)
+        assert a[:, mask].shape == (2, int(mask.sum()))
+        assert np.all(np.abs(a) <= 1.0)
+        assert np.all(np.abs(b) <= 1.0)
 
 
 class TestFitnessVariance:
@@ -219,14 +219,16 @@ class TestMutate:
 
 def reference_fitness(position, spec, samples, labels, seed):
     """5-fold CV fitness with `elm.train` per fold on the full decoded
-    architecture, ACT_OFF neurons included; a score >= 0 predicts +1."""
-    arch, mask = swarm.decode_particle(position, spec)
+    hidden layer, ACT_OFF neurons included; a score >= 0 predicts +1."""
+    a, b, mask, cf = swarm.decode_particle(position, spec)
+    layer = (a[:, mask], b, cf)
     x = samples[:, mask]
     correct = 0
     for fold in features.kfold_partition(labels, 5, seed):
         train_rows = np.setdiff1d(np.arange(len(labels)), fold)
-        beta = elm.train(arch, x[train_rows], labels[train_rows])
-        pred = np.where(elm.hidden_matrix(arch, x[fold]) @ beta >= 0.0, 1, -1)
+        beta = elm.train(*layer, x[train_rows], labels[train_rows])
+        pred = np.where(elm.hidden_matrix(x[fold], *layer) @ beta >= 0.0,
+                        1, -1)
         correct += int(np.sum(pred == labels[fold]))
     return correct / len(labels)
 
@@ -243,22 +245,22 @@ class TestEvaluateFitness:
         pos[sl["b"]] = 0.5                     # zero bias
         pos[sl["s"]] = [1.0, 0.0, 0.0, 0.0]    # mask in feature 0 only
         pos[sl["cf"]] = 0.9                    # linear neuron
-        assert swarm.evaluate_fitness(pos, spec, ctx) == 1.0
+        assert swarm.evaluate_fitness(pos, ctx) == 1.0
 
     def test_deterministic(self):
         kb = separable_kb(n=40, n_features=3, seed=1)
         ctx = swarm.FitnessContext.build(kb.samples, kb.labels, SPEC, seed=0)
         rng = np.random.default_rng(9)
         pos = rng.random(SPEC.dim)
-        assert swarm.evaluate_fitness(pos, SPEC, ctx) == \
-            swarm.evaluate_fitness(pos, SPEC, ctx)
+        assert swarm.evaluate_fitness(pos, ctx) == \
+            swarm.evaluate_fitness(pos, ctx)
 
     def test_fitness_in_unit_interval(self):
         kb = separable_kb(n=40, n_features=3, seed=2)
         ctx = swarm.FitnessContext.build(kb.samples, kb.labels, SPEC, seed=0)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            f = swarm.evaluate_fitness(rng.random(SPEC.dim), SPEC, ctx)
+            f = swarm.evaluate_fitness(rng.random(SPEC.dim), ctx)
             assert 0.0 <= f <= 1.0
 
     # 48 training rows per fold. hidden=200 exceeds them, so the SVD cutoff
@@ -274,7 +276,7 @@ class TestEvaluateFitness:
         for _ in range(50):
             pos = rng.random(spec.dim)
             pos[spec.slices["cf"]] *= rng.random()  # vary the off share
-            assert swarm.evaluate_fitness(pos, spec, ctx) == \
+            assert swarm.evaluate_fitness(pos, ctx) == \
                 reference_fitness(pos, spec, x, kb.labels, 3)
 
     # The Gram path must answer for most particles at L <= 50, or the
@@ -301,7 +303,7 @@ class TestEvaluateFitness:
         rng = np.random.default_rng(hidden)
         for _ in range(100):
             pos = rng.random(spec.dim)
-            assert swarm.evaluate_fitness(pos, spec, ctx) == \
+            assert swarm.evaluate_fitness(pos, ctx) == \
                 reference_fitness(pos, spec, x, y, 7)
         assert sum(a is not None for a in answers) >= gram_at_least
 
@@ -366,12 +368,12 @@ class TestEvaluateFitness:
         sl = spec.slices
         pos = rng.random(spec.dim)
         pos[sl["cf"]] = [0.1, 0.5, 0.9, 0.5, 0.9]   # neuron 0 off
-        base = swarm.evaluate_fitness(pos, spec, ctx)
+        base = swarm.evaluate_fitness(pos, ctx)
         for _ in range(5):
             moved = pos.copy()
             moved[sl["a"].start:sl["a"].start + 6] = rng.random(6)
             moved[sl["b"].start] = rng.random()
-            assert swarm.evaluate_fitness(moved, spec, ctx) == base
+            assert swarm.evaluate_fitness(moved, ctx) == base
 
     def test_folds_partition_the_rows(self):
         kb = separable_kb(n=47, n_features=3, seed=8)
