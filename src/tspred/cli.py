@@ -52,11 +52,10 @@ def cmd_generate(args):
         scenarios = simkit.build_scenario_grid(**spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    traj = simkit.simulate_scenarios(model, scenarios,
+                                     keep=features.sample_steps, certify=True)
     kb = features.build_knowledge_base(
-        simkit.simulate_scenarios(model, scenarios,
-                                  keep=features.sample_steps),
-        spec["seed"],
-        provenance=f"{model.name}:{Path(grid_path).name}")
+        traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     features.save_knowledge_base(kb, args.out, _sidecar_path(args.out))
     n_stable = int(np.sum(kb.labels == features.STABLE))
@@ -65,6 +64,13 @@ def cmd_generate(args):
           f"to {args.out}")
     print(f"class balance: {n_stable} stable / "
           f"{kb.n_samples - n_stable} unstable")
+    # a stable row stops before the horizon only on its certificate
+    n_steps = len(traj.time) - 1
+    stopped = (kb.labels == features.STABLE) & (traj.stop_step < n_steps)
+    print("energy certificate: " + (
+        f"not applied ({traj.certificate})" if traj.certificate else
+        f"{int(np.sum(stopped))} of {kb.n_samples} rows stopped at step <= "
+        f"{traj.stop_step[stopped].max(initial=0)} of {n_steps}"))
     return EXIT_OK
 
 

@@ -66,8 +66,8 @@ class ElmModel:
     mask and the training standardization statistics, so it scores raw rows.
 
     Every array is a read-only copy, so one model can be shared; a
-    non-finite weight or statistic, an unknown activation code, a negative
-    std, or sizes that disagree, are refused.
+    non-finite weight or statistic, an unknown activation code, no active
+    neuron or feature, a negative std, or sizes that disagree, are refused.
     """
 
     input_weights: np.ndarray    # (L, n), n = mask bits set
@@ -92,6 +92,10 @@ class ElmModel:
         cf, mask = self.activations, self.feature_mask
         if not np.all((cf >= ACT_OFF) & (cf <= ACT_LINEAR)):
             raise ElmError("activation codes must be 0, 1 or 2")
+        if not np.any(cf != ACT_OFF):
+            raise ElmError("activations: no active neuron")
+        if not np.any(mask):
+            raise ElmError("feature_mask: no feature selected")
         # _zscore would read a negative std as a constant column
         if np.any(self.stds < 0.0):
             raise ElmError("stds must not be negative")

@@ -169,11 +169,12 @@ class Trajectory:
     `steps` names the grid step of each kept sample: every step of `time`
     for a full history, fewer when the run kept only some. Angles in
     degrees, speed deviations in rad/s, powers in per-unit, clearing times
-    in seconds. `max_gap_deg` is the largest pairwise rotor-angle gap the
-    run reached, over every step it integrated. A batch puts a leading
-    scenario axis S on every series and on `pm`, `t_clear` and
-    `max_gap_deg`; one scenario has none. `inertia` and `f0` are echoed
-    from the model for feature extraction.
+    in seconds. `max_gap_deg` is the largest pairwise rotor-angle gap up to
+    `stop_step`, the last step integrated: the horizon's, or earlier on a
+    360° gap or an energy certificate (`certificate` says why none applied,
+    '' if one did). A batch puts a leading scenario axis S on every series
+    and on `pm`, `t_clear`, `max_gap_deg` and `stop_step`; one scenario has
+    none. `inertia` and `f0` are echoed from the model for feature extraction.
     """
 
     time: np.ndarray           # (T+1,), the integration grid
@@ -184,20 +185,23 @@ class Trajectory:
     pe: np.ndarray             # ([S,] K, G)
     t_clear: np.ndarray        # ([S]), fault clearing time
     max_gap_deg: np.ndarray    # ([S])
+    stop_step: np.ndarray      # ([S])
     inertia: np.ndarray        # (G,)
     f0: float
+    certificate: str = "not requested"
 
     def __post_init__(self):
         for name in ("time", "delta_deg", "speed_dev", "pm", "pe",
                      "t_clear", "max_gap_deg", "inertia"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "steps", _readonly(self.steps, int))
+        object.__setattr__(self, "stop_step", _readonly(self.stop_step, int))
 
     def row(self, s):
         """Scenario `s` of a batch, without the scenario axis (views)."""
         return replace(self, **{name: getattr(self, name)[s] for name in
                                 ("steps", "delta_deg", "speed_dev", "pm",
-                                 "pe", "t_clear", "max_gap_deg")})
+                                 "pe", "t_clear", "max_gap_deg", "stop_step")})
 
     def at(self, steps):
         """(delta_deg, speed_dev, pe) at grid `steps` ([S,] n), each
@@ -257,16 +261,20 @@ def operating_point(model, level):
     EMF magnitudes are kept when the scaled system still has an
     equilibrium, else re-derived as E·sqrt(level), which scales every
     power-flow term by `level` and preserves the base-case angles exactly.
-    The angles come from the solve that succeeded, so each candidate model
-    is solved once.
+    Without transfer conductance ΣPe = ΣE_i²G_ii, so a scaled ΣPm off it
+    by over G·1e-8 cannot balance and is not tried. Each candidate model
+    is solved at most once, and the angles come from the one that holds.
     """
     if level == 1.0:
         return model, solve_equilibrium(model)
-    scaled = replace(model, pm=model.pm * level)
-    try:
-        return scaled, solve_equilibrium(scaled)
-    except NoEquilibriumError:
-        pass
+    scaled, y = replace(model, pm=model.pm * level), model.y_prefault
+    excess = abs(np.sum(scaled.pm - model.emf ** 2 * y.real.diagonal()))
+    if not (_lossless_transfer(y)
+            and excess > model.n_generators * _EQUILIBRIUM_TOL):
+        try:
+            return scaled, solve_equilibrium(scaled)
+        except NoEquilibriumError:
+            pass
     rescaled = replace(scaled, emf=model.emf * math.sqrt(level))
     try:
         return rescaled, solve_equilibrium(rescaled)
@@ -275,7 +283,127 @@ def operating_point(model, level):
             f"load level {level} destroys the operating point") from exc
 
 
-def simulate_scenarios(model, scenarios, keep=None):
+# Transient-energy certificate (README, "Features and labeling"). Without
+# transfer conductance the postfault V = ½ΣM_iω_i² + W has dV/dt =
+# −ΣD_iω_i² ≤ 0, so a state with V < c in δ^s's part of {W < c} stays there.
+CERTIFY_EVERY = 24           # steps between a running row's checks
+_CERTIFY_MARGIN = 0.95       # c = margin · lowest UEP energy
+_PROOF_STEP_DEG = 3.0        # cell width of the proof grid over ±180°
+_PROOF_NODES = round(360.0 / _PROOF_STEP_DEG) + 1
+
+
+def _lossless_transfer(y):
+    """True when no off-diagonal conductance couples the machines of `y`."""
+    return not np.any(y.real - np.diag(np.diag(y.real)))
+
+
+def _potential(delta, p, c, ref):
+    """W = −ΣP_i·x_i − Σ_{i<j} C_ij(cos δ_ij − cos δ_ij^s) at `delta`
+    (radians, ([N,] G)), x the angles relative to the last machine's from
+    δ^s = `ref`, and its gradient and Hessian over x."""
+    i, j = np.triu_indices(delta.shape[-1], 1)
+    a = np.eye(delta.shape[-1])[i] - np.eye(delta.shape[-1])[j]   # pairs
+    pair = delta @ a.T
+    x = delta - delta[..., -1:] - (ref - ref[..., -1:])
+    w = (-np.sum(p * x, axis=-1)
+         - np.sum(c * (np.cos(pair) - np.cos(ref @ a.T)), axis=-1))
+    hess = (a[:, :-1].T * (c * np.cos(pair))[..., None, :]) @ a[:, :-1]
+    return w, ((c * np.sin(pair)) @ a - p)[..., :-1], hess
+
+
+def _energy_certificate(p, c, ref, margin):
+    """(P, C, ref, c, cells), c = margin·V_cr, or why not: a state with
+    V < c in a cell (flat) of the 3° grid around `ref` stays below 360°.
+    Newton starts where |∇W| ≤ κr (r a cell's half-diagonal, κ ≥ |∇²W|).
+    Cells with W − |∇W|·r − ½κr² < c are flooded from `ref`'s; the flood
+    must stay off the edge, its largest gap plus one cell below 360°."""
+    dim = len(ref) - 1
+    axis = np.radians(np.linspace(-180.0, 180.0, _PROOF_NODES))
+    grid = ref + np.stack(np.meshgrid(*[axis] * dim, [0.0], indexing="ij"),
+                          axis=-1)[..., 0, :]     # last machine held at ref
+    # one slice of the first angle at a time keeps generate's peak memory
+    w, grad = (np.concatenate(a) for a in zip(*[
+        _potential(g, p, c, ref)[:2] for g in np.array_split(grid, 11)]))
+    slope = np.linalg.norm(grad, axis=-1)
+    r = math.radians(_PROOF_STEP_DEG) / 2 * math.sqrt(dim)
+    # |e_i − e_j|² over x is 2, or 1 for a pair with the last machine
+    kappa = float(np.abs(c) @ np.where(np.triu_indices(dim + 1, 1)[1] == dim,
+                                       1.0, 2.0))
+    delta = grid[slope <= kappa * r]
+    for _ in range(_NEWTON_MAX_STEPS):
+        _, grad, hess = _potential(delta, p, c, ref)
+        try:
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:   # a singular Hessian ends the search
+            break
+        delta[:, :-1] -= step
+        if not np.max(np.abs(step), initial=0.0) > _NEWTON_STEP_TOL:
+            break
+    w_eq, grad, hess = _potential(delta, p, c, ref)
+    uep = ((np.linalg.norm(grad, axis=-1) <= _EQUILIBRIUM_TOL) & (w_eq > 0)
+           & np.all(np.abs(delta - ref) <= math.pi, axis=-1)
+           & ((hess[:, 0, 0] <= 0) | (np.linalg.det(hess) <= 0)))  # not min
+    if not uep.any():
+        return "no unstable equilibrium found"
+    level = margin * w_eq[uep].min()
+    below = w - slope * r - 0.5 * kappa * r * r < level
+    filled = np.zeros_like(below)
+    filled[(_PROOF_NODES // 2,) * dim] = True
+    while not any(np.take(filled, [0, -1], ax).any() for ax in range(dim)):
+        grown = filled.copy()
+        for ax in range(dim):       # the 3×3 box, one axis at a time
+            g = np.moveaxis(grown, ax, 0)
+            g[1:] |= g[:-1].copy()
+            g[:-1] |= g[1:].copy()
+        grown &= below
+        if np.array_equal(grown, filled):
+            gap = np.degrees(np.ptp(grid[filled], axis=-1)).max()
+            if gap + _PROOF_STEP_DEG < INSTABILITY_THRESHOLD_DEG:
+                return p, c, ref, level, filled.ravel()
+            break
+        filled = grown
+    return f"proof failed at c = {level:.4g}"
+
+
+def _energy_certificates(model, operating):
+    """({level: (index, scale)}, stacked (P, C, ref, c, cells), why none
+    applies or '') of `operating` ({level: (model, angles)}). E·√level
+    levels share the base case's certificate (W = level·W₁): V/level < c."""
+    if not _lossless_transfer(model.y_postfault):
+        return {}, (), "transfer conductance in the postfault network"
+    if not 2 <= model.n_generators <= 3:
+        return {}, (), f"{model.n_generators} machines, not 2 or 3"
+    certs, built, covered = [], {}, {}
+    for level, (level_model, delta0) in operating.items():
+        rescaled = not np.array_equal(level_model.emf, model.emf)
+        m = model if rescaled else level_model      # P and C of W₁
+        p = m.pm - m.emf ** 2 * m.y_postfault.real.diagonal()
+        c = (np.outer(m.emf, m.emf) * m.y_postfault.imag)[
+            np.triu_indices(len(p), 1)]
+        key = (p.tobytes(), c.tobytes())
+        if key not in built:
+            cert = _energy_certificate(p, c, delta0, _CERTIFY_MARGIN)
+            built[key] = cert if isinstance(cert, str) else len(certs)
+            certs += [] if isinstance(cert, str) else [cert]
+        if not isinstance(built[key], str):
+            covered[level] = (built[key], level if rescaled else 1.0)
+    why = "" if covered else next(iter(built.values()))
+    return covered, tuple(np.array(a) for a in zip(*certs)), why
+
+
+def _certified(d, w, certs, which, scale, model):
+    """Rows of (d, w) that certificate `which` (−1: none) of `certs` proves."""
+    p, c, ref, level = (a[which] for a in certs[:4])
+    energy = (np.sum(model.inertia / model.omega0 * w ** 2, axis=-1) / scale
+              + _potential(d, p, c, ref)[0])
+    x, n = d[:, :-1] - d[:, -1:] - (ref[:, :-1] - ref[:, -1:]), _PROOF_NODES
+    cell = np.rint(np.degrees(x) / _PROOF_STEP_DEG).astype(int) + n // 2
+    inside = np.all((cell >= 0) & (cell < n), axis=-1)
+    flat = np.clip(cell, 0, n - 1) @ n ** np.arange(cell.shape[1])[::-1]
+    return (which >= 0) & (energy < level) & inside & certs[4][which, flat]
+
+
+def simulate_scenarios(model, scenarios, keep=None, certify=False):
     """Integrate fault scenarios together with fixed-step RK4.
 
     Each scenario starts from the prefault equilibrium at its load level,
@@ -291,6 +419,8 @@ def simulate_scenarios(model, scenarios, keep=None):
     angle gap; a row leaves the batch once that gap has reached the
     instability threshold (its label cannot change) and its last kept
     step is past, so with the default every row runs the whole horizon.
+    With `certify`, a postfault row past its last kept step also leaves
+    once its energy certificate proves it stable (checked every 24 steps).
     The overflow guard watches the rows still running. Pe is computed at
     the kept samples only. Returns one Trajectory, scenario axis first.
     """
@@ -313,6 +443,11 @@ def simulate_scenarios(model, scenarios, keep=None):
     operating = {lv: operating_point(model, lv)
                  for lv in dict.fromkeys(sc.load_level for sc in scenarios)}
     levels = [operating[sc.load_level] for sc in scenarios]
+    covered, certs, why = (_energy_certificates(model, operating) if certify
+                           else ({}, (), "not requested"))
+    which, scale = np.array([covered.get(sc.load_level, (-1, 1.0))
+                             for sc in scenarios]).T
+    which = which.astype(int)
 
     emf = np.array([m.emf for m, _ in levels])
     pm = np.array([m.pm for m, _ in levels])
@@ -320,6 +455,7 @@ def simulate_scenarios(model, scenarios, keep=None):
     delta = np.empty((*steps.shape, model.n_generators))
     speed = np.empty_like(delta)
     max_gap = np.empty(n_rows)
+    stop_step = np.full(n_rows, nsteps)
 
     eps = 1e-12
     n_fault = np.minimum(np.floor(t_clear / dt + eps), nsteps).astype(int)
@@ -360,8 +496,12 @@ def simulate_scenarios(model, scenarios, keep=None):
             delta[rows[at_r], at_c] = d[at_r]
             speed[rows[at_r], at_c] = w[at_r]
         settled = (gap >= INSTABILITY_THRESHOLD_DEG) & (last <= k)
+        if covered and not k % CERTIFY_EVERY:
+            settled |= (n_f < k) & (last <= k) & _certified(
+                d, w, certs, which[rows], scale[rows], model)
         if np.any(settled):
             max_gap[rows[settled]] = gap[settled]
+            stop_step[rows[settled]] = k
             going = ~settled
             rows, d, w, gap = rows[going], d[going], w[going], gap[going]
             run = tuple(a[going] for a in run)
@@ -377,12 +517,12 @@ def simulate_scenarios(model, scenarios, keep=None):
         kernels.electrical_power(delta, emf[:, None], y)
         for y in (model.y_prefault, y_fault[:, None], y_post)])
     np.degrees(delta, out=delta)
-    for arr in (time, delta, speed, pm, pe, t_clear, max_gap):
+    for arr in (time, delta, speed, pm, pe, t_clear, max_gap, stop_step):
         arr.setflags(write=False)
     return Trajectory(time=time, steps=steps, delta_deg=delta,
                       speed_dev=speed, pm=pm, pe=pe, t_clear=t_clear,
-                      max_gap_deg=max_gap, inertia=model.inertia,
-                      f0=model.f0)
+                      max_gap_deg=max_gap, stop_step=stop_step,
+                      inertia=model.inertia, f0=model.f0, certificate=why)
 
 
 def simulate_trajectory(model, scenario):

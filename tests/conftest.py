@@ -31,6 +31,7 @@ def make_trajectory(delta_deg, dt=1.0 / 240.0, f0=60.0, inertia=None,
         pe=np.zeros_like(delta_deg) if pe is None else pe,
         t_clear=np.full(lead, t_clear),
         max_gap_deg=simkit.angle_gap(delta_deg).max(axis=-1),
+        stop_step=np.full(lead, n_t - 1),
         inertia=inertia,
         f0=f0,
     )

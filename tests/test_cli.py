@@ -538,7 +538,12 @@ def _write_malformed(case, kb_csv, tmp_path):
                 "elm text weight": ("w 1.0", "w abc"),
                 "elm extra hidden value": ("hidden 1", "hidden 1 99"),
                 "elm activation code 3": ("activations 1", "activations 3"),
-                "elm negative std": ("stds 1.0", "stds -1.0")}
+                "elm negative std": ("stds 1.0", "stds -1.0"),
+                "elm all neurons off": ("activations 1", "activations 0"),
+                "elm empty mask": ("input_dim 1\nbiases 0.0\nactivations 1\n"
+                                   "beta 1.0\nw 1.0\nmask 1 0",
+                                   "input_dim 0\nbiases 0.0\nactivations 1\n"
+                                   "beta 1.0\nw\nmask 0 0")}
         model = tmp_path / "model.elm"
         model.write_text(text.replace(*edit[case]))
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
@@ -602,6 +607,9 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("elm activation code 3", cli.EXIT_RUNTIME,
      "activation codes must be 0, 1 or 2"),
     ("elm negative std", cli.EXIT_RUNTIME, "stds must not be negative"),
+    ("elm all neurons off", cli.EXIT_RUNTIME,
+     "activations: no active neuron"),
+    ("elm empty mask", cli.EXIT_RUNTIME, "feature_mask: no feature selected"),
     ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),
     ("elm no standardization", cli.EXIT_RUNTIME, "no means line"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),

@@ -1,5 +1,6 @@
 import gzip
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -265,11 +266,12 @@ class TestLoadLevel:
 
 
 def test_one_solve_per_candidate_model(monkeypatch):
-    # [DERIVED] fixtures/three_machine.grid has 21 load levels. Level 1.0
-    # is solved once; each of the other 20 fails the scaled-Pm solve and
-    # succeeds with E·sqrt(level): 1 + 20·2 = 41 solves, 20 raising, one
-    # success per level. A second solve of the chosen model would make
-    # it 61.
+    # [DERIVED] fixtures/three_machine.grid has 21 load levels and no
+    # transfer conductance, so ΣPe = Σ E_i²·G_ii at every angle and no
+    # level but 1.0 can balance its scaled Pm: level 1.0 and each other
+    # level's E·sqrt(level) model are solved once, 21 solves, none
+    # raising. Trying the scaled-Pm model first would make it 41 (20
+    # raising); a second solve of the chosen model, 42 or more.
     solve = simkit.solve_equilibrium
     outcomes = []
 
@@ -288,9 +290,40 @@ def test_one_solve_per_candidate_model(monkeypatch):
     simkit.simulate_scenarios(simkit.load_model("fixtures/three_machine.sys"),
                               scenarios)
     assert len(spec["load_levels"]) == 21
-    assert len(outcomes) == 41
-    assert outcomes.count(False) == 20
-    assert outcomes.count(True) == len(spec["load_levels"])
+    assert len(outcomes) == 21
+    assert outcomes.count(False) == 0
+
+
+def lossy(model, g=0.01):
+    """`model` with conductance g between machines 0 and 1 before, during
+    and after every fault, and Pm reset to balance its old angles."""
+    extra = np.zeros((model.n_generators,) * 2)
+    extra[0, 1] = extra[1, 0] = g
+    out = replace(model, y_prefault=model.y_prefault + extra,
+                  y_postfault=model.y_postfault + extra,
+                  y_fault={k: v + extra for k, v in model.y_fault.items()})
+    return replace(out, pm=kernels.electrical_power(
+        simkit.solve_equilibrium(model), model.emf, out.y_prefault))
+
+
+def test_lossy_level_tries_scaled_pm_first(monkeypatch, three_machine):
+    # with transfer conductance ΣPe depends on the angles, so the scaled-Pm
+    # model is tried first and E·sqrt(level) only after it fails
+    model = lossy(three_machine)
+    solve = simkit.solve_equilibrium
+    tried = []
+
+    def recorded(m):
+        tried.append(m)
+        return solve(m)
+
+    monkeypatch.setattr(simkit, "solve_equilibrium", recorded)
+    level_model, _ = simkit.operating_point(model, 0.8)
+    assert np.array_equal(tried[0].pm, model.pm * 0.8)
+    assert np.array_equal(tried[0].emf, model.emf)
+    assert tried[-1] is level_model
+    assert len(tried) == 2
+    assert np.array_equal(level_model.emf, model.emf * math.sqrt(0.8))
 
 
 class TestModelValidation:
@@ -400,3 +433,119 @@ def test_smib_labels_hold_at_half_step():
     base = labels(spec["step"])
     assert base.size == 66 and np.sum(base == features.UNSTABLE) == 16
     assert np.array_equal(labels(spec["step"] / 2), base)
+
+
+PAPER_GRID = {"faults": ["bus1", "bus2", "bus3"],
+              "clearing_cycles": np.linspace(5.0, 10.0, 50),
+              "load_levels": np.linspace(0.8, 1.3, 22), "seed": 7}
+
+
+def count_row_steps(monkeypatch):
+    """The number of rows each kernels.rk4_step call advances, as a list
+    the calls append to."""
+    row_steps = []
+    rk4_step = kernels.rk4_step
+
+    def counted(delta, *args):
+        row_steps.append(len(delta))
+        return rk4_step(delta, *args)
+
+    monkeypatch.setattr(kernels, "rk4_step", counted)
+    return row_steps
+
+
+@pytest.mark.parametrize("case, stopped, last, row_steps", [
+    ("smib", 49, 72, (38_099, 6_347)),
+    ("three_machine", 261, 192, (199_655, 31_655)),
+    ("paper", 2_296, 216, (1_754_522, 278_066)),
+])
+def test_certified_run_matches_full_horizon(case, stopped, last, row_steps,
+                                            monkeypatch):
+    # [DERIVED] counts of this tree. The energy certificate stops only
+    # stable rows past their window: the labels and the KB's samples, bit
+    # for bit (so its bytes), are the full-horizon run's, and no row it
+    # stopped is unstable there. On SMIB (no damping) one stable row is
+    # never certified.
+    model = simkit.load_model(
+        f"fixtures/{'smib' if case == 'smib' else 'three_machine'}.sys")
+    spec = (PAPER_GRID if case == "paper"
+            else simkit.load_grid_spec(f"fixtures/{case}.grid"))
+    grid = simkit.build_scenario_grid(**spec)
+    counted = count_row_steps(monkeypatch)
+    runs = []
+    for certify in (False, True):
+        counted.clear()
+        traj = simkit.simulate_scenarios(model, grid,
+                                         keep=features.sample_steps,
+                                         certify=certify)
+        kb = features.build_knowledge_base(traj, spec["seed"])
+        runs.append((traj, kb.labels, kb.samples.tobytes(), sum(counted)))
+    (full, full_labels, full_bytes, full_steps), \
+        (cert, labels, cert_bytes, cert_steps) = runs
+    assert full.certificate == "not requested" and cert.certificate == ""
+    assert np.array_equal(labels, full_labels)
+    assert cert_bytes == full_bytes
+    n_steps = len(cert.time) - 1
+    assert np.all(full.stop_step[full_labels == features.STABLE] == n_steps)
+    early = cert.stop_step < n_steps
+    assert np.all(full_labels[early & (cert.max_gap_deg < 360.0)]
+                  == features.STABLE)
+    certified = early & (labels == features.STABLE)
+    assert int(certified.sum()) == stopped
+    assert int(cert.stop_step[certified].max()) == last
+    assert (full_steps, cert_steps) == row_steps
+
+
+def four_machines():
+    """A lossless four-machine system resting at equal angles."""
+    y = 1j * (np.ones((4, 4)) - 5.0 * np.eye(4))
+    return simkit.PowerSystemModel(
+        name="four", f0=60.0, inertia=np.full(4, 3.0),
+        damping=np.full(4, 0.1), emf=np.ones(4), pm=np.zeros(4),
+        y_prefault=y, y_fault={"bus1": np.zeros((4, 4))}, y_postfault=y)
+
+
+@pytest.mark.parametrize("case, why", [
+    ("lossy", "transfer conductance in the postfault network"),
+    ("four machines", "4 machines, not 2 or 3"),
+    ("failed proof", "proof failed at c = 0.7402"),
+])
+def test_uncertified_networks_run_full_horizon(case, why, monkeypatch,
+                                               three_machine):
+    # the certificate applies only where its proof holds: with transfer
+    # conductance, more than three machines, or a level at 1.05·V_cr the
+    # proof refuses, every row runs as without it
+    model = {"lossy": lossy(three_machine),
+             "four machines": four_machines()}.get(case, three_machine)
+    if case == "failed proof":
+        monkeypatch.setattr(simkit, "_CERTIFY_MARGIN", 1.05)
+    grid = simkit.build_scenario_grid(["bus1"], [5.0, 8.0], [0.9, 1.0, 1.2],
+                                      seed=1)
+    counted = count_row_steps(monkeypatch)
+    runs = []
+    for certify in (False, True):
+        counted.clear()
+        traj = simkit.simulate_scenarios(model, grid,
+                                         keep=features.sample_steps,
+                                         certify=certify)
+        runs.append((traj, sum(counted)))
+    (full, full_steps), (cert, cert_steps) = runs
+    assert cert.certificate == why
+    assert cert_steps == full_steps
+    assert np.array_equal(cert.stop_step, full.stop_step)
+    stable = features.label_trajectory(cert) == features.STABLE
+    assert stable.any() and np.all(cert.stop_step[stable] == 720)
+
+
+def test_proof_holds_below_the_closest_uep_only(monkeypatch, three_machine):
+    # [DERIVED] the three-machine postfault network has one unstable
+    # equilibrium within ±180°, at relative angles (161.5°, 121.9°) with
+    # W = 0.705; the grid proof holds at 0.95 of that level, not at 1.05
+    operating = {1.0: simkit.operating_point(three_machine, 1.0)}
+    covered, certs, why = simkit._energy_certificates(three_machine,
+                                                      operating)
+    assert (covered, why) == ({1.0: (0, 1.0)}, "")
+    assert certs[3][0] == pytest.approx(0.95 * 0.70496, abs=1e-5)
+    monkeypatch.setattr(simkit, "_CERTIFY_MARGIN", 1.05)
+    assert simkit._energy_certificates(three_machine, operating) == (
+        {}, (), f"proof failed at c = {1.05 / 0.95 * certs[3][0]:.4g}")
