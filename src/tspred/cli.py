@@ -84,25 +84,29 @@ def _prepare_training(args):
     return kb, split, seed
 
 
-def _optimize_once(kb, split, scaled, seed, optimizer, args):
-    """Fit on the training rows of `scaled` = (z, means, stds); the model
-    carries the statistics so it scores raw rows."""
+def _fitness_context(kb, split, z, seed, args):
+    """The CV fitness over the training rows of the standardized `z`."""
     if args.hidden < 1:
         raise UsageError("hidden must be at least 1")
-    z, means, stds = scaled
-    x, y = z[split.train], kb.labels[split.train]
     spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=args.hidden)
-    ctx = swarm.FitnessContext.build(x, y, spec, seed=seed)
+    return swarm.FitnessContext.build(z[split.train], kb.labels[split.train],
+                                      spec, seed=seed)
+
+
+def _optimize_once(ctx, fitness, scaled, seed, optimizer, args):
+    """Optimize `fitness` (`ctx`, or a memo over it) and fit the best
+    particle on the training rows of `ctx`; the model carries the
+    statistics of `scaled` = (z, means, stds) so it scores raw rows."""
     config = swarm.SwarmConfig(population=args.population,
                                max_iterations=args.iterations,
                                fitness_target=args.target, seed=seed)
     t0 = time.perf_counter()
-    result = swarm.OPTIMIZERS[optimizer](ctx, spec.dim, config)
+    result = swarm.OPTIMIZERS[optimizer](fitness, ctx.spec.dim, config)
     elapsed = time.perf_counter() - t0
-    a, b, mask, cf = swarm.decode_particle(result.best_position, spec)
+    a, b, mask, cf = swarm.decode_particle(result.best_position, ctx.spec)
     w = a[:, mask]
-    model = elm.ElmModel(w, b, cf, elm.train(w, b, cf, x[:, mask], y), mask,
-                         means, stds)
+    beta = elm.train(w, b, cf, ctx.samples[:, mask], ctx.labels)
+    model = elm.ElmModel(w, b, cf, beta, mask, *scaled[1:])
     return result, model, elapsed
 
 
@@ -111,7 +115,8 @@ def cmd_optimize(args):
         raise UsageError("missing --out directory")
     kb, split, seed = _prepare_training(args)
     scaled = features.standardize(kb.samples, split.train)
-    result, model, elapsed = _optimize_once(kb, split, scaled, seed,
+    ctx = _fitness_context(kb, split, scaled[0], seed, args)
+    result, model, elapsed = _optimize_once(ctx, ctx, scaled, seed,
                                             args.optimizer, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,9 +125,11 @@ def cmd_optimize(args):
     elm.save_model(model, model_path)
     swarm.save_trace(result.trace, trace_path)
     print(f"seed {seed}")
+    mutations = sum(rec.mutated for rec in result.trace)
     print(f"optimizer {args.optimizer}: best CV fitness "
           f"{result.best_fitness:.4f} after {len(result.trace) - 1} "
-          f"iterations ({result.evaluations} evaluations, {elapsed:.2f}s)")
+          f"iterations ({result.evaluations} evaluations, {mutations} "
+          f"mutations, {elapsed:.2f}s)")
     print(f"effective hidden nodes: {model.effective_hidden_size}")
     print(f"wrote {model_path} and {trace_path}")
     return EXIT_OK
@@ -157,13 +164,20 @@ def cmd_compare(args):
     kb, split, seed = _prepare_training(args)
     scaled = features.standardize(kb.samples, split.train)
     runs = {name: [] for name in swarm.OPTIMIZERS}
-    for name in swarm.OPTIMIZERS:
-        for r in range(args.repeats):
+    for r in range(args.repeats):
+        # the optimizers of a repeat start from one seeded population, and
+        # IPSO is PSO until its first rescue: each distinct particle is
+        # scored once, and a run is charged the time of the scores it
+        # took from the memo as well as its own
+        ctx = _fitness_context(kb, split, scaled[0], seed + r, args)
+        shared = swarm.SharedFitness(ctx)
+        for name in swarm.OPTIMIZERS:
+            saved = shared.saved_s
             result, model, elapsed = _optimize_once(
-                kb, split, scaled, seed + r, name, args)
+                ctx, shared, scaled, seed + r, name, args)
             runs[name].append(
-                (result.best_fitness,
-                 model.effective_hidden_size, elapsed))
+                (result.best_fitness, model.effective_hidden_size,
+                 elapsed + shared.saved_s - saved))
     best_overall = max(f for rows in runs.values() for f, _, _ in rows)
     threshold = 0.95 * best_overall
     out_path = Path(args.out)

@@ -8,6 +8,7 @@ monitoring and a mutation rescue when the swarm stagnates below target.
 
 import csv
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,37 @@ class FitnessContext:
 
     def __call__(self, position):
         return evaluate_fitness(position, self)
+
+
+class SharedFitness:
+    """`fitness` scored once per distinct position, for optimizers that
+    share one fitness and revisit each other's positions.
+
+    A position whose float64 bytes were scored before returns the stored
+    score without calling `fitness`; a copy hits, a one-ulp move misses.
+    The key is the position's sha256 digest, so the memo holds 32 bytes per
+    distinct position, not the position. `saved_s` sums the compute time
+    of every score returned from the memo.
+    """
+
+    def __init__(self, fitness):
+        import hashlib  # here, so that `import tspred.cli` does not load it
+        self._sha256 = hashlib.sha256
+        self._fitness = fitness
+        self._scores = {}           # digest -> (score, seconds to compute)
+        self.saved_s = 0.0
+
+    def __call__(self, position):
+        key = self._sha256(
+            np.ascontiguousarray(position, dtype=np.float64)).digest()
+        stored = self._scores.get(key)
+        if stored is not None:
+            self.saved_s += stored[1]
+            return stored[0]
+        t0 = time.perf_counter()
+        score = self._fitness(position)
+        self._scores[key] = (score, time.perf_counter() - t0)
+        return score
 
 
 # Certificate floor of the Gram path, relative to the trace of the all-row

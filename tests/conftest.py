@@ -1,3 +1,7 @@
+# tspred first: importing it pins BLAS to one thread, which only holds if
+# numpy has not loaded its BLAS yet
+import tspred  # noqa: F401  isort:skip
+
 import numpy as np
 import pytest
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspred import cli, features, kernels
+from tspred import cli, features, kernels, swarm
 
 FIXTURES = "fixtures"
 
@@ -100,6 +100,22 @@ class TestOptimize:
     def test_outputs_exist(self, trained):
         assert (trained / "model.elm").exists()
         assert (trained / "trace.csv").exists()
+
+    def test_prints_evaluation_and_mutation_counts(self, kb_csv, tmp_path,
+                                                   capsys):
+        out = tmp_path / "run"
+        assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
+                    "--optimizer", "ipso", "--seed", "5",
+                    "--hidden", "6", "--population", "6",
+                    "--iterations", "8", "--target", "1.0",
+                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+        counts = re.search(r"\((\d+) evaluations, (\d+) mutations, [\d.]+s\)",
+                           capsys.readouterr().out)
+        rows = [ln.split(",") for ln in
+                (out / "trace.csv").read_text().splitlines()[1:]]
+        mutations = sum(row[4] == "1" for row in rows)
+        assert int(counts[2]) == mutations
+        assert int(counts[1]) == 6 * len(rows) + 5 * mutations
 
     def test_missing_kb_usage_error(self, tmp_path):
         assert run(["optimize", "--kb", "missing.csv",
@@ -293,6 +309,66 @@ class TestCompare:
         assert run(["compare", "--kb", str(kb_csv),
                     "--out", str(tmp_path / "c.csv"), "--repeats", "0",
                     "--split-fraction", "0.7"]) == cli.EXIT_USAGE
+
+    def test_bad_hidden_refused_before_any_context(self, kb_csv, tmp_path,
+                                                   monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("fitness context built")
+
+        monkeypatch.setattr(swarm.FitnessContext, "build", build)
+        assert run(["compare", "--kb", str(kb_csv),
+                    "--out", str(tmp_path / "c.csv"), "--hidden", "0",
+                    "--split-fraction", "0.7"]) == cli.EXIT_USAGE
+
+    def test_shared_fitness_matches_standalone_runs(
+            self, three_machine_kb, tmp_path, monkeypatch):
+        # IPSO, PSO and GA of a repeat share one memoized fitness; each run
+        # must equal the same optimizer on the context alone
+        kb_path = tmp_path / "kb3.csv"
+        features.save_knowledge_base(three_machine_kb, kb_path,
+                                     kb_path.with_suffix(".meta"))
+        kb = features.load_knowledge_base(kb_path,
+                                          kb_path.with_suffix(".meta"))
+        shared_runs, calls = [], []
+        for name, optimize in list(swarm.OPTIMIZERS.items()):
+            def recorded(fitness, dim, config, name=name, optimize=optimize):
+                shared_runs.append((name, config.seed,
+                                    optimize(fitness, dim, config)))
+                return shared_runs[-1][2]
+            monkeypatch.setitem(swarm.OPTIMIZERS, name, recorded)
+        evaluate = swarm.evaluate_fitness
+
+        def counted(position, ctx):
+            calls.append(1)
+            return evaluate(position, ctx)
+
+        monkeypatch.setattr(swarm, "evaluate_fitness", counted)
+        assert run(["compare", "--kb", str(kb_path),
+                    "--out", str(tmp_path / "cmp" / "compare.csv"),
+                    "--hidden", "20", "--iterations", "3", "--target", "1.0",
+                    "--repeats", "2", "--seed", "7"]) == cli.EXIT_OK
+        monkeypatch.undo()
+        assert sorted((n, s) for n, s, _ in shared_runs) == [
+            (n, s) for n in ("ga", "ipso", "pso") for s in (7, 8)]
+        split = features.split_train_test(kb, cli.DEFAULT_SPLIT_FRACTION, 7)
+        z, _, _ = features.standardize(kb.samples, split.train)
+        spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=20)
+        for name, seed, shared in shared_runs:
+            ctx = swarm.FitnessContext.build(
+                z[split.train], kb.labels[split.train], spec, seed=seed)
+            config = swarm.SwarmConfig(max_iterations=3, fitness_target=1.0,
+                                       seed=seed)
+            alone = swarm.OPTIMIZERS[name](ctx, spec.dim, config)
+            assert shared.best_fitness == alone.best_fitness
+            assert shared.trace == alone.trace
+            assert shared.evaluations == alone.evaluations
+        # IPSO made no rescue, so PSO took every score from the memo, and GA
+        # at least those of its initial population
+        evals = {n: 0 for n in swarm.OPTIMIZERS}
+        for name, _, result in shared_runs:
+            evals[name] += result.evaluations
+            assert name != "ipso" or not any(r.mutated for r in result.trace)
+        assert len(calls) <= evals["ipso"] + evals["ga"] - 2 * 20
 
 
 class TestPredict:

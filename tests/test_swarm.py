@@ -528,6 +528,67 @@ class TestSwarmConfig:
         assert swarm._inertia(c, 200) == pytest.approx(0.4)
 
 
+class TestSharedFitness:
+    def test_copy_hits_and_one_ulp_misses(self):
+        scored = []
+
+        def fitness(pos):
+            scored.append(pos.copy())
+            return float(pos.sum())
+
+        shared = swarm.SharedFitness(fitness)
+        pos = np.random.default_rng(3).random(7)
+        first = shared(pos)
+        assert shared(pos.copy()) == first
+        assert shared(pos[np.newaxis, :][0]) == first
+        assert len(scored) == 1
+        moved = pos.copy()
+        moved[4] = np.nextafter(moved[4], 1.0)
+        shared(moved)
+        assert len(scored) == 2
+        assert np.array_equal(scored[1], moved)
+
+    def test_saved_time_counts_hits_only(self, monkeypatch):
+        # the one miss reads the clock twice: 1.5 s of compute
+        ticks = iter([10.0, 11.5])
+        monkeypatch.setattr(swarm.time, "perf_counter", lambda: next(ticks))
+        shared = swarm.SharedFitness(sphere_fitness)
+        pos = np.array([0.4])
+        shared(pos)
+        assert shared.saved_s == 0.0
+        shared(pos)
+        shared(pos)
+        assert shared.saved_s == 3.0
+
+    def test_ipso_then_pso_through_rescues_equal_unshared_runs(self):
+        # a flat fitness forces IPSO's rescue, so the two runs part at its
+        # first mutation and PSO must still see its own positions' scores
+        def flat(pos):
+            return 0.5 + 1e-3 * float(pos[0] > 0.5)
+
+        config = swarm.SwarmConfig(population=6, max_iterations=6, seed=2)
+        calls = []
+
+        def counted(pos):
+            calls.append(1)
+            return flat(pos)
+
+        shared = swarm.SharedFitness(counted)
+        for run in (swarm.run_ipso, swarm.run_pso, swarm.run_ga):
+            alone = run(flat, 4, config)
+            together = run(shared, 4, config)
+            assert together.trace == alone.trace
+            assert together.best_fitness == alone.best_fitness
+            assert together.evaluations == alone.evaluations
+            assert np.array_equal(together.best_position,
+                                  alone.best_position)
+            if run is swarm.run_ipso:
+                assert any(rec.mutated for rec in alone.trace)
+                ipso_calls = len(calls)
+        # PSO repeats IPSO up to the first rescue; GA shares the start
+        assert ipso_calls < len(calls) < 3 * ipso_calls
+
+
 class TestSaveTrace:
     def test_round_trip_header(self, tmp_path):
         config = swarm.SwarmConfig(max_iterations=3, seed=1,
