@@ -53,7 +53,7 @@ def cmd_generate(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     traj = simkit.simulate_scenarios(model, scenarios,
-                                     keep=features.sample_steps, certify=True)
+                                     keep=features.sample_steps)
     kb = features.build_knowledge_base(
         traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,6 @@ def smib_model(h=1.5, pm=0.5, pmax=1.0, f0=60.0, damping=0.0):
         pm=np.array([pm, -pm]),
         y_prefault=y_pre,
         y_fault={"fault": y_flt},
-        y_postfault=y_pre.copy(),
     )
 
 
@@ -109,5 +108,4 @@ def three_machine_model(f0=60.0):
         pm=pm,
         y_prefault=y_pre,
         y_fault=faults,
-        y_postfault=y_pre.copy(),
     )

@@ -2,9 +2,9 @@
 
 Generators follow the second-order swing equation with constant internal
 EMF; the network is given as reduced admittance matrices at the generator
-internal nodes (prefault, one or more named during-fault matrices, and a
-postfault matrix equal to the prefault one). Three-phase faults are
-represented purely by switching matrices.
+internal nodes: the prefault matrix, which also holds after clearing
+(successful reclosure), and one or more named during-fault matrices.
+Three-phase faults are represented purely by switching matrices.
 """
 
 import math
@@ -72,17 +72,14 @@ class PowerSystemModel:
     damping: np.ndarray        # D_i, per-unit
     emf: np.ndarray            # internal EMF magnitude E_i, per-unit
     pm: np.ndarray             # mechanical power, per-unit
-    y_prefault: np.ndarray     # complex G×G
+    y_prefault: np.ndarray     # complex G×G, also after clearing
     y_fault: dict              # fault id -> complex G×G
-    y_postfault: np.ndarray    # complex G×G, equals y_prefault
 
     def __post_init__(self):
         for name in ("inertia", "damping", "emf", "pm"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "y_prefault",
                            _readonly(self.y_prefault, complex))
-        object.__setattr__(self, "y_postfault",
-                           _readonly(self.y_postfault, complex))
         object.__setattr__(
             self, "y_fault",
             {k: _readonly(v, complex) for k, v in self.y_fault.items()})
@@ -95,32 +92,27 @@ class PowerSystemModel:
         for name in ("damping", "emf", "pm"):
             if getattr(self, name).shape != (ng,):
                 raise ModelFormatError(f"{name} length != generator count")
+        for name in ("f0", "inertia", "damping", "emf", "pm"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ModelFormatError(f"{name} must be finite")
         if np.any(self.inertia <= 0):
             raise ModelFormatError("inertia constants must be positive")
         if np.any(self.damping < 0):
             raise ModelFormatError("damping must be non-negative")
         if self.f0 <= 0:
             raise ModelFormatError("base frequency must be positive")
-        for label, mat in self._all_matrices():
+        for label, mat in [("prefault", self.y_prefault), *(
+                (f"fault '{fid}'", m) for fid, m in self.y_fault.items())]:
             if mat.shape != (ng, ng):
                 raise ModelFormatError(
                     f"{label} matrix shape {mat.shape} != ({ng}, {ng})")
+            if not np.all(np.isfinite(mat)):
+                raise ModelFormatError(f"{label} matrix must be finite")
             if not np.allclose(mat, mat.T, atol=_MATRIX_SYMMETRY_TOL,
                                rtol=0.0):
                 raise ModelFormatError(f"{label} matrix is not symmetric")
         if not self.y_fault:
             raise ModelFormatError("model defines no during-fault matrix")
-        if not np.allclose(self.y_postfault, self.y_prefault,
-                           atol=_MATRIX_SYMMETRY_TOL, rtol=0.0):
-            raise ModelFormatError(
-                "postfault matrix must equal the prefault matrix "
-                "(successful reclosure assumption)")
-
-    def _all_matrices(self):
-        yield "prefault", self.y_prefault
-        yield "postfault", self.y_postfault
-        for fid, mat in self.y_fault.items():
-            yield f"fault '{fid}'", mat
 
     @property
     def n_generators(self):
@@ -143,12 +135,12 @@ class SimulationScenario:
     horizon: float = DEFAULT_HORIZON
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("integration step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("integration step must be positive and finite")
         if self.clearing_cycles < 0:
             raise ValueError("clearing time must be non-negative")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.horizon < self.clearing_time(60.0):
             raise ValueError("horizon shorter than the fault clearing time")
         lo, hi = LOAD_LEVEL_RANGE
@@ -188,7 +180,7 @@ class Trajectory:
     stop_step: np.ndarray      # ([S])
     inertia: np.ndarray        # (G,)
     f0: float
-    certificate: str = "not requested"
+    certificate: str = "full history"   # a run keeping every step has none
 
     def __post_init__(self):
         for name in ("time", "delta_deg", "speed_dev", "pm", "pe",
@@ -369,7 +361,7 @@ def _energy_certificates(model, operating):
     """({level: (index, scale)}, stacked (P, C, ref, c, cells), why none
     applies or '') of `operating` ({level: (model, angles)}). E·√level
     levels share the base case's certificate (W = level·W₁): V/level < c."""
-    if not _lossless_transfer(model.y_postfault):
+    if not _lossless_transfer(model.y_prefault):
         return {}, (), "transfer conductance in the postfault network"
     if not 2 <= model.n_generators <= 3:
         return {}, (), f"{model.n_generators} machines, not 2 or 3"
@@ -377,8 +369,8 @@ def _energy_certificates(model, operating):
     for level, (level_model, delta0) in operating.items():
         rescaled = not np.array_equal(level_model.emf, model.emf)
         m = model if rescaled else level_model      # P and C of W₁
-        p = m.pm - m.emf ** 2 * m.y_postfault.real.diagonal()
-        c = (np.outer(m.emf, m.emf) * m.y_postfault.imag)[
+        p = m.pm - m.emf ** 2 * m.y_prefault.real.diagonal()
+        c = (np.outer(m.emf, m.emf) * m.y_prefault.imag)[
             np.triu_indices(len(p), 1)]
         key = (p.tobytes(), c.tobytes())
         if key not in built:
@@ -403,12 +395,12 @@ def _certified(d, w, certs, which, scale, model):
     return (which >= 0) & (energy < level) & inside & certs[4][which, flat]
 
 
-def simulate_scenarios(model, scenarios, keep=None, certify=False):
+def simulate_scenarios(model, scenarios, keep=None):
     """Integrate fault scenarios together with fixed-step RK4.
 
     Each scenario starts from the prefault equilibrium at its load level,
     solved once per distinct level. Its during-fault matrix is active on
-    [0, t_clear), the postfault one afterwards; the step containing
+    [0, t_clear), the prefault one again afterwards; the step containing
     t_clear is split in two so the state is continuous and the switching
     instant is hit exactly (a clearing on the step grid gets a first part
     of length zero). All scenarios share one step and horizon.
@@ -419,10 +411,12 @@ def simulate_scenarios(model, scenarios, keep=None, certify=False):
     angle gap; a row leaves the batch once that gap has reached the
     instability threshold (its label cannot change) and its last kept
     step is past, so with the default every row runs the whole horizon.
-    With `certify`, a postfault row past its last kept step also leaves
-    once its energy certificate proves it stable (checked every 24 steps).
-    The overflow guard watches the rows still running. Pe is computed at
-    the kept samples only. Returns one Trajectory, scenario axis first.
+    When some row's last kept step lies before the horizon, a postfault
+    row past its last kept step also leaves once its energy certificate
+    proves it stable (checked every 24 steps); a full history builds no
+    certificate. The overflow guard watches the rows still running. Pe is
+    computed at the kept samples only. Returns one Trajectory, scenario
+    axis first.
     """
     dt, horizon = scenarios[0].step, scenarios[0].horizon
     if any(sc.step != dt or sc.horizon != horizon for sc in scenarios):
@@ -443,8 +437,10 @@ def simulate_scenarios(model, scenarios, keep=None, certify=False):
     operating = {lv: operating_point(model, lv)
                  for lv in dict.fromkeys(sc.load_level for sc in scenarios)}
     levels = [operating[sc.load_level] for sc in scenarios]
-    covered, certs, why = (_energy_certificates(model, operating) if certify
-                           else ({}, (), "not requested"))
+    last = steps.max(axis=1)
+    covered, certs, why = ({}, (), Trajectory.certificate)  # full history
+    if np.any(last < nsteps):
+        covered, certs, why = _energy_certificates(model, operating)
     which, scale = np.array([covered.get(sc.load_level, (-1, 1.0))
                              for sc in scenarios]).T
     which = which.astype(int)
@@ -461,7 +457,6 @@ def simulate_scenarios(model, scenarios, keep=None, certify=False):
     n_fault = np.minimum(np.floor(t_clear / dt + eps), nsteps).astype(int)
     rem = t_clear - n_fault * dt
     rem[rem <= eps] = 0.0
-    y_post = model.y_postfault
     hd = (model.inertia, model.damping)
     limit = math.radians(OVERFLOW_LIMIT_DEG)
     recorded = set(np.unique(steps).tolist())
@@ -470,8 +465,7 @@ def simulate_scenarios(model, scenarios, keep=None, certify=False):
     d = np.array([delta0 for _, delta0 in levels])
     w = np.zeros_like(d)
     gap = np.full(n_rows, -np.inf)
-    run = (emf, pm, y_fault.copy(), n_fault, rem, steps,
-           steps.max(axis=1))
+    run = (emf, pm, y_fault.copy(), n_fault, rem, steps, last)
     for k in range(nsteps + 1):
         e, p, y, n_f, r_f, kept, last = run
         if k:
@@ -482,7 +476,7 @@ def simulate_scenarios(model, scenarios, keep=None, certify=False):
                 step[cut, 0] = r_f[cut]
             d, w = kernels.rk4_step(d, w, step, *hd, e, p, y, model.omega0)
             if len(cut):
-                y[cut] = y_post
+                y[cut] = model.y_prefault
                 d[cut], w[cut] = kernels.rk4_step(
                     d[cut], w[cut], dt - r_f[cut, None], *hd, e[cut],
                     p[cut], y[cut], model.omega0)
@@ -509,13 +503,14 @@ def simulate_scenarios(model, scenarios, keep=None, certify=False):
                 break
     max_gap[rows] = gap
 
-    # stored Pe: prefault at t = 0, during-fault while t < t_clear, then
-    # postfault; each stage's matrix scores every kept sample once
-    stage = np.where(time[steps] < t_clear[:, None], 1, 2)
-    stage[steps == 0] = 0
-    pe = np.choose(stage[..., None], [
-        kernels.electrical_power(delta, emf[:, None], y)
-        for y in (model.y_prefault, y_fault[:, None], y_post)])
+    # stored Pe: the fault's matrix on (0, t_clear), the prefault one
+    # elsewhere; each scores every kept sample once
+    faulted = (steps > 0) & (time[steps] < t_clear[:, None])
+    pe = np.where(faulted[..., None],
+                  kernels.electrical_power(delta, emf[:, None],
+                                           y_fault[:, None]),
+                  kernels.electrical_power(delta, emf[:, None],
+                                           model.y_prefault))
     np.degrees(delta, out=delta)
     for arr in (time, delta, speed, pm, pe, t_clear, max_gap, stop_step):
         arr.setflags(write=False)
@@ -609,16 +604,20 @@ def load_model(path):
             f"{path}: 'generators {declared}' but {len(gens)} gen lines")
     if "prefault" not in matrices or "postfault" not in matrices:
         raise ModelFormatError(f"{path}: prefault/postfault matrix missing")
+    # checked, not kept: the prefault matrix holds again after clearing
+    pre, post = matrices["prefault"], matrices["postfault"]
+    if post.shape != pre.shape or not np.allclose(
+            post, pre, atol=_MATRIX_SYMMETRY_TOL, rtol=0.0, equal_nan=True):
+        raise ModelFormatError(
+            f"{path}: postfault matrix must equal the prefault matrix "
+            "(successful reclosure assumption)")
     faults = {label.split(":", 1)[1]: mat
               for label, mat in matrices.items() if label.startswith("fault:")}
     arr = np.array(gens)
     return PowerSystemModel(
         name=name, f0=f0,
         inertia=arr[:, 0], damping=arr[:, 1], emf=arr[:, 3], pm=arr[:, 4],
-        y_prefault=matrices["prefault"],
-        y_fault=faults,
-        y_postfault=matrices["postfault"],
-    )
+        y_prefault=pre, y_fault=faults)
 
 
 def load_key_values(path):

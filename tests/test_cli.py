@@ -95,6 +95,30 @@ class TestGenerate:
             capsys.readouterr().err
         assert steps == []
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("f0 60.0", "f0 nan", "f0"),
+        ("gen 2.4 0.05", "gen nan 0.05", "inertia"),
+        ("gen 2.4 0.05", "gen 2.4 nan", "damping"),
+        ("0.25 1.05", "0.25 nan", "emf"),
+        ("1.3680304606671134", "nan", "pm"),
+        # both copies, so the postfault block still equals the prefault
+        ("0.4 -2.2 0.0 1.0 0.0 0.7", "nan -2.2 0.0 1.0 0.0 0.7",
+         "prefault matrix"),
+        ("0.0 0.0 0.35 -2.3 0.0 0.8", "0.0 0.0 nan -2.3 0.0 0.8",
+         "fault 'bus1' matrix"),
+    ], ids=["f0", "H", "D", "E", "Pm", "prefault", "fault"])
+    def test_non_finite_model_value_refused(self, tmp_path, capsys, old,
+                                            new, field):
+        text = Path(FIXTURES, "three_machine.sys").read_text()
+        assert old in text
+        model = tmp_path / "edited.sys"
+        model.write_text(text.replace(old, new))
+        assert run(["generate", "--model", str(model),
+                    "--grid", f"{FIXTURES}/three_machine.grid",
+                    "--out", str(tmp_path / "kb.csv")]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err and "Traceback" not in err
+
 
 class TestOptimize:
     def test_outputs_exist(self, trained):
@@ -655,8 +679,8 @@ def _write_malformed(case, kb_csv, tmp_path):
         model_text = model_text.replace("generators 2",
                                         f"generators {case.split()[-1]}")
     else:
-        key = case.split()[-1]      # step or horizon
-        grid_text = re.sub(rf"^{key} = .*$", f"{key} = nan", grid_text,
+        _, value, key = case.split()    # nan or inf; step or horizon
+        grid_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", grid_text,
                            flags=re.M)
     model, grid = tmp_path / "model.sys", tmp_path / "model.grid"
     model.write_text(model_text)
@@ -695,6 +719,9 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("sys generators x", cli.EXIT_RUNTIME, "invalid literal for int()"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
     ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
+    ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
+    ("grid inf horizon", cli.EXIT_USAGE,
+     "horizon must be positive and finite"),
     ("meta feature out of range", cli.EXIT_RUNTIME, "feature 9999 is not"),
     ("meta feature negative", cli.EXIT_RUNTIME, "feature -1 is not"),
     ("meta feature repeated", cli.EXIT_RUNTIME, "feature 0 named twice"),
@@ -714,7 +741,8 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
     except SystemExit as exc:       # argparse refuses the grammar's errors
         exit_code = exc.code
     assert exit_code == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["kb ragged row", "kb text cell"])

@@ -149,8 +149,7 @@ class TestRk4Span:
             inertia=np.array([0.01, 0.01]), damping=np.zeros(2),
             emf=np.array([1.0, 1.0]),
             pm=np.array([0.9, -0.9]),
-            y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
-            y_postfault=y.copy())
+            y_prefault=y, y_fault={"fault": np.zeros((2, 2))})
         calm, runaway = (
             simkit.SimulationScenario(fault="fault", clearing_cycles=c,
                                       horizon=3.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspred import features, fixtures, kernels, simkit
+from tspred import cli, features, fixtures, kernels, simkit
 
 REFERENCE_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -23,8 +23,7 @@ def test_zero_injection_equilibrium_has_equal_angles():
         name="idle", f0=60.0,
         inertia=np.array([3.0, 3.0]), damping=np.zeros(2),
         emf=np.array([1.0, 1.0]),
-        pm=np.zeros(2), y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
-        y_postfault=y.copy())
+        pm=np.zeros(2), y_prefault=y, y_fault={"fault": np.zeros((2, 2))})
     delta = simkit.solve_equilibrium(model)
     assert delta[0] - delta[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -50,15 +49,19 @@ def test_clearing_zero_is_a_fixed_point(smib):
     assert np.max(np.abs(traj.pm - traj.pe[0])) < 1e-6
 
 
-@pytest.mark.parametrize("horizon, cycles", [
-    (0.0, 0.0),     # zero horizon with an instant clearing
-    (-1.0, 0.0),
-    (0.05, 6.0),    # positive, but ends before the 0.1 s clearing
+@pytest.mark.parametrize("horizon, cycles, step", [
+    # zero horizon with an instant clearing
+    pytest.param(0.0, 0.0, simkit.DEFAULT_STEP, id="0.0-0.0"),
+    pytest.param(-1.0, 0.0, simkit.DEFAULT_STEP, id="-1.0-0.0"),
+    # positive, but ends before the 0.1 s clearing
+    pytest.param(0.05, 6.0, simkit.DEFAULT_STEP, id="0.05-6.0"),
+    pytest.param(math.inf, 6.0, simkit.DEFAULT_STEP, id="inf horizon"),
+    pytest.param(3.0, 6.0, math.inf, id="inf step"),
 ])
-def test_scenario_rejects_bad_horizon(horizon, cycles):
+def test_scenario_rejects_bad_horizon(horizon, cycles, step):
     with pytest.raises(ValueError):
         simkit.SimulationScenario(fault="fault", clearing_cycles=cycles,
-                                  horizon=horizon)
+                                  horizon=horizon, step=step)
 
 
 def test_sustained_fault_goes_unstable(smib):
@@ -126,8 +129,7 @@ def test_energy_drift_is_small_without_damping():
         inertia=np.array([3.0, 4.0]), damping=np.zeros(2),
         emf=np.array([1.0, 1.0]),
         pm=np.array([0.4, -0.4]),
-        y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
-        y_postfault=y.copy())
+        y_prefault=y, y_fault={"fault": np.zeros((2, 2))})
     d = simkit.solve_equilibrium(model) + np.array([0.1, 0.0])
     w = np.zeros(2)
     w0 = model.omega0
@@ -206,8 +208,7 @@ def test_overflow_guard():
         inertia=np.array([0.01, 0.01]), damping=np.zeros(2),
         emf=np.array([1.0, 1.0]),
         pm=np.array([0.9, -0.9]),
-        y_prefault=y, y_fault={"fault": np.zeros((2, 2))},
-        y_postfault=y.copy())
+        y_prefault=y, y_fault={"fault": np.zeros((2, 2))})
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=600.0,
                                    horizon=100.0, step=5.0)
     with pytest.raises(simkit.NumericOverflowError):
@@ -300,7 +301,6 @@ def lossy(model, g=0.01):
     extra = np.zeros((model.n_generators,) * 2)
     extra[0, 1] = extra[1, 0] = g
     out = replace(model, y_prefault=model.y_prefault + extra,
-                  y_postfault=model.y_postfault + extra,
                   y_fault={k: v + extra for k, v in model.y_fault.items()})
     return replace(out, pm=kernels.electrical_power(
         simkit.solve_equilibrium(model), model.emf, out.y_prefault))
@@ -334,24 +334,33 @@ class TestModelValidation:
             simkit.PowerSystemModel(
                 name="bad", f0=60.0, inertia=smib.inertia,
                 damping=smib.damping, emf=smib.emf, pm=smib.pm,
-                y_prefault=y, y_fault=dict(smib.y_fault),
-                y_postfault=y.copy())
+                y_prefault=y, y_fault=dict(smib.y_fault))
 
-    def test_postfault_must_equal_prefault(self, smib):
-        with pytest.raises(simkit.ModelFormatError):
-            simkit.PowerSystemModel(
-                name="bad", f0=60.0, inertia=smib.inertia,
-                damping=smib.damping, emf=smib.emf, pm=smib.pm,
-                y_prefault=smib.y_prefault, y_fault=dict(smib.y_fault),
-                y_postfault=smib.y_prefault * 0.5)
+    def test_postfault_must_equal_prefault(self, tmp_path, capsys):
+        # the model keeps no postfault matrix, but the file's block must
+        # still equal the prefault one; generate exits 1 naming the file
+        sys_path = tmp_path / "reclosed.sys"
+        text = Path("fixtures/smib.sys").read_text()
+        head, post = text.split("matrix postfault 2\n")
+        sys_path.write_text(head + "matrix postfault 2\n"
+                            + post.replace("-2.0", "-1.5", 1))
+        with pytest.raises(simkit.ModelFormatError,
+                           match="postfault matrix must equal"):
+            simkit.load_model(sys_path)
+        assert cli.main(["generate", "--model", str(sys_path),
+                         "--grid", "fixtures/smib.grid",
+                         "--out", str(tmp_path / "kb.csv")]) == \
+            cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(sys_path) in err and "Traceback" not in err
+        assert not (tmp_path / "kb.csv").exists()
 
     def test_nonpositive_inertia_rejected(self, smib):
         with pytest.raises(simkit.ModelFormatError):
             simkit.PowerSystemModel(
                 name="bad", f0=60.0, inertia=np.array([0.0, 1.0]),
                 damping=smib.damping, emf=smib.emf, pm=smib.pm,
-                y_prefault=smib.y_prefault, y_fault=dict(smib.y_fault),
-                y_postfault=smib.y_postfault)
+                y_prefault=smib.y_prefault, y_fault=dict(smib.y_fault))
 
 
 def test_model_file_round_trip():
@@ -362,8 +371,7 @@ def test_model_file_round_trip():
         loaded = simkit.load_model(f"fixtures/{name}.sys")
         built = build()
         assert (loaded.name, loaded.f0) == (built.name, built.f0)
-        for field in ("inertia", "damping", "emf", "pm", "y_prefault",
-                      "y_postfault"):
+        for field in ("inertia", "damping", "emf", "pm", "y_prefault"):
             assert np.array_equal(getattr(loaded, field),
                                   getattr(built, field)), (name, field)
         assert list(loaded.y_fault) == list(built.y_fault)
@@ -454,6 +462,36 @@ def count_row_steps(monkeypatch):
     return row_steps
 
 
+def windowed_runs(monkeypatch, model, grid):
+    """`generate`'s windowed run of `grid`, first with
+    `_energy_certificates` patched to build none, then as it is: each
+    (trajectory, row-steps)."""
+    counted = count_row_steps(monkeypatch)
+    runs = []
+    for patched in (True, False):
+        counted.clear()
+        with monkeypatch.context() as m:
+            if patched:
+                m.setattr(simkit, "_energy_certificates",
+                          lambda *_: ({}, (), "not requested"))
+            runs.append((simkit.simulate_scenarios(
+                model, grid, keep=features.sample_steps), sum(counted)))
+    return runs
+
+
+def test_full_history_builds_no_certificate(monkeypatch, smib):
+    # with every step kept no row can stop before the horizon, so a run
+    # without `keep` never builds a certificate and says so
+    def refused(*_):
+        raise AssertionError("full history built a certificate")
+
+    monkeypatch.setattr(simkit, "_energy_certificates", refused)
+    grid = simkit.build_scenario_grid(["fault"], [5.0, 10.0], [1.0], seed=1)
+    traj = simkit.simulate_scenarios(smib, grid)
+    assert traj.certificate == "full history"
+    assert np.all(traj.stop_step == 720)
+
+
 @pytest.mark.parametrize("case, stopped, last, row_steps", [
     ("smib", 49, 72, (38_099, 6_347)),
     ("three_machine", 261, 192, (199_655, 31_655)),
@@ -471,15 +509,10 @@ def test_certified_run_matches_full_horizon(case, stopped, last, row_steps,
     spec = (PAPER_GRID if case == "paper"
             else simkit.load_grid_spec(f"fixtures/{case}.grid"))
     grid = simkit.build_scenario_grid(**spec)
-    counted = count_row_steps(monkeypatch)
     runs = []
-    for certify in (False, True):
-        counted.clear()
-        traj = simkit.simulate_scenarios(model, grid,
-                                         keep=features.sample_steps,
-                                         certify=certify)
+    for traj, steps in windowed_runs(monkeypatch, model, grid):
         kb = features.build_knowledge_base(traj, spec["seed"])
-        runs.append((traj, kb.labels, kb.samples.tobytes(), sum(counted)))
+        runs.append((traj, kb.labels, kb.samples.tobytes(), steps))
     (full, full_labels, full_bytes, full_steps), \
         (cert, labels, cert_bytes, cert_steps) = runs
     assert full.certificate == "not requested" and cert.certificate == ""
@@ -502,7 +535,7 @@ def four_machines():
     return simkit.PowerSystemModel(
         name="four", f0=60.0, inertia=np.full(4, 3.0),
         damping=np.full(4, 0.1), emf=np.ones(4), pm=np.zeros(4),
-        y_prefault=y, y_fault={"bus1": np.zeros((4, 4))}, y_postfault=y)
+        y_prefault=y, y_fault={"bus1": np.zeros((4, 4))})
 
 
 @pytest.mark.parametrize("case, why", [
@@ -521,15 +554,8 @@ def test_uncertified_networks_run_full_horizon(case, why, monkeypatch,
         monkeypatch.setattr(simkit, "_CERTIFY_MARGIN", 1.05)
     grid = simkit.build_scenario_grid(["bus1"], [5.0, 8.0], [0.9, 1.0, 1.2],
                                       seed=1)
-    counted = count_row_steps(monkeypatch)
-    runs = []
-    for certify in (False, True):
-        counted.clear()
-        traj = simkit.simulate_scenarios(model, grid,
-                                         keep=features.sample_steps,
-                                         certify=certify)
-        runs.append((traj, sum(counted)))
-    (full, full_steps), (cert, cert_steps) = runs
+    (full, full_steps), (cert, cert_steps) = windowed_runs(monkeypatch,
+                                                          model, grid)
     assert cert.certificate == why
     assert cert_steps == full_steps
     assert np.array_equal(cert.stop_step, full.stop_step)
