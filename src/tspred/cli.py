@@ -80,7 +80,10 @@ def _prepare_training(args):
     if len(set(kb.labels.tolist())) < 2:
         raise UsageError("knowledge base contains a single class")
     seed = args.seed if args.seed is not None else kb.seed
-    split = features.split_train_test(kb, args.split_fraction, seed)
+    try:
+        split = features.split_train_test(kb, args.split_fraction, seed)
+    except ValueError as exc:       # the fraction out of (0, 1)
+        raise UsageError(str(exc)) from exc
     return kb, split, seed
 
 
@@ -97,9 +100,12 @@ def _optimize_once(ctx, fitness, scaled, seed, optimizer, args):
     """Optimize `fitness` (`ctx`, or a memo over it) and fit the best
     particle on the training rows of `ctx`; the model carries the
     statistics of `scaled` = (z, means, stds) so it scores raw rows."""
-    config = swarm.SwarmConfig(population=args.population,
-                               max_iterations=args.iterations,
-                               fitness_target=args.target, seed=seed)
+    try:    # runs before anything is written
+        config = swarm.SwarmConfig(population=args.population,
+                                   max_iterations=args.iterations,
+                                   fitness_target=args.target, seed=seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     t0 = time.perf_counter()
     result = swarm.OPTIMIZERS[optimizer](fitness, ctx.spec.dim, config)
     elapsed = time.perf_counter() - t0

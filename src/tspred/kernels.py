@@ -17,11 +17,11 @@ def electrical_power(delta, E, Y):
 
 
 def power_jacobian(delta, E, Y):
-    """∂Pe_i/∂δ_j for one state: −Im(conj(V_i)·Y_ij·V_j) off the diagonal,
+    """∂Pe_i/∂δ_j, ([N,] G, G): −Im(conj(V_i)·Y_ij·V_j) off the diagonal,
     minus its row sums on it."""
     v = E * np.exp(1j * delta)
-    dpair = -(v.conj()[:, None] * Y * v).imag
-    return dpair - np.diag(dpair.sum(axis=-1))
+    dpair = -(v.conj()[..., :, None] * Y * v[..., None, :]).imag
+    return dpair - np.eye(v.shape[-1]) * dpair.sum(axis=-1)[..., None]
 
 
 def swing_rhs(delta, omega, H, D, E, Pm, Y, w0):

@@ -19,6 +19,8 @@ from .features import INSTABILITY_THRESHOLD_DEG
 #: default integration step: a quarter of a 60 Hz cycle
 DEFAULT_STEP = 1.0 / 240.0
 DEFAULT_HORIZON = 3.0
+#: most steps a scenario may integrate (horizon / step)
+MAX_STEPS = 1_000_000
 
 #: |δ| beyond this many degrees aborts with NumericOverflowError
 OVERFLOW_LIMIT_DEG = 1.0e6
@@ -141,6 +143,9 @@ class SimulationScenario:
             raise ValueError("clearing time must be non-negative")
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
+        if self.horizon / self.step > MAX_STEPS:
+            raise ValueError(f"horizon / step = {self.horizon / self.step:.4g}"
+                             f" exceeds the {MAX_STEPS:,}-step limit")
         if self.horizon < self.clearing_time(60.0):
             raise ValueError("horizon shorter than the fault clearing time")
         lo, hi = LOAD_LEVEL_RANGE
@@ -219,26 +224,34 @@ def _power_mismatch(delta, model):
                                                model.y_prefault)
 
 
+def _newton(delta, model):
+    """Newton's method on Pm − Pe(δ) = 0 from every start of `delta`
+    (radians, ([N,] G)), updated in place with the last machine's angle
+    held: at most 50 steps of the analytic ∂Pe/∂δ, ending once no angle
+    moves by over 1e-12 or a Jacobian is singular. Returns `delta`."""
+    for _ in range(_NEWTON_MAX_STEPS):
+        jac = kernels.power_jacobian(delta, model.emf, model.y_prefault)
+        try:
+            step = np.linalg.solve(
+                jac[..., :-1, :-1],
+                _power_mismatch(delta, model)[..., :-1, None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        delta[..., :-1] += step
+        if not np.max(np.abs(step), initial=0.0) > _NEWTON_STEP_TOL:
+            break
+    return delta
+
+
 def solve_equilibrium(model):
     """Prefault operating point: rotor angles (radians) with Δω = 0.
 
-    The last machine's angle is the reference (fixed at 0); Newton's
-    method on the analytic ∂Pe/∂δ, started from equal angles, solves the
-    remaining angles so every machine's power mismatch vanishes. Raises
-    NoEquilibriumError when the full residual (including the reference
-    machine) stays above 1e-8 pu after at most 50 Newton steps.
+    The last machine's angle is the reference (fixed at 0); `_newton`,
+    started from equal angles, solves the remaining angles so every
+    machine's power mismatch vanishes. Raises NoEquilibriumError when the
+    full residual (including the reference machine) stays above 1e-8 pu.
     """
-    delta = np.zeros(model.n_generators)
-    for _ in range(_NEWTON_MAX_STEPS if model.n_generators > 1 else 0):
-        jac = kernels.power_jacobian(delta, model.emf, model.y_prefault)
-        try:
-            step = np.linalg.solve(jac[:-1, :-1],
-                                   _power_mismatch(delta, model)[:-1])
-        except np.linalg.LinAlgError:
-            break
-        delta[:-1] += step
-        if not np.max(np.abs(step)) > _NEWTON_STEP_TOL:
-            break
+    delta = _newton(np.zeros(model.n_generators), model)
     mismatch = np.max(np.abs(_power_mismatch(delta, model)))
     if not mismatch <= _EQUILIBRIUM_TOL:
         raise NoEquilibriumError(
@@ -292,46 +305,41 @@ def _lossless_transfer(y):
 def _potential(delta, p, c, ref):
     """W = −ΣP_i·x_i − Σ_{i<j} C_ij(cos δ_ij − cos δ_ij^s) at `delta`
     (radians, ([N,] G)), x the angles relative to the last machine's from
-    δ^s = `ref`, and its gradient and Hessian over x."""
+    δ^s = `ref`. Over x its gradient is Pe − Pm and its Hessian ∂Pe/∂δ."""
     i, j = np.triu_indices(delta.shape[-1], 1)
-    a = np.eye(delta.shape[-1])[i] - np.eye(delta.shape[-1])[j]   # pairs
-    pair = delta @ a.T
     x = delta - delta[..., -1:] - (ref - ref[..., -1:])
-    w = (-np.sum(p * x, axis=-1)
-         - np.sum(c * (np.cos(pair) - np.cos(ref @ a.T)), axis=-1))
-    hess = (a[:, :-1].T * (c * np.cos(pair))[..., None, :]) @ a[:, :-1]
-    return w, ((c * np.sin(pair)) @ a - p)[..., :-1], hess
+    return (-np.sum(p * x, axis=-1)
+            - np.sum(c * (np.cos(delta[..., i] - delta[..., j])
+                          - np.cos(ref[..., i] - ref[..., j])), axis=-1))
 
 
-def _energy_certificate(p, c, ref, margin):
-    """(P, C, ref, c, cells), c = margin·V_cr, or why not: a state with
-    V < c in a cell (flat) of the 3° grid around `ref` stays below 360°.
-    Newton starts where |∇W| ≤ κr (r a cell's half-diagonal, κ ≥ |∇²W|).
-    Cells with W − |∇W|·r − ½κr² < c are flooded from `ref`'s; the flood
-    must stay off the edge, its largest gap plus one cell below 360°."""
+def _energy_certificate(m, ref, margin):
+    """(P, C, ref, c, cells) of `m`'s W, c = margin·V_cr, or why not: a
+    state with V < c in a cell (flat) of the 3° grid around `ref` stays
+    below 360°. `_newton` starts where |∇W| ≤ κr (r a cell's
+    half-diagonal, κ ≥ |∇²W|). Cells with W − |∇W|·r − ½κr² < c are
+    flooded from `ref`'s; the flood must stay off the edge, its largest
+    gap plus one cell below 360°."""
+    p = m.pm - m.emf ** 2 * m.y_prefault.real.diagonal()
+    c = (np.outer(m.emf, m.emf) * m.y_prefault.imag)[
+        np.triu_indices(len(p), 1)]
     dim = len(ref) - 1
     axis = np.radians(np.linspace(-180.0, 180.0, _PROOF_NODES))
     grid = ref + np.stack(np.meshgrid(*[axis] * dim, [0.0], indexing="ij"),
                           axis=-1)[..., 0, :]     # last machine held at ref
     # one slice of the first angle at a time keeps generate's peak memory
-    w, grad = (np.concatenate(a) for a in zip(*[
-        _potential(g, p, c, ref)[:2] for g in np.array_split(grid, 11)]))
-    slope = np.linalg.norm(grad, axis=-1)
+    w, slope = (np.concatenate(a) for a in zip(*[
+        (_potential(g, p, c, ref),
+         np.linalg.norm(_power_mismatch(g, m)[..., :-1], axis=-1))
+        for g in np.array_split(grid, 11)]))
     r = math.radians(_PROOF_STEP_DEG) / 2 * math.sqrt(dim)
     # |e_i − e_j|² over x is 2, or 1 for a pair with the last machine
     kappa = float(np.abs(c) @ np.where(np.triu_indices(dim + 1, 1)[1] == dim,
                                        1.0, 2.0))
-    delta = grid[slope <= kappa * r]
-    for _ in range(_NEWTON_MAX_STEPS):
-        _, grad, hess = _potential(delta, p, c, ref)
-        try:
-            step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:   # a singular Hessian ends the search
-            break
-        delta[:, :-1] -= step
-        if not np.max(np.abs(step), initial=0.0) > _NEWTON_STEP_TOL:
-            break
-    w_eq, grad, hess = _potential(delta, p, c, ref)
+    delta = _newton(grid[slope <= kappa * r], m)
+    w_eq = _potential(delta, p, c, ref)
+    hess = kernels.power_jacobian(delta, m.emf, m.y_prefault)[:, :-1, :-1]
+    grad = _power_mismatch(delta, m)[:, :-1]
     uep = ((np.linalg.norm(grad, axis=-1) <= _EQUILIBRIUM_TOL) & (w_eq > 0)
            & np.all(np.abs(delta - ref) <= math.pi, axis=-1)
            & ((hess[:, 0, 0] <= 0) | (np.linalg.det(hess) <= 0)))  # not min
@@ -368,13 +376,10 @@ def _energy_certificates(model, operating):
     certs, built, covered = [], {}, {}
     for level, (level_model, delta0) in operating.items():
         rescaled = not np.array_equal(level_model.emf, model.emf)
-        m = model if rescaled else level_model      # P and C of W₁
-        p = m.pm - m.emf ** 2 * m.y_prefault.real.diagonal()
-        c = (np.outer(m.emf, m.emf) * m.y_prefault.imag)[
-            np.triu_indices(len(p), 1)]
-        key = (p.tobytes(), c.tobytes())
+        m = model if rescaled else level_model      # the model of W₁
+        key = (m.pm.tobytes(), m.emf.tobytes())
         if key not in built:
-            cert = _energy_certificate(p, c, delta0, _CERTIFY_MARGIN)
+            cert = _energy_certificate(m, delta0, _CERTIFY_MARGIN)
             built[key] = cert if isinstance(cert, str) else len(certs)
             certs += [] if isinstance(cert, str) else [cert]
         if not isinstance(built[key], str):
@@ -387,7 +392,7 @@ def _certified(d, w, certs, which, scale, model):
     """Rows of (d, w) that certificate `which` (−1: none) of `certs` proves."""
     p, c, ref, level = (a[which] for a in certs[:4])
     energy = (np.sum(model.inertia / model.omega0 * w ** 2, axis=-1) / scale
-              + _potential(d, p, c, ref)[0])
+              + _potential(d, p, c, ref))
     x, n = d[:, :-1] - d[:, -1:] - (ref[:, :-1] - ref[:, -1:]), _PROOF_NODES
     cell = np.rint(np.degrees(x) / _PROOF_STEP_DEG).astype(int) + n // 2
     inside = np.all((cell >= 0) & (cell < n), axis=-1)
@@ -559,11 +564,16 @@ def load_model(path):
     declared = None
     gens = []
     matrices = {}
+    seen = set()
     i = 0
     try:
         while i < len(lines):
             tokens = lines[i].split()
             key = tokens[0]
+            once = " ".join(tokens[:2]) if key == "matrix" else key
+            if key != "gen" and once in seen:   # else the last one wins
+                raise ModelFormatError(f"{path}: a second '{once}' line")
+            seen.add(once)
             if key == "name":
                 name = " ".join(tokens[1:])
             elif key == "f0":
@@ -614,10 +624,13 @@ def load_model(path):
     faults = {label.split(":", 1)[1]: mat
               for label, mat in matrices.items() if label.startswith("fault:")}
     arr = np.array(gens)
-    return PowerSystemModel(
-        name=name, f0=f0,
-        inertia=arr[:, 0], damping=arr[:, 1], emf=arr[:, 3], pm=arr[:, 4],
-        y_prefault=pre, y_fault=faults)
+    try:
+        return PowerSystemModel(
+            name=name, f0=f0,
+            inertia=arr[:, 0], damping=arr[:, 1], emf=arr[:, 3],
+            pm=arr[:, 4], y_prefault=pre, y_fault=faults)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def load_key_values(path):

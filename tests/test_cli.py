@@ -117,7 +117,8 @@ class TestGenerate:
                     "--grid", f"{FIXTURES}/three_machine.grid",
                     "--out", str(tmp_path / "kb.csv")]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert f"{field} must be finite" in err and "Traceback" not in err
+        assert f"{model}: {field} must be finite" in err
+        assert "Traceback" not in err
 
 
 class TestOptimize:
@@ -227,9 +228,11 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--hidden", "0", cli.EXIT_USAGE),
-        ("--split-fraction", "0", cli.EXIT_RUNTIME),
-        ("--split-fraction", "1.5", cli.EXIT_RUNTIME),
-        ("--iterations", "-1", cli.EXIT_RUNTIME),
+        ("--split-fraction", "0", cli.EXIT_USAGE),
+        ("--split-fraction", "1.5", cli.EXIT_USAGE),
+        ("--iterations", "-1", cli.EXIT_USAGE),
+        ("--population", "1", cli.EXIT_USAGE),
+        ("--target", "2", cli.EXIT_USAGE),
     ])
     def test_out_of_range_value_refused(self, kb_csv, tmp_path, flag, value,
                                         code):
@@ -678,6 +681,13 @@ def _write_malformed(case, kb_csv, tmp_path):
     elif case.startswith("sys generators"):
         model_text = model_text.replace("generators 2",
                                         f"generators {case.split()[-1]}")
+    elif case == "sys repeated f0":
+        model_text = model_text.replace("f0 60.0", "f0 60.0\nf0 50.0")
+    elif case == "sys repeated matrix":
+        prefault = model_text[model_text.index("matrix prefault"):
+                              model_text.index("matrix fault:")]
+        model_text = model_text.replace("matrix postfault",
+                                        prefault + "matrix postfault")
     else:
         _, value, key = case.split()    # nan or inf; step or horizon
         grid_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", grid_text,
@@ -717,11 +727,18 @@ def _write_malformed(case, kb_csv, tmp_path):
      "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E Pm), not 6"),
     ("sys generators 4", cli.EXIT_RUNTIME, "'generators 4' but 2 gen lines"),
     ("sys generators x", cli.EXIT_RUNTIME, "invalid literal for int()"),
+    ("sys repeated f0", cli.EXIT_RUNTIME,
+     "model.sys: a second 'f0' line"),
+    ("sys repeated matrix", cli.EXIT_RUNTIME,
+     "model.sys: a second 'matrix prefault' line"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
     ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
     ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
     ("grid inf horizon", cli.EXIT_USAGE,
      "horizon must be positive and finite"),
+    # 2.4e9 steps: a run would allocate its 18 GiB time grid first
+    ("grid 1e7 horizon", cli.EXIT_USAGE,
+     "horizon / step = 2.4e+09 exceeds the 1,000,000-step limit"),
     ("meta feature out of range", cli.EXIT_RUNTIME, "feature 9999 is not"),
     ("meta feature negative", cli.EXIT_RUNTIME, "feature -1 is not"),
     ("meta feature repeated", cli.EXIT_RUNTIME, "feature 0 named twice"),

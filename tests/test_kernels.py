@@ -116,18 +116,26 @@ class TestElectricalPower:
         assert pe[0] == pytest.approx(1.1 ** 2 * 0.3, abs=1e-15)
 
     def test_jacobian_matches_central_differences(self):
+        # a batch of states, the workload's first: each row of the batched
+        # Jacobian is the one-state call's bit for bit
         w = workload(seed=6)
         w["G"] = w["G"] + 0.05 * (1.0 - np.eye(4))   # lossy off-diagonals
         Y = w["G"] + 1j * w["B"]
-        jac = kernels.power_jacobian(w["delta0"], w["E"], Y)
+        states = np.vstack([w["delta0"], np.random.default_rng(7).uniform(
+            -np.pi, np.pi, (5, 4))])
+        batched = kernels.power_jacobian(states, w["E"], Y)
+        assert batched.shape == (6, 4, 4)
         h = 1e-6
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            column = (kernels.electrical_power(w["delta0"] + e, w["E"], Y)
-                      - kernels.electrical_power(w["delta0"] - e, w["E"], Y)
-                      ) / (2 * h)
-            assert np.allclose(jac[:, j], column, atol=1e-8)
+        for delta, row in zip(states, batched):
+            jac = kernels.power_jacobian(delta, w["E"], Y)
+            assert np.array_equal(row, jac)
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = h
+                column = (kernels.electrical_power(delta + e, w["E"], Y)
+                          - kernels.electrical_power(delta - e, w["E"], Y)
+                          ) / (2 * h)
+                assert np.allclose(jac[:, j], column, atol=1e-8)
 
 
 class TestRk4Span:

@@ -57,6 +57,10 @@ def test_clearing_zero_is_a_fixed_point(smib):
     pytest.param(0.05, 6.0, simkit.DEFAULT_STEP, id="0.05-6.0"),
     pytest.param(math.inf, 6.0, simkit.DEFAULT_STEP, id="inf horizon"),
     pytest.param(3.0, 6.0, math.inf, id="inf step"),
+    # over simkit.MAX_STEPS = 1e6 steps, whose time grid a run allocates
+    # before its first step: 2.4e9 default steps, and one over the cap
+    pytest.param(1e7, 6.0, simkit.DEFAULT_STEP, id="1e7 horizon"),
+    pytest.param(500_000.5, 6.0, 0.5, id="cap+1 steps"),
 ])
 def test_scenario_rejects_bad_horizon(horizon, cycles, step):
     with pytest.raises(ValueError):
