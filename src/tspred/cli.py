@@ -262,12 +262,18 @@ def _config_args(path):
     (`_` in a key read as `-`), which the grammar checks as it does flags."""
     try:
         values = simkit.load_key_values(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:       # a repeated key, named with its file
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if "config" in values:
         raise argparse.ArgumentTypeError(f"{path} names another config file")
-    return [f"--{key.replace('_', '-')}={value}"
-            for key, value in values.items()]
+    names = [key.replace("_", "-") for key in values]
+    twice = [name for name in names if names.count(name) > 1]
+    if twice:       # split_fraction and split-fraction are one key
+        raise argparse.ArgumentTypeError(
+            f"{path} gives the key '{twice[0]}' twice")
+    return [f"--{name}={value}" for name, value in zip(names, values.values())]
 
 
 @functools.cache

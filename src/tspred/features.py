@@ -307,7 +307,8 @@ def _parse_error(csv_path, width, lines, exc):
 def load_knowledge_base(csv_path, sidecar_path):
     """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
     `provenance` and `feature` (such as the standardization statistics
-    older sidecars hold) are skipped, as are blank CSV lines."""
+    older sidecars hold) are skipped, as are blank CSV lines. A second
+    `seed` or `provenance` line is refused."""
     with open(csv_path, encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header[0] != "label":
@@ -323,13 +324,18 @@ def load_knowledge_base(csv_path, sidecar_path):
     seed = 0
     provenance = ""
     names = [None] * (len(header) - 1)
+    seen = set()
     with open(sidecar_path, encoding="utf-8") as fh:
-        for ln in fh:
+        for n, ln in enumerate(fh, start=1):
             tokens = ln.strip().split(None, 1)
             if not tokens:
                 continue
             key = tokens[0]
             rest = tokens[1] if len(tokens) > 1 else ""
+            if key in seen and key in ("seed", "provenance"):
+                raise FeatureError(
+                    f"{sidecar_path} line {n}: a second '{key}' line")
+            seen.add(key)
             if key == "seed":
                 seed = int(rest)
             elif key == "provenance":

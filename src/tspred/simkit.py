@@ -288,13 +288,13 @@ def operating_point(model, level):
             f"load level {level} destroys the operating point") from exc
 
 
-# Transient-energy certificate (README, "Features and labeling"). Without
-# transfer conductance the postfault V = ½ΣM_iω_i² + W has dV/dt =
-# −ΣD_iω_i² ≤ 0, so a state with V < c in δ^s's part of {W < c} stays there.
+# Transient-energy certificate (README, "Features and labeling"), after
+# T. L. Vu and K. Turitsyn, IEEE Trans. Power Systems 31(2), 2016. Without
+# transfer conductance the postfault V = ½ΣM_iω_i² + W has dV/dt = −ΣD_iω_i²
+# ≤ 0, and W splits into pair terms, each ≥ 0 on its pair angle's interval
+# (−π − s, π − s) and peaking at both ends. A state inside every interval
+# with V below the least end value stays inside: each gap < π + |s| < 360°.
 CERTIFY_EVERY = 24           # steps between a running row's checks
-_CERTIFY_MARGIN = 0.95       # c = margin · lowest UEP energy
-_PROOF_STEP_DEG = 3.0        # cell width of the proof grid over ±180°
-_PROOF_NODES = round(360.0 / _PROOF_STEP_DEG) + 1
 
 
 def _lossless_transfer(y):
@@ -302,102 +302,40 @@ def _lossless_transfer(y):
     return not np.any(y.real - np.diag(np.diag(y.real)))
 
 
-def _potential(delta, p, c, ref):
-    """W = −ΣP_i·x_i − Σ_{i<j} C_ij(cos δ_ij − cos δ_ij^s) at `delta`
-    (radians, ([N,] G)), x the angles relative to the last machine's from
-    δ^s = `ref`. Over x its gradient is Pe − Pm and its Hessian ∂Pe/∂δ."""
-    i, j = np.triu_indices(delta.shape[-1], 1)
-    x = delta - delta[..., -1:] - (ref - ref[..., -1:])
-    return (-np.sum(p * x, axis=-1)
-            - np.sum(c * (np.cos(delta[..., i] - delta[..., j])
-                          - np.cos(ref[..., i] - ref[..., j])), axis=-1))
+def _energy_bound(m, ref):
+    """(C, s, V_min) of `m` about its operating angles `ref`, or why none
+    applies: C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over the pairs i < j.
+    Pair term −C(cos x − cos s) − C·sin s·(x − s) has its smaller end value
+    C(2cos|s| − (π − 2|s|)·sin|s|), positive when C > 0 and |s| < 90°."""
+    if not _lossless_transfer(m.y_prefault):
+        return "transfer conductance in the postfault network"
+    i, j = np.triu_indices(len(ref), 1)
+    c, s = m.emf[i] * m.emf[j] * m.y_prefault.imag[i, j], ref[i] - ref[j]
+    if not np.all(c > 0):
+        return "a pair with C_ij <= 0"
+    a = np.abs(s)
+    v_min = np.min(c * (2 * np.cos(a) - (math.pi - 2 * a) * np.sin(a)),
+                   initial=math.inf)
+    if not (v_min > 0 and np.all(a < math.pi / 2)):    # both, for rounding
+        return "a pair 90 degrees or more apart at the operating point"
+    return c, s, v_min
 
 
-def _energy_certificate(m, ref, margin):
-    """(P, C, ref, c, cells) of `m`'s W, c = margin·V_cr, or why not: a
-    state with V < c in a cell (flat) of the 3° grid around `ref` stays
-    below 360°. `_newton` starts where |∇W| ≤ κr (r a cell's
-    half-diagonal, κ ≥ |∇²W|). Cells with W − |∇W|·r − ½κr² < c are
-    flooded from `ref`'s; the flood must stay off the edge, its largest
-    gap plus one cell below 360°."""
-    p = m.pm - m.emf ** 2 * m.y_prefault.real.diagonal()
-    c = (np.outer(m.emf, m.emf) * m.y_prefault.imag)[
-        np.triu_indices(len(p), 1)]
-    dim = len(ref) - 1
-    axis = np.radians(np.linspace(-180.0, 180.0, _PROOF_NODES))
-    grid = ref + np.stack(np.meshgrid(*[axis] * dim, [0.0], indexing="ij"),
-                          axis=-1)[..., 0, :]     # last machine held at ref
-    # one slice of the first angle at a time keeps generate's peak memory
-    w, slope = (np.concatenate(a) for a in zip(*[
-        (_potential(g, p, c, ref),
-         np.linalg.norm(_power_mismatch(g, m)[..., :-1], axis=-1))
-        for g in np.array_split(grid, 11)]))
-    r = math.radians(_PROOF_STEP_DEG) / 2 * math.sqrt(dim)
-    # |e_i − e_j|² over x is 2, or 1 for a pair with the last machine
-    kappa = float(np.abs(c) @ np.where(np.triu_indices(dim + 1, 1)[1] == dim,
-                                       1.0, 2.0))
-    delta = _newton(grid[slope <= kappa * r], m)
-    w_eq = _potential(delta, p, c, ref)
-    hess = kernels.power_jacobian(delta, m.emf, m.y_prefault)[:, :-1, :-1]
-    grad = _power_mismatch(delta, m)[:, :-1]
-    uep = ((np.linalg.norm(grad, axis=-1) <= _EQUILIBRIUM_TOL) & (w_eq > 0)
-           & np.all(np.abs(delta - ref) <= math.pi, axis=-1)
-           & ((hess[:, 0, 0] <= 0) | (np.linalg.det(hess) <= 0)))  # not min
-    if not uep.any():
-        return "no unstable equilibrium found"
-    level = margin * w_eq[uep].min()
-    below = w - slope * r - 0.5 * kappa * r * r < level
-    filled = np.zeros_like(below)
-    filled[(_PROOF_NODES // 2,) * dim] = True
-    while not any(np.take(filled, [0, -1], ax).any() for ax in range(dim)):
-        grown = filled.copy()
-        for ax in range(dim):       # the 3×3 box, one axis at a time
-            g = np.moveaxis(grown, ax, 0)
-            g[1:] |= g[:-1].copy()
-            g[:-1] |= g[1:].copy()
-        grown &= below
-        if np.array_equal(grown, filled):
-            gap = np.degrees(np.ptp(grid[filled], axis=-1)).max()
-            if gap + _PROOF_STEP_DEG < INSTABILITY_THRESHOLD_DEG:
-                return p, c, ref, level, filled.ravel()
-            break
-        filled = grown
-    return f"proof failed at c = {level:.4g}"
-
-
-def _energy_certificates(model, operating):
-    """({level: (index, scale)}, stacked (P, C, ref, c, cells), why none
-    applies or '') of `operating` ({level: (model, angles)}). E·√level
-    levels share the base case's certificate (W = level·W₁): V/level < c."""
-    if not _lossless_transfer(model.y_prefault):
-        return {}, (), "transfer conductance in the postfault network"
-    if not 2 <= model.n_generators <= 3:
-        return {}, (), f"{model.n_generators} machines, not 2 or 3"
-    certs, built, covered = [], {}, {}
-    for level, (level_model, delta0) in operating.items():
-        rescaled = not np.array_equal(level_model.emf, model.emf)
-        m = model if rescaled else level_model      # the model of W₁
-        key = (m.pm.tobytes(), m.emf.tobytes())
-        if key not in built:
-            cert = _energy_certificate(m, delta0, _CERTIFY_MARGIN)
-            built[key] = cert if isinstance(cert, str) else len(certs)
-            certs += [] if isinstance(cert, str) else [cert]
-        if not isinstance(built[key], str):
-            covered[level] = (built[key], level if rescaled else 1.0)
-    why = "" if covered else next(iter(built.values()))
-    return covered, tuple(np.array(a) for a in zip(*certs)), why
-
-
-def _certified(d, w, certs, which, scale, model):
-    """Rows of (d, w) that certificate `which` (−1: none) of `certs` proves."""
-    p, c, ref, level = (a[which] for a in certs[:4])
-    energy = (np.sum(model.inertia / model.omega0 * w ** 2, axis=-1) / scale
-              + _potential(d, p, c, ref))
-    x, n = d[:, :-1] - d[:, -1:] - (ref[:, :-1] - ref[:, -1:]), _PROOF_NODES
-    cell = np.rint(np.degrees(x) / _PROOF_STEP_DEG).astype(int) + n // 2
-    inside = np.all((cell >= 0) & (cell < n), axis=-1)
-    flat = np.clip(cell, 0, n - 1) @ n ** np.arange(cell.shape[1])[::-1]
-    return (which >= 0) & (energy < level) & inside & certs[4][which, flat]
+def _certified(d, w, e, pm, ref, ceiling, model):
+    """Rows of (d, w) (EMFs `e`, Pm `pm`, operating angles `ref`) with V
+    below `ceiling` and every pair angle in (−π − s, π − s). W = −ΣP_i·x_i
+    − Σ_{i<j} C_ij(cos δ_ij − cos s_ij), x the angles relative to the last
+    machine's from `ref`: its gradient over x is Pe − Pm."""
+    i, j = np.triu_indices(d.shape[-1], 1)
+    c = e[:, i] * e[:, j] * model.y_prefault.imag[i, j]
+    s = ref[:, i] - ref[:, j]
+    p = pm - e ** 2 * model.y_prefault.real.diagonal()
+    x = d - d[:, -1:] - (ref - ref[:, -1:])
+    pot = (-np.sum(p * x, axis=-1)
+           - np.sum(c * (np.cos(d[:, i] - d[:, j]) - np.cos(s)), axis=-1))
+    energy = np.sum(model.inertia / model.omega0 * w ** 2, axis=-1) + pot
+    inside = np.all(np.abs(d[:, i] - d[:, j] + s) < math.pi, axis=-1)
+    return (energy < ceiling) & inside
 
 
 def simulate_scenarios(model, scenarios, keep=None):
@@ -417,9 +355,9 @@ def simulate_scenarios(model, scenarios, keep=None):
     instability threshold (its label cannot change) and its last kept
     step is past, so with the default every row runs the whole horizon.
     When some row's last kept step lies before the horizon, a postfault
-    row past its last kept step also leaves once its energy certificate
-    proves it stable (checked every 24 steps); a full history builds no
-    certificate. The overflow guard watches the rows still running. Pe is
+    row past its last kept step also leaves once its level's energy bound
+    proves it stable (checked every 24 steps); a full history tries no
+    bound. The overflow guard watches the rows still running. Pe is
     computed at the kept samples only. Returns one Trajectory, scenario
     axis first.
     """
@@ -443,12 +381,15 @@ def simulate_scenarios(model, scenarios, keep=None):
                  for lv in dict.fromkeys(sc.load_level for sc in scenarios)}
     levels = [operating[sc.load_level] for sc in scenarios]
     last = steps.max(axis=1)
-    covered, certs, why = ({}, (), Trajectory.certificate)  # full history
-    if np.any(last < nsteps):
-        covered, certs, why = _energy_certificates(model, operating)
-    which, scale = np.array([covered.get(sc.load_level, (-1, 1.0))
-                             for sc in scenarios]).T
-    which = which.astype(int)
+    ceiling, refused = {}, []           # a full history tries no bound
+    for lv, (m, delta0) in operating.items() if np.any(last < nsteps) else ():
+        bound = _energy_bound(m, delta0)
+        if isinstance(bound, str):
+            refused.append(bound)
+        else:   # W = Σ pair terms − Σr_i·x_i, r = Pm − Pe(δ*) and |x_i| < 2π
+            ceiling[lv] = bound[2] - 2 * math.pi * np.sum(
+                np.abs(_power_mismatch(delta0, m)))
+    why = "" if ceiling else next(iter(refused), Trajectory.certificate)
 
     emf = np.array([m.emf for m, _ in levels])
     pm = np.array([m.pm for m, _ in levels])
@@ -470,9 +411,10 @@ def simulate_scenarios(model, scenarios, keep=None):
     d = np.array([delta0 for _, delta0 in levels])
     w = np.zeros_like(d)
     gap = np.full(n_rows, -np.inf)
-    run = (emf, pm, y_fault.copy(), n_fault, rem, steps, last)
+    run = (emf, pm, y_fault.copy(), n_fault, rem, steps, last, d.copy(),
+           np.array([ceiling.get(sc.load_level, -np.inf) for sc in scenarios]))
     for k in range(nsteps + 1):
-        e, p, y, n_f, r_f, kept, last = run
+        e, p, y, n_f, r_f, kept, last, ref, top = run
         if k:
             cut = np.nonzero(n_f == k - 1)[0]
             step = dt
@@ -495,9 +437,9 @@ def simulate_scenarios(model, scenarios, keep=None):
             delta[rows[at_r], at_c] = d[at_r]
             speed[rows[at_r], at_c] = w[at_r]
         settled = (gap >= INSTABILITY_THRESHOLD_DEG) & (last <= k)
-        if covered and not k % CERTIFY_EVERY:
+        if ceiling and not k % CERTIFY_EVERY:
             settled |= (n_f < k) & (last <= k) & _certified(
-                d, w, certs, which[rows], scale[rows], model)
+                d, w, e, p, ref, top, model)
         if np.any(settled):
             max_gap[rows[settled]] = gap[settled]
             stop_step[rows[settled]] = k
@@ -634,15 +576,18 @@ def load_model(path):
 
 
 def load_key_values(path):
-    """`key = value` lines (.grid and --config files) as a dict of strings."""
+    """`key = value` lines (.grid and --config files) as a dict of strings;
+    a key given twice raises ValueError."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for ln in fh:
+        for n, ln in enumerate(fh, start=1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            key, _, value = ln.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (s.strip() for s in ln.partition("="))
+            if key in values:
+                raise ValueError(f"{path} line {n}: a second '{key}' key")
+            values[key] = value
     return values
 
 

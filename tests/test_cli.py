@@ -611,6 +611,8 @@ def _write_malformed(case, kb_csv, tmp_path):
             "meta feature out of range": "feature 9999 extra\n",
             "meta feature negative": "feature -1 extra\n",
             "meta feature repeated": "feature 0 again\n",
+            "meta seed repeated": "seed 99\n",
+            "meta provenance repeated": "provenance elsewhere\n",
             "meta feature without name": "feature 3\n"}[case])
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
@@ -663,12 +665,17 @@ def _write_malformed(case, kb_csv, tmp_path):
                                  if ln.split()[0] not in dropped))
         return ["evaluate", "--kb", str(kb_csv), "--model", str(model),
                 "--out", str(tmp_path / "run")]
-    if case.startswith("abbreviated"):
+    if case.startswith(("abbreviated", "config")):
         argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
         if case == "abbreviated flags":
             return argv + ["--hid", "4", "--pop", "4", "--it", "2"]
         config = tmp_path / "run.cfg"
-        config.write_text("pop = 4\niter = 2\nhid = 4\n")
+        config.write_text({
+            "abbreviated config keys": "pop = 4\niter = 2\nhid = 4\n",
+            "config repeated key": "population = 4\nhidden = 4\n"
+                                   "population = 6\n",
+            "config key spelled twice": "split_fraction = 0.5\n"
+                                        "split-fraction = 0.9\n"}[case])
         return argv + ["--config", str(config)]
     model_text = Path(FIXTURES, "smib.sys").read_text()
     grid_text = Path(FIXTURES, "smib.grid").read_text()
@@ -683,6 +690,8 @@ def _write_malformed(case, kb_csv, tmp_path):
                                         f"generators {case.split()[-1]}")
     elif case == "sys repeated f0":
         model_text = model_text.replace("f0 60.0", "f0 60.0\nf0 50.0")
+    elif case == "grid repeated key":
+        grid_text += "load_levels = 1.0\n"
     elif case == "sys repeated matrix":
         prefault = model_text[model_text.index("matrix prefault"):
                               model_text.index("matrix fault:")]
@@ -736,12 +745,23 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
     ("grid inf horizon", cli.EXIT_USAGE,
      "horizon must be positive and finite"),
+    ("grid repeated key", cli.EXIT_RUNTIME,
+     "model.grid line 7: a second 'load_levels' key"),
+    ("config repeated key", cli.EXIT_USAGE,
+     "run.cfg line 3: a second 'population' key"),
+    ("config key spelled twice", cli.EXIT_USAGE,
+     "run.cfg gives the key 'split-fraction' twice"),
     # 2.4e9 steps: a run would allocate its 18 GiB time grid first
     ("grid 1e7 horizon", cli.EXIT_USAGE,
      "horizon / step = 2.4e+09 exceeds the 1,000,000-step limit"),
     ("meta feature out of range", cli.EXIT_RUNTIME, "feature 9999 is not"),
     ("meta feature negative", cli.EXIT_RUNTIME, "feature -1 is not"),
     ("meta feature repeated", cli.EXIT_RUNTIME, "feature 0 named twice"),
+    # the SMIB sidecar holds 96 lines: seed, provenance, 94 features
+    ("meta seed repeated", cli.EXIT_RUNTIME,
+     "kb.meta line 97: a second 'seed' line"),
+    ("meta provenance repeated", cli.EXIT_RUNTIME,
+     "kb.meta line 97: a second 'provenance' line"),
     ("meta feature without name", cli.EXIT_RUNTIME,
      "'feature 3' needs an index and a name"),
     ("abbreviated flags", cli.EXIT_USAGE,

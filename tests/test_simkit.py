@@ -467,17 +467,16 @@ def count_row_steps(monkeypatch):
 
 
 def windowed_runs(monkeypatch, model, grid):
-    """`generate`'s windowed run of `grid`, first with
-    `_energy_certificates` patched to build none, then as it is: each
-    (trajectory, row-steps)."""
+    """`generate`'s windowed run of `grid`, first with `_energy_bound`
+    patched to refuse every level, then as it is: each (trajectory,
+    row-steps)."""
     counted = count_row_steps(monkeypatch)
     runs = []
     for patched in (True, False):
         counted.clear()
         with monkeypatch.context() as m:
             if patched:
-                m.setattr(simkit, "_energy_certificates",
-                          lambda *_: ({}, (), "not requested"))
+                m.setattr(simkit, "_energy_bound", lambda *_: "not requested")
             runs.append((simkit.simulate_scenarios(
                 model, grid, keep=features.sample_steps), sum(counted)))
     return runs
@@ -489,29 +488,59 @@ def test_full_history_builds_no_certificate(monkeypatch, smib):
     def refused(*_):
         raise AssertionError("full history built a certificate")
 
-    monkeypatch.setattr(simkit, "_energy_certificates", refused)
+    monkeypatch.setattr(simkit, "_energy_bound", refused)
     grid = simkit.build_scenario_grid(["fault"], [5.0, 10.0], [1.0], seed=1)
     traj = simkit.simulate_scenarios(smib, grid)
     assert traj.certificate == "full history"
     assert np.all(traj.stop_step == 720)
 
 
+def lossless_network(n, seed):
+    """A lossless n-machine network with random couplings, resting at
+    random angles within ±35° (Pm balances them), with a fault at each
+    machine that cuts it off from the others."""
+    rng = np.random.default_rng(seed)
+    b = np.triu(rng.uniform(0.3, 1.0, (n, n)), 1)
+    y = 1j * (b + b.T - np.diag((b + b.T).sum(axis=1)))
+    emf = rng.uniform(1.0, 1.2, n)
+    faults = {}
+    for k in range(n):
+        faults[f"bus{k + 1}"] = y.copy()
+        faults[f"bus{k + 1}"][k, :] = faults[f"bus{k + 1}"][:, k] = 0.0
+    return simkit.PowerSystemModel(
+        name=f"lossless{n}", f0=60.0, inertia=rng.uniform(0.2, 0.8, n),
+        damping=rng.uniform(0.0, 0.1, n), emf=emf,
+        pm=kernels.electrical_power(np.radians(rng.uniform(-35, 35, n)),
+                                    emf, y),
+        y_prefault=y, y_fault=faults)
+
+
+#: clearing times, levels and seed for `lossless_network`, faulted at each
+#: machine in turn
+LOSSLESS_GRID = {"clearing_cycles": [5.0, 7.5, 10.0],
+                 "load_levels": [1.0, 1.2], "seed": 1}
+
+
 @pytest.mark.parametrize("case, stopped, last, row_steps", [
-    ("smib", 49, 72, (38_099, 6_347)),
-    ("three_machine", 261, 192, (199_655, 31_655)),
-    ("paper", 2_296, 216, (1_754_522, 278_066)),
+    ("smib", 50, 72, (38_099, 5_699)),
+    ("three_machine", 261, 240, (199_655, 37_871)),
+    ("paper", 2_296, 264, (1_754_522, 335_954)),
+    ("four_machines", 16, 120, (12_107, 1_907)),
 ])
 def test_certified_run_matches_full_horizon(case, stopped, last, row_steps,
                                             monkeypatch):
     # [DERIVED] counts of this tree. The energy certificate stops only
     # stable rows past their window: the labels and the KB's samples, bit
     # for bit (so its bytes), are the full-horizon run's, and no row it
-    # stopped is unstable there. On SMIB (no damping) one stable row is
-    # never certified.
-    model = simkit.load_model(
-        f"fixtures/{'smib' if case == 'smib' else 'three_machine'}.sys")
-    spec = (PAPER_GRID if case == "paper"
-            else simkit.load_grid_spec(f"fixtures/{case}.grid"))
+    # stopped is unstable there.
+    if case == "four_machines":
+        model = lossless_network(4, seed=38)
+        spec = {"faults": sorted(model.y_fault), **LOSSLESS_GRID}
+    else:
+        model = simkit.load_model(
+            f"fixtures/{'smib' if case == 'smib' else 'three_machine'}.sys")
+        spec = (PAPER_GRID if case == "paper"
+                else simkit.load_grid_spec(f"fixtures/{case}.grid"))
     grid = simkit.build_scenario_grid(**spec)
     runs = []
     for traj, steps in windowed_runs(monkeypatch, model, grid):
@@ -533,29 +562,26 @@ def test_certified_run_matches_full_horizon(case, stopped, last, row_steps,
     assert (full_steps, cert_steps) == row_steps
 
 
-def four_machines():
-    """A lossless four-machine system resting at equal angles."""
-    y = 1j * (np.ones((4, 4)) - 5.0 * np.eye(4))
-    return simkit.PowerSystemModel(
-        name="four", f0=60.0, inertia=np.full(4, 3.0),
-        damping=np.full(4, 0.1), emf=np.ones(4), pm=np.zeros(4),
-        y_prefault=y, y_fault={"bus1": np.zeros((4, 4))})
+def uncoupled(model):
+    """`model` with no susceptance between machines 0 and 1 after the
+    fault, and Pm reset to balance its old angles."""
+    y = model.y_prefault.copy()
+    y[0, 1] = y[1, 0] = 0.0
+    return replace(model, y_prefault=y, pm=kernels.electrical_power(
+        simkit.solve_equilibrium(model), model.emf, y))
 
 
 @pytest.mark.parametrize("case, why", [
     ("lossy", "transfer conductance in the postfault network"),
-    ("four machines", "4 machines, not 2 or 3"),
-    ("failed proof", "proof failed at c = 0.7402"),
+    ("uncoupled pair", "a pair with C_ij <= 0"),
 ])
 def test_uncertified_networks_run_full_horizon(case, why, monkeypatch,
                                                three_machine):
-    # the certificate applies only where its proof holds: with transfer
-    # conductance, more than three machines, or a level at 1.05·V_cr the
-    # proof refuses, every row runs as without it
-    model = {"lossy": lossy(three_machine),
-             "four machines": four_machines()}.get(case, three_machine)
-    if case == "failed proof":
-        monkeypatch.setattr(simkit, "_CERTIFY_MARGIN", 1.05)
+    # the bound holds only for a lossless network whose pairs are all
+    # coupled: with transfer conductance, or a pair with B_ij = 0, it
+    # refuses, and every row runs as without it
+    model = {"lossy": lossy, "uncoupled pair": uncoupled}[case](
+        three_machine)
     grid = simkit.build_scenario_grid(["bus1"], [5.0, 8.0], [0.9, 1.0, 1.2],
                                       seed=1)
     (full, full_steps), (cert, cert_steps) = windowed_runs(monkeypatch,
@@ -567,15 +593,61 @@ def test_uncertified_networks_run_full_horizon(case, why, monkeypatch,
     assert stable.any() and np.all(cert.stop_step[stable] == 720)
 
 
-def test_proof_holds_below_the_closest_uep_only(monkeypatch, three_machine):
-    # [DERIVED] the three-machine postfault network has one unstable
-    # equilibrium within ±180°, at relative angles (161.5°, 121.9°) with
-    # W = 0.705; the grid proof holds at 0.95 of that level, not at 1.05
-    operating = {1.0: simkit.operating_point(three_machine, 1.0)}
-    covered, certs, why = simkit._energy_certificates(three_machine,
-                                                      operating)
-    assert (covered, why) == ({1.0: (0, 1.0)}, "")
-    assert certs[3][0] == pytest.approx(0.95 * 0.70496, abs=1e-5)
-    monkeypatch.setattr(simkit, "_CERTIFY_MARGIN", 1.05)
-    assert simkit._energy_certificates(three_machine, operating) == (
-        {}, (), f"proof failed at c = {1.05 / 0.95 * certs[3][0]:.4g}")
+@pytest.mark.parametrize("level", [0.8, 1.0, 1.3])
+def test_energy_bound_is_the_equal_area_energy(smib, level):
+    # on SMIB the closest unstable equilibrium is π − s, so V_min is the
+    # equal-area critical energy ∫_s^{π−s} (C·sin x − P) dx
+    m, ref = simkit.operating_point(smib, level)
+    c, s, v_min = simkit._energy_bound(m, ref)
+    p = m.pm[0] - m.emf[0] ** 2 * m.y_prefault[0, 0].real
+    assert c[0] == m.emf[0] * m.emf[1] * m.y_prefault[0, 1].imag
+    assert s[0] == ref[0] - ref[1] and 0 < s[0] < math.pi / 2
+
+    def antiderivative(x):
+        return -c[0] * math.cos(x) - p * x
+
+    critical = antiderivative(math.pi - s[0]) - antiderivative(s[0])
+    assert v_min == pytest.approx(critical, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("angle", [90.0, 95.0, 150.0])
+def test_energy_bound_refuses_pairs_far_apart(smib, angle):
+    # the pair term's smaller end value is ≤ 0 from |s| = 90° on
+    why = simkit._energy_bound(smib, np.radians([angle, 0.0]))
+    assert why == "a pair 90 degrees or more apart at the operating point"
+    assert simkit._energy_bound(smib, np.radians([0.0, angle])) == why
+
+
+def test_energy_bound_refuses_negative_coupling(smib):
+    flipped = replace(smib, y_prefault=-smib.y_prefault)
+    assert simkit._energy_bound(flipped, simkit.solve_equilibrium(smib)) \
+        == "a pair with C_ij <= 0"
+
+
+@pytest.mark.parametrize("case", ["smib", "4 machines", "10 machines"])
+def test_bound_is_sound_on_full_histories(case):
+    # a row that meets the row test at any postfault step, with V_min in
+    # place of the run's lower ceiling, never reaches a 360° gap later
+    if case == "smib":
+        model = simkit.load_model("fixtures/smib.sys")
+        grid = simkit.build_scenario_grid(
+            **simkit.load_grid_spec("fixtures/smib.grid"))
+    else:
+        model = lossless_network(int(case.split()[0]), seed=38)
+        grid = simkit.build_scenario_grid(sorted(model.y_fault),
+                                          **LOSSLESS_GRID)
+    traj = simkit.simulate_scenarios(model, grid)
+    n_rows, n_t, g = traj.delta_deg.shape
+    levels = [simkit.operating_point(model, sc.load_level) for sc in grid]
+    emf = np.repeat([m.emf for m, _ in levels], n_t, axis=0)
+    ref = np.repeat([d0 for _, d0 in levels], n_t, axis=0)
+    v_min = np.repeat([simkit._energy_bound(*lv)[2] for lv in levels], n_t)
+    met = simkit._certified(
+        np.radians(traj.delta_deg).reshape(-1, g),
+        traj.speed_dev.reshape(-1, g), emf, np.repeat(traj.pm, n_t, axis=0),
+        ref, v_min, model).reshape(n_rows, n_t)
+    met &= traj.time > traj.t_clear[:, None]
+    gap = simkit.angle_gap(traj.delta_deg)
+    later = np.maximum.accumulate(gap[:, ::-1], axis=1)[:, ::-1]
+    assert met.any() and np.any(traj.max_gap_deg >= 360.0)
+    assert np.all(later[met] < 360.0)
