@@ -6,6 +6,7 @@ the center-of-inertia (COI) frame with prefault static quantities. Labels
 follow the sign of 360° minus the largest pairwise rotor-angle excursion.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +102,12 @@ def extract_features(trajectory):
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Labeled raw feature matrix plus its seed and provenance; a
-    non-finite sample value or a label other than +1 or -1 is refused."""
+    non-finite sample value or a label other than +1 or -1 is refused.
+    No field can be edited: the arrays are read-only, `names` a tuple."""
 
     samples: np.ndarray        # (N, n)
     labels: np.ndarray         # (N,), values in {+1, -1}
-    names: list
+    names: tuple
     seed: int
     provenance: str = ""
 
@@ -129,6 +131,7 @@ class KnowledgeBase:
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "names", tuple(self.names))
 
     @property
     def n_samples(self):
@@ -304,12 +307,43 @@ def _parse_error(csv_path, width, lines, exc):
     return f"{csv_path}: {exc}"
 
 
+# (digest, kb) of the last KB this process parsed; the digest covers the
+# bytes of both files, so an edited CSV or sidecar never matches, and a
+# refused KB is never stored
+_last_kb = (None, None)
+
+
 def load_knowledge_base(csv_path, sidecar_path):
     """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
     `provenance` and `feature` (such as the standardization statistics
     older sidecars hold) are skipped, as are blank CSV lines. A second
-    `seed` or `provenance` line is refused."""
-    with open(csv_path, encoding="utf-8", newline="") as fh:
+    `seed` or `provenance` line, a non-integer seed and a CSV column
+    without a `feature` line are refused.
+
+    Files holding the same bytes as the last KB parsed in this process
+    return that same (immutable) KB without parsing it again.
+    """
+    global _last_kb
+    import hashlib  # here, so that `import tspred.cli` does not load it
+    with open(csv_path, "rb") as fh:
+        csv_data = fh.read()
+    with open(sidecar_path, "rb") as fh:
+        sidecar_data = fh.read()
+    # the CSV's digest has a fixed length, so no bytes can move between
+    # the two files without changing the key
+    digest = hashlib.sha256(hashlib.sha256(csv_data).digest()
+                            + sidecar_data).digest()
+    if digest == _last_kb[0]:
+        return _last_kb[1]
+    kb = _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path)
+    _last_kb = (digest, kb)
+    return kb
+
+
+def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
+    # each file's bytes read as its text-mode open() would read them
+    with io.TextIOWrapper(io.BytesIO(csv_data), encoding="utf-8",
+                          newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header[0] != "label":
             raise FeatureError(f"{csv_path}: bad header")
@@ -325,7 +359,7 @@ def load_knowledge_base(csv_path, sidecar_path):
     provenance = ""
     names = [None] * (len(header) - 1)
     seen = set()
-    with open(sidecar_path, encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(sidecar_data), encoding="utf-8") as fh:
         for n, ln in enumerate(fh, start=1):
             tokens = ln.strip().split(None, 1)
             if not tokens:
@@ -337,11 +371,20 @@ def load_knowledge_base(csv_path, sidecar_path):
                     f"{sidecar_path} line {n}: a second '{key}' line")
             seen.add(key)
             if key == "seed":
-                seed = int(rest)
+                try:
+                    seed = int(rest)
+                except ValueError:
+                    raise FeatureError(
+                        f"{sidecar_path} line {n}: the seed {rest!r} is "
+                        "not an integer") from None
             elif key == "provenance":
                 provenance = rest
             elif key == "feature":
                 _name_feature(names, rest.split(), sidecar_path)
+    if None in names:
+        j = names.index(None)
+        raise FeatureError(f"{sidecar_path}: no 'feature' line names "
+                           f"feature {j} (CSV column {j + 2})")
     return KnowledgeBase(
         samples=table[:, 1:], labels=table[:, 0], names=names, seed=seed,
         provenance=provenance)

@@ -607,13 +607,21 @@ def _write_malformed(case, kb_csv, tmp_path):
     if case.startswith("meta"):
         shutil.copy(kb_csv, kb)
         meta = kb_csv.with_suffix(".meta").read_text()
-        kb.with_suffix(".meta").write_text(meta + {
-            "meta feature out of range": "feature 9999 extra\n",
-            "meta feature negative": "feature -1 extra\n",
-            "meta feature repeated": "feature 0 again\n",
-            "meta seed repeated": "seed 99\n",
-            "meta provenance repeated": "provenance elsewhere\n",
-            "meta feature without name": "feature 3\n"}[case])
+        if case == "meta feature missing":
+            meta = re.sub(r"^feature 5 .*\n", "", meta, flags=re.M)
+        elif case in ("meta seed x", "meta seed empty"):
+            meta = re.sub(r"^seed .*$", {"meta seed x": "seed x",
+                                         "meta seed empty": "seed"}[case],
+                          meta, flags=re.M)
+        else:
+            meta += {
+                "meta feature out of range": "feature 9999 extra\n",
+                "meta feature negative": "feature -1 extra\n",
+                "meta feature repeated": "feature 0 again\n",
+                "meta seed repeated": "seed 99\n",
+                "meta provenance repeated": "provenance elsewhere\n",
+                "meta feature without name": "feature 3\n"}[case]
+        kb.with_suffix(".meta").write_text(meta)
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
     if case.startswith("kb"):
@@ -764,6 +772,12 @@ def _write_malformed(case, kb_csv, tmp_path):
      "kb.meta line 97: a second 'provenance' line"),
     ("meta feature without name", cli.EXIT_RUNTIME,
      "'feature 3' needs an index and a name"),
+    ("meta feature missing", cli.EXIT_RUNTIME,
+     "kb.meta: no 'feature' line names feature 5 (CSV column 7)"),
+    ("meta seed x", cli.EXIT_RUNTIME,
+     "kb.meta line 1: the seed 'x' is not an integer"),
+    ("meta seed empty", cli.EXIT_RUNTIME,
+     "kb.meta line 1: the seed '' is not an integer"),
     ("abbreviated flags", cli.EXIT_USAGE,
      "unrecognized arguments: --hid 4 --pop 4 --it 2"),
     ("abbreviated config keys", cli.EXIT_USAGE,

@@ -250,8 +250,85 @@ def test_loads_sidecar_with_standardization_columns(tmp_path):
                          "constant_features b\nfeature 0 a 2.0 1.4\n"
                          "feature 1 b 2.0 0.0\n")
     kb = features.load_knowledge_base(csv_path, meta_path)
-    assert (kb.seed, kb.provenance, kb.names) == (4, "m:g", ["a", "b"])
+    assert (kb.seed, kb.provenance, kb.names) == (4, "m:g", ("a", "b"))
     assert np.array_equal(kb.samples, [[1.0, 2.0], [3.0, 2.0]])
+
+
+def test_unnamed_column_refused(tmp_path):
+    csv_path = tmp_path / "kb.csv"
+    meta_path = tmp_path / "kb.meta"
+    csv_path.write_text("label,f_0,f_1\n+1,1.0,2.0\n-1,3.0,2.0\n")
+    meta_path.write_text("seed 4\nfeature 0 a\n")
+    with pytest.raises(features.FeatureError, match=(
+            f"^{meta_path}: no 'feature' line names feature 1 "
+            r"\(CSV column 3\)$")):
+        features.load_knowledge_base(csv_path, meta_path)
+
+
+def saved_kb(tmp_path, seed=5):
+    """Write a toy KB to tmp_path; returns its CSV and sidecar paths."""
+    csv_path, meta_path = tmp_path / "kb.csv", tmp_path / "kb.meta"
+    features.save_knowledge_base(separable_kb(n=12, n_features=3, seed=seed),
+                                 csv_path, meta_path)
+    return csv_path, meta_path
+
+
+def test_unchanged_kb_parsed_once(tmp_path):
+    # the same bytes, at any path, give back the KB already parsed
+    csv_path, meta_path = saved_kb(tmp_path)
+    first = features.load_knowledge_base(csv_path, meta_path)
+    copy_csv, copy_meta = tmp_path / "copy.csv", tmp_path / "copy.meta"
+    copy_csv.write_bytes(csv_path.read_bytes())
+    copy_meta.write_bytes(meta_path.read_bytes())
+    assert features.load_knowledge_base(csv_path, meta_path) is first
+    assert features.load_knowledge_base(copy_csv, copy_meta) is first
+
+
+def test_changed_csv_byte_parsed_again(tmp_path):
+    csv_path, meta_path = saved_kb(tmp_path)
+    first = features.load_knowledge_base(csv_path, meta_path)
+    text = csv_path.read_text()
+    row = text.splitlines()[1]
+    # flip one sample's label: one byte of the CSV
+    flipped = ("-" if row[0] == "+" else "+") + row[1:]
+    csv_path.write_text(text.replace(row, flipped, 1))
+    second = features.load_knowledge_base(csv_path, meta_path)
+    assert second is not first
+    assert second.labels[0] == -first.labels[0]
+    assert np.array_equal(second.labels[1:], first.labels[1:])
+
+
+def test_changed_sidecar_alone_parsed_again(tmp_path):
+    csv_path, meta_path = saved_kb(tmp_path, seed=5)
+    assert features.load_knowledge_base(csv_path, meta_path).seed == 5
+    meta_path.write_text(meta_path.read_text().replace("seed 5\n",
+                                                       "seed 6\n"))
+    assert features.load_knowledge_base(csv_path, meta_path).seed == 6
+
+
+def test_malformed_kb_overwrite_still_refused(tmp_path):
+    csv_path, meta_path = saved_kb(tmp_path)
+    good = csv_path.read_bytes()
+    features.load_knowledge_base(csv_path, meta_path)
+    header, row, rest = good.split(b"\r\n", 2)
+    row = row.rsplit(b",", 1)[0] + b",nan"
+    csv_path.write_bytes(b"\r\n".join([header, row, rest]))
+    for _ in range(2):      # a refused file is not kept either
+        with pytest.raises(features.FeatureError, match="not a finite"):
+            features.load_knowledge_base(csv_path, meta_path)
+    csv_path.write_bytes(good)
+    assert features.load_knowledge_base(csv_path, meta_path).n_samples == 12
+
+
+def test_loaded_kb_immutable(tmp_path):
+    kb = features.load_knowledge_base(*saved_kb(tmp_path))
+    for arr in (kb.samples, kb.labels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert kb.names == ("f0", "f1", "f2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kb.seed = 1
 
 
 def test_smib_kb_has_both_classes(smib_kb):
