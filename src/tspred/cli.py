@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import elm, features, metrics, simkit, swarm
+from . import elm, features, metrics, simkit, swarm, textio
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -217,9 +217,9 @@ def cmd_predict(args):
     if args.row:
         raw_rows = [args.row]
     elif args.input:
-        _require(args.input, "input file")
-        with open(args.input, encoding="utf-8") as fh:
-            raw_rows = [ln.strip() for ln in fh if ln.strip()]
+        data = Path(_require(args.input, "input file")).read_bytes()
+        raw_rows = [ln for ln in textio.lines(data, args.input, UsageError)
+                    if ln]
         if raw_rows and raw_rows[0].startswith("label"):
             raw_rows = raw_rows[1:]
         if not raw_rows:
@@ -261,19 +261,19 @@ def _config_args(path):
     """A --config file's `key = value` lines as `--key=value` arguments
     (`_` in a key read as `-`), which the grammar checks as it does flags."""
     try:
-        values = simkit.load_key_values(path)
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:       # a repeated key, named with its file
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if "config" in values:
-        raise argparse.ArgumentTypeError(f"{path} names another config file")
-    names = [key.replace("_", "-") for key in values]
-    twice = [name for name in names if names.count(name) > 1]
-    if twice:       # split_fraction and split-fraction are one key
-        raise argparse.ArgumentTypeError(
-            f"{path} gives the key '{twice[0]}' twice")
-    return [f"--{name}={value}" for name, value in zip(names, values.values())]
+    args = {}
+    for _, key, value in textio.directives(
+            data, path, sep="=", error=argparse.ArgumentTypeError):
+        name = key.replace("_", "-")    # split_fraction is split-fraction
+        if name == "config" or name in args:
+            raise argparse.ArgumentTypeError(
+                f"{path} names another config file" if name == "config"
+                else f"{path} gives the key '{name}' twice")
+        args[name] = f"--{name}={value}"
+    return list(args.values())
 
 
 @functools.cache

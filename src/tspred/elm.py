@@ -5,11 +5,11 @@ optimizer); only the output weights are fitted, by the minimal-norm
 least-squares solve through the Moore-Penrose pseudoinverse.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .features import apply_standardization
 
 ACT_OFF = 0
@@ -192,19 +192,12 @@ def load_model(path):
 
 
 def _parse_model(data, path):
-    fields = {"w": []}
-    # newline=None splits lines as a text-mode open() does
-    for ln in io.StringIO(data.decode("utf-8"), newline=None):
-        tokens = ln.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if tokens[0] == "w":
-            fields["w"].append(tokens[1:])
-        elif tokens[0] in fields:
-            raise ElmError(
-                f"malformed model file {path}: a second {tokens[0]} line")
-        else:
-            fields[tokens[0]] = tokens[1:]
+    # every line but `w` (one per hidden neuron) appears once
+    lines = [(key, value.split()) for _, key, value in textio.directives(
+        data, path, error=ElmError, once=("hidden", "input_dim", "biases",
+                                          "activations", "beta", "mask",
+                                          "means", "stds"))]
+    fields = {**dict(lines), "w": [row for key, row in lines if key == "w"]}
     try:
         if not set(fields["mask"]) <= {"0", "1"}:
             raise ElmError("mask tokens must be 0 or 1")

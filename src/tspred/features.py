@@ -6,10 +6,11 @@ the center-of-inertia (COI) frame with prefault static quantities. Labels
 follow the sign of 360° minus the largest pairwise rotor-angle excursion.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import textio
 
 STABLE = 1
 UNSTABLE = -1
@@ -269,22 +270,23 @@ def save_knowledge_base(kb, csv_path, sidecar_path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _name_feature(names, tokens, sidecar_path):
-    """Apply one sidecar `feature <j> <name>` line to `names`."""
-    line = " ".join(["feature", *tokens])
+def _name_feature(names, value, where):
+    """Apply the `feature <j> <name>` line at `where` (file and line) to
+    `names`."""
+    tokens = value.split()
     if len(tokens) < 2:
         raise FeatureError(
-            f"{sidecar_path}: '{line}' needs an index and a name")
+            f"{where}: 'feature {value}' needs an index and a name")
     try:
         j = int(tokens[0])
     except ValueError:
         raise FeatureError(
-            f"{sidecar_path}: '{line}': index is not an integer") from None
+            f"{where}: 'feature {value}': index is not an integer") from None
     if not 0 <= j < len(names):
-        raise FeatureError(f"{sidecar_path}: feature {j} is not one of the "
+        raise FeatureError(f"{where}: feature {j} is not one of the "
                            f"CSV's {len(names)} columns")
     if names[j] is not None:
-        raise FeatureError(f"{sidecar_path}: feature {j} named twice")
+        raise FeatureError(f"{where}: feature {j} named twice")
     names[j] = tokens[1]
 
 
@@ -292,9 +294,9 @@ def _parse_error(csv_path, width, lines, exc):
     """Name the first CSV body line that `exc` (from np.loadtxt) could
     have come from, counting the header as line 1."""
     for n, ln in enumerate(lines, start=2):
-        if not ln.strip():
+        if not ln:
             continue
-        cells = ln.rstrip("\r\n").split(",")
+        cells = ln.split(",")
         if len(cells) != width:
             return (f"{csv_path} line {n}: the number of columns changed "
                     f"from {width} to {len(cells)}")
@@ -341,14 +343,11 @@ def load_knowledge_base(csv_path, sidecar_path):
 
 
 def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
-    # each file's bytes read as its text-mode open() would read them
-    with io.TextIOWrapper(io.BytesIO(csv_data), encoding="utf-8",
-                          newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header[0] != "label":
-            raise FeatureError(f"{csv_path}: bad header")
-        lines = fh.readlines()
-    if not any(map(str.strip, lines)):
+    header, *lines = textio.lines(csv_data, csv_path, FeatureError)
+    header = header.split(",")
+    if header[0] != "label":
+        raise FeatureError(f"{csv_path}: bad header")
+    if not any(lines):
         raise FeatureError(f"{csv_path}: no samples")
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -358,29 +357,20 @@ def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
     seed = 0
     provenance = ""
     names = [None] * (len(header) - 1)
-    seen = set()
-    with io.TextIOWrapper(io.BytesIO(sidecar_data), encoding="utf-8") as fh:
-        for n, ln in enumerate(fh, start=1):
-            tokens = ln.strip().split(None, 1)
-            if not tokens:
-                continue
-            key = tokens[0]
-            rest = tokens[1] if len(tokens) > 1 else ""
-            if key in seen and key in ("seed", "provenance"):
+    for n, key, value in textio.directives(
+            sidecar_data, sidecar_path, once=("seed", "provenance"),
+            error=FeatureError):
+        if key == "seed":
+            try:
+                seed = int(value)
+            except ValueError:
                 raise FeatureError(
-                    f"{sidecar_path} line {n}: a second '{key}' line")
-            seen.add(key)
-            if key == "seed":
-                try:
-                    seed = int(rest)
-                except ValueError:
-                    raise FeatureError(
-                        f"{sidecar_path} line {n}: the seed {rest!r} is "
-                        "not an integer") from None
-            elif key == "provenance":
-                provenance = rest
-            elif key == "feature":
-                _name_feature(names, rest.split(), sidecar_path)
+                    f"{sidecar_path} line {n}: the seed {value!r} is "
+                    "not an integer") from None
+        elif key == "provenance":
+            provenance = value
+        elif key == "feature":
+            _name_feature(names, value, f"{sidecar_path} line {n}")
     if None in names:
         j = names.index(None)
         raise FeatureError(f"{sidecar_path}: no 'feature' line names "

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from . import kernels
+from . import kernels, textio
 from .features import INSTABILITY_THRESHOLD_DEG
 
 #: default integration step: a quarter of a 60 Hz cycle
@@ -497,63 +497,57 @@ def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
 # ---------------------------------------------------------------------------
 
 def load_model(path):
-    """Parse the textual .sys model file."""
-    with open(path, encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
-    name = "unnamed"
-    f0 = 60.0
-    declared = None
-    gens = []
-    matrices = {}
-    seen = set()
-    i = 0
-    try:
-        while i < len(lines):
-            tokens = lines[i].split()
-            key = tokens[0]
-            once = " ".join(tokens[:2]) if key == "matrix" else key
-            if key != "gen" and once in seen:   # else the last one wins
-                raise ModelFormatError(f"{path}: a second '{once}' line")
-            seen.add(once)
+    """Parse the textual .sys model file; a line it cannot read is refused,
+    naming the file and the line."""
+    with open(path, "rb") as fh:
+        lines = textio.directives(fh.read(), path, error=ModelFormatError,
+                                  once=("name", "f0", "generators"))
+    name, f0, declared, gens, matrices = "unnamed", 60.0, None, [], {}
+    for n, key, value in lines:
+        try:
             if key == "name":
-                name = " ".join(tokens[1:])
+                name = " ".join(value.split())
             elif key == "f0":
-                f0 = float(tokens[1])
+                f0 = float(value)
             elif key == "generators":
-                declared = int(tokens[1])
+                declared = n, int(value)
             elif key == "gen":
-                if len(tokens) != 6:
-                    raise ModelFormatError(
-                        f"{path}: '{lines[i]}' needs 5 values (H D x'd E Pm),"
-                        f" not {len(tokens) - 1}")
+                vals = value.split()
+                if len(vals) != 5:
+                    raise ValueError(
+                        f"'gen {value}' needs 5 values (H D x'd E Pm), not "
+                        f"{len(vals)}")
                 # x'd is checked to be numeric; the classical model has
                 # no use for it
-                gens.append([float(v) for v in tokens[1:]])
+                gens.append([float(v) for v in vals])
             elif key == "matrix":
-                label = tokens[1]
-                dim = int(tokens[2])
+                label, dim = value.split()
+                if label in matrices:
+                    raise ValueError(f"a second 'matrix {label}' line")
+                dim = int(dim)
+                if dim < 1:
+                    raise ValueError(f"matrix '{label}' dimension {dim} is "
+                                     "below 1")
                 rows = []
-                for r in range(dim):
-                    vals = [float(v) for v in lines[i + 1 + r].split()]
-                    if len(vals) != 2 * dim:
-                        raise ModelFormatError(
-                            f"matrix '{label}' row {r} has {len(vals)} "
+                for r in range(dim):    # past the file's end, an empty row
+                    n, first, rest = next(lines, (n, "", ""))
+                    rows.append([float(v) for v in f"{first} {rest}".split()])
+                    if len(rows[-1]) != 2 * dim:
+                        raise ValueError(
+                            f"matrix '{label}' row {r} has {len(rows[-1])} "
                             f"values, expected {2 * dim}")
-                    rows.append([complex(vals[2 * c], vals[2 * c + 1])
-                                 for c in range(dim)])
-                matrices[label] = np.array(rows, dtype=complex)
-                i += dim
+                # each row pairs (re, im) values
+                matrices[label] = np.array(rows).view(complex)
             else:
-                raise ModelFormatError(f"unknown directive '{key}'")
-            i += 1
-    except (ValueError, IndexError) as exc:
-        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
+                raise ValueError(f"unknown directive '{key}'")
+        except ValueError as exc:
+            raise ModelFormatError(f"{path} line {n}: {exc}") from None
     if not gens:
         raise ModelFormatError(f"{path}: no generators defined")
-    if declared is not None and declared != len(gens):
+    if declared is not None and declared[1] != len(gens):
         raise ModelFormatError(
-            f"{path}: 'generators {declared}' but {len(gens)} gen lines")
+            f"{path} line {declared[0]}: 'generators {declared[1]}' but "
+            f"{len(gens)} gen lines")
     if "prefault" not in matrices or "postfault" not in matrices:
         raise ModelFormatError(f"{path}: prefault/postfault matrix missing")
     # checked, not kept: the prefault matrix holds again after clearing
@@ -575,38 +569,31 @@ def load_model(path):
         raise ModelFormatError(f"{path}: {exc}") from None
 
 
-def load_key_values(path):
-    """`key = value` lines (.grid and --config files) as a dict of strings;
-    a key given twice raises ValueError."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for n, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, value = (s.strip() for s in ln.partition("="))
-            if key in values:
-                raise ValueError(f"{path} line {n}: a second '{key}' key")
-            values[key] = value
-    return values
+def _items(text):
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+#: each .grid key and how its value is read
+_GRID_KEYS = {"faults": _items, "seed": int, "step": float, "horizon": float,
+              "clearing_cycles": lambda v: [float(x) for x in _items(v)],
+              "load_levels": lambda v: [float(x) for x in _items(v)]}
 
 
 def load_grid_spec(path):
-    """Parse the .grid file into build_scenario_grid keyword arguments."""
-    spec = load_key_values(path)
-
-    def _split(text):
-        return [v.strip() for v in text.split(",") if v.strip()]
-
-    try:
-        return {
-            "faults": _split(spec["faults"]),
-            "clearing_cycles": [float(v)
-                                for v in _split(spec["clearing_cycles"])],
-            "load_levels": [float(v) for v in _split(spec["load_levels"])],
-            "seed": int(spec["seed"]),
-            "step": float(spec.get("step", DEFAULT_STEP)),
-            "horizon": float(spec.get("horizon", DEFAULT_HORIZON)),
-        }
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed grid spec {path}: {exc}") from exc
+    """Parse the .grid file into build_scenario_grid keyword arguments; an
+    unknown key or a value it cannot read is refused, naming the file and
+    the line."""
+    with open(path, "rb") as fh:
+        lines = textio.directives(fh.read(), path, sep="=")
+    spec = {"step": DEFAULT_STEP, "horizon": DEFAULT_HORIZON}
+    for n, key, value in lines:
+        try:
+            spec[key] = _GRID_KEYS[key](value)
+        except KeyError:
+            raise ValueError(f"{path} line {n}: unknown key '{key}'") from None
+        except ValueError as exc:
+            raise ValueError(f"{path} line {n}: {exc}") from None
+    missing = [key for key in _GRID_KEYS if key not in spec]
+    if missing:
+        raise ValueError(f"{path}: no '{missing[0]}' line")
+    return spec

@@ -1,0 +1,35 @@
+"""The line grammar of the text inputs: .sys, .grid, --config, .elm, the
+knowledge base CSV and its .meta sidecar, and predict rows."""
+
+
+def lines(data, path, error=ValueError):
+    """The stripped UTF-8 lines of `data` (bytes), split as a text-mode
+    open() splits them; a byte that is not UTF-8 raises `error`, naming the
+    file and the line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        n = len((data[:exc.start] + b".").splitlines())
+        raise error(f"{path} line {n}: {exc}") from None
+    # universal newlines: CRLF, CR and LF each end a line
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [line.strip() for line in text.split("\n")]
+
+
+def directives(data, path, sep=None, once=None, error=ValueError):
+    """(line number, key, value) of each line that is not blank or a `#`
+    comment, split at the first `sep` (whitespace when None) and stripped.
+    A line without `sep`, or a second line of a key in `once` (of any key
+    when None), raises `error`, naming the file and the line."""
+    seen = set()
+    for n, line in enumerate(lines(data, path, error), 1):
+        if not line or line.startswith("#"):
+            continue
+        if sep is not None and sep not in line:
+            raise error(f"{path} line {n}: '{line}' has no '{sep}'")
+        key, value = (s.strip() for s in (line.split(sep, 1) + [""])[:2])
+        if once is None or key in once:
+            if key in seen:
+                raise error(f"{path} line {n}: a second '{key}' line")
+            seen.add(key)
+        yield n, key, value

@@ -602,7 +602,9 @@ class TestPredict:
 
 
 def _write_malformed(case, kb_csv, tmp_path):
-    """Write the input of one malformed case; returns the argv to run."""
+    """Write the input of one malformed case; returns the argv to run.
+    A "\udcff" in the text is written as the byte 0xff, which is not
+    UTF-8."""
     kb = tmp_path / "kb.csv"
     if case.startswith("meta"):
         shutil.copy(kb_csv, kb)
@@ -620,8 +622,9 @@ def _write_malformed(case, kb_csv, tmp_path):
                 "meta feature repeated": "feature 0 again\n",
                 "meta seed repeated": "seed 99\n",
                 "meta provenance repeated": "provenance elsewhere\n",
-                "meta feature without name": "feature 3\n"}[case]
-        kb.with_suffix(".meta").write_text(meta)
+                "meta feature without name": "feature 3\n",
+                "meta utf-8": "# \udcff\n"}[case]
+        kb.with_suffix(".meta").write_text(meta, errors="surrogateescape")
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
     if case.startswith("kb"):
@@ -636,14 +639,15 @@ def _write_malformed(case, kb_csv, tmp_path):
         else:
             col, value = {"kb nan cell": (-1, "nan"),
                           "kb text cell": (5, "abc"),
-                          "kb fractional label": (0, "1.5")}[case]
+                          "kb fractional label": (0, "1.5"),
+                          "kb utf-8": (5, "\udcff")}[case]
             cells[col] = value
             lines[2] = ",".join(cells) + "\n"
-        kb.write_text("".join(lines))
+        kb.write_text("".join(lines), errors="surrogateescape")
         shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
-    if case.startswith("elm") and not case.startswith("elm no"):
+    if case.startswith(("elm", "predict")) and not case.startswith("elm no"):
         text = ("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 1\n"
                 "beta 1.0\nw 1.0\nmask 1 0\nmeans 0.0 0.0\nstds 1.0 1.0\n")
         edit = {"elm nan mean": ("means 0.0", "means nan"),
@@ -656,9 +660,16 @@ def _write_malformed(case, kb_csv, tmp_path):
                 "elm empty mask": ("input_dim 1\nbiases 0.0\nactivations 1\n"
                                    "beta 1.0\nw 1.0\nmask 1 0",
                                    "input_dim 0\nbiases 0.0\nactivations 1\n"
-                                   "beta 1.0\nw\nmask 0 0")}
+                                   "beta 1.0\nw\nmask 0 0"),
+                "elm utf-8": ("w 1.0", "w 1.0\udcff"),
+                "predict input utf-8": ("", "")}
         model = tmp_path / "model.elm"
-        model.write_text(text.replace(*edit[case]))
+        model.write_text(text.replace(*edit[case]), errors="surrogateescape")
+        if case == "predict input utf-8":
+            rows = tmp_path / "rows.csv"
+            rows.write_text("1.0,2.0\n1.0,\udcff2.0\n",
+                            errors="surrogateescape")
+            return ["predict", "--model", str(model), "--input", str(rows)]
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
     if case.startswith("elm no"):
         # one linear neuron on the first of the KB's features
@@ -683,7 +694,9 @@ def _write_malformed(case, kb_csv, tmp_path):
             "config repeated key": "population = 4\nhidden = 4\n"
                                    "population = 6\n",
             "config key spelled twice": "split_fraction = 0.5\n"
-                                        "split-fraction = 0.9\n"}[case])
+                                        "split-fraction = 0.9\n",
+            "config utf-8": "population = 4\nhidden = \udcff4\n"}[case],
+            errors="surrogateescape")
         return argv + ["--config", str(config)]
     model_text = Path(FIXTURES, "smib.sys").read_text()
     grid_text = Path(FIXTURES, "smib.grid").read_text()
@@ -698,8 +711,23 @@ def _write_malformed(case, kb_csv, tmp_path):
                                         f"generators {case.split()[-1]}")
     elif case == "sys repeated f0":
         model_text = model_text.replace("f0 60.0", "f0 60.0\nf0 50.0")
-    elif case == "grid repeated key":
-        grid_text += "load_levels = 1.0\n"
+    elif case == "sys utf-8":
+        model_text = model_text.replace("f0 60.0", "f0 60.0\udcff")
+    elif case == "sys unknown directive":
+        model_text += "speed 3\n"
+    elif case == "sys matrix row length":
+        model_text = model_text.replace("0.0 -2.0 0.0 1.0", "0.0 -2.0 0.0", 1)
+    elif case == "sys matrix dimension -2":
+        model_text = model_text.replace("fault:fault 2", "fault:fault -2")
+    elif case == "sys matrix cut short":
+        model_text = model_text[:model_text.rindex("0.0 1.0 0.0 -2.0")]
+    elif case == "grid utf-8":
+        grid_text = grid_text.replace("seed = 7", "seed = 7\udcff")
+    elif case in ("grid repeated key", "grid unknown key",
+                  "grid line without ="):
+        grid_text += {"grid repeated key": "load_levels = 1.0\n",
+                      "grid unknown key": "horizen = 0.5\n",
+                      "grid line without =": "junk line\n"}[case]
     elif case == "sys repeated matrix":
         prefault = model_text[model_text.index("matrix prefault"):
                               model_text.index("matrix fault:")]
@@ -710,8 +738,8 @@ def _write_malformed(case, kb_csv, tmp_path):
         grid_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", grid_text,
                            flags=re.M)
     model, grid = tmp_path / "model.sys", tmp_path / "model.grid"
-    model.write_text(model_text)
-    grid.write_text(grid_text)
+    model.write_text(model_text, errors="surrogateescape")
+    grid.write_text(grid_text, errors="surrogateescape")
     return ["generate", "--model", str(model), "--grid", str(grid),
             "--out", str(kb)]
 
@@ -725,8 +753,11 @@ def _write_malformed(case, kb_csv, tmp_path):
      "sample 2, CSV column 1 holds 1.5, not +1 or -1"),
     ("kb ragged row", cli.EXIT_RUNTIME, "number of columns changed"),
     ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
+    ("kb utf-8", cli.EXIT_RUNTIME,
+     "kb.csv line 3: 'utf-8' codec can't decode byte 0xff in position"),
     ("elm nan mean", cli.EXIT_RUNTIME, "non-finite means"),
-    ("elm repeated beta", cli.EXIT_RUNTIME, "a second beta line"),
+    ("elm repeated beta", cli.EXIT_RUNTIME,
+     "model.elm line 6: a second 'beta' line"),
     ("elm text weight", cli.EXIT_RUNTIME,
      "model.elm: could not convert string to float: 'abc'"),
     ("elm extra hidden value", cli.EXIT_RUNTIME,
@@ -739,24 +770,46 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("elm empty mask", cli.EXIT_RUNTIME, "feature_mask: no feature selected"),
     ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),
     ("elm no standardization", cli.EXIT_RUNTIME, "no means line"),
+    ("elm utf-8", cli.EXIT_RUNTIME,
+     "model.elm line 6: 'utf-8' codec can't decode byte 0xff in position 60:"),
+    ("predict input utf-8", cli.EXIT_USAGE,
+     "rows.csv line 2: 'utf-8' codec can't decode byte 0xff in position 12:"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
     ("sys long gen line", cli.EXIT_RUNTIME,
      "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E Pm), not 6"),
     ("sys generators 4", cli.EXIT_RUNTIME, "'generators 4' but 2 gen lines"),
     ("sys generators x", cli.EXIT_RUNTIME, "invalid literal for int()"),
     ("sys repeated f0", cli.EXIT_RUNTIME,
-     "model.sys: a second 'f0' line"),
+     "model.sys line 3: a second 'f0' line"),
     ("sys repeated matrix", cli.EXIT_RUNTIME,
-     "model.sys: a second 'matrix prefault' line"),
+     "model.sys line 13: a second 'matrix prefault' line"),
+    ("sys utf-8", cli.EXIT_RUNTIME,
+     "model.sys line 2: 'utf-8' codec can't decode byte 0xff in position 17:"),
+    ("sys unknown directive", cli.EXIT_RUNTIME,
+     "model.sys line 16: unknown directive 'speed'"),
+    ("sys matrix row length", cli.EXIT_RUNTIME,
+     "model.sys line 8: matrix 'prefault' row 0 has 3 values, expected 4"),
+    ("sys matrix dimension -2", cli.EXIT_RUNTIME,
+     "model.sys line 10: matrix 'fault:fault' dimension -2 is below 1"),
+    ("sys matrix cut short", cli.EXIT_RUNTIME,
+     "model.sys line 14: matrix 'postfault' row 1 has 0 values, expected 4"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
     ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
     ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
     ("grid inf horizon", cli.EXIT_USAGE,
      "horizon must be positive and finite"),
     ("grid repeated key", cli.EXIT_RUNTIME,
-     "model.grid line 7: a second 'load_levels' key"),
+     "model.grid line 7: a second 'load_levels' line"),
+    ("grid unknown key", cli.EXIT_RUNTIME,
+     "model.grid line 7: unknown key 'horizen'"),
+    ("grid line without =", cli.EXIT_RUNTIME,
+     "model.grid line 7: 'junk line' has no '='"),
+    ("grid utf-8", cli.EXIT_RUNTIME,
+     "model.grid line 6: 'utf-8' codec can't decode byte 0xff in position 186:"),
     ("config repeated key", cli.EXIT_USAGE,
-     "run.cfg line 3: a second 'population' key"),
+     "run.cfg line 3: a second 'population' line"),
+    ("config utf-8", cli.EXIT_USAGE,
+     "run.cfg line 2: 'utf-8' codec can't decode byte 0xff in position 24:"),
     ("config key spelled twice", cli.EXIT_USAGE,
      "run.cfg gives the key 'split-fraction' twice"),
     # 2.4e9 steps: a run would allocate its 18 GiB time grid first
@@ -772,6 +825,8 @@ def _write_malformed(case, kb_csv, tmp_path):
      "kb.meta line 97: a second 'provenance' line"),
     ("meta feature without name", cli.EXIT_RUNTIME,
      "'feature 3' needs an index and a name"),
+    ("meta utf-8", cli.EXIT_RUNTIME,
+     "kb.meta line 97: 'utf-8' codec can't decode byte 0xff in position"),
     ("meta feature missing", cli.EXIT_RUNTIME,
      "kb.meta: no 'feature' line names feature 5 (CSV column 7)"),
     ("meta seed x", cli.EXIT_RUNTIME,

@@ -353,7 +353,7 @@ def test_model_file_repeated_line_refused(tmp_path, key):
     text = path.read_text()
     path.write_text(text + re.search(rf"^{key} .*\n", text, re.M).group(0))
     with pytest.raises(elm.ElmError, match=re.escape(
-            f"malformed model file {path}: a second {key} line")):
+            f"{path} line {text.count(chr(10)) + 1}: a second '{key}' line")):
         elm.load_model(path)
 
 
