@@ -50,10 +50,12 @@ def cmd_generate(args):
         spec["seed"] = args.seed
     try:
         scenarios = simkit.build_scenario_grid(**spec)
+        # simulate_scenarios refuses, before its first step, a horizon that
+        # ends before a clearing at the model's f0 and a fault it lacks
+        traj = simkit.simulate_scenarios(model, scenarios,
+                                         keep=features.sample_steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    traj = simkit.simulate_scenarios(model, scenarios,
-                                     keep=features.sample_steps)
     kb = features.build_knowledge_base(
         traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -92,6 +94,10 @@ def _fitness_context(kb, split, z, seed, args):
     if args.hidden < 1:
         raise UsageError("hidden must be at least 1")
     spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=args.hidden)
+    if args.population * spec.dim > swarm.MAX_SWARM_VALUES:
+        raise UsageError(
+            f"population x particle length = {args.population} x {spec.dim:,}"
+            f" exceeds the {swarm.MAX_SWARM_VALUES:,}-value swarm limit")
     return swarm.FitnessContext.build(z[split.train], kb.labels[split.train],
                                       spec, seed=seed)
 

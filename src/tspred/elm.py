@@ -191,34 +191,38 @@ def load_model(path):
     return model
 
 
+_ONCE_LINES = ("hidden", "input_dim", "biases", "activations", "beta", "mask",
+               "means", "stds")
+
+
 def _parse_model(data, path):
-    # every line but `w` (one per hidden neuron) appears once
-    lines = [(key, value.split()) for _, key, value in textio.directives(
-        data, path, error=ElmError, once=("hidden", "input_dim", "biases",
-                                          "activations", "beta", "mask",
-                                          "means", "stds"))]
-    fields = {**dict(lines), "w": [row for key, row in lines if key == "w"]}
+    # every line but `w` (one per hidden neuron) appears once; each line's
+    # values are converted as it is read, so a bad one is named by its line
+    fields = {"w": []}
+    for n, key, value in textio.directives(data, path, error=ElmError,
+                                           once=_ONCE_LINES):
+        if key != "w" and key not in _ONCE_LINES:
+            continue                    # not a model line: ignored
+        try:
+            parsed = _model_line(key, value.split())
+        except ValueError as exc:
+            raise ElmError(
+                f"malformed model file {path} line {n}: {exc}") from None
+        if key == "w":
+            fields["w"].append(parsed)
+        else:
+            fields[key] = parsed
     try:
-        if not set(fields["mask"]) <= {"0", "1"}:
-            raise ElmError("mask tokens must be 0 or 1")
         model = ElmModel(
-            input_weights=np.array([[float(v) for v in row]
-                                    for row in fields["w"]], dtype=float),
-            biases=np.array([float(v) for v in fields["biases"]]),
-            activations=np.array([int(v) for v in fields["activations"]]),
-            output_weights=np.array([float(v) for v in fields["beta"]]),
-            feature_mask=np.array([v == "1" for v in fields["mask"]]),
-            means=np.array([float(v) for v in fields["means"]]),
-            stds=np.array([float(v) for v in fields["stds"]]))
-        for key in ("hidden", "input_dim"):
-            if len(fields[key]) != 1:
-                raise ElmError(f"the {key} line must hold exactly one value")
-        hidden = int(fields["hidden"][0])
-        input_dim = int(fields["input_dim"][0])
+            input_weights=fields["w"], biases=fields["biases"],
+            activations=fields["activations"], output_weights=fields["beta"],
+            feature_mask=fields["mask"], means=fields["means"],
+            stds=fields["stds"])
+        hidden, input_dim = fields["hidden"], fields["input_dim"]
     except KeyError as exc:
         raise ElmError(
             f"malformed model file {path}: no {exc.args[0]} line") from exc
-    except (ValueError, IndexError, ElmError) as exc:
+    except (ValueError, ElmError) as exc:
         raise ElmError(f"malformed model file {path}: {exc}") from exc
     rows, cols = model.input_weights.shape
     for what, stated, actual in (
@@ -228,3 +232,18 @@ def _parse_model(data, path):
             raise ShapeMismatchError(
                 f"malformed model file {path}: {what}: {stated} != {actual}")
     return model
+
+
+def _model_line(key, tokens):
+    """The value of one `.elm` line from its whitespace-split tokens."""
+    if key in ("hidden", "input_dim"):
+        if len(tokens) != 1:
+            raise ValueError(f"the {key} line must hold exactly one value")
+        return int(tokens[0])
+    if key == "activations":
+        return [int(v) for v in tokens]
+    if key == "mask":
+        if not set(tokens) <= {"0", "1"}:
+            raise ValueError("mask tokens must be 0 or 1")
+        return [v == "1" for v in tokens]
+    return [float(v) for v in tokens]

@@ -146,8 +146,6 @@ class SimulationScenario:
         if self.horizon / self.step > MAX_STEPS:
             raise ValueError(f"horizon / step = {self.horizon / self.step:.4g}"
                              f" exceeds the {MAX_STEPS:,}-step limit")
-        if self.horizon < self.clearing_time(60.0):
-            raise ValueError("horizon shorter than the fault clearing time")
         lo, hi = LOAD_LEVEL_RANGE
         if not lo <= self.load_level <= hi:
             raise ValueError(

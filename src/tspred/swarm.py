@@ -61,6 +61,11 @@ VARIANCE_FLOOR = 1e-4           # stagnation needs a variance below this
 CROSSOVER_PROB = 0.85
 MUTATION_PROB = 0.01
 N_FOLDS = 5                     # cross-validation folds of the fitness
+# Most floats one population array may hold (population × dim): 80 MB.
+# A run holds a handful of them (positions, velocities, personal bests and
+# a rescue's temporaries); 50 particles at L = 200 over 132 features need
+# 1.35 million
+MAX_SWARM_VALUES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -323,65 +328,52 @@ def _inertia(config, k):
     return W_START + (W_END - W_START) * frac
 
 
-def _initial_positions(dim, config):
-    """The seeded population both the swarm and the GA start from."""
-    return np.array([_rng(config.seed, _STREAM_INIT, i).random(dim)
-                     for i in range(config.population)])
+def _search(fitness, dim, config, move, seen=None, rescue=False):
+    """The search loop IPSO, PSO and GA share; only `move` differs.
 
-
-def _run_swarm(fitness, dim, config, mutation_enabled):
+    Each iteration scores all of `move(k, positions, fits, gbest)`; with
+    `rescue` (IPSO) a stagnant swarm is then mutated around its best and
+    re-scored. `seen(rows, positions, fits)` sees every scoring. Only a
+    strictly better score replaces the best-ever, the first index among
+    ties; the loop ends when the budget is spent or the best passes the
+    target.
+    """
     n = config.population
-    positions = _initial_positions(dim, config)
-    velocities = np.zeros((n, dim))
+    positions = np.array([_rng(config.seed, _STREAM_INIT, i).random(dim)
+                          for i in range(n)])
     fits = np.empty(n)
-    pbest = positions.copy()
-    pbest_fit = np.full(n, -np.inf)
     evaluations, g_idx, gbest, gbest_fit = 0, None, None, -np.inf
 
     def score(rows):
-        """Score `rows`, update the bests; True if the global one rose."""
+        """Score `rows`, update the best; True if it rose."""
         nonlocal evaluations, g_idx, gbest, gbest_fit
         for i in rows:
             fits[i] = fitness(positions[i])
-            evaluations += 1
-            if fits[i] > pbest_fit[i]:
-                pbest_fit[i] = fits[i]
-                pbest[i] = positions[i].copy()
-        new_idx = int(np.argmax(pbest_fit))
-        if pbest_fit[new_idx] <= gbest_fit:
+        evaluations += len(rows)
+        if seen is not None:
+            seen(rows, positions, fits)
+        best = rows[int(np.argmax(fits[rows]))]
+        if fits[best] <= gbest_fit:
             return False
-        g_idx = new_idx
-        gbest = pbest[g_idx].copy()
-        gbest_fit = float(pbest_fit[g_idx])
+        g_idx, gbest_fit = best, float(fits[best])
+        gbest = positions[best].copy()
         return True
 
-    score(range(n))
+    everyone = list(range(n))
+    score(everyone)
     var = fitness_variance(fits)
     trace = [IterationRecord(0, gbest_fit, float(fits.mean()), var, False)]
     k = 0
     while k < config.max_iterations and gbest_fit <= config.fitness_target:
         k += 1
-        w = _inertia(config, k)
-        for i in range(n):
-            rng = _rng(config.seed, _STREAM_UPDATE, k, i)
-            r1 = rng.random(dim)
-            r2 = rng.random(dim)
-            v = velocity_update(velocities[i], positions[i], pbest[i],
-                                gbest, w, r1, r2)
-            np.clip(v, -V_MAX, V_MAX, out=v)
-            velocities[i] = v
-            positions[i] = np.clip(positions[i] + v, 0.0, 1.0)
-        improved = score(range(n))
-
-        var_prev = var
-        var = fitness_variance(fits)
-        mutated = False
-        if (mutation_enabled
-                and premature_check(var_prev, var, improved)):
-            mutated = True
+        positions = move(k, positions, fits, gbest)
+        improved = score(everyone)
+        var_prev, var = var, fitness_variance(fits)
+        mutated = rescue and premature_check(var_prev, var, improved)
+        if mutated:
             rng = _rng(config.seed, _STREAM_MUTATE, k)
             positions = mutate(positions, rng, exempt=g_idx)
-            score([i for i in range(n) if i != g_idx])
+            score([i for i in everyone if i != g_idx])
             var = fitness_variance(fits)
         trace.append(IterationRecord(k, gbest_fit, float(fits.mean()),
                                      var, mutated))
@@ -389,40 +381,55 @@ def _run_swarm(fitness, dim, config, mutation_enabled):
                               trace=tuple(trace), evaluations=evaluations)
 
 
+def _swarm(dim, config):
+    """PSO's move and the personal bests it steers by: (move, seen)."""
+    n = config.population
+    velocities = np.zeros((n, dim))
+    pbest = np.zeros((n, dim))          # filled by the initial scoring
+    pbest_fit = np.full(n, -np.inf)
+
+    def seen(rows, positions, fits):
+        for i in rows:
+            if fits[i] > pbest_fit[i]:
+                pbest_fit[i] = fits[i]
+                pbest[i] = positions[i]
+
+    def move(k, positions, fits, gbest):
+        w = _inertia(config, k)
+        for i in range(n):
+            rng = _rng(config.seed, _STREAM_UPDATE, k, i)
+            r1, r2 = rng.random(dim), rng.random(dim)
+            v = velocity_update(velocities[i], positions[i], pbest[i],
+                                gbest, w, r1, r2)
+            velocities[i] = v = np.clip(v, -V_MAX, V_MAX)
+            positions[i] = np.clip(positions[i] + v, 0.0, 1.0)
+        return positions
+
+    return move, seen
+
+
 def run_pso(fitness, dim, config):
     """Plain particle swarm (no stagnation monitoring)."""
-    return _run_swarm(fitness, dim, config, mutation_enabled=False)
+    return _search(fitness, dim, config, *_swarm(dim, config))
 
 
 def run_ipso(fitness, dim, config):
     """PSO plus variance monitoring and mutation rescue."""
-    return _run_swarm(fitness, dim, config, mutation_enabled=True)
+    return _search(fitness, dim, config, *_swarm(dim, config), rescue=True)
 
 
 def run_ga(fitness, dim, config):
     """Real-coded GA baseline on the same encoding and fitness.
 
     Tournament selection of size 2, uniform crossover, per-gene uniform
-    reset mutation, elitism of one.
+    reset mutation, elitism of one (the best-ever position).
     """
-    n = config.population
-    positions = _initial_positions(dim, config)
-    fits = np.array([fitness(positions[i]) for i in range(n)])
-    evaluations = n
-    best_idx = int(np.argmax(fits))
-    gbest = positions[best_idx].copy()
-    gbest_fit = float(fits[best_idx])
-    trace = [IterationRecord(0, gbest_fit, float(fits.mean()),
-                             fitness_variance(fits), False)]
-    k = 0
-    while k < config.max_iterations and gbest_fit <= config.fitness_target:
-        k += 1
+    def move(k, positions, fits, gbest):
         rng = _rng(config.seed, _STREAM_GA, k)
         children = np.empty_like(positions)
-        children[0] = gbest  # elitism
-        for c in range(1, n):
-            pa = _tournament(fits, rng)
-            pb = _tournament(fits, rng)
+        children[0] = gbest
+        for c in range(1, config.population):
+            pa, pb = _tournament(fits, rng), _tournament(fits, rng)
             if rng.random() < CROSSOVER_PROB:
                 take_a = rng.random(dim) < 0.5
                 child = np.where(take_a, positions[pa], positions[pb])
@@ -432,17 +439,9 @@ def run_ga(fitness, dim, config):
             if reset.any():
                 child = np.where(reset, rng.random(dim), child)
             children[c] = child
-        positions = children
-        fits = np.array([fitness(positions[i]) for i in range(n)])
-        evaluations += n
-        best_idx = int(np.argmax(fits))
-        if fits[best_idx] > gbest_fit:
-            gbest = positions[best_idx].copy()
-            gbest_fit = float(fits[best_idx])
-        trace.append(IterationRecord(k, gbest_fit, float(fits.mean()),
-                                     fitness_variance(fits), False))
-    return OptimizationResult(best_position=gbest, best_fitness=gbest_fit,
-                              trace=tuple(trace), evaluations=evaluations)
+        return children
+
+    return _search(fitness, dim, config, move)
 
 
 def _tournament(fits, rng):

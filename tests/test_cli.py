@@ -142,6 +142,34 @@ class TestOptimize:
         assert int(counts[2]) == mutations
         assert int(counts[1]) == 6 * len(rows) + 5 * mutations
 
+    def test_oversized_swarm_refused_before_allocating(self, kb_csv,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        # one particle of 10 million neurons over 94 features holds 7.2 GiB
+        # of floats, and the swarm has 20; nothing may be built for them
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fitness built for an oversized swarm")
+
+        monkeypatch.setattr(swarm.FitnessContext, "build", unreachable)
+        assert run(["optimize", "--kb", str(kb_csv), "--out",
+                    str(tmp_path / "run"), "--hidden", "10000000"]) == \
+            cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ("population x particle length = 20 x 960,000,094 exceeds "
+                "the 10,000,000-value swarm limit") in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("limit, code", [
+        pytest.param(6 * 478, cli.EXIT_OK, id="at the limit"),
+        pytest.param(6 * 478 - 1, cli.EXIT_USAGE, id="one over")])
+    def test_swarm_limit_is_inclusive(self, kb_csv, tmp_path, monkeypatch,
+                                      limit, code):
+        # 4 neurons over 94 features: 4·94 + 4 + 94 + 4 = 478 per particle
+        monkeypatch.setattr(swarm, "MAX_SWARM_VALUES", limit)
+        assert run(["optimize", "--kb", str(kb_csv), "--out",
+                    str(tmp_path / "run"), "--hidden", "4", "--population",
+                    "6", "--iterations", "1"]) == code
+
     def test_missing_kb_usage_error(self, tmp_path):
         assert run(["optimize", "--kb", "missing.csv",
                     "--out", str(tmp_path)]) == cli.EXIT_USAGE
@@ -654,6 +682,7 @@ def _write_malformed(case, kb_csv, tmp_path):
                 "elm repeated beta": ("beta 1.0\n", "beta 1.0\nbeta 2.0\n"),
                 "elm text weight": ("w 1.0", "w abc"),
                 "elm extra hidden value": ("hidden 1", "hidden 1 99"),
+                "elm mask token 2": ("mask 1 0", "mask 1 2"),
                 "elm activation code 3": ("activations 1", "activations 3"),
                 "elm negative std": ("stds 1.0", "stds -1.0"),
                 "elm all neurons off": ("activations 1", "activations 0"),
@@ -728,6 +757,14 @@ def _write_malformed(case, kb_csv, tmp_path):
         grid_text += {"grid repeated key": "load_levels = 1.0\n",
                       "grid unknown key": "horizen = 0.5\n",
                       "grid line without =": "junk line\n"}[case]
+    elif case.startswith("grid horizon"):
+        # the 10-cycle clearing ends at 0.1667 s at 60 Hz, 0.2 s at 50 Hz
+        grid_text = grid_text.replace("horizon = 3.0",
+                                      f"horizon = {case.split()[2]}")
+        if case.endswith("50 Hz"):
+            model_text = model_text.replace("f0 60.0", "f0 50.0")
+    elif case == "grid unknown fault":
+        grid_text = grid_text.replace("faults = fault", "faults = bus9")
     elif case == "sys repeated matrix":
         prefault = model_text[model_text.index("matrix prefault"):
                               model_text.index("matrix fault:")]
@@ -759,9 +796,11 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("elm repeated beta", cli.EXIT_RUNTIME,
      "model.elm line 6: a second 'beta' line"),
     ("elm text weight", cli.EXIT_RUNTIME,
-     "model.elm: could not convert string to float: 'abc'"),
+     "model.elm line 6: could not convert string to float: 'abc'"),
     ("elm extra hidden value", cli.EXIT_RUNTIME,
-     "model.elm: the hidden line must hold exactly one value"),
+     "model.elm line 1: the hidden line must hold exactly one value"),
+    ("elm mask token 2", cli.EXIT_RUNTIME,
+     "model.elm line 7: mask tokens must be 0 or 1"),
     ("elm activation code 3", cli.EXIT_RUNTIME,
      "activation codes must be 0, 1 or 2"),
     ("elm negative std", cli.EXIT_RUNTIME, "stds must not be negative"),
@@ -798,6 +837,11 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
     ("grid inf horizon", cli.EXIT_USAGE,
      "horizon must be positive and finite"),
+    ("grid horizon 0.15", cli.EXIT_USAGE,
+     "horizon shorter than the fault clearing time"),
+    ("grid horizon 0.18 at 50 Hz", cli.EXIT_USAGE,
+     "horizon shorter than the fault clearing time"),
+    ("grid unknown fault", cli.EXIT_USAGE, "unknown fault id 'bus9'"),
     ("grid repeated key", cli.EXIT_RUNTIME,
      "model.grid line 7: a second 'load_levels' line"),
     ("grid unknown key", cli.EXIT_RUNTIME,

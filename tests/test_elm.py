@@ -375,9 +375,10 @@ def test_model_file_size_line_holds_one_value(tmp_path, pattern,
     assert edited != text
     path.write_text(edited)
     key = replacement.split()[0]
+    n = edited.splitlines().index(replacement) + 1
     with pytest.raises(elm.ElmError, match=re.escape(
-            f"malformed model file {path}: the {key} line must hold "
-            "exactly one value")):
+            f"malformed model file {path} line {n}: the {key} line must "
+            "hold exactly one value")):
         elm.load_model(path)
 
 
@@ -385,10 +386,13 @@ def test_model_file_text_weight_names_file(tmp_path):
     path = tmp_path / "model.elm"
     saved_model(path)
     text = path.read_text()
-    path.write_text(re.sub(r"^w \S+", "w abc", text, count=1, flags=re.M))
+    edited = re.sub(r"^w \S+", "w abc", text, count=1, flags=re.M)
+    path.write_text(edited)
+    n = next(i for i, line in enumerate(edited.splitlines(), 1)
+             if line.startswith("w abc"))
     with pytest.raises(elm.ElmError, match=re.escape(
-            f"malformed model file {path}: could not convert string to "
-            "float: 'abc'")):
+            f"malformed model file {path} line {n}: could not convert "
+            "string to float: 'abc'")):
         elm.load_model(path)
 
 

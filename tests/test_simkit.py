@@ -53,8 +53,6 @@ def test_clearing_zero_is_a_fixed_point(smib):
     # zero horizon with an instant clearing
     pytest.param(0.0, 0.0, simkit.DEFAULT_STEP, id="0.0-0.0"),
     pytest.param(-1.0, 0.0, simkit.DEFAULT_STEP, id="-1.0-0.0"),
-    # positive, but ends before the 0.1 s clearing
-    pytest.param(0.05, 6.0, simkit.DEFAULT_STEP, id="0.05-6.0"),
     pytest.param(math.inf, 6.0, simkit.DEFAULT_STEP, id="inf horizon"),
     pytest.param(3.0, 6.0, math.inf, id="inf step"),
     # over simkit.MAX_STEPS = 1e6 steps, whose time grid a run allocates
@@ -66,6 +64,19 @@ def test_scenario_rejects_bad_horizon(horizon, cycles, step):
     with pytest.raises(ValueError):
         simkit.SimulationScenario(fault="fault", clearing_cycles=cycles,
                                   horizon=horizon, step=step)
+
+
+@pytest.mark.parametrize("f0, horizon", [(60.0, 0.05), (50.0, 0.11)],
+                         ids=["60 Hz", "50 Hz"])
+def test_horizon_before_clearing_refused_at_model_f0(smib, f0, horizon):
+    # 6 cycles end at 0.1 s at 60 Hz and 0.12 s at 50 Hz; a scenario does
+    # not know f0, so simulate_scenarios holds the one check
+    model = replace(smib, f0=f0)
+    sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
+                                   horizon=horizon)
+    with pytest.raises(ValueError, match="horizon shorter than the fault "
+                       "clearing time"):
+        simkit.simulate_scenarios(model, [sc])
 
 
 def test_sustained_fault_goes_unstable(smib):

@@ -1,6 +1,8 @@
 """Tests for the swarm optimizers and the mixed-integer ELM encoding."""
 
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -391,6 +393,23 @@ def sphere_fitness(pos):
     return 1.0 - float((pos[0] - 0.3) ** 2)
 
 
+def quantised(steps):
+    """Fitness rising in `steps` levels as the mean |x − 0.3| falls."""
+    def fitness(pos):
+        closeness = 1.0 - float(np.mean(np.abs(pos - 0.3)))
+        return math.floor(steps * closeness) / steps
+    return fitness
+
+
+def update_digest(digest, res):
+    """Feed a run's best position, fitness, count and trace to `digest`."""
+    digest.update(res.best_position.tobytes())
+    digest.update(np.array([res.best_fitness, res.evaluations]).tobytes())
+    digest.update(np.array([
+        [rec.iteration, rec.best_fitness, rec.avg_fitness, rec.variance,
+         rec.mutated] for rec in res.trace]).tobytes())
+
+
 class TestRunSwarm:
     def test_zero_iterations_returns_initial_best(self):
         config = swarm.SwarmConfig(max_iterations=0, seed=4)
@@ -479,6 +498,49 @@ class TestRunSwarm:
         assert res.evaluations == plain + mut_iters * (config.population - 1)
         best = [rec.best_fitness for rec in res.trace]
         assert all(b == 0.5 for b in best)   # never decreases on the event
+
+    def test_runs_through_rescues_match_frozen_reference(self):
+        # Steps of 0.25 stall the swarm often, so IPSO's rescue fires
+        # hundreds of times over these 40 seeds. The digests pin every best
+        # position, best fitness, evaluation count and trace field.
+        frozen = {
+            "ipso": ("5fef69a5178a6effdb41878783ce75e9"
+                     "6b5baa41722fb033c61ed7c5480f89c0", 13217, 471),
+            "pso": ("cb180051a49ad91ee6ee73fccd3a6c13"
+                    "ee6d4f36a3eceee1acf2d91de75f9a6d", 9920, 0),
+            "ga": ("3358572a60e5e9da4d6310dd904fd170"
+                   "645b1dd9a8243beb6e616c009087f6c5", 9920, 0),
+        }
+        for name, run in swarm.OPTIMIZERS.items():
+            digest, evaluations, mutations = hashlib.sha256(), 0, 0
+            for seed in range(40):
+                config = swarm.SwarmConfig(population=8, max_iterations=30,
+                                           fitness_target=1.0, seed=seed)
+                res = run(quantised(4), 6, config)
+                update_digest(digest, res)
+                evaluations += res.evaluations
+                mutations += sum(rec.mutated for rec in res.trace)
+            assert (digest.hexdigest(), evaluations, mutations) == \
+                frozen[name], name
+
+    @pytest.mark.parametrize("seed, frozen", [
+        pytest.param(27, "1da90072d151a6ba0b4a2e76a1bb77a3"
+                         "935e742b90871c2e001191f9835491e0", id="seed 27"),
+        pytest.param(34, "fc6a89c68ad413ca89da1ac0f30381900"
+                         "cc987504b069bc0afe50e541b98846e", id="seed 34"),
+    ])
+    def test_personal_best_scored_before_a_rescue_is_kept(self, seed, frozen):
+        # In these runs a particle beats its personal best on the scoring
+        # just before a rescue mutates it. A swarm that updated personal
+        # bests only from the scores it sees at its next move would lose
+        # that position and part from the frozen run.
+        config = swarm.SwarmConfig(population=4, max_iterations=30,
+                                   fitness_target=1.0, seed=seed)
+        res = swarm.run_ipso(quantised(20), 6, config)
+        assert any(rec.mutated for rec in res.trace)
+        digest = hashlib.sha256()
+        update_digest(digest, res)
+        assert digest.hexdigest() == frozen
 
     def test_ga_identical_parents_crossover(self):
         # [TRIVIAL] uniform crossover of identical parents is the parent
