@@ -102,10 +102,9 @@ def _fitness_context(kb, split, z, seed, args):
                                       spec, seed=seed)
 
 
-def _optimize_once(ctx, fitness, scaled, seed, optimizer, args):
-    """Optimize `fitness` (`ctx`, or a memo over it) and fit the best
-    particle on the training rows of `ctx`; the model carries the
-    statistics of `scaled` = (z, means, stds) so it scores raw rows."""
+def _optimize_once(ctx, fitness, seed, optimizer, args):
+    """Optimize `fitness` (`ctx`, or a memo over it); returns the result
+    and the optimizer's run time."""
     try:    # runs before anything is written
         config = swarm.SwarmConfig(population=args.population,
                                    max_iterations=args.iterations,
@@ -114,12 +113,7 @@ def _optimize_once(ctx, fitness, scaled, seed, optimizer, args):
         raise UsageError(str(exc)) from exc
     t0 = time.perf_counter()
     result = swarm.OPTIMIZERS[optimizer](fitness, ctx.spec.dim, config)
-    elapsed = time.perf_counter() - t0
-    a, b, mask, cf = swarm.decode_particle(result.best_position, ctx.spec)
-    w = a[:, mask]
-    beta = elm.train(w, b, cf, ctx.samples[:, mask], ctx.labels)
-    model = elm.ElmModel(w, b, cf, beta, mask, *scaled[1:])
-    return result, model, elapsed
+    return result, time.perf_counter() - t0
 
 
 def cmd_optimize(args):
@@ -128,8 +122,12 @@ def cmd_optimize(args):
     kb, split, seed = _prepare_training(args)
     scaled = features.standardize(kb.samples, split.train)
     ctx = _fitness_context(kb, split, scaled[0], seed, args)
-    result, model, elapsed = _optimize_once(ctx, ctx, scaled, seed,
-                                            args.optimizer, args)
+    result, elapsed = _optimize_once(ctx, ctx, seed, args.optimizer, args)
+    a, b, mask, cf = swarm.decode_particle(result.best_position, ctx.spec)
+    # fit on the training rows; `scaled`'s statistics let it score raw rows
+    w = a[:, mask]
+    beta = elm.train(w, b, cf, ctx.samples[:, mask], ctx.labels)
+    model = elm.ElmModel(w, b, cf, beta, mask, *scaled[1:])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.elm"
@@ -185,10 +183,11 @@ def cmd_compare(args):
         shared = swarm.SharedFitness(ctx)
         for name in swarm.OPTIMIZERS:
             saved = shared.saved_s
-            result, model, elapsed = _optimize_once(
-                ctx, shared, scaled, seed + r, name, args)
+            result, elapsed = _optimize_once(ctx, shared, seed + r, name, args)
+            # the effective hidden size, as ElmModel counts it
+            cf = swarm.decode_particle(result.best_position, ctx.spec)[3]
             runs[name].append(
-                (result.best_fitness, model.effective_hidden_size,
+                (result.best_fitness, int(np.sum(cf != elm.ACT_OFF)),
                  elapsed + shared.saved_s - saved))
     best_overall = max(f for rows in runs.values() for f, _, _ in rows)
     threshold = 0.95 * best_overall
@@ -217,37 +216,30 @@ def cmd_compare(args):
 
 
 def cmd_predict(args):
-    model_path = _require(args.model, "model file")
-    model = elm.load_model(model_path)
+    model = elm.load_model(_require(args.model, "model file"))
     n_full = model.feature_mask.shape[0]
     if args.row:
-        raw_rows = [args.row]
+        where, lines = "--row", [args.row]
     elif args.input:
-        data = Path(_require(args.input, "input file")).read_bytes()
-        raw_rows = [ln for ln in textio.lines(data, args.input, UsageError)
-                    if ln]
-        if raw_rows and raw_rows[0].startswith("label"):
-            raw_rows = raw_rows[1:]
-        if not raw_rows:
-            raise UsageError(f"no sample rows in {args.input}")
+        where = _require(args.input, "input file")
+        lines = textio.lines(Path(where).read_bytes(), where, UsageError)
+        head = next((i for i, line in enumerate(lines) if line), 0)
+        if lines[head].startswith("label"):
+            lines[head] = ""    # the header of a KB CSV
     else:
         raise UsageError("provide --row or --input")
-    samples = []  # every row is checked before any is scored
-    for row_no, raw in enumerate(raw_rows, start=1):
-        try:
-            values = [float(v) for v in raw.split(",")]
-        except ValueError as exc:
-            raise UsageError(
-                f"malformed sample row {row_no}: {exc}") from exc
-        if len(values) == n_full + 1:
-            values = values[1:]  # leading label column from a KB CSV
-        if len(values) != n_full:
-            raise UsageError(f"sample row {row_no} has {len(values)} "
-                             f"values, model expects {n_full}")
-        if not np.all(np.isfinite(values)):
-            raise UsageError(f"sample row {row_no} holds a non-finite value")
-        samples.append(values)
-    for values in samples:
+    # every row is checked before any is scored
+    table, numbers = textio.rows(lines, where, UsageError)
+    if table.shape[1] == n_full + 1:
+        table = table[:, 1:]    # leading label column from a KB CSV
+    if table.shape[1] != n_full:
+        raise UsageError(f"{where} line {numbers[0]}: {table.shape[1]} "
+                         f"values, the model expects {n_full}")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise UsageError(f"{where} line {numbers[np.argmin(finite)]}: "
+                         "the row holds a non-finite value")
+    for values in table:
         t0 = time.perf_counter()
         score = float(elm.predict_full(model, values)[0])
         latency_ms = (time.perf_counter() - t0) * 1e3

@@ -290,25 +290,6 @@ def _name_feature(names, value, where):
     names[j] = tokens[1]
 
 
-def _parse_error(csv_path, width, lines, exc):
-    """Name the first CSV body line that `exc` (from np.loadtxt) could
-    have come from, counting the header as line 1."""
-    for n, ln in enumerate(lines, start=2):
-        if not ln:
-            continue
-        cells = ln.split(",")
-        if len(cells) != width:
-            return (f"{csv_path} line {n}: the number of columns changed "
-                    f"from {width} to {len(cells)}")
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return (f"{csv_path} line {n}: could not convert string "
-                        f"{cell!r} to float")
-    return f"{csv_path}: {exc}"
-
-
 # (digest, kb) of the last KB this process parsed; the digest covers the
 # bytes of both files, so an edited CSV or sidecar never matches, and a
 # refused KB is never stored
@@ -347,13 +328,7 @@ def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
     header = header.split(",")
     if header[0] != "label":
         raise FeatureError(f"{csv_path}: bad header")
-    if not any(lines):
-        raise FeatureError(f"{csv_path}: no samples")
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise FeatureError(
-            _parse_error(csv_path, len(header), lines, exc)) from None
+    table, _ = textio.rows(lines, csv_path, FeatureError, start=2)
     seed = 0
     provenance = ""
     names = [None] * (len(header) - 1)

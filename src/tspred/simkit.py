@@ -367,7 +367,10 @@ def simulate_scenarios(model, scenarios, keep=None):
             raise ValueError(f"unknown fault id '{sc.fault}'")
     t_clear = np.array([sc.clearing_time(model.f0) for sc in scenarios])
     if np.any(horizon < t_clear):
-        raise ValueError("horizon shorter than the fault clearing time")
+        raise ValueError(
+            "horizon shorter than the fault clearing time: horizon "
+            f"{horizon:g} s, latest clearing {t_clear.max():.4g} s ("
+            f"{t_clear.max() * model.f0:g} cycles at f0 = {model.f0:g} Hz)")
     nsteps = int(round(horizon / dt))
     time = np.arange(nsteps + 1) * dt
     n_rows = len(scenarios)

@@ -1,6 +1,8 @@
 """The line grammar of the text inputs: .sys, .grid, --config, .elm, the
 knowledge base CSV and its .meta sidecar, and predict rows."""
 
+import numpy as np
+
 
 def lines(data, path, error=ValueError):
     """The stripped UTF-8 lines of `data` (bytes), split as a text-mode
@@ -33,3 +35,30 @@ def directives(data, path, sep=None, once=None, error=ValueError):
                 raise error(f"{path} line {n}: a second '{key}' line")
             seen.add(key)
         yield n, key, value
+
+
+def rows(lines, path, error=ValueError, start=1):
+    """The non-blank comma-separated `lines`, the first being line `start`
+    of `path`, as a float array and each row's line number. No row, a cell
+    numpy does not read as a number (`1_0` is not one) or a row of another
+    width than the first raises `error`, naming the file and the line."""
+    numbers = [n for n, line in enumerate(lines, start) if line]
+    if not numbers:
+        raise error(f"{path}: no samples")
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None,
+                          ndmin=2), numbers
+    except ValueError as exc:
+        # the same parser, line by line, names the line
+        width = lines[numbers[0] - start].count(",")
+        for n in numbers:
+            line = lines[n - start]
+            if line.count(",") != width:
+                raise error(f"{path} line {n}: the number of columns changed "
+                            f"from {width + 1} to {line.count(',') + 1}")
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as bad:
+                raise error(f"{path} line {n}: " + str(bad).replace(
+                    " at row 0, column", " in column")) from None
+        raise error(f"{path}: {exc}") from None

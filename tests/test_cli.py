@@ -567,12 +567,14 @@ class TestPredict:
         model = str(trained / "model.elm")
         assert run(["predict", "--model", model,
                     f"--row={row}"]) == cli.EXIT_USAGE
-        assert "row 1 " in capsys.readouterr().err
+        assert "--row line 1: the row holds a non-finite value" in \
+            capsys.readouterr().err
         rows = tmp_path / "rows.csv"
         rows.write_text(good + "\n" + row + "\n")
         assert run(["predict", "--model", model,
                     "--input", str(rows)]) == cli.EXIT_USAGE
-        assert "row 2 " in capsys.readouterr().err
+        assert f"{rows} line 2: the row holds a non-finite value" in \
+            capsys.readouterr().err
 
     def test_refused_row_prints_no_prediction(self, kb_csv, trained,
                                               tmp_path, capsys):
@@ -586,7 +588,7 @@ class TestPredict:
                     "--input", str(rows)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "row 2 " in captured.err
+        assert f"{rows} line 2: " in captured.err
 
     def test_model_with_bad_mask_runtime_error(self, kb_csv, trained,
                                                tmp_path, capsys):
@@ -615,7 +617,20 @@ class TestPredict:
                     "--input", str(rows)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"no sample rows in {rows}" in captured.err
+        assert f"{rows}: no samples" in captured.err
+
+    def test_mixed_width_input_usage_error(self, kb_csv, trained, tmp_path,
+                                           capsys):
+        # a row with the label column and one without: one file, one width
+        header, first, second = kb_csv.read_text().splitlines()[:3]
+        rows = tmp_path / "rows.csv"
+        rows.write_text("\n".join([header, first, second.split(",", 1)[1]]))
+        assert run(["predict", "--model", str(trained / "model.elm"),
+                    "--input", str(rows)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{rows} line 3: the number of columns changed from 95 to 94"
+                in captured.err)
 
     def test_row_and_input_conflict(self, kb_csv, trained, capsys):
         # --row would otherwise silently win over the file
@@ -663,10 +678,11 @@ def _write_malformed(case, kb_csv, tmp_path):
         elif case == "kb header only":
             lines = lines[:1]
         elif case == "kb ragged row":
-            lines[2] = ",".join(cells[:-1]) + "\n"
+            lines[2] = ",".join(cells + ["0.5"]) + "\n"
         else:
             col, value = {"kb nan cell": (-1, "nan"),
                           "kb text cell": (5, "abc"),
+                          "kb 1_0 cell": (5, "1_0"),
                           "kb fractional label": (0, "1.5"),
                           "kb utf-8": (5, "\udcff")}[case]
             cells[col] = value
@@ -838,9 +854,11 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("grid inf horizon", cli.EXIT_USAGE,
      "horizon must be positive and finite"),
     ("grid horizon 0.15", cli.EXIT_USAGE,
-     "horizon shorter than the fault clearing time"),
+     "horizon shorter than the fault clearing time: horizon 0.15 s, latest "
+     "clearing 0.1667 s (10 cycles at f0 = 60 Hz)"),
     ("grid horizon 0.18 at 50 Hz", cli.EXIT_USAGE,
-     "horizon shorter than the fault clearing time"),
+     "horizon shorter than the fault clearing time: horizon 0.18 s, latest "
+     "clearing 0.2 s (10 cycles at f0 = 50 Hz)"),
     ("grid unknown fault", cli.EXIT_USAGE, "unknown fault id 'bus9'"),
     ("grid repeated key", cli.EXIT_RUNTIME,
      "model.grid line 7: a second 'load_levels' line"),
@@ -895,8 +913,24 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
     assert message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["kb ragged row", "kb text cell"])
-def test_kb_parse_error_names_file_and_line(case, kb_csv, tmp_path, capsys):
-    # the second sample is line 3 of the file, under the header
-    assert run(_write_malformed(case, kb_csv, tmp_path)) == cli.EXIT_RUNTIME
-    assert f"{tmp_path / 'kb.csv'} line 3: " in capsys.readouterr().err
+@pytest.mark.parametrize("case", ["kb ragged row", "kb text cell",
+                                  "kb 1_0 cell"])
+def test_kb_parse_error_names_file_and_line(case, kb_csv, trained, tmp_path,
+                                            capsys):
+    # one row grammar: the KB reader, predict --input and predict --row
+    # refuse the same second sample, line 3 of the file under the header
+    _write_malformed(case, kb_csv, tmp_path)
+    kb, model = tmp_path / "kb.csv", str(trained / "model.elm")
+    row = kb.read_text().splitlines()[2]
+    for argv, code, where in [
+            (["evaluate", "--kb", str(kb), "--model", model,
+              "--out", str(tmp_path / "run")], cli.EXIT_RUNTIME,
+             f"{kb} line 3: "),
+            (["predict", "--model", model, "--input", str(kb)],
+             cli.EXIT_USAGE, f"{kb} line 3: "),
+            (["predict", "--model", model, f"--row={row}"], cli.EXIT_USAGE,
+             "--row line 1: ")]:
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert where in captured.err and "Traceback" not in captured.err

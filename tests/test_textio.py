@@ -58,6 +58,28 @@ def test_non_utf8_byte_refused_with_the_callers_error(reader):
     assert textio.lines(data[:-2], "f.txt") == ["label,f", "+1,0.5", "-1,"]
 
 
+def test_rows_number_each_row_by_its_file_line():
+    table, numbers = textio.rows(["1,2", "", " -3 , 4.5e1"], "f.csv", start=2)
+    assert table.tolist() == [[1.0, 2.0], [-3.0, 45.0]]
+    assert numbers == [2, 4]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([], "f.csv: no samples"),
+    (["", ""], "f.csv: no samples"),
+    # numpy's number grammar, which Python's float() is not: it reads 1_0
+    (["1,2", "", "3,1_0"],
+     "f.csv line 4: could not convert string '1_0' to float64 in column 2"),
+    (["1,2", "3,"],
+     "f.csv line 3: could not convert string '' to float64 in column 2"),
+    (["1,2", "3,4,5", "x"],
+     "f.csv line 3: the number of columns changed from 2 to 3"),
+], ids=["no lines", "blank lines", "1_0", "empty cell", "ragged"])
+def test_rows_refused_with_the_callers_error(lines, message):
+    with pytest.raises(KeyError, match=re.escape(message)):
+        textio.rows(lines, "f.csv", error=KeyError, start=2)
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: mutated inputs through cli.main
 # ---------------------------------------------------------------------------
