@@ -118,15 +118,11 @@ class KnowledgeBase:
         if samples.shape[0] != labels.shape[0]:
             raise FeatureError("sample/label count mismatch")
         if samples.shape[1] != len(self.names):
-            raise FeatureError("feature-name count mismatch")
-        table = np.column_stack([labels, samples])
-        bad = ~np.isfinite(table)
-        bad[:, 0] = ~np.isin(labels, (STABLE, UNSTABLE))
-        if np.any(bad):
-            row, col = np.argwhere(bad)[0]
-            want = "+1 or -1" if col == 0 else "a finite number"
-            raise FeatureError(f"sample {row + 1}, CSV column {col + 1} "
-                               f"holds {float(table[row, col])!r}, not {want}")
+            raise FeatureError(f"{samples.shape[1]} feature columns but "
+                               f"{len(self.names)} feature names")
+        bad = _bad_cell(np.column_stack([labels, samples]))
+        if bad:
+            raise FeatureError(f"sample {bad[0] + 1}, {bad[1]}")
         labels = labels.astype(int)
         samples.setflags(write=False)
         labels.setflags(write=False)
@@ -141,6 +137,19 @@ class KnowledgeBase:
     @property
     def n_features(self):
         return int(self.samples.shape[1])
+
+
+def _bad_cell(table):
+    """(row, why) of the first cell of `table` (labels, then samples) a KB
+    refuses, a label other than +1 or -1 or a non-finite sample, or None."""
+    bad = ~np.isfinite(table)
+    bad[:, 0] = ~np.isin(table[:, 0], (STABLE, UNSTABLE))
+    if not np.any(bad):
+        return None
+    row, col = np.argwhere(bad)[0]
+    want = "+1 or -1" if col == 0 else "a finite number"
+    return row, (f"CSV column {col + 1} holds {float(table[row, col])!r}, "
+                 f"not {want}")
 
 
 def standardize(samples, train_rows):
@@ -299,9 +308,11 @@ _last_kb = (None, None)
 def load_knowledge_base(csv_path, sidecar_path):
     """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
     `provenance` and `feature` (such as the standardization statistics
-    older sidecars hold) are skipped, as are blank CSV lines. A second
-    `seed` or `provenance` line, a non-integer seed and a CSV column
-    without a `feature` line are refused.
+    older sidecars hold) are skipped, as are blank CSV lines. Rows of
+    another width than the header, a non-finite cell, a label other than
+    +1 or -1, a second `seed` or `provenance` line, a non-integer seed and
+    a CSV column without a `feature` line are refused, naming the file
+    and, where there is one, the line.
 
     Files holding the same bytes as the last KB parsed in this process
     return that same (immutable) KB without parsing it again.
@@ -328,7 +339,13 @@ def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
     header = header.split(",")
     if header[0] != "label":
         raise FeatureError(f"{csv_path}: bad header")
-    table, _ = textio.rows(lines, csv_path, FeatureError, start=2)
+    table, numbers = textio.rows(lines, csv_path, FeatureError, start=2)
+    if table.shape[1] != len(header):
+        raise FeatureError(f"{csv_path} line {numbers[0]}: {table.shape[1]} "
+                           f"columns, the header names {len(header)}")
+    bad = _bad_cell(table)
+    if bad:
+        raise FeatureError(f"{csv_path} line {numbers[bad[0]]}: {bad[1]}")
     seed = 0
     provenance = ""
     names = [None] * (len(header) - 1)

@@ -9,6 +9,7 @@ Three-phase faults are represented purely by switching matrices.
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -211,28 +212,28 @@ class Trajectory:
 
 
 def angle_gap(delta_deg):
-    """Largest pairwise rotor-angle gap at each instant: ptp over the
-    machine axis."""
-    return np.ptp(delta_deg, axis=-1)
+    """Largest pairwise rotor-angle gap at each instant: max − min over the
+    machine axis, one machine at a time (numpy reduces a short axis slowly)."""
+    by_machine = delta_deg.T
+    return (reduce(np.maximum, by_machine) - reduce(np.minimum, by_machine)).T
 
 
-def _power_mismatch(delta, model):
-    """Pm − Pe(δ) under the prefault matrix; δ in radians."""
-    return model.pm - kernels.electrical_power(delta, model.emf,
-                                               model.y_prefault)
+def _power_mismatch(delta, emf, pm, y):
+    """Pm − Pe(δ) under the prefault matrix `y`; δ in radians."""
+    return pm - kernels.electrical_power(delta, emf, y)
 
 
-def _newton(delta, model):
+def _newton(delta, emf, pm, y):
     """Newton's method on Pm − Pe(δ) = 0 from every start of `delta`
     (radians, ([N,] G)), updated in place with the last machine's angle
     held: at most 50 steps of the analytic ∂Pe/∂δ, ending once no angle
     moves by over 1e-12 or a Jacobian is singular. Returns `delta`."""
     for _ in range(_NEWTON_MAX_STEPS):
-        jac = kernels.power_jacobian(delta, model.emf, model.y_prefault)
+        jac = kernels.power_jacobian(delta, emf, y)
         try:
             step = np.linalg.solve(
                 jac[..., :-1, :-1],
-                _power_mismatch(delta, model)[..., :-1, None])[..., 0]
+                _power_mismatch(delta, emf, pm, y)[..., :-1, None])[..., 0]
         except np.linalg.LinAlgError:
             break
         delta[..., :-1] += step
@@ -241,16 +242,17 @@ def _newton(delta, model):
     return delta
 
 
-def solve_equilibrium(model):
+def solve_equilibrium(model, emf=None, pm=None):
     """Prefault operating point: rotor angles (radians) with Δω = 0.
 
-    The last machine's angle is the reference (fixed at 0); `_newton`,
-    started from equal angles, solves the remaining angles so every
-    machine's power mismatch vanishes. Raises NoEquilibriumError when the
-    full residual (including the reference machine) stays above 1e-8 pu.
+    At EMFs `emf` and Pm `pm` (the model's own when None), `_newton` holds
+    the last machine's angle at 0 and, from equal angles, solves the others
+    so every power mismatch vanishes. Raises NoEquilibriumError when the
+    full residual (the reference machine's too) stays above 1e-8 pu.
     """
-    delta = _newton(np.zeros(model.n_generators), model)
-    mismatch = np.max(np.abs(_power_mismatch(delta, model)))
+    emf, pm = (model.emf, model.pm) if emf is None else (emf, pm)
+    delta = _newton(np.zeros(model.n_generators), emf, pm, model.y_prefault)
+    mismatch = np.abs(_power_mismatch(delta, emf, pm, model.y_prefault)).max()
     if not mismatch <= _EQUILIBRIUM_TOL:
         raise NoEquilibriumError(
             f"no prefault equilibrium (max mismatch {mismatch:.3e} pu)")
@@ -258,29 +260,29 @@ def solve_equilibrium(model):
 
 
 def operating_point(model, level):
-    """The model at load `level` and its prefault angles (radians).
+    """(emf, pm, delta0): EMFs, Pm and prefault angles of `model` at `level`.
 
-    Level 1 is the model itself. Otherwise Pm is scaled by `level`; the
-    EMF magnitudes are kept when the scaled system still has an
-    equilibrium, else re-derived as E·sqrt(level), which scales every
+    Level 1 keeps the model's own vectors. Otherwise Pm is scaled by
+    `level`; the EMF magnitudes are kept when the scaled system still has
+    an equilibrium, else re-derived as E·sqrt(level), which scales every
     power-flow term by `level` and preserves the base-case angles exactly.
     Without transfer conductance ΣPe = ΣE_i²G_ii, so a scaled ΣPm off it
-    by over G·1e-8 cannot balance and is not tried. Each candidate model
-    is solved at most once, and the angles come from the one that holds.
+    by over G·1e-8 cannot balance and is not tried. Each candidate is
+    solved at most once, and the angles come from the one that holds.
     """
     if level == 1.0:
-        return model, solve_equilibrium(model)
-    scaled, y = replace(model, pm=model.pm * level), model.y_prefault
-    excess = abs(np.sum(scaled.pm - model.emf ** 2 * y.real.diagonal()))
+        return model.emf, model.pm, solve_equilibrium(model)
+    pm, y = model.pm * level, model.y_prefault
+    excess = abs(np.sum(pm - model.emf ** 2 * y.real.diagonal()))
     if not (_lossless_transfer(y)
             and excess > model.n_generators * _EQUILIBRIUM_TOL):
         try:
-            return scaled, solve_equilibrium(scaled)
+            return model.emf, pm, solve_equilibrium(model, model.emf, pm)
         except NoEquilibriumError:
             pass
-    rescaled = replace(scaled, emf=model.emf * math.sqrt(level))
+    emf = model.emf * math.sqrt(level)
     try:
-        return rescaled, solve_equilibrium(rescaled)
+        return emf, pm, solve_equilibrium(model, emf, pm)
     except NoEquilibriumError as exc:
         raise NoEquilibriumError(
             f"load level {level} destroys the operating point") from exc
@@ -300,15 +302,15 @@ def _lossless_transfer(y):
     return not np.any(y.real - np.diag(np.diag(y.real)))
 
 
-def _energy_bound(m, ref):
-    """(C, s, V_min) of `m` about its operating angles `ref`, or why none
-    applies: C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over the pairs i < j.
+def _energy_bound(ref, emf, y):
+    """(C, s, V_min) of EMFs `emf` on `y` about operating angles `ref`, or why
+    none applies: C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over pairs i < j.
     Pair term −C(cos x − cos s) − C·sin s·(x − s) has its smaller end value
     C(2cos|s| − (π − 2|s|)·sin|s|), positive when C > 0 and |s| < 90°."""
-    if not _lossless_transfer(m.y_prefault):
+    if not _lossless_transfer(y):
         return "transfer conductance in the postfault network"
     i, j = np.triu_indices(len(ref), 1)
-    c, s = m.emf[i] * m.emf[j] * m.y_prefault.imag[i, j], ref[i] - ref[j]
+    c, s = emf[i] * emf[j] * y.imag[i, j], ref[i] - ref[j]
     if not np.all(c > 0):
         return "a pair with C_ij <= 0"
     a = np.abs(s)
@@ -378,22 +380,21 @@ def simulate_scenarios(model, scenarios, keep=None):
     steps = np.broadcast_to(steps, (n_rows, np.shape(steps)[-1]))
     if not np.all((0 <= steps) & (steps <= nsteps)):
         raise ValueError("kept steps outside the integration grid")
-    operating = {lv: operating_point(model, lv)
-                 for lv in dict.fromkeys(sc.load_level for sc in scenarios)}
-    levels = [operating[sc.load_level] for sc in scenarios]
+    levels = [sc.load_level for sc in scenarios]
+    operating = {v: operating_point(model, v) for v in dict.fromkeys(levels)}
     last = steps.max(axis=1)
+    y_pre = model.y_prefault
     ceiling, refused = {}, []           # a full history tries no bound
-    for lv, (m, delta0) in operating.items() if np.any(last < nsteps) else ():
-        bound = _energy_bound(m, delta0)
+    for lv, (e, p, d0) in operating.items() if np.any(last < nsteps) else ():
+        bound = _energy_bound(d0, e, y_pre)
         if isinstance(bound, str):
             refused.append(bound)
         else:   # W = Σ pair terms − Σr_i·x_i, r = Pm − Pe(δ*) and |x_i| < 2π
             ceiling[lv] = bound[2] - 2 * math.pi * np.sum(
-                np.abs(_power_mismatch(delta0, m)))
+                np.abs(_power_mismatch(d0, e, p, y_pre)))
     why = "" if ceiling else next(iter(refused), Trajectory.certificate)
 
-    emf = np.array([m.emf for m, _ in levels])
-    pm = np.array([m.pm for m, _ in levels])
+    emf, pm, d = map(np.array, zip(*(operating[v] for v in levels)))
     y_fault = np.array([model.y_fault[sc.fault] for sc in scenarios])
     delta = np.empty((*steps.shape, model.n_generators))
     speed = np.empty_like(delta)
@@ -407,24 +408,24 @@ def simulate_scenarios(model, scenarios, keep=None):
     hd = (model.inertia, model.damping)
     limit = math.radians(OVERFLOW_LIMIT_DEG)
     recorded = set(np.unique(steps).tolist())
+    clearing = set((n_fault + 1).tolist())     # steps some row clears in
     # the running batch: row r of these arrays is scenario rows[r]
     rows = np.arange(n_rows)
-    d = np.array([delta0 for _, delta0 in levels])
     w = np.zeros_like(d)
     gap = np.full(n_rows, -np.inf)
     run = (emf, pm, y_fault.copy(), n_fault, rem, steps, last, d.copy(),
-           np.array([ceiling.get(sc.load_level, -np.inf) for sc in scenarios]))
+           np.array([ceiling.get(v, -np.inf) for v in levels]))
     for k in range(nsteps + 1):
         e, p, y, n_f, r_f, kept, last, ref, top = run
         if k:
-            cut = np.nonzero(n_f == k - 1)[0]
+            cut = np.nonzero(n_f == k - 1)[0] if k in clearing else ()
             step = dt
             if len(cut):
                 step = np.full((len(d), 1), dt)
                 step[cut, 0] = r_f[cut]
             d, w = kernels.rk4_step(d, w, step, *hd, e, p, y, model.omega0)
             if len(cut):
-                y[cut] = model.y_prefault
+                y[cut] = y_pre
                 d[cut], w[cut] = kernels.rk4_step(
                     d[cut], w[cut], dt - r_f[cut, None], *hd, e[cut],
                     p[cut], y[cut], model.omega0)
@@ -457,8 +458,7 @@ def simulate_scenarios(model, scenarios, keep=None):
     pe = np.where(faulted[..., None],
                   kernels.electrical_power(delta, emf[:, None],
                                            y_fault[:, None]),
-                  kernels.electrical_power(delta, emf[:, None],
-                                           model.y_prefault))
+                  kernels.electrical_power(delta, emf[:, None], y_pre))
     np.degrees(delta, out=delta)
     for arr in (time, delta, speed, pm, pe, t_clear, max_gap, stop_step):
         arr.setflags(write=False)

@@ -679,6 +679,8 @@ def _write_malformed(case, kb_csv, tmp_path):
             lines = lines[:1]
         elif case == "kb ragged row":
             lines[2] = ",".join(cells + ["0.5"]) + "\n"
+        elif case == "kb narrow rows":      # each row's last cell cut
+            lines[1:] = [ln.rsplit(",", 1)[0] + "\n" for ln in lines[1:]]
         else:
             col, value = {"kb nan cell": (-1, "nan"),
                           "kb text cell": (5, "abc"),
@@ -797,13 +799,21 @@ def _write_malformed(case, kb_csv, tmp_path):
             "--out", str(kb)]
 
 
+# A row added, or one whose message is reworded, takes its case name as its
+# test id, which a later rewording keeps; the other rows keep the ids
+# pytest derives from all three values until their message changes.
 @pytest.mark.parametrize("case, code, message", [
     ("kb blank line", cli.EXIT_OK, ""),
     ("kb header only", cli.EXIT_RUNTIME, "no samples"),
-    ("kb nan cell", cli.EXIT_RUNTIME,
-     "sample 2, CSV column 95 holds nan, not a finite number"),
-    ("kb fractional label", cli.EXIT_RUNTIME,
-     "sample 2, CSV column 1 holds 1.5, not +1 or -1"),
+    pytest.param("kb nan cell", cli.EXIT_RUNTIME,
+                 "kb.csv line 3: CSV column 95 holds nan, not a finite number",
+                 id="kb nan cell"),
+    pytest.param("kb fractional label", cli.EXIT_RUNTIME,
+                 "kb.csv line 3: CSV column 1 holds 1.5, not +1 or -1",
+                 id="kb fractional label"),
+    pytest.param("kb narrow rows", cli.EXIT_RUNTIME,
+                 "kb.csv line 2: 94 columns, the header names 95",
+                 id="kb narrow rows"),
     ("kb ragged row", cli.EXIT_RUNTIME, "number of columns changed"),
     ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
     ("kb utf-8", cli.EXIT_RUNTIME,
@@ -914,7 +924,7 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
 
 
 @pytest.mark.parametrize("case", ["kb ragged row", "kb text cell",
-                                  "kb 1_0 cell"])
+                                  "kb 1_0 cell", "kb nan cell"])
 def test_kb_parse_error_names_file_and_line(case, kb_csv, trained, tmp_path,
                                             capsys):
     # one row grammar: the KB reader, predict --input and predict --row

@@ -30,7 +30,9 @@ def test_zero_injection_equilibrium_has_equal_angles():
 
 def test_three_machine_equilibrium_residual(three_machine):
     delta = simkit.solve_equilibrium(three_machine)
-    mismatch = simkit._power_mismatch(delta, three_machine)
+    mismatch = simkit._power_mismatch(delta, three_machine.emf,
+                                      three_machine.pm,
+                                      three_machine.y_prefault)
     assert np.max(np.abs(mismatch)) < 1e-8
 
 
@@ -39,6 +41,15 @@ def test_infeasible_operating_point_raises(smib):
     bad = replace(smib, pm=np.array([5.0, -5.0]))  # above the 1.0 pu tie
     with pytest.raises(simkit.NoEquilibriumError):
         simkit.solve_equilibrium(bad)
+
+
+@pytest.mark.parametrize("shape", [(3,), (378, 3), (5, 7, 10), (4, 1)])
+def test_angle_gap_equals_ptp(shape):
+    # taken machine by machine, the gap is np.ptp's bit for bit, nan too
+    delta = np.random.default_rng(3).normal(scale=200.0, size=shape)
+    delta.flat[::7] = np.nan
+    assert np.array_equal(simkit.angle_gap(delta), np.ptp(delta, axis=-1),
+                          equal_nan=True)
 
 
 def test_clearing_zero_is_a_fixed_point(smib):
@@ -252,21 +263,22 @@ class TestScenarioGrid:
 
 class TestLoadLevel:
     def test_identity(self, smib):
-        level_model, delta0 = simkit.operating_point(smib, 1.0)
-        assert level_model is smib
+        emf, pm, delta0 = simkit.operating_point(smib, 1.0)
+        assert emf is smib.emf and pm is smib.pm
         assert np.array_equal(delta0, simkit.solve_equilibrium(smib))
 
     def test_smib_closed_form(self, smib):
-        scaled, delta0 = simkit.operating_point(smib, 1.3)
-        assert scaled.pm[0] == pytest.approx(smib.pm[0] * 1.3)
-        assert np.array_equal(scaled.emf, smib.emf)
+        emf, pm, delta0 = simkit.operating_point(smib, 1.3)
+        assert pm[0] == pytest.approx(smib.pm[0] * 1.3)
+        assert np.array_equal(emf, smib.emf)
         assert np.degrees(delta0[0]) == pytest.approx(
             math.degrees(math.asin(0.65)), abs=1e-6)
 
     def test_three_machine_residual(self, three_machine):
-        scaled, delta0 = simkit.operating_point(three_machine, 0.8)
-        assert np.array_equal(scaled.emf, three_machine.emf * math.sqrt(0.8))
-        assert np.max(np.abs(simkit._power_mismatch(delta0, scaled))) < 1e-8
+        emf, pm, delta0 = simkit.operating_point(three_machine, 0.8)
+        assert np.array_equal(emf, three_machine.emf * math.sqrt(0.8))
+        assert np.max(np.abs(simkit._power_mismatch(
+            delta0, emf, pm, three_machine.y_prefault))) < 1e-8
 
     def test_original_model_unmodified(self, three_machine):
         pm_before = three_machine.pm.copy()
@@ -291,9 +303,9 @@ def test_one_solve_per_candidate_model(monkeypatch):
     solve = simkit.solve_equilibrium
     outcomes = []
 
-    def counted(model):
+    def counted(*args):
         try:
-            delta = solve(model)
+            delta = solve(*args)
         except simkit.NoEquilibriumError:
             outcomes.append(False)
             raise
@@ -328,17 +340,52 @@ def test_lossy_level_tries_scaled_pm_first(monkeypatch, three_machine):
     solve = simkit.solve_equilibrium
     tried = []
 
-    def recorded(m):
-        tried.append(m)
-        return solve(m)
+    def recorded(m, emf, pm):
+        tried.append((emf, pm))
+        return solve(m, emf, pm)
 
     monkeypatch.setattr(simkit, "solve_equilibrium", recorded)
-    level_model, _ = simkit.operating_point(model, 0.8)
-    assert np.array_equal(tried[0].pm, model.pm * 0.8)
-    assert np.array_equal(tried[0].emf, model.emf)
-    assert tried[-1] is level_model
+    emf, pm, _ = simkit.operating_point(model, 0.8)
+    assert np.array_equal(tried[0][1], model.pm * 0.8)
+    assert np.array_equal(tried[0][0], model.emf)
+    assert tried[-1][0] is emf and tried[-1][1] is pm
     assert len(tried) == 2
-    assert np.array_equal(level_model.emf, model.emf * math.sqrt(0.8))
+    assert np.array_equal(emf, model.emf * math.sqrt(0.8))
+
+
+def test_scenarios_build_no_model(monkeypatch, three_machine):
+    # a load level is its EMF and Pm vectors: a run over the fixture grid
+    # validates no second copy of the network
+    built = []
+    post_init = simkit.PowerSystemModel.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(simkit.PowerSystemModel, "__post_init__", counted)
+    grid = simkit.build_scenario_grid(
+        **simkit.load_grid_spec("fixtures/three_machine.grid"))
+    simkit.simulate_scenarios(three_machine, grid, keep=features.sample_steps)
+    assert built == []
+
+
+@pytest.mark.parametrize("case", ["smib", "three_machine"])
+def test_level_angles_match_level_models(case):
+    # each fixture level's angles are, bit for bit, those of a model built
+    # with the level's vectors: SMIB balances its scaled Pm at its own EMFs,
+    # the lossless three-machine network only at E·sqrt(level) (level 1
+    # keeps both)
+    model = simkit.load_model(f"fixtures/{case}.sys")
+    for level in simkit.load_grid_spec(f"fixtures/{case}.grid")[
+            "load_levels"]:
+        emf, pm, delta0 = simkit.operating_point(model, level)
+        rescaled = case == "three_machine" and level != 1.0
+        level_model = replace(model, pm=model.pm * level, emf=model.emf * (
+            math.sqrt(level) if rescaled else 1.0))
+        assert np.array_equal(emf, level_model.emf)
+        assert np.array_equal(pm, level_model.pm)
+        assert np.array_equal(delta0, simkit.solve_equilibrium(level_model))
 
 
 class TestModelValidation:
@@ -608,10 +655,11 @@ def test_uncertified_networks_run_full_horizon(case, why, monkeypatch,
 def test_energy_bound_is_the_equal_area_energy(smib, level):
     # on SMIB the closest unstable equilibrium is π − s, so V_min is the
     # equal-area critical energy ∫_s^{π−s} (C·sin x − P) dx
-    m, ref = simkit.operating_point(smib, level)
-    c, s, v_min = simkit._energy_bound(m, ref)
-    p = m.pm[0] - m.emf[0] ** 2 * m.y_prefault[0, 0].real
-    assert c[0] == m.emf[0] * m.emf[1] * m.y_prefault[0, 1].imag
+    emf, pm, ref = simkit.operating_point(smib, level)
+    y = smib.y_prefault
+    c, s, v_min = simkit._energy_bound(ref, emf, y)
+    p = pm[0] - emf[0] ** 2 * y[0, 0].real
+    assert c[0] == emf[0] * emf[1] * y[0, 1].imag
     assert s[0] == ref[0] - ref[1] and 0 < s[0] < math.pi / 2
 
     def antiderivative(x):
@@ -624,15 +672,16 @@ def test_energy_bound_is_the_equal_area_energy(smib, level):
 @pytest.mark.parametrize("angle", [90.0, 95.0, 150.0])
 def test_energy_bound_refuses_pairs_far_apart(smib, angle):
     # the pair term's smaller end value is ≤ 0 from |s| = 90° on
-    why = simkit._energy_bound(smib, np.radians([angle, 0.0]))
+    why = simkit._energy_bound(np.radians([angle, 0.0]), smib.emf,
+                               smib.y_prefault)
     assert why == "a pair 90 degrees or more apart at the operating point"
-    assert simkit._energy_bound(smib, np.radians([0.0, angle])) == why
+    assert simkit._energy_bound(np.radians([0.0, angle]), smib.emf,
+                                smib.y_prefault) == why
 
 
 def test_energy_bound_refuses_negative_coupling(smib):
-    flipped = replace(smib, y_prefault=-smib.y_prefault)
-    assert simkit._energy_bound(flipped, simkit.solve_equilibrium(smib)) \
-        == "a pair with C_ij <= 0"
+    assert simkit._energy_bound(simkit.solve_equilibrium(smib), smib.emf,
+                                -smib.y_prefault) == "a pair with C_ij <= 0"
 
 
 @pytest.mark.parametrize("case", ["smib", "4 machines", "10 machines"])
@@ -650,9 +699,10 @@ def test_bound_is_sound_on_full_histories(case):
     traj = simkit.simulate_scenarios(model, grid)
     n_rows, n_t, g = traj.delta_deg.shape
     levels = [simkit.operating_point(model, sc.load_level) for sc in grid]
-    emf = np.repeat([m.emf for m, _ in levels], n_t, axis=0)
-    ref = np.repeat([d0 for _, d0 in levels], n_t, axis=0)
-    v_min = np.repeat([simkit._energy_bound(*lv)[2] for lv in levels], n_t)
+    emf = np.repeat([e for e, _, _ in levels], n_t, axis=0)
+    ref = np.repeat([d0 for _, _, d0 in levels], n_t, axis=0)
+    v_min = np.repeat([simkit._energy_bound(d0, e, model.y_prefault)[2]
+                       for e, _, d0 in levels], n_t)
     met = simkit._certified(
         np.radians(traj.delta_deg).reshape(-1, g),
         traj.speed_dev.reshape(-1, g), emf, np.repeat(traj.pm, n_t, axis=0),
