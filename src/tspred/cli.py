@@ -28,6 +28,11 @@ class UsageError(Exception):
 
 
 def _sidecar_path(csv_path):
+    """The KB's sidecar path; a KB path that is one itself is refused, so
+    that neither file overwrites or stands for the other."""
+    if Path(csv_path).suffix == ".meta":
+        raise UsageError(f"{csv_path}: a knowledge base path ending in "
+                         "'.meta' names its own sidecar")
     return str(Path(csv_path).with_suffix(".meta"))
 
 
@@ -44,6 +49,7 @@ def cmd_generate(args):
     grid_path = _require(args.grid, "grid spec")
     if not args.out:
         raise UsageError("missing --out path for the knowledge base")
+    sidecar_path = _sidecar_path(args.out)
     model = simkit.load_model(model_path)
     spec = simkit.load_grid_spec(grid_path)
     if args.seed is not None:
@@ -59,7 +65,7 @@ def cmd_generate(args):
     kb = features.build_knowledge_base(
         traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    features.save_knowledge_base(kb, args.out, _sidecar_path(args.out))
+    features.save_knowledge_base(kb, args.out, sidecar_path)
     n_stable = int(np.sum(kb.labels == features.STABLE))
     print(f"seed {spec['seed']}")
     print(f"wrote {kb.n_samples} samples ({kb.n_features} features) "
@@ -293,7 +299,7 @@ def build_parser():
 
     def seeded(p):
         common(p)
-        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--seed", type=textio.seed, help="master seed")
 
     def training_flags(p):
         seeded(p)

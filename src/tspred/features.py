@@ -51,6 +51,8 @@ def feature_dimension(n_generators):
 
 
 def feature_names(n_generators):
+    """The names of a feature row's columns, in order: the KB's column
+    layout, which the KB itself does not store."""
     names = []
     for k in range(WINDOW_SAMPLES):
         for i in range(n_generators):
@@ -102,13 +104,13 @@ def extract_features(trajectory):
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Labeled raw feature matrix plus its seed and provenance; a
-    non-finite sample value or a label other than +1 or -1 is refused.
-    No field can be edited: the arrays are read-only, `names` a tuple."""
+    """Labeled raw feature matrix (columns laid out as feature_names
+    lists them) plus its seed and provenance; a non-finite sample value or
+    a label other than +1 or -1 is refused. No field can be edited: the
+    arrays are read-only."""
 
     samples: np.ndarray        # (N, n)
     labels: np.ndarray         # (N,), values in {+1, -1}
-    names: tuple
     seed: int
     provenance: str = ""
 
@@ -117,9 +119,6 @@ class KnowledgeBase:
         labels = np.array(self.labels)
         if samples.shape[0] != labels.shape[0]:
             raise FeatureError("sample/label count mismatch")
-        if samples.shape[1] != len(self.names):
-            raise FeatureError(f"{samples.shape[1]} feature columns but "
-                               f"{len(self.names)} feature names")
         bad = _bad_cell(np.column_stack([labels, samples]))
         if bad:
             raise FeatureError(f"sample {bad[0] + 1}, {bad[1]}")
@@ -128,7 +127,6 @@ class KnowledgeBase:
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "names", tuple(self.names))
 
     @property
     def n_samples(self):
@@ -254,7 +252,6 @@ def build_knowledge_base(trajectory, seed, provenance=""):
     row per scenario."""
     kb = KnowledgeBase(samples=extract_features(trajectory),
                        labels=label_trajectory(trajectory),
-                       names=feature_names(trajectory.inertia.size),
                        seed=seed, provenance=provenance)
     if len(set(kb.labels.tolist())) < 2:
         raise DegenerateDatasetError(
@@ -267,36 +264,15 @@ def build_knowledge_base(trajectory, seed, provenance=""):
 # ---------------------------------------------------------------------------
 
 def save_knowledge_base(kb, csv_path, sidecar_path):
-    """Write the KB CSV (CRLF line ends) and its sidecar."""
+    """Write the KB CSV (CRLF line ends) and its sidecar, a `seed` and a
+    `provenance` line."""
     header = ",".join(["label"] + [f"f_{j}" for j in range(kb.n_features)])
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\r\n")
         for label, row in zip(kb.labels.tolist(), kb.samples):
             fh.write(f"{label:+d},{','.join(map(repr, row.tolist()))}\r\n")
-    lines = [f"seed {kb.seed}", f"provenance {kb.provenance}"]
-    lines += [f"feature {j} {name}" for j, name in enumerate(kb.names)]
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _name_feature(names, value, where):
-    """Apply the `feature <j> <name>` line at `where` (file and line) to
-    `names`."""
-    tokens = value.split()
-    if len(tokens) < 2:
-        raise FeatureError(
-            f"{where}: 'feature {value}' needs an index and a name")
-    try:
-        j = int(tokens[0])
-    except ValueError:
-        raise FeatureError(
-            f"{where}: 'feature {value}': index is not an integer") from None
-    if not 0 <= j < len(names):
-        raise FeatureError(f"{where}: feature {j} is not one of the "
-                           f"CSV's {len(names)} columns")
-    if names[j] is not None:
-        raise FeatureError(f"{where}: feature {j} named twice")
-    names[j] = tokens[1]
+        fh.write(f"seed {kb.seed}\nprovenance {kb.provenance}\n")
 
 
 # (digest, kb) of the last KB this process parsed; the digest covers the
@@ -306,13 +282,13 @@ _last_kb = (None, None)
 
 
 def load_knowledge_base(csv_path, sidecar_path):
-    """Read a KB CSV and its sidecar; sidecar lines other than `seed`,
-    `provenance` and `feature` (such as the standardization statistics
+    """Read a KB CSV and its sidecar; sidecar lines other than `seed` and
+    `provenance` (such as the feature names and standardization statistics
     older sidecars hold) are skipped, as are blank CSV lines. Rows of
     another width than the header, a non-finite cell, a label other than
-    +1 or -1, a second `seed` or `provenance` line, a non-integer seed and
-    a CSV column without a `feature` line are refused, naming the file
-    and, where there is one, the line.
+    +1 or -1, a second `seed` or `provenance` line and a seed that is not
+    a non-negative integer are refused, naming the file and, where there
+    is one, the line.
 
     Files holding the same bytes as the last KB parsed in this process
     return that same (immutable) KB without parsing it again.
@@ -348,25 +324,15 @@ def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
         raise FeatureError(f"{csv_path} line {numbers[bad[0]]}: {bad[1]}")
     seed = 0
     provenance = ""
-    names = [None] * (len(header) - 1)
     for n, key, value in textio.directives(
             sidecar_data, sidecar_path, once=("seed", "provenance"),
             error=FeatureError):
         if key == "seed":
             try:
-                seed = int(value)
-            except ValueError:
-                raise FeatureError(
-                    f"{sidecar_path} line {n}: the seed {value!r} is "
-                    "not an integer") from None
+                seed = textio.seed(value)
+            except ValueError as exc:
+                raise FeatureError(f"{sidecar_path} line {n}: {exc}") from None
         elif key == "provenance":
             provenance = value
-        elif key == "feature":
-            _name_feature(names, value, f"{sidecar_path} line {n}")
-    if None in names:
-        j = names.index(None)
-        raise FeatureError(f"{sidecar_path}: no 'feature' line names "
-                           f"feature {j} (CSV column {j + 2})")
-    return KnowledgeBase(
-        samples=table[:, 1:], labels=table[:, 0], names=names, seed=seed,
-        provenance=provenance)
+    return KnowledgeBase(samples=table[:, 1:], labels=table[:, 0], seed=seed,
+                         provenance=provenance)

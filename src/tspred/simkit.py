@@ -144,6 +144,9 @@ class SimulationScenario:
             raise ValueError("clearing time must be non-negative")
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
+        if self.step > self.horizon:
+            raise ValueError(f"integration step {self.step:.4g} s exceeds "
+                             f"the horizon {self.horizon:.4g} s")
         if self.horizon / self.step > MAX_STEPS:
             raise ValueError(f"horizon / step = {self.horizon / self.step:.4g}"
                              f" exceeds the {MAX_STEPS:,}-step limit")
@@ -575,7 +578,8 @@ def _items(text):
 
 
 #: each .grid key and how its value is read
-_GRID_KEYS = {"faults": _items, "seed": int, "step": float, "horizon": float,
+_GRID_KEYS = {"faults": _items, "seed": textio.seed, "step": float,
+              "horizon": float,
               "clearing_cycles": lambda v: [float(x) for x in _items(v)],
               "load_levels": lambda v: [float(x) for x in _items(v)]}
 

@@ -1,5 +1,7 @@
 """The line grammar of the text inputs: .sys, .grid, --config, .elm, the
-knowledge base CSV and its .meta sidecar, and predict rows."""
+knowledge base CSV and its .meta sidecar (a `seed` and a `provenance`
+line), and predict rows; and the one reading of a seed, shared by --seed,
+the .grid and the sidecar."""
 
 import numpy as np
 
@@ -35,6 +37,18 @@ def directives(data, path, sep=None, once=None, error=ValueError):
                 raise error(f"{path} line {n}: a second '{key}' line")
             seen.add(key)
         yield n, key, value
+
+
+def seed(value):
+    """`value` read as a seed, a non-negative integer; anything else raises
+    ValueError."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValueError(f"the seed {value!r} is not an integer") from None
+    if n < 0:
+        raise ValueError(f"the seed {n} is negative")
+    return n
 
 
 def rows(lines, path, error=ValueError, start=1):

@@ -49,9 +49,7 @@ def separable_kb(n=60, n_features=6, seed=0):
     # guarantee both classes
     labels[0], labels[1] = 1, -1
     x[0, 0], x[1, 0] = abs(x[0, 0]), -abs(x[1, 0])
-    return features.KnowledgeBase(
-        samples=x, labels=labels,
-        names=[f"f{j}" for j in range(n_features)], seed=seed)
+    return features.KnowledgeBase(samples=x, labels=labels, seed=seed)
 
 
 @pytest.fixture(scope="session")

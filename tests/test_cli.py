@@ -72,6 +72,16 @@ class TestGenerate:
                     "--grid", str(grid),
                     "--out", str(out)]) == cli.EXIT_USAGE
 
+    def test_out_path_of_a_sidecar_refused(self, tmp_path, capsys):
+        # the sidecar of kb.meta is kb.meta itself: it would overwrite the KB
+        out = tmp_path / "kb.meta"
+        assert run(["generate", "--model", f"{FIXTURES}/smib.sys",
+                    "--grid", f"{FIXTURES}/smib.grid",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"{out}: a knowledge base path ending in '.meta'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["generate", "--model", "nope.sys",
                     "--grid", f"{FIXTURES}/smib.grid",
@@ -311,6 +321,25 @@ class TestEvaluate:
         _, means2, stds2 = features.standardize(corrupted, split.train)
         assert np.array_equal(means1, means2)
         assert np.array_equal(stds1, stds2)
+
+
+def test_kb_path_of_a_sidecar_refused(kb_csv, tmp_path, capsys):
+    assert run(["optimize", "--kb", str(kb_csv.with_suffix(".meta")),
+                "--out", str(tmp_path / "run")]) == cli.EXIT_USAGE
+    assert "a knowledge base path ending in '.meta'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "evaluate",
+                                     "compare"])
+def test_negative_seed_flag_refused(command, tmp_path, capsys):
+    # refused by the grammar, before any input is read
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--seed", "-5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "argument --seed: invalid seed value: '-5'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -652,20 +681,15 @@ def _write_malformed(case, kb_csv, tmp_path):
     if case.startswith("meta"):
         shutil.copy(kb_csv, kb)
         meta = kb_csv.with_suffix(".meta").read_text()
-        if case == "meta feature missing":
-            meta = re.sub(r"^feature 5 .*\n", "", meta, flags=re.M)
-        elif case in ("meta seed x", "meta seed empty"):
+        if case in ("meta seed x", "meta seed empty", "meta seed negative"):
             meta = re.sub(r"^seed .*$", {"meta seed x": "seed x",
-                                         "meta seed empty": "seed"}[case],
+                                         "meta seed empty": "seed",
+                                         "meta seed negative": "seed -5"}[case],
                           meta, flags=re.M)
         else:
             meta += {
-                "meta feature out of range": "feature 9999 extra\n",
-                "meta feature negative": "feature -1 extra\n",
-                "meta feature repeated": "feature 0 again\n",
                 "meta seed repeated": "seed 99\n",
                 "meta provenance repeated": "provenance elsewhere\n",
-                "meta feature without name": "feature 3\n",
                 "meta utf-8": "# \udcff\n"}[case]
         kb.with_suffix(".meta").write_text(meta, errors="surrogateescape")
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
@@ -770,6 +794,12 @@ def _write_malformed(case, kb_csv, tmp_path):
         model_text = model_text[:model_text.rindex("0.0 1.0 0.0 -2.0")]
     elif case == "grid utf-8":
         grid_text = grid_text.replace("seed = 7", "seed = 7\udcff")
+    elif case == "grid seed negative":
+        grid_text = grid_text.replace("seed = 7", "seed = -5")
+    elif case == "grid step over horizon":
+        grid_text = grid_text.replace("step = 0.004166666666666667",
+                                      "step = 1e308")
+        grid_text = grid_text.replace("horizon = 3.0", "horizon = 0.5")
     elif case in ("grid repeated key", "grid unknown key",
                   "grid line without ="):
         grid_text += {"grid repeated key": "load_levels = 1.0\n",
@@ -887,24 +917,29 @@ def _write_malformed(case, kb_csv, tmp_path):
     # 2.4e9 steps: a run would allocate its 18 GiB time grid first
     ("grid 1e7 horizon", cli.EXIT_USAGE,
      "horizon / step = 2.4e+09 exceeds the 1,000,000-step limit"),
-    ("meta feature out of range", cli.EXIT_RUNTIME, "feature 9999 is not"),
-    ("meta feature negative", cli.EXIT_RUNTIME, "feature -1 is not"),
-    ("meta feature repeated", cli.EXIT_RUNTIME, "feature 0 named twice"),
-    # the SMIB sidecar holds 96 lines: seed, provenance, 94 features
-    ("meta seed repeated", cli.EXIT_RUNTIME,
-     "kb.meta line 97: a second 'seed' line"),
-    ("meta provenance repeated", cli.EXIT_RUNTIME,
-     "kb.meta line 97: a second 'provenance' line"),
-    ("meta feature without name", cli.EXIT_RUNTIME,
-     "'feature 3' needs an index and a name"),
-    ("meta utf-8", cli.EXIT_RUNTIME,
-     "kb.meta line 97: 'utf-8' codec can't decode byte 0xff in position"),
-    ("meta feature missing", cli.EXIT_RUNTIME,
-     "kb.meta: no 'feature' line names feature 5 (CSV column 7)"),
+    # the SMIB sidecar holds 2 lines: seed, provenance
+    pytest.param("meta seed repeated", cli.EXIT_RUNTIME,
+                 "kb.meta line 3: a second 'seed' line",
+                 id="meta seed repeated"),
+    pytest.param("meta provenance repeated", cli.EXIT_RUNTIME,
+                 "kb.meta line 3: a second 'provenance' line",
+                 id="meta provenance repeated"),
+    pytest.param("meta utf-8", cli.EXIT_RUNTIME,
+                 "kb.meta line 3: 'utf-8' codec can't decode byte 0xff in "
+                 "position", id="meta utf-8"),
     ("meta seed x", cli.EXIT_RUNTIME,
      "kb.meta line 1: the seed 'x' is not an integer"),
     ("meta seed empty", cli.EXIT_RUNTIME,
      "kb.meta line 1: the seed '' is not an integer"),
+    pytest.param("meta seed negative", cli.EXIT_RUNTIME,
+                 "kb.meta line 1: the seed -5 is negative",
+                 id="meta seed negative"),
+    pytest.param("grid seed negative", cli.EXIT_RUNTIME,
+                 "model.grid line 6: the seed -5 is negative",
+                 id="grid seed negative"),
+    pytest.param("grid step over horizon", cli.EXIT_USAGE,
+                 "integration step 1e+308 s exceeds the horizon 0.5 s",
+                 id="grid step over horizon"),
     ("abbreviated flags", cli.EXIT_USAGE,
      "unrecognized arguments: --hid 4 --pop 4 --it 2"),
     ("abbreviated config keys", cli.EXIT_USAGE,

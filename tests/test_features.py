@@ -169,7 +169,7 @@ class TestSplit:
     def test_paper_scale_counts(self):
         labels = np.resize([1, 1, -1], 3300)
         kb = features.KnowledgeBase(
-            samples=np.zeros((3300, 1)), labels=labels, names=["f"], seed=0)
+            samples=np.zeros((3300, 1)), labels=labels, seed=0)
         split = features.split_train_test(kb, 2200.0 / 3300.0, seed=1)
         assert len(split.train) == 2200
         assert len(split.test) == 1100
@@ -190,15 +190,14 @@ class TestSplit:
     def test_stratified_both_sides(self):
         labels = np.array([1] * 5 + [-1] * 5)
         kb = features.KnowledgeBase(
-            samples=np.zeros((10, 1)), labels=labels, names=["f"], seed=0)
+            samples=np.zeros((10, 1)), labels=labels, seed=0)
         split = features.split_train_test(kb, 0.8, seed=3)
         for side in (split.train, split.test):
             assert set(labels[side]) == {1, -1}
 
     def test_single_class_rejected(self):
         kb = features.KnowledgeBase(
-            samples=np.zeros((4, 1)), labels=np.ones(4, dtype=int),
-            names=["f"], seed=0)
+            samples=np.zeros((4, 1)), labels=np.ones(4, dtype=int), seed=0)
         with pytest.raises(features.DegenerateDatasetError):
             features.split_train_test(kb, 0.5, seed=0)
 
@@ -234,35 +233,45 @@ def test_knowledge_base_round_trip(tmp_path, smib_kb):
     loaded = features.load_knowledge_base(csv_path, meta_path)
     assert np.array_equal(loaded.samples, kb.samples)
     assert np.array_equal(loaded.labels, kb.labels)
-    assert loaded.names == kb.names
     assert loaded.seed == kb.seed
     assert [f.name for f in dataclasses.fields(loaded)] == [
-        "samples", "labels", "names", "seed", "provenance"]
+        "samples", "labels", "seed", "provenance"]
+    assert meta_path.read_text() == f"seed {kb.seed}\nprovenance \n"
+
+
+def test_loads_sidecar_with_feature_lines(tmp_path, smib_kb):
+    # earlier writers named each column on a `feature <j> <name>` line after
+    # the seed and provenance; such a sidecar loads to the same KB
+    csv_path = tmp_path / "kb.csv"
+    meta_path = tmp_path / "kb.meta"
+    features.save_knowledge_base(smib_kb, csv_path, meta_path)
+    current = features.load_knowledge_base(csv_path, meta_path)
+    old_lines = [f"seed {smib_kb.seed}", f"provenance {smib_kb.provenance}"]
+    old_lines += [f"feature {j} {name}"
+                  for j, name in enumerate(features.feature_names(2))]
+    meta_path.write_text("\n".join(old_lines) + "\n")
+    old = features.load_knowledge_base(csv_path, meta_path)
+    assert old is not current
+    assert np.array_equal(old.samples, current.samples)
+    assert np.array_equal(old.labels, current.labels)
+    assert (old.seed, old.provenance) == (current.seed, current.provenance)
 
 
 def test_loads_sidecar_with_standardization_columns(tmp_path):
-    # older sidecars carry a standardized flag, constant-feature names and
-    # per-feature mean/std columns; the loader skips them
+    # older sidecars carry a standardized flag, constant-feature names,
+    # per-feature mean/std columns and feature lines; the loader skips
+    # them, whatever shape a feature line has
     csv_path = tmp_path / "kb.csv"
     meta_path = tmp_path / "kb.meta"
     csv_path.write_text("label,f_0,f_1\n+1,1.0,2.0\n-1,3.0,2.0\n")
     meta_path.write_text("seed 4\nstandardized true\nprovenance m:g\n"
                          "constant_features b\nfeature 0 a 2.0 1.4\n"
-                         "feature 1 b 2.0 0.0\n")
+                         "feature 1 b 2.0 0.0\nfeature 9999 x\nfeature 3\n"
+                         "feature 0 again\nfeature -1 x\nfeature\n")
     kb = features.load_knowledge_base(csv_path, meta_path)
-    assert (kb.seed, kb.provenance, kb.names) == (4, "m:g", ("a", "b"))
+    assert (kb.seed, kb.provenance) == (4, "m:g")
     assert np.array_equal(kb.samples, [[1.0, 2.0], [3.0, 2.0]])
-
-
-def test_unnamed_column_refused(tmp_path):
-    csv_path = tmp_path / "kb.csv"
-    meta_path = tmp_path / "kb.meta"
-    csv_path.write_text("label,f_0,f_1\n+1,1.0,2.0\n-1,3.0,2.0\n")
-    meta_path.write_text("seed 4\nfeature 0 a\n")
-    with pytest.raises(features.FeatureError, match=(
-            f"^{meta_path}: no 'feature' line names feature 1 "
-            r"\(CSV column 3\)$")):
-        features.load_knowledge_base(csv_path, meta_path)
+    assert np.array_equal(kb.labels, [1, -1])
 
 
 def saved_kb(tmp_path, seed=5):
@@ -326,7 +335,6 @@ def test_loaded_kb_immutable(tmp_path):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-    assert kb.names == ("f0", "f1", "f2")
     with pytest.raises(dataclasses.FrozenInstanceError):
         kb.seed = 1
 
