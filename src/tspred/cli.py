@@ -56,12 +56,17 @@ def cmd_generate(args):
         spec["seed"] = args.seed
     try:
         scenarios = simkit.build_scenario_grid(**spec)
-        # simulate_scenarios refuses, before its first step, a horizon that
-        # ends before a clearing at the model's f0 and a fault it lacks
+        # before the first step, simulate_scenarios refuses a horizon that
+        # ends before a clearing at the model's f0 and a fault it lacks,
+        # and sample_steps one that ends before a feature window
         traj = simkit.simulate_scenarios(model, scenarios,
                                          keep=features.sample_steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except features.WindowOutOfRangeError as exc:
+        cycles = max(sc.clearing_cycles for sc in scenarios)
+        raise UsageError(f"{exc} (latest clearing {cycles:g} cycles at f0 = "
+                         f"{model.f0:g} Hz)") from exc
     kb = features.build_knowledge_base(
         traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

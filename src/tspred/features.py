@@ -72,8 +72,8 @@ def sample_steps(t_clear, time):
     window = t_clear[..., None] + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ
     if np.max(window) > time[-1] + dt / 2:
         raise WindowOutOfRangeError(
-            f"trajectory ends at {time[-1]:.4f}s, window needs "
-            f"{np.max(window):.4f}s")
+            "horizon shorter than the feature window: horizon "
+            f"{time[-1]:.4g} s, window ends {np.max(window):.4g} s")
     idx = np.minimum(np.rint(window / dt).astype(int), len(time) - 1)
     return np.concatenate([np.zeros_like(idx[..., :1]), idx], axis=-1)
 

@@ -364,6 +364,8 @@ def simulate_scenarios(model, scenarios, keep=None):
     computed at the kept samples only. Returns one Trajectory, scenario
     axis first.
     """
+    if not scenarios:
+        raise ValueError("the scenario list is empty")
     dt, horizon = scenarios[0].step, scenarios[0].horizon
     if any(sc.step != dt or sc.horizon != horizon for sc in scenarios):
         raise ValueError("scenarios must share one step and horizon")
@@ -412,14 +414,16 @@ def simulate_scenarios(model, scenarios, keep=None):
     limit = math.radians(OVERFLOW_LIMIT_DEG)
     recorded = set(np.unique(steps).tolist())
     clearing = set((n_fault + 1).tolist())     # steps some row clears in
-    # the running batch: row r of these arrays is scenario rows[r]
+    # the running batch: row r of these arrays is scenario rows[r]; y is
+    # per row until every row has cleared, then the one prefault matrix
     rows = np.arange(n_rows)
     w = np.zeros_like(d)
     gap = np.full(n_rows, -np.inf)
-    run = (emf, pm, y_fault.copy(), n_fault, rem, steps, last, d.copy(),
+    y, shared_from = y_fault.copy(), max(clearing)
+    run = (emf, pm, n_fault, rem, steps, last, d.copy(),
            np.array([ceiling.get(v, -np.inf) for v in levels]))
     for k in range(nsteps + 1):
-        e, p, y, n_f, r_f, kept, last, ref, top = run
+        e, p, n_f, r_f, kept, last, ref, top = run
         if k:
             cut = np.nonzero(n_f == k - 1)[0] if k in clearing else ()
             step = dt
@@ -431,7 +435,9 @@ def simulate_scenarios(model, scenarios, keep=None):
                 y[cut] = y_pre
                 d[cut], w[cut] = kernels.rk4_step(
                     d[cut], w[cut], dt - r_f[cut, None], *hd, e[cut],
-                    p[cut], y[cut], model.omega0)
+                    p[cut], y_pre, model.omega0)
+            if k == shared_from:
+                y = y_pre
             if not np.all(np.abs(d) <= limit):
                 raise NumericOverflowError(
                     "rotor angle exceeded the overflow guard "
@@ -448,9 +454,11 @@ def simulate_scenarios(model, scenarios, keep=None):
         if np.any(settled):
             max_gap[rows[settled]] = gap[settled]
             stop_step[rows[settled]] = k
-            going = ~settled
-            rows, d, w, gap = rows[going], d[going], w[going], gap[going]
-            run = tuple(a[going] for a in run)
+            going = np.flatnonzero(~settled)    # take is cheaper than a mask
+            rows, d, w, gap = (a.take(going, 0) for a in (rows, d, w, gap))
+            run = tuple(a.take(going, 0) for a in run)
+            if k < shared_from:
+                y = y.take(going, 0)
             if not len(rows):
                 break
     max_gap[rows] = gap

@@ -100,9 +100,9 @@ class TestGenerate:
                             lambda *args: steps.append(1) or rk4_step(*args))
         assert run(["generate", "--model", f"{FIXTURES}/smib.sys",
                     "--grid", str(grid),
-                    "--out", str(tmp_path / "kb.csv")]) == cli.EXIT_RUNTIME
-        assert "trajectory ends at 0.2000s, window needs 0.3000s" in \
-            capsys.readouterr().err
+                    "--out", str(tmp_path / "kb.csv")]) == cli.EXIT_USAGE
+        assert "horizon 0.2 s, window ends 0.3 s (latest clearing 10 " \
+            "cycles at f0 = 60 Hz)" in capsys.readouterr().err
         assert steps == []
 
     @pytest.mark.parametrize("old, new, field", [
@@ -806,7 +806,8 @@ def _write_malformed(case, kb_csv, tmp_path):
                       "grid unknown key": "horizen = 0.5\n",
                       "grid line without =": "junk line\n"}[case]
     elif case.startswith("grid horizon"):
-        # the 10-cycle clearing ends at 0.1667 s at 60 Hz, 0.2 s at 50 Hz
+        # the 10-cycle clearing ends at 0.1667 s at 60 Hz, 0.2 s at 50 Hz;
+        # its feature window at 0.3 s at 60 Hz
         grid_text = grid_text.replace("horizon = 3.0",
                                       f"horizon = {case.split()[2]}")
         if case.endswith("50 Hz"):
@@ -899,6 +900,10 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("grid horizon 0.18 at 50 Hz", cli.EXIT_USAGE,
      "horizon shorter than the fault clearing time: horizon 0.18 s, latest "
      "clearing 0.2 s (10 cycles at f0 = 50 Hz)"),
+    pytest.param("grid horizon 0.2 before the window", cli.EXIT_USAGE,
+                 "horizon shorter than the feature window: horizon 0.2 s, "
+                 "window ends 0.3 s (latest clearing 10 cycles at f0 = 60 Hz)",
+                 id="grid horizon 0.2 before the window"),
     ("grid unknown fault", cli.EXIT_USAGE, "unknown fault id 'bus9'"),
     ("grid repeated key", cli.EXIT_RUNTIME,
      "model.grid line 7: a second 'load_levels' line"),

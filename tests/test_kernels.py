@@ -38,13 +38,15 @@ def integrate(w, nsteps=480, dt=1.0 / 240.0, delta=None, omega=None):
 
 
 class TestSwingRhs:
+    """The swing equation's acceleration, dδ/dt being Δω itself."""
+
     def test_equilibrium_is_fixed_point(self):
-        # Pm matched to Pe at delta0 with zero speed: zero derivatives
+        # Pm matched to Pe at delta0 with zero speed: zero acceleration
         w = workload(seed=3)
-        dd, dw = kernels.swing_rhs(w["delta0"], np.zeros(4), w["H"], w["D"],
-                                   w["E"], w["Pm"], w["G"] + 1j * w["B"],
-                                   W0)
-        assert np.allclose(dd, 0.0, atol=1e-14)
+        dw = kernels.swing_acceleration(w["delta0"], np.zeros(4), w["D"],
+                                        w["E"], w["Pm"],
+                                        w["G"] + 1j * w["B"],
+                                        W0 / (2.0 * w["H"]))
         assert np.allclose(dw, 0.0, atol=1e-12)
 
     def test_single_machine_hand_value(self):
@@ -55,10 +57,9 @@ class TestSwingRhs:
         Pm = np.array([0.5])
         G = np.array([[0.2]])
         B = np.zeros((1, 1))
-        dd, dw = kernels.swing_rhs(np.array([0.3]), np.array([0.02]),
-                                   H, D, E, Pm, G + 1j * B, W0)
+        dw = kernels.swing_acceleration(np.array([0.3]), np.array([0.02]),
+                                        D, E, Pm, G + 1j * B, W0 / (2.0 * H))
         expected = W0 / 4.0 * (0.5 - 1.05 ** 2 * 0.2 - 0.1 * 0.02)
-        assert dd[0] == 0.02
         assert dw[0] == pytest.approx(expected, abs=1e-14)
 
 
@@ -191,3 +192,56 @@ class TestRk4Span:
         err_coarse = np.max(np.abs(end_state(1 / 60.0, 60) - ref))
         err_fine = np.max(np.abs(end_state(1 / 120.0, 120) - ref))
         assert err_coarse / err_fine > 10.0
+
+
+def textbook_rk4(delta, omega, dt, H, D, E, Pm, Y):
+    """One classical four-stage RK4 step of the state (δ, Δω), written out
+    from dδ/dt = Δω, (2H/ω0)·dΔω/dt = Pm − Pe − D·Δω with Pe pair by pair
+    (Y's real and imaginary parts being G and B)."""
+    Yb = np.broadcast_to(Y, (*np.shape(delta)[:-1], *np.shape(Y)[-2:]))
+    Eb = np.broadcast_to(E, np.shape(delta))
+
+    def f(state):
+        d, w = state
+        pe = pairwise_power(d, Eb, Yb.real, Yb.imag)
+        return np.array([w, W0 / (2.0 * H) * (Pm - pe - D * w)])
+
+    x = np.array([delta, omega])
+    k1 = f(x)
+    k2 = f(x + dt / 2 * k1)
+    k3 = f(x + dt / 2 * k2)
+    k4 = f(x + dt * k3)
+    return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+class TestOracle:
+    """The kernels against a textbook RK4 and against each other."""
+
+    @pytest.mark.parametrize("per_row_dt", [False, True],
+                             ids=["scalar dt", "(S, 1) dt"])
+    @pytest.mark.parametrize("per_row_y", [False, True],
+                             ids=["shared Y", "per-row Y"])
+    def test_rk4_step_matches_textbook(self, per_row_dt, per_row_y):
+        n_scen, n_gen = 6, 4
+        rng = np.random.default_rng(21)
+        delta, E, G, B = lossy_batch(n_scen, n_gen, seed=22)
+        Y = G + 1j * B if per_row_y else G[0] + 1j * B[0]
+        omega = rng.uniform(-2.0, 2.0, (n_scen, n_gen))
+        H = rng.uniform(1.0, 5.0, n_gen)
+        D = rng.uniform(0.0, 0.1, n_gen)
+        Pm = rng.uniform(-1.0, 1.0, (n_scen, n_gen))
+        dt = (rng.uniform(0.0, 1.0 / 240.0, (n_scen, 1)) if per_row_dt
+              else 1.0 / 240.0)
+        d, w = kernels.rk4_step(delta, omega, dt, H, D, E, Pm, Y, W0)
+        ref_d, ref_w = textbook_rk4(delta, omega, dt, H, D, E, Pm, Y)
+        assert np.max(np.abs(d - ref_d)) <= 1e-12
+        assert np.max(np.abs(w - ref_w)) <= 1e-12
+
+    def test_shared_and_per_row_power_agree(self):
+        # the one matmul of a shared matrix against the per-row einsum
+        delta, E, G, B = lossy_batch(n_scen=50, n_gen=5, seed=23)
+        Y = G[0] + 1j * B[0]
+        shared = kernels.electrical_power(delta, E, Y)
+        per_row = kernels.electrical_power(
+            delta, E, np.broadcast_to(Y, (50, 5, 5)))
+        assert np.max(np.abs(shared - per_row)) <= 1e-13

@@ -90,6 +90,11 @@ def test_horizon_before_clearing_refused_at_model_f0(smib, f0, horizon):
         simkit.simulate_scenarios(model, [sc])
 
 
+def test_empty_scenario_list_refused(smib):
+    with pytest.raises(ValueError, match="the scenario list is empty"):
+        simkit.simulate_scenarios(smib, [])
+
+
 def test_sustained_fault_goes_unstable(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=180.0,
                                    horizon=3.0)
@@ -487,6 +492,29 @@ def test_windowed_run_matches_full_history(monkeypatch):
     assert np.all(win.max_gap_deg[~stable] >= 360.0)
     n_steps = len(full.time) - 1
     assert sum(row_steps) < len(grid) * n_steps
+
+
+def test_rows_share_one_matrix_after_the_last_clearing(monkeypatch):
+    # per-row matrices serve the fault-on steps only: once the last row
+    # has cleared, every step runs on the one (G, G) prefault matrix
+    model = simkit.load_model("fixtures/three_machine.sys")
+    grid = simkit.build_scenario_grid(
+        **simkit.load_grid_spec("fixtures/three_machine.grid"))
+    calls = []
+    rk4_step = kernels.rk4_step
+
+    def recorded(delta, omega, dt, *args):
+        calls.append((np.ndim(dt), args[-2].ndim))    # (dt, matrix) ranks
+        return rk4_step(delta, omega, dt, *args)
+
+    monkeypatch.setattr(kernels, "rk4_step", recorded)
+    simkit.simulate_scenarios(model, grid, keep=features.sample_steps)
+    # a step where some row clears splits its dt per row
+    last_clearing = max(i for i, (dt_rank, _) in enumerate(calls)
+                        if dt_rank == 2)
+    after = [y_rank for _, y_rank in calls[last_clearing + 1:]]
+    assert (0, 3) in calls[:last_clearing]
+    assert len(after) > 100 and set(after) == {2}
 
 
 def test_smib_labels_hold_at_half_step():
