@@ -162,11 +162,17 @@ def cmd_evaluate(args):
         raise UsageError("missing --out directory")
     kb, split, seed = _prepare_training(args)
     model = elm.load_model(model_path)
+    rows = []
+    for name, idx in (("test", split.test), ("train", split.train)):
+        try:
+            rows.append((name, metrics.evaluate(model, kb.samples[idx],
+                                                kb.labels[idx])))
+        except elm.NonFiniteScoreError as exc:
+            raise elm.ElmError(f"{args.kb} sample {idx[exc.row] + 1} of "
+                               f"{kb.n_samples} ({name} split): {exc}"
+                               ) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = [(name, metrics.evaluate(model, kb.samples[idx], kb.labels[idx]))
-            for name, idx in (("test", split.test), ("train", split.train))]
     metrics.save_report_csv(rows, out_dir / "metrics.csv")
     text = (f"seed {seed}\n"
             + metrics.render_table(rows)
@@ -250,10 +256,15 @@ def cmd_predict(args):
     if not finite.all():
         raise UsageError(f"{where} line {numbers[np.argmin(finite)]}: "
                          "the row holds a non-finite value")
-    for values in table:
+    scored = []     # every row is scored before any verdict is printed
+    for n, values in zip(numbers, table):
         t0 = time.perf_counter()
-        score = float(elm.predict_full(model, values)[0])
-        latency_ms = (time.perf_counter() - t0) * 1e3
+        try:
+            score = float(elm.predict_full(model, values)[0])
+        except elm.NonFiniteScoreError as exc:
+            raise UsageError(f"{where} line {n}: {exc}") from None
+        scored.append((score, (time.perf_counter() - t0) * 1e3))
+    for score, latency_ms in scored:
         label = 1 if score >= 0.0 else -1
         print(f"{label:+d} score={score!r} latency_ms={latency_ms:.3f}")
     return EXIT_OK

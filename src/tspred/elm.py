@@ -28,6 +28,16 @@ class ShapeMismatchError(ElmError):
     pass
 
 
+class NonFiniteScoreError(ElmError):
+    """A row's decision score is not finite, so it has no class; `row` is
+    the row's index."""
+
+    def __init__(self, row, score):
+        super().__init__(f"the score {score!r} is not a finite number, so "
+                         "the row gets no verdict")
+        self.row = row
+
+
 def _sigmoid(v):
     # piecewise form: exp never sees a positive argument, so never overflows
     e = np.exp(-np.abs(v))
@@ -131,16 +141,25 @@ def train(w, b, cf, x, y):
 
 def predict_full(model, x_full):
     """Decision scores of raw full-dimension rows (standardize, mask,
-    score); the sign is the class, the value ranks."""
+    score); the sign is the class, the value ranks. The first row whose
+    score is not finite raises NonFiniteScoreError."""
     x_full = np.atleast_2d(np.asarray(x_full, dtype=float))
     if x_full.shape[1] != model.feature_mask.shape[0]:
         raise ShapeMismatchError(
             f"expected {model.feature_mask.shape[0]} features, "
             f"got {x_full.shape[1]}")
-    z = apply_standardization(x_full, model.means, model.stds)
-    return (hidden_matrix(z[:, model.feature_mask], model.input_weights,
-                          model.biases, model.activations)
-            @ model.output_weights)
+    # a finite raw value far outside the training range can overflow; the
+    # score check below refuses the row, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = apply_standardization(x_full, model.means, model.stds)
+        scores = (hidden_matrix(z[:, model.feature_mask], model.input_weights,
+                                model.biases, model.activations)
+                  @ model.output_weights)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteScoreError(row, float(scores[row]))
+    return scores
 
 
 # ---------------------------------------------------------------------------

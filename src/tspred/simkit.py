@@ -480,7 +480,8 @@ def simulate_scenarios(model, scenarios, keep=None):
 
 
 def simulate_trajectory(model, scenario):
-    """Integrate one fault scenario: row 0 of a batch of one."""
+    """Integrate one fault scenario: row 0 of a batch of one. Only
+    perfbench/make_reference.py calls it."""
     return simulate_scenarios(model, [scenario]).row(0)
 
 
@@ -534,6 +535,10 @@ def load_model(path):
                 gens.append([float(v) for v in vals])
             elif key == "matrix":
                 label, dim = value.split()
+                if label not in ("prefault", "postfault") and (
+                        not label.startswith("fault:") or label == "fault:"):
+                    raise ValueError(f"matrix label '{label}' is not "
+                                     "prefault, postfault or fault:<id>")
                 if label in matrices:
                     raise ValueError(f"a second 'matrix {label}' line")
                 dim = int(dim)

@@ -2,20 +2,37 @@
 # numpy has not loaded its BLAS yet
 import tspred  # noqa: F401  isort:skip
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tspred import features, fixtures, simkit
+import networks
+from tspred import features, simkit
 
 
 @pytest.fixture(scope="session")
 def smib():
-    return fixtures.smib_model()
+    return networks.smib_model()
 
 
 @pytest.fixture(scope="session")
 def three_machine():
-    return fixtures.three_machine_model()
+    return networks.three_machine_model()
+
+
+def row(traj, s):
+    """Scenario `s` of a batch Trajectory, without the scenario axis
+    (views)."""
+    return replace(traj, **{name: getattr(traj, name)[s] for name in
+                            ("steps", "delta_deg", "speed_dev", "pm", "pe",
+                             "t_clear", "max_gap_deg", "stop_step")})
+
+
+def simulate_one(model, sc):
+    """The full-history Trajectory of one scenario: row 0 of a batch of
+    one."""
+    return row(simkit.simulate_scenarios(model, [sc]), 0)
 
 
 def make_trajectory(delta_deg, dt=1.0 / 240.0, f0=60.0, inertia=None,

@@ -1,14 +1,14 @@
-"""Built-in desk-scale test systems.
+"""The analytic test networks and the equal-area oracle.
 
-Both fixtures are constructed programmatically so tests can reason about
-them analytically; the CLI uses the textual copies under fixtures/.
+Both networks are built in code so tests can reason about them
+analytically; the CLI reads their textual copies under fixtures/.
 """
 
 import math
 
 import numpy as np
 
-from .simkit import PowerSystemModel
+from tspred.simkit import PowerSystemModel
 
 #: SMIB surrogate: the "infinite bus" is a machine with this inertia
 INFINITE_INERTIA = 1.0e6

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from tspred import cli, elm, features, fixtures, metrics, simkit, swarm
-from conftest import make_trajectory
+import networks
+from tspred import cli, elm, features, metrics, simkit, swarm
+from conftest import make_trajectory, simulate_one
 
 FIXTURES = "fixtures"
 
@@ -108,15 +109,15 @@ def test_criterion_03_smib_critical_clearing_time(capsys):
     with criterion(capsys, 3, "bisection CCT matches equal-area analytic "
                               "value within one step"):
         t0 = time.perf_counter()
-        model = fixtures.smib_model()
-        analytic = fixtures.smib_critical_clearing_time(model)
+        model = networks.smib_model()
+        analytic = networks.smib_critical_clearing_time(model)
         step = simkit.DEFAULT_STEP
 
         def stable_at(clear_s):
             sc = simkit.SimulationScenario(
                 fault="fault", clearing_cycles=clear_s * model.f0,
                 load_level=1.0)
-            traj = simkit.simulate_trajectory(model, sc)
+            traj = simulate_one(model, sc)
             return features.label_trajectory(traj) == features.STABLE
 
         lo, hi = 0.01, 1.0

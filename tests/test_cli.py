@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line pipeline."""
 
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tspred
 from tspred import cli, features, kernels, swarm
 
 FIXTURES = "fixtures"
@@ -755,6 +759,25 @@ def _write_malformed(case, kb_csv, tmp_path):
                                  if ln.split()[0] not in dropped))
         return ["evaluate", "--kb", str(kb_csv), "--model", str(model),
                 "--out", str(tmp_path / "run")]
+    if case.startswith("score"):
+        # one linear neuron on the first of the KB's features, whose weight
+        # takes a 1e300 cell past the largest float
+        n = kb_csv.read_text().split("\n", 1)[0].count(",")
+        model = tmp_path / "model.elm"
+        model.write_text("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 2\n"
+                         "beta 1.0\nw 1e10\nmask 1" + " 0" * (n - 1)
+                         + "\nmeans" + " 0.0" * n + "\nstds" + " 1.0" * n
+                         + "\n")
+        huge = ",".join(["1e300"] * n)
+        if case == "score not finite in predict":
+            return ["predict", "--model", str(model), f"--row={huge}"]
+        lines = kb_csv.read_text().splitlines(keepends=True)
+        for i in range(2, 40):      # lines 3-40 keep their labels
+            lines[i] = lines[i].split(",", 1)[0] + "," + huge + "\n"
+        kb.write_text("".join(lines))
+        shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
+        return ["evaluate", "--kb", str(kb), "--model", str(model),
+                "--out", str(tmp_path / "run")]
     if case.startswith(("abbreviated", "config")):
         argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
         if case == "abbreviated flags":
@@ -790,6 +813,9 @@ def _write_malformed(case, kb_csv, tmp_path):
         model_text = model_text.replace("0.0 -2.0 0.0 1.0", "0.0 -2.0 0.0", 1)
     elif case == "sys matrix dimension -2":
         model_text = model_text.replace("fault:fault 2", "fault:fault -2")
+    elif case.startswith("sys matrix label"):
+        model_text = model_text.replace("matrix fault:fault",
+                                        f"matrix {case.split()[-1]}")
     elif case == "sys matrix cut short":
         model_text = model_text[:model_text.rindex("0.0 1.0 0.0 -2.0")]
     elif case == "grid utf-8":
@@ -889,6 +915,13 @@ def _write_malformed(case, kb_csv, tmp_path):
      "model.sys line 10: matrix 'fault:fault' dimension -2 is below 1"),
     ("sys matrix cut short", cli.EXIT_RUNTIME,
      "model.sys line 14: matrix 'postfault' row 1 has 0 values, expected 4"),
+    pytest.param("sys matrix label fualt:fault", cli.EXIT_RUNTIME,
+                 "model.sys line 10: matrix label 'fualt:fault' is not "
+                 "prefault, postfault or fault:<id>",
+                 id="sys matrix label fualt:fault"),
+    pytest.param("sys matrix label fault:", cli.EXIT_RUNTIME,
+                 "model.sys line 10: matrix label 'fault:' is not prefault, "
+                 "postfault or fault:<id>", id="sys matrix label fault:"),
     ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
     ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
     ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
@@ -945,6 +978,12 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("grid step over horizon", cli.EXIT_USAGE,
                  "integration step 1e+308 s exceeds the horizon 0.5 s",
                  id="grid step over horizon"),
+    pytest.param("score not finite in predict", cli.EXIT_USAGE,
+                 "--row line 1: the score inf is not a finite number, so the "
+                 "row gets no verdict", id="score not finite in predict"),
+    pytest.param("score not finite in evaluate", cli.EXIT_RUNTIME,
+                 "kb.csv sample 3 of 66 (test split): the score inf is not a "
+                 "finite number", id="score not finite in evaluate"),
     ("abbreviated flags", cli.EXIT_USAGE,
      "unrecognized arguments: --hid 4 --pop 4 --it 2"),
     ("abbreviated config keys", cli.EXIT_USAGE,
@@ -984,3 +1023,16 @@ def test_kb_parse_error_names_file_and_line(case, kb_csv, trained, tmp_path,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert where in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_import_loads_every_module():
+    # the package ships only what the pipeline runs: a module that
+    # `import tspred.cli` leaves unloaded serves nothing but tests
+    code = ("import pkgutil, sys, tspred, tspred.cli\n"
+            "print(*(m.name for m in pkgutil.iter_modules(tspred.__path__)\n"
+            "        if f'tspred.{m.name}' not in sys.modules))")
+    src = str(Path(tspred.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,21 @@ class TestPredict:
                  np.full(20, elm.ACT_SIGMOID))
         model = identity_model(layer, elm.train(*layer, x, y))
         assert np.all(np.sign(elm.predict_full(model, x)) == y)
+
+    @pytest.mark.parametrize("beta, score", [((1.0, 1.0), "inf"),
+                                             ((1.0, -1.0), "nan")],
+                             ids=["inf", "nan"])
+    def test_non_finite_score_refused_without_warning(self, beta, score):
+        # two linear neurons weigh a finite 1e300 cell past the largest float
+        layer = (np.full((2, 1), 1e10), np.zeros(2),
+                 np.full(2, elm.ACT_LINEAR))
+        model = identity_model(layer, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(elm.NonFiniteScoreError,
+                               match=f"the score {score} is not") as exc:
+                elm.predict_full(model, [[1.0], [1e300], [2.0]])
+        assert exc.value.row == 1
 
 
 def saved_model(path):

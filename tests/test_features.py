@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspred import features, simkit
-from conftest import make_trajectory, separable_kb
+from conftest import make_trajectory, row, separable_kb, simulate_one
 
 
 class TestLabeling:
@@ -25,7 +25,7 @@ class TestLabeling:
     def test_sustained_fault_smib_is_unstable(self, smib):
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=180.0,
                                        horizon=3.0)
-        traj = simkit.simulate_trajectory(smib, sc)
+        traj = simulate_one(smib, sc)
         assert features.label_trajectory(traj) == features.UNSTABLE
 
     def test_agrees_with_pairwise_brute_force(self):
@@ -67,7 +67,7 @@ class TestExtraction:
     def test_equilibrium_trajectory_features_are_static(self, smib):
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=0.0,
                                        horizon=1.0)
-        traj = simkit.simulate_trajectory(smib, sc)
+        traj = simulate_one(smib, sc)
         vec = features.extract_features(traj)
         names = features.feature_names(2)
         for name, value in zip(names, vec):
@@ -77,7 +77,7 @@ class TestExtraction:
     def test_window_out_of_range(self, smib):
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
                                        horizon=0.15)
-        traj = simkit.simulate_trajectory(smib, sc)
+        traj = simulate_one(smib, sc)
         with pytest.raises(features.WindowOutOfRangeError):
             features.extract_features(traj)
 
@@ -87,7 +87,7 @@ class TestExtraction:
             sorted(three_machine.y_fault), [5.3, 6.0, 7.77, 9.9],
             [0.8, 1.0, 1.15, 1.3], seed=2)
         batch = simkit.simulate_scenarios(three_machine, grid)
-        rows = [batch.row(s) for s in range(len(grid))]
+        rows = [row(batch, s) for s in range(len(grid))]
         labels = features.label_trajectory(batch)
         assert labels.tolist() == [features.label_trajectory(r) for r in rows]
         assert set(labels.tolist()) == {features.STABLE, features.UNSTABLE}
@@ -98,7 +98,7 @@ class TestExtraction:
     def test_generator_permutation_permutes_blocks(self, three_machine):
         sc = simkit.SimulationScenario(fault="bus1", clearing_cycles=6.0,
                                        horizon=1.0)
-        traj = simkit.simulate_trajectory(three_machine, sc)
+        traj = simulate_one(three_machine, sc)
         vec = features.extract_features(traj)
         perm = [2, 0, 1]
         permuted = dataclasses.replace(

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspred import cli, features, fixtures, kernels, simkit
+import networks
+from tspred import cli, features, kernels, simkit
+from conftest import simulate_one
 
 REFERENCE_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -55,7 +57,7 @@ def test_angle_gap_equals_ptp(shape):
 def test_clearing_zero_is_a_fixed_point(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=0.0,
                                    horizon=1.0)
-    traj = simkit.simulate_trajectory(smib, sc)
+    traj = simulate_one(smib, sc)
     assert np.max(np.abs(traj.delta_deg - traj.delta_deg[0])) < 1e-6
     assert np.max(np.abs(traj.pm - traj.pe[0])) < 1e-6
 
@@ -98,7 +100,7 @@ def test_empty_scenario_list_refused(smib):
 def test_sustained_fault_goes_unstable(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=180.0,
                                    horizon=3.0)
-    traj = simkit.simulate_trajectory(smib, sc)
+    traj = simulate_one(smib, sc)
     rel = traj.delta_deg[:, 0] - traj.delta_deg[:, 1]
     assert np.all(np.diff(rel) > 0)  # monotone separation while faulted
     assert rel[-1] - rel[0] > 360.0
@@ -106,13 +108,13 @@ def test_sustained_fault_goes_unstable(smib):
 
 def test_smib_critical_clearing_time_matches_equal_area(smib):
     dt = simkit.DEFAULT_STEP
-    analytic = fixtures.smib_critical_clearing_time(smib)
+    analytic = networks.smib_critical_clearing_time(smib)
 
     def stable(t_clear):
         sc = simkit.SimulationScenario(fault="fault",
                                        clearing_cycles=t_clear * smib.f0,
                                        horizon=3.0)
-        traj = simkit.simulate_trajectory(smib, sc)
+        traj = simulate_one(smib, sc)
         return np.max(np.ptp(traj.delta_deg, axis=1)) < 360.0
 
     lo, hi = 0.05, 0.30
@@ -131,7 +133,7 @@ def test_verdict_flips_exactly_once_over_clearing_sweep(smib):
     for cycles in np.arange(5.0, 14.0, 0.5):
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=cycles,
                                        horizon=3.0)
-        traj = simkit.simulate_trajectory(smib, sc)
+        traj = simulate_one(smib, sc)
         verdicts.append(np.max(np.ptp(traj.delta_deg, axis=1)) < 360.0)
     flips = sum(a != b for a, b in zip(verdicts, verdicts[1:]))
     assert flips == 1 and verdicts[0] and not verdicts[-1]
@@ -140,7 +142,7 @@ def test_verdict_flips_exactly_once_over_clearing_sweep(smib):
 def test_stage_continuity_across_clearing(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
                                    horizon=1.0)
-    traj = simkit.simulate_trajectory(smib, sc)
+    traj = simulate_one(smib, sc)
     k = int(round(sc.clearing_time(smib.f0) / sc.step))
     d_delta = np.abs(np.diff(traj.delta_deg[:, 0]))
     d_speed = np.abs(np.diff(traj.speed_dev[:, 0]))
@@ -195,7 +197,7 @@ def test_batch_matches_per_scenario_runs(three_machine):
     assert len(batch.delta_deg) == len(grid) == 48
     labels = features.label_trajectory(batch)
     for s, sc in enumerate(grid):
-        alone = simkit.simulate_trajectory(three_machine, sc)
+        alone = simulate_one(three_machine, sc)
         assert batch.t_clear[s] == alone.t_clear == \
             sc.clearing_time(three_machine.f0)
         assert np.max(np.abs(batch.delta_deg[s] - alone.delta_deg)) < 1e-9
@@ -224,8 +226,8 @@ def test_fixture_kb_matches_frozen_reference(three_machine_kb, tmp_path):
 def test_determinism_byte_identical(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=7.0,
                                    horizon=2.0)
-    t1 = simkit.simulate_trajectory(smib, sc)
-    t2 = simkit.simulate_trajectory(smib, sc)
+    t1 = simulate_one(smib, sc)
+    t2 = simulate_one(smib, sc)
     assert t1.delta_deg.tobytes() == t2.delta_deg.tobytes()
     assert t1.speed_dev.tobytes() == t2.speed_dev.tobytes()
     assert t1.pe.tobytes() == t2.pe.tobytes()
@@ -243,7 +245,7 @@ def test_overflow_guard():
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=600.0,
                                    horizon=100.0, step=5.0)
     with pytest.raises(simkit.NumericOverflowError):
-        simkit.simulate_trajectory(model, sc)
+        simulate_one(model, sc)
 
 
 class TestScenarioGrid:
@@ -433,8 +435,8 @@ class TestModelValidation:
 def test_model_file_round_trip():
     # the committed .sys fixtures are written from the builders; loading
     # them must give the builders' arrays back exactly
-    for name, build in (("three_machine", fixtures.three_machine_model),
-                        ("smib", fixtures.smib_model)):
+    for name, build in (("three_machine", networks.three_machine_model),
+                        ("smib", networks.smib_model)):
         loaded = simkit.load_model(f"fixtures/{name}.sys")
         built = build()
         assert (loaded.name, loaded.f0) == (built.name, built.f0)
