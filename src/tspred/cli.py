@@ -36,6 +36,22 @@ def _sidecar_path(csv_path):
     return str(Path(csv_path).with_suffix(".meta"))
 
 
+def _out(path, what, is_dir=False):
+    """The output `path`, checked before the work: one that names a
+    directory where a file goes, or the reverse, or lies under a file, is
+    refused. A missing `path` is refused as a missing --out `what`."""
+    if not path:
+        raise UsageError(f"missing --out {what}")
+    out = Path(path)
+    if out.exists() and out.is_dir() != is_dir:
+        raise UsageError(f"{path} names an existing "
+                         + ("file" if is_dir else "directory"))
+    under = next(p for p in out.parents if p.exists())
+    if not under.is_dir():
+        raise UsageError(f"{path} lies under the file {under}")
+    return out
+
+
 def _require(path, what):
     if not path:
         raise UsageError(f"missing required {what}")
@@ -47,9 +63,8 @@ def _require(path, what):
 def cmd_generate(args):
     model_path = _require(args.model, "model file")
     grid_path = _require(args.grid, "grid spec")
-    if not args.out:
-        raise UsageError("missing --out path for the knowledge base")
-    sidecar_path = _sidecar_path(args.out)
+    out_path = _out(args.out, "path for the knowledge base")
+    sidecar_path = _out(_sidecar_path(out_path), "sidecar path")
     model = simkit.load_model(model_path)
     spec = simkit.load_grid_spec(grid_path)
     if args.seed is not None:
@@ -69,8 +84,8 @@ def cmd_generate(args):
                          f"{model.f0:g} Hz)") from exc
     kb = features.build_knowledge_base(
         traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    features.save_knowledge_base(kb, args.out, sidecar_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    features.save_knowledge_base(kb, out_path, sidecar_path)
     n_stable = int(np.sum(kb.labels == features.STABLE))
     print(f"seed {spec['seed']}")
     print(f"wrote {kb.n_samples} samples ({kb.n_features} features) "
@@ -127,11 +142,26 @@ def _optimize_once(ctx, fitness, seed, optimizer, args):
     return result, time.perf_counter() - t0
 
 
+def _standardize(kb, split, args):
+    """`features.standardize` of the KB by its training rows; statistics
+    that overflow are refused before the search, naming the column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = features.standardize(kb.samples, split.train)
+    means, stds = scaled[1:]
+    finite = np.isfinite(means) & np.isfinite(stds)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise features.FeatureError(
+            f"{args.kb}: CSV column {j + 2}: the training rows give mean "
+            f"{float(means[j])!r} and std {float(stds[j])!r}, not both "
+            "finite numbers")
+    return scaled
+
+
 def cmd_optimize(args):
-    if not args.out:
-        raise UsageError("missing --out directory")
+    out_dir = _out(args.out, "directory", is_dir=True)
     kb, split, seed = _prepare_training(args)
-    scaled = features.standardize(kb.samples, split.train)
+    scaled = _standardize(kb, split, args)
     ctx = _fitness_context(kb, split, scaled[0], seed, args)
     result, elapsed = _optimize_once(ctx, ctx, seed, args.optimizer, args)
     a, b, mask, cf = swarm.decode_particle(result.best_position, ctx.spec)
@@ -139,7 +169,6 @@ def cmd_optimize(args):
     w = a[:, mask]
     beta = elm.train(w, b, cf, ctx.samples[:, mask], ctx.labels)
     model = elm.ElmModel(w, b, cf, beta, mask, *scaled[1:])
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.elm"
     trace_path = out_dir / "trace.csv"
@@ -158,8 +187,7 @@ def cmd_optimize(args):
 
 def cmd_evaluate(args):
     model_path = _require(args.model, "model file")
-    if not args.out:
-        raise UsageError("missing --out directory")
+    out_dir = _out(args.out, "directory", is_dir=True)
     kb, split, seed = _prepare_training(args)
     model = elm.load_model(model_path)
     rows = []
@@ -171,7 +199,6 @@ def cmd_evaluate(args):
             raise elm.ElmError(f"{args.kb} sample {idx[exc.row] + 1} of "
                                f"{kb.n_samples} ({name} split): {exc}"
                                ) from None
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics.save_report_csv(rows, out_dir / "metrics.csv")
     text = (f"seed {seed}\n"
@@ -184,12 +211,11 @@ def cmd_evaluate(args):
 
 
 def cmd_compare(args):
-    if not args.out:
-        raise UsageError("missing --out path for the comparison CSV")
+    out_path = _out(args.out, "path for the comparison CSV")
     if args.repeats < 1:
         raise UsageError("repeats must be at least 1")
     kb, split, seed = _prepare_training(args)
-    scaled = features.standardize(kb.samples, split.train)
+    scaled = _standardize(kb, split, args)
     runs = {name: [] for name in swarm.OPTIMIZERS}
     for r in range(args.repeats):
         # the optimizers of a repeat start from one seeded population, and
@@ -208,7 +234,6 @@ def cmd_compare(args):
                  elapsed + shared.saved_s - saved))
     best_overall = max(f for rows in runs.values() for f, _, _ in rows)
     threshold = 0.95 * best_overall
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     det_lines = ["algorithm,mean_best_fitness,success_rate,"
                  "mean_effective_nodes"]

@@ -3,13 +3,16 @@
 Hidden weights and biases come from outside (random draws or an
 optimizer); only the output weights are fitted, by the minimal-norm
 least-squares solve through the Moore-Penrose pseudoinverse.
+
+A trained model is saved as one numpy archive (`np.savez` into the path
+given, `model.elm` from `optimize`) and read back with pickles refused;
+`ElmModel` checks what it reads as it checks a model built in memory.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
 from .features import apply_standardization
 
 ACT_OFF = 0
@@ -18,6 +21,16 @@ ACT_LINEAR = 2
 
 # pseudoinverse: singular values at or below this · max(N, L) · s_max are 0
 PINV_RTOL = 1e-12
+
+# each ElmModel field's dtype and dimension count; a saved model holds one
+# array per field, under the field's name
+_FIELDS = (("input_weights", float, 2), ("biases", float, 1),
+           ("activations", int, 1), ("output_weights", float, 1),
+           ("feature_mask", bool, 1), ("means", float, 1), ("stds", float, 1))
+# the dtype kinds a saved array of each field may hold
+_KINDS = {name: {float: ("f", "floats"), int: ("iu", "integers"),
+                 bool: ("b", "booleans")}[dtype]
+          for name, dtype, _ in _FIELDS}
 
 
 class ElmError(Exception):
@@ -77,7 +90,8 @@ class ElmModel:
 
     Every array is a read-only copy, so one model can be shared; a
     non-finite weight or statistic, an unknown activation code, no active
-    neuron or feature, a negative std, or sizes that disagree, are refused.
+    neuron or feature, a negative std, an array of the wrong dimension
+    count, or sizes that disagree, are refused.
     """
 
     input_weights: np.ndarray    # (L, n), n = mask bits set
@@ -89,12 +103,14 @@ class ElmModel:
     stds: np.ndarray             # (n_full,)
 
     def __post_init__(self):
-        for name, dtype, ndmin in (
-                ("input_weights", float, 2), ("biases", float, 0),
-                ("activations", int, 0), ("output_weights", float, 0),
-                ("feature_mask", bool, 0), ("means", float, 0),
-                ("stds", float, 0)):
-            arr = np.array(getattr(self, name), dtype=dtype, ndmin=ndmin)
+        for name, dtype, ndim in _FIELDS:
+            # row-major whatever the caller's layout, which the matmul's
+            # last digits follow: a model scores the same however its
+            # arrays were cut
+            arr = np.array(getattr(self, name), dtype=dtype, order="C")
+            if arr.ndim != ndim:
+                raise ShapeMismatchError(
+                    f"{name}: {arr.ndim} dimensions, not {ndim}")
             if not np.all(np.isfinite(arr)):
                 raise ElmError(f"non-finite {name.replace('_', ' ')}")
             arr.setflags(write=False)
@@ -166,103 +182,70 @@ def predict_full(model, x_full):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _vector_line(name, values):
-    return name + " " + " ".join(repr(float(v)) for v in values)
-
-
 def save_model(model, path):
-    hidden, input_dim = model.input_weights.shape
-    lines = [
-        f"hidden {hidden}",
-        f"input_dim {input_dim}",
-        _vector_line("biases", model.biases),
-        "activations " + " ".join(str(int(c)) for c in model.activations),
-        _vector_line("beta", model.output_weights),
-        *(_vector_line("w", row) for row in model.input_weights),
-        "mask " + " ".join(str(int(m)) for m in model.feature_mask),
-        _vector_line("means", model.means),
-        _vector_line("stds", model.stds),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the model as one numpy archive, an array per field named as
+    the field. Through a file handle numpy adds no `.npz` to `path`, and
+    its zip entries carry a fixed timestamp, so a model has one byte form.
+    """
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: getattr(model, name) for name, _, _ in _FIELDS})
 
 
-# (bytes, model) of the last .elm file this process parsed; the key is the
+# (bytes, model) of the last model file this process read; the key is the
 # whole content, so an edited file never matches and a refused one is
 # never stored
 _last_model = (None, None)
 
 
 def load_model(path):
-    """Read an .elm file; refuse one that lacks a line or whose sizes
-    disagree.
+    """Read a model archive; refuse one that is not an archive, is
+    truncated or corrupt, lacks an array or holds another, holds an array
+    of the wrong dtype kind, or whose arrays ElmModel refuses.
 
-    A file holding the same bytes as the last model parsed in this process
-    returns that same (read-only) model without parsing it again.
+    A file holding the same bytes as the last model read in this process
+    returns that same (read-only) model without reading it again.
     """
     global _last_model
     with open(path, "rb") as fh:
         data = fh.read()
-    if data == _last_model[0]:
-        return _last_model[1]
-    model = _parse_model(data, path)
+        if data == _last_model[0]:
+            return _last_model[1]
+        fh.seek(0)
+        try:
+            model = ElmModel(**_read_arrays(fh, data))
+        except ElmError as exc:
+            raise ElmError(f"malformed model file {path}: {exc}") from None
     _last_model = (data, model)
     return model
 
 
-_ONCE_LINES = ("hidden", "input_dim", "biases", "activations", "beta", "mask",
-               "means", "stds")
-
-
-def _parse_model(data, path):
-    # every line but `w` (one per hidden neuron) appears once; each line's
-    # values are converted as it is read, so a bad one is named by its line
-    fields = {"w": []}
-    for n, key, value in textio.directives(data, path, error=ElmError,
-                                           once=_ONCE_LINES):
-        if key != "w" and key not in _ONCE_LINES:
-            continue                    # not a model line: ignored
-        try:
-            parsed = _model_line(key, value.split())
-        except ValueError as exc:
-            raise ElmError(
-                f"malformed model file {path} line {n}: {exc}") from None
-        if key == "w":
-            fields["w"].append(parsed)
-        else:
-            fields[key] = parsed
+def _read_arrays(fh, data):
+    """The field arrays of the archive `fh`, whose bytes are `data`."""
+    if data[:4] not in (b"PK\x03\x04", b"PK\x05\x06"):
+        raise ElmError("not a numpy archive (a text model from an earlier "
+                       "version is no longer read: rerun optimize)")
+    arrays, name = {}, None
     try:
-        model = ElmModel(
-            input_weights=fields["w"], biases=fields["biases"],
-            activations=fields["activations"], output_weights=fields["beta"],
-            feature_mask=fields["mask"], means=fields["means"],
-            stds=fields["stds"])
-        hidden, input_dim = fields["hidden"], fields["input_dim"]
-    except KeyError as exc:
-        raise ElmError(
-            f"malformed model file {path}: no {exc.args[0]} line") from exc
-    except (ValueError, ElmError) as exc:
-        raise ElmError(f"malformed model file {path}: {exc}") from exc
-    rows, cols = model.input_weights.shape
-    for what, stated, actual in (
-            ("hidden vs hidden-layer rows", hidden, rows),
-            ("input_dim vs w columns", input_dim, cols)):
-        if stated != actual:
-            raise ShapeMismatchError(
-                f"malformed model file {path}: {what}: {stated} != {actual}")
-    return model
-
-
-def _model_line(key, tokens):
-    """The value of one `.elm` line from its whitespace-split tokens."""
-    if key in ("hidden", "input_dim"):
-        if len(tokens) != 1:
-            raise ValueError(f"the {key} line must hold exactly one value")
-        return int(tokens[0])
-    if key == "activations":
-        return [int(v) for v in tokens]
-    if key == "mask":
-        if not set(tokens) <= {"0", "1"}:
-            raise ValueError("mask tokens must be 0 or 1")
-        return [v == "1" for v in tokens]
-    return [float(v) for v in tokens]
+        with np.load(fh, allow_pickle=False) as npz:
+            names = npz.files
+            for name in names:
+                arrays[name] = npz[name]
+    except Exception as exc:
+        # zipfile, zlib and numpy's .npy reader each raise their own errors
+        # on damaged bytes, and an object array is refused as a ValueError
+        where = f"the {name} array" if name else "truncated or corrupt archive"
+        raise ElmError(f"{where}: {exc}") from None
+    for name in names:
+        if names.count(name) > 1:
+            raise ElmError(f"a second {name} array")
+        if name not in _KINDS:
+            raise ElmError(f"an array {name!r} that no model field names")
+    for name, (kinds, what) in _KINDS.items():
+        arr = arrays.get(name)
+        if arr is None:
+            raise ElmError(f"no {name} array")
+        if not isinstance(arr, np.ndarray):
+            raise ElmError(f"the {name} member is not an .npy array")
+        if arr.dtype.kind not in kinds:
+            raise ElmError(f"the {name} array holds {arr.dtype}, not {what}")
+    return arrays

@@ -1,7 +1,8 @@
-"""The line grammar of the text inputs: .sys, .grid, --config, .elm, the
-knowledge base CSV and its .meta sidecar (a `seed` and a `provenance`
-line), and predict rows; and the one reading of a seed, shared by --seed,
-the .grid and the sidecar."""
+"""The line grammar of the text inputs: the files people write (.sys,
+.grid, --config), the knowledge base CSV and its .meta sidecar (a `seed`
+and a `provenance` line), and predict rows; and the one reading of a seed,
+shared by --seed, the .grid and the sidecar. A trained model is a numpy
+archive, read by `elm.load_model`."""
 
 import numpy as np
 

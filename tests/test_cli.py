@@ -5,6 +5,8 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -582,13 +584,14 @@ class TestPredict:
 
     def test_model_without_mask_runtime_error(self, kb_csv, trained,
                                               tmp_path, capsys):
-        text = (trained / "model.elm").read_text()
+        with np.load(trained / "model.elm") as npz:
+            arrays = dict(npz)
         bare = tmp_path / "bare.elm"
-        bare.write_text(re.sub(r"^mask .*\n", "", text, flags=re.M))
+        _write_model(bare, 0, **{**arrays, "feature_mask": None})
         row = kb_csv.read_text().splitlines()[1]
         assert run(["predict", "--model", str(bare),
                     f"--row={row}"]) == cli.EXIT_RUNTIME
-        assert "no mask line" in capsys.readouterr().err
+        assert "no feature_mask array" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_row_usage_error(self, kb_csv, trained, tmp_path,
@@ -625,11 +628,11 @@ class TestPredict:
 
     def test_model_with_bad_mask_runtime_error(self, kb_csv, trained,
                                                tmp_path, capsys):
-        text = (trained / "model.elm").read_text().splitlines()
+        with np.load(trained / "model.elm") as npz:
+            arrays = dict(npz)
         bad = tmp_path / "bad.elm"
-        bad.write_text("\n".join(
-            " ".join(["mask"] + ["1"] * (len(ln.split()) - 1))
-            if ln.startswith("mask") else ln for ln in text) + "\n")
+        _write_model(bad, 0, **{**arrays, "feature_mask": np.ones_like(
+            arrays["feature_mask"])})
         row = kb_csv.read_text().splitlines()[1]
         assert run(["predict", "--model", str(bad),
                     f"--row={row}"]) == cli.EXIT_RUNTIME
@@ -677,6 +680,30 @@ class TestPredict:
         assert "not allowed with argument" in captured.err
 
 
+def _write_model(path, n, **arrays):
+    """Write a model archive of one sigmoid neuron of weight 1 on the first
+    of `n` features, with zero means and unit stds; `arrays` replace arrays
+    by name, and None drops one."""
+    model = {"input_weights": np.ones((1, 1)), "biases": np.zeros(1),
+             "activations": np.ones(1, dtype=int),
+             "output_weights": np.ones(1), "feature_mask": np.arange(n) == 0,
+             "means": np.zeros(n), "stds": np.ones(n), **arrays}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in model.items() if v is not None})
+
+
+def _write_huge_kb(kb_csv, kb):
+    """Copy the KB to `kb` with every cell but the label of its lines 3-40
+    set to 1e300: finite, but past what a square or a sum of squares
+    holds."""
+    lines = kb_csv.read_text().splitlines(keepends=True)
+    n = lines[0].count(",")
+    for i in range(2, 40):
+        lines[i] = lines[i].split(",", 1)[0] + ",1e300" * n + "\n"
+    kb.write_text("".join(lines))
+    shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
+
+
 def _write_malformed(case, kb_csv, tmp_path):
     """Write the input of one malformed case; returns the argv to run.
     A "\udcff" in the text is written as the byte 0xff, which is not
@@ -722,24 +749,37 @@ def _write_malformed(case, kb_csv, tmp_path):
         return ["optimize", "--kb", str(kb), "--out", str(tmp_path / "run"),
                 "--hidden", "4", "--population", "4", "--iterations", "1"]
     if case.startswith(("elm", "predict")) and not case.startswith("elm no"):
-        text = ("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 1\n"
-                "beta 1.0\nw 1.0\nmask 1 0\nmeans 0.0 0.0\nstds 1.0 1.0\n")
-        edit = {"elm nan mean": ("means 0.0", "means nan"),
-                "elm repeated beta": ("beta 1.0\n", "beta 1.0\nbeta 2.0\n"),
-                "elm text weight": ("w 1.0", "w abc"),
-                "elm extra hidden value": ("hidden 1", "hidden 1 99"),
-                "elm mask token 2": ("mask 1 0", "mask 1 2"),
-                "elm activation code 3": ("activations 1", "activations 3"),
-                "elm negative std": ("stds 1.0", "stds -1.0"),
-                "elm all neurons off": ("activations 1", "activations 0"),
-                "elm empty mask": ("input_dim 1\nbiases 0.0\nactivations 1\n"
-                                   "beta 1.0\nw 1.0\nmask 1 0",
-                                   "input_dim 0\nbiases 0.0\nactivations 1\n"
-                                   "beta 1.0\nw\nmask 0 0"),
-                "elm utf-8": ("w 1.0", "w 1.0\udcff"),
-                "predict input utf-8": ("", "")}
         model = tmp_path / "model.elm"
-        model.write_text(text.replace(*edit[case]), errors="surrogateescape")
+        _write_model(model, 2, **{
+            "elm nan mean": {"means": np.array([np.nan, 0.0])},
+            "elm corrupt member": {"means": np.array([0.25, -0.5])},
+            "elm activation code 3": {"activations": np.array([3])},
+            "elm float activations": {"activations": np.ones(1)},
+            "elm int mask": {"feature_mask": np.array([1, 2])},
+            "elm negative std": {"stds": np.array([-1.0, 1.0])},
+            "elm all neurons off": {"activations": np.zeros(1, dtype=int)},
+            "elm empty mask": {"input_weights": np.ones((1, 0)),
+                               "feature_mask": np.zeros(2, dtype=bool)},
+            "elm extra array": {"hidden": np.array(1)},
+            "elm object array": {"means": np.zeros(2, dtype=object)},
+        }.get(case, {}))
+        data = model.read_bytes()
+        if case == "elm text model":    # the format of earlier versions
+            model.write_text("hidden 1\ninput_dim 1\nbiases 0.0\n"
+                             "activations 1\nbeta 1.0\nw 1.0\nmask 1 0\n"
+                             "means 0.0 0.0\nstds 1.0 1.0\n")
+        elif case == "elm truncated":
+            model.write_bytes(data[:200])
+        elif case == "elm corrupt member":
+            at = data.index(np.array([0.25, -0.5]).tobytes())
+            model.write_bytes(data[:at] + bytes([data[at] ^ 1])
+                              + data[at + 1:])
+        elif case == "elm repeated beta":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # "Duplicate name"
+                with zipfile.ZipFile(model, "a") as zf, \
+                        zf.open("output_weights.npy", "w") as member:
+                    np.lib.format.write_array(member, np.full(1, 2.0))
         if case == "predict input utf-8":
             rows = tmp_path / "rows.csv"
             rows.write_text("1.0,2.0\n1.0,\udcff2.0\n",
@@ -749,14 +789,10 @@ def _write_malformed(case, kb_csv, tmp_path):
     if case.startswith("elm no"):
         # one linear neuron on the first of the KB's features
         n = kb_csv.read_text().split("\n", 1)[0].count(",")
-        lines = ["hidden 1", "input_dim 1", "biases 0.0", "activations 2",
-                 "beta 1.0", "w 1.0", "mask 1" + " 0" * (n - 1),
-                 "means" + " 0.0" * n, "stds" + " 1.0" * n]
-        dropped = {"elm no stds": ("stds",),
-                   "elm no standardization": ("means", "stds")}[case]
         model = tmp_path / "model.elm"
-        model.write_text("".join(ln + "\n" for ln in lines
-                                 if ln.split()[0] not in dropped))
+        _write_model(model, n, activations=np.array([2]), stds=None,
+                     **({"means": None} if case == "elm no standardization"
+                        else {}))
         return ["evaluate", "--kb", str(kb_csv), "--model", str(model),
                 "--out", str(tmp_path / "run")]
     if case.startswith("score"):
@@ -764,20 +800,40 @@ def _write_malformed(case, kb_csv, tmp_path):
         # takes a 1e300 cell past the largest float
         n = kb_csv.read_text().split("\n", 1)[0].count(",")
         model = tmp_path / "model.elm"
-        model.write_text("hidden 1\ninput_dim 1\nbiases 0.0\nactivations 2\n"
-                         "beta 1.0\nw 1e10\nmask 1" + " 0" * (n - 1)
-                         + "\nmeans" + " 0.0" * n + "\nstds" + " 1.0" * n
-                         + "\n")
+        _write_model(model, n, activations=np.array([2]),
+                     input_weights=np.array([[1e10]]))
         huge = ",".join(["1e300"] * n)
         if case == "score not finite in predict":
             return ["predict", "--model", str(model), f"--row={huge}"]
-        lines = kb_csv.read_text().splitlines(keepends=True)
-        for i in range(2, 40):      # lines 3-40 keep their labels
-            lines[i] = lines[i].split(",", 1)[0] + "," + huge + "\n"
-        kb.write_text("".join(lines))
-        shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
+        _write_huge_kb(kb_csv, kb)
         return ["evaluate", "--kb", str(kb), "--model", str(model),
                 "--out", str(tmp_path / "run")]
+    if case.startswith("huge"):
+        _write_huge_kb(kb_csv, kb)
+        return [case.split()[-1], "--kb", str(kb), "--out",
+                str(tmp_path / "run"), "--hidden", "4", "--population", "4",
+                "--iterations", "1"]
+    if case.startswith("out"):
+        # `--out` names the file `taken`, or a path under it
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        command, where = case.split()[1], case.split(" ", 2)[2]
+        out = {"names a file": taken, "under a file": taken / "sub" / "x",
+               "names a directory": tmp_path,
+               "sidecar names a directory": tmp_path / "run.csv"}[where]
+        if where.startswith("sidecar"):
+            (tmp_path / "run.meta").mkdir()
+        if command == "generate":
+            return ["generate", "--model", f"{FIXTURES}/smib.sys", "--grid",
+                    f"{FIXTURES}/smib.grid", "--out", str(out)]
+        argv = [command, "--kb", str(kb_csv), "--out", str(out)]
+        if command == "evaluate":
+            model = tmp_path / "model.elm"
+            n = kb_csv.read_text().split("\n", 1)[0].count(",")
+            _write_model(model, n)
+            return argv + ["--model", str(model)]
+        return argv + ["--hidden", "4", "--population", "4",
+                       "--iterations", "1"]
     if case.startswith(("abbreviated", "config")):
         argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
         if case == "abbreviated flags":
@@ -875,25 +931,55 @@ def _write_malformed(case, kb_csv, tmp_path):
     ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
     ("kb utf-8", cli.EXIT_RUNTIME,
      "kb.csv line 3: 'utf-8' codec can't decode byte 0xff in position"),
-    ("elm nan mean", cli.EXIT_RUNTIME, "non-finite means"),
-    ("elm repeated beta", cli.EXIT_RUNTIME,
-     "model.elm line 6: a second 'beta' line"),
-    ("elm text weight", cli.EXIT_RUNTIME,
-     "model.elm line 6: could not convert string to float: 'abc'"),
-    ("elm extra hidden value", cli.EXIT_RUNTIME,
-     "model.elm line 1: the hidden line must hold exactly one value"),
-    ("elm mask token 2", cli.EXIT_RUNTIME,
-     "model.elm line 7: mask tokens must be 0 or 1"),
-    ("elm activation code 3", cli.EXIT_RUNTIME,
-     "activation codes must be 0, 1 or 2"),
-    ("elm negative std", cli.EXIT_RUNTIME, "stds must not be negative"),
-    ("elm all neurons off", cli.EXIT_RUNTIME,
-     "activations: no active neuron"),
-    ("elm empty mask", cli.EXIT_RUNTIME, "feature_mask: no feature selected"),
-    ("elm no stds", cli.EXIT_RUNTIME, "no stds line"),
-    ("elm no standardization", cli.EXIT_RUNTIME, "no means line"),
-    ("elm utf-8", cli.EXIT_RUNTIME,
-     "model.elm line 6: 'utf-8' codec can't decode byte 0xff in position 60:"),
+    pytest.param("elm nan mean", cli.EXIT_RUNTIME,
+                 "model.elm: non-finite means",
+                 id="elm nan mean"),
+    pytest.param("elm repeated beta", cli.EXIT_RUNTIME,
+                 "model.elm: a second output_weights array",
+                 id="elm repeated beta"),
+    pytest.param("elm text model", cli.EXIT_RUNTIME,
+                 "model.elm: not a numpy archive (a text model from an "
+                 "earlier version is no longer read: rerun optimize)",
+                 id="elm text model"),
+    pytest.param("elm truncated", cli.EXIT_RUNTIME,
+                 "model.elm: truncated or corrupt archive: File is not a zip "
+                 "file",
+                 id="elm truncated"),
+    pytest.param("elm corrupt member", cli.EXIT_RUNTIME,
+                 "model.elm: the means array: Bad CRC-32 for file 'means.npy'",
+                 id="elm corrupt member"),
+    pytest.param("elm extra array", cli.EXIT_RUNTIME,
+                 "model.elm: an array 'hidden' that no model field names",
+                 id="elm extra array"),
+    pytest.param("elm object array", cli.EXIT_RUNTIME,
+                 "model.elm: the means array: Object arrays cannot be loaded "
+                 "when allow_pickle=False",
+                 id="elm object array"),
+    pytest.param("elm float activations", cli.EXIT_RUNTIME,
+                 "model.elm: the activations array holds float64, not "
+                 "integers",
+                 id="elm float activations"),
+    pytest.param("elm int mask", cli.EXIT_RUNTIME,
+                 "model.elm: the feature_mask array holds int64, not booleans",
+                 id="elm int mask"),
+    pytest.param("elm activation code 3", cli.EXIT_RUNTIME,
+                 "model.elm: activation codes must be 0, 1 or 2",
+                 id="elm activation code 3"),
+    pytest.param("elm negative std", cli.EXIT_RUNTIME,
+                 "model.elm: stds must not be negative",
+                 id="elm negative std"),
+    pytest.param("elm all neurons off", cli.EXIT_RUNTIME,
+                 "model.elm: activations: no active neuron",
+                 id="elm all neurons off"),
+    pytest.param("elm empty mask", cli.EXIT_RUNTIME,
+                 "model.elm: feature_mask: no feature selected",
+                 id="elm empty mask"),
+    pytest.param("elm no stds", cli.EXIT_RUNTIME,
+                 "model.elm: no stds array",
+                 id="elm no stds"),
+    pytest.param("elm no standardization", cli.EXIT_RUNTIME,
+                 "model.elm: no means array",
+                 id="elm no standardization"),
     ("predict input utf-8", cli.EXIT_USAGE,
      "rows.csv line 2: 'utf-8' codec can't decode byte 0xff in position 12:"),
     ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
@@ -984,15 +1070,50 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("score not finite in evaluate", cli.EXIT_RUNTIME,
                  "kb.csv sample 3 of 66 (test split): the score inf is not a "
                  "finite number", id="score not finite in evaluate"),
+    pytest.param("huge cells in optimize", cli.EXIT_RUNTIME,
+                 "kb.csv: CSV column 2: the training rows give mean "
+                 "5.2272727272727295e+299 and std inf, not both finite "
+                 "numbers", id="huge cells in optimize"),
+    pytest.param("huge cells in compare", cli.EXIT_RUNTIME,
+                 "kb.csv: CSV column 2: the training rows give mean "
+                 "5.2272727272727295e+299 and std inf, not both finite "
+                 "numbers", id="huge cells in compare"),
+    pytest.param("out optimize names a file", cli.EXIT_USAGE,
+                 "names an existing file", id="out optimize names a file"),
+    pytest.param("out evaluate names a file", cli.EXIT_USAGE,
+                 "names an existing file", id="out evaluate names a file"),
+    pytest.param("out optimize under a file", cli.EXIT_USAGE,
+                 "lies under the file", id="out optimize under a file"),
+    pytest.param("out compare under a file", cli.EXIT_USAGE,
+                 "lies under the file", id="out compare under a file"),
+    pytest.param("out generate under a file", cli.EXIT_USAGE,
+                 "lies under the file", id="out generate under a file"),
+    pytest.param("out compare names a directory", cli.EXIT_USAGE,
+                 "names an existing directory",
+                 id="out compare names a directory"),
+    pytest.param("out generate names a directory", cli.EXIT_USAGE,
+                 "names an existing directory",
+                 id="out generate names a directory"),
+    pytest.param("out generate sidecar names a directory", cli.EXIT_USAGE,
+                 "run.meta names an existing directory",
+                 id="out generate sidecar names a directory"),
     ("abbreviated flags", cli.EXIT_USAGE,
      "unrecognized arguments: --hid 4 --pop 4 --it 2"),
     ("abbreviated config keys", cli.EXIT_USAGE,
      "unrecognized arguments: --pop=4 --iter=2 --hid=4"),
 ])
 def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
-                                   capsys):
-    # never a traceback: a blank KB record is skipped, the rest refused
+                                   capsys, monkeypatch):
+    # never a traceback: a blank KB record is skipped, the rest refused;
+    # and a refusal comes before the work, with no RK4 step or fitness
+    # evaluation (a non-finite score in evaluate needs neither)
     argv = _write_malformed(case, kb_csv, tmp_path)
+    calls = []
+    for module, name in ((kernels, "rk4_step"), (swarm, "evaluate_fitness")):
+        def counted(*args, _run=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(module, name, counted)
     try:
         exit_code = run(argv)
     except SystemExit as exc:       # argparse refuses the grammar's errors
@@ -1000,6 +1121,9 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
     assert exit_code == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    # the one accepted row runs the search, so the wrappers see the work
+    assert bool(calls) == (code == cli.EXIT_OK), \
+        f"{len(calls)} calls: {sorted(set(calls))}"
 
 
 @pytest.mark.parametrize("case", ["kb ragged row", "kb text cell",

@@ -1,6 +1,8 @@
 import dataclasses
 import re
+import time
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -284,48 +286,147 @@ def saved_model(path):
     return model
 
 
+def fields(model):
+    """The model's arrays by field name, as `save_model` stores them."""
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+
+
+def write_archive(path, arrays):
+    """Write `arrays` (name → array) as a numpy archive at `path`."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def test_model_file_round_trip(tmp_path):
+    # every array comes back bit for bit, with its dtype
     path = tmp_path / "model.elm"
     model = saved_model(path)
     loaded = elm.load_model(path)
-    raw = np.random.default_rng(12).normal(size=(4, 5))
-    assert np.allclose(elm.predict_full(loaded, raw),
-                       elm.predict_full(model, raw), atol=1e-12)
-    assert np.array_equal(loaded.feature_mask, model.feature_mask)
+    for name, arr in fields(model).items():
+        back = getattr(loaded, name)
+        assert back.dtype == arr.dtype and back.shape == arr.shape, name
+        assert back.tobytes() == arr.tobytes(), name
+    assert [str(arr.dtype) for arr in fields(loaded).values()] == [
+        "float64", "float64", "int64", "float64", "bool", "float64",
+        "float64"]
 
 
-@pytest.mark.parametrize("pattern, replacement", [
-    (r"^mask .*$", "mask 1 1 1 1 1"),       # 5 bits set for 3 inputs
-    (r"^w .*\n(?=mask)", ""),                # drop the last w row
-    (r"^hidden 6$", "hidden 7"),
-    (r"^input_dim 3$", "input_dim 4"),
-    (r"^(means .*) \S+$", r"\1"),             # one mean short
-    (r"^mask 1 0", "mask 1 2"),              # only 1 selects, 0 drops
-    (r"^mask 1 0", "mask 1 0.0"),
-], ids=["all-ones mask", "dropped w row", "hidden line", "input_dim line",
-        "short means", "mask token 2", "mask token 0.0"])
-def test_model_file_shape_mismatch_refused(tmp_path, pattern, replacement):
+def test_reloaded_model_scores_the_same_bits(tmp_path):
+    # weights cut by the mask from a wider matrix, as optimize cuts them,
+    # are column-major; a model keeps every array row-major, the layout
+    # earlier versions read from text, so scores keep their last digits,
+    # and the saved copy scores exactly as the model did
+    rng = np.random.default_rng(15)
+    mask = np.array([True, False, True, True, False] * 8)
+    w = rng.normal(size=(30, 40))[:, mask]
+    assert not w.flags.c_contiguous
+    model = elm.ElmModel(w, rng.normal(size=30), np.tile([1, 2], 15),
+                         rng.normal(size=30) * 1e6, mask,
+                         rng.normal(size=40), rng.uniform(0.5, 2.0, size=40))
+    assert model.input_weights.flags.c_contiguous
+    elm.save_model(model, tmp_path / "model.elm")
+    raw = rng.normal(size=(50, 40))
+    assert np.array_equal(
+        elm.predict_full(elm.load_model(tmp_path / "model.elm"), raw),
+        elm.predict_full(model, raw))
+
+
+def test_model_file_bytes_do_not_depend_on_the_clock(tmp_path):
+    # the archive's entries carry no write time: a model has one byte form
+    first, second = tmp_path / "first.elm", tmp_path / "second.elm"
+    model = saved_model(first)
+    time.sleep(1.1)
+    elm.save_model(model, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes()[:4] == b"PK\x03\x04"
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("feature_mask", lambda a: np.ones_like(a)),    # 5 bits set for 3 inputs
+    ("input_weights", lambda a: a[:-1]),
+    ("means", lambda a: a[:-1]),
+    ("biases", lambda a: a[:, None]),
+], ids=["all-ones mask", "dropped w row", "short means", "2-D biases"])
+def test_model_file_shape_mismatch_refused(tmp_path, field, edit):
     path = tmp_path / "model.elm"
-    saved_model(path)
-    text = path.read_text()
-    edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
-    assert edited != text
-    path.write_text(edited)
-    with pytest.raises(elm.ElmError, match="model file"):
+    arrays = fields(saved_model(path))
+    arrays[field] = edit(arrays[field])
+    write_archive(path, arrays)
+    with pytest.raises(elm.ElmError, match="malformed model file"):
         elm.load_model(path)
 
 
-@pytest.mark.parametrize("line", ["mask", "means", "stds"])
-def test_model_file_missing_line_refused(tmp_path, line):
+@pytest.mark.parametrize("field", ["input_weights", "biases", "activations",
+                                   "output_weights", "feature_mask", "means",
+                                   "stds"])
+def test_model_file_missing_array_refused(tmp_path, field):
     # a model without its mask or its standardization would score the
     # wrong columns, or raw rows as if standardized
     path = tmp_path / "model.elm"
+    arrays = fields(saved_model(path))
+    del arrays[field]
+    write_archive(path, arrays)
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: no {field} array")):
+        elm.load_model(path)
+
+
+@pytest.mark.parametrize("field, dtype, what", [
+    ("input_weights", int, "floats"),
+    ("activations", float, "integers"),
+    ("feature_mask", int, "booleans"),      # a 2 would read as selected
+    ("feature_mask", float, "booleans"),
+    ("stds", complex, "floats"),
+], ids=["int weights", "float activations", "int mask", "float mask",
+        "complex stds"])
+def test_model_file_dtype_kind_refused(tmp_path, field, dtype, what):
+    # ElmModel would cast each of these to its field's dtype unasked
+    path = tmp_path / "model.elm"
+    arrays = fields(saved_model(path))
+    arrays[field] = arrays[field].astype(dtype)
+    write_archive(path, arrays)
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: the {field} array holds "
+            f"{arrays[field].dtype}, not {what}")):
+        elm.load_model(path)
+
+
+@pytest.mark.parametrize("field", ["output_weights", "feature_mask", "means"])
+def test_model_file_repeated_array_refused(tmp_path, field):
+    # zip allows two members of one name, and numpy would read the last
+    path = tmp_path / "model.elm"
+    arrays = fields(saved_model(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # zipfile's "Duplicate name"
+        with zipfile.ZipFile(path, "a") as zf, \
+                zf.open(f"{field}.npy", "w") as member:
+            np.lib.format.write_array(member, arrays[field])
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: a second {field} array")):
+        elm.load_model(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"hidden 1\ninput_dim 1\nbiases 0.0\nactivations 1\nbeta 1.0\nw 1.0\n"
+    b"mask 1 0\nmeans 0.0 0.0\nstds 1.0 1.0\n", b"", b"\x93NUMPY"],
+    ids=["text model", "empty file", "npy file"])
+def test_model_file_not_an_archive_refused(tmp_path, text):
+    # a text model of an earlier version is refused with what to do
+    path = tmp_path / "model.elm"
+    path.write_bytes(text)
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: not a numpy archive (a text model "
+            "from an earlier version is no longer read: rerun optimize)")):
+        elm.load_model(path)
+
+
+@pytest.mark.parametrize("keep", [200, -1, -30])
+def test_model_file_truncated_refused(tmp_path, keep):
+    path = tmp_path / "model.elm"
     saved_model(path)
-    text = path.read_text()
-    edited = re.sub(rf"^{line} .*\n", "", text, flags=re.M)
-    assert edited != text
-    path.write_text(edited)
-    with pytest.raises(elm.ElmError, match=f"model file.*no {line} line"):
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(elm.ElmError, match=re.escape(
+            f"malformed model file {path}: truncated or corrupt archive: ")):
         elm.load_model(path)
 
 
@@ -343,77 +444,25 @@ def test_model_sizes_checked_on_construction(tmp_path, field, value, what):
         dataclasses.replace(model, **{field: value})
 
 
-@pytest.mark.parametrize("pattern, replacement, what", [
-    (r"^means \S+", "means nan", "means"),     # column 0 is masked in
-    (r"^stds \S+", "stds inf", "stds"),
-    (r"^w \S+", "w -inf", "input weights"),
-    (r"^biases \S+", "biases nan", "biases"),
+@pytest.mark.parametrize("field, index, value, what", [
+    ("means", 0, np.nan, "means"),     # column 0 is masked in
+    ("stds", 0, np.inf, "stds"),
+    ("input_weights", (0, 0), -np.inf, "input weights"),
+    ("biases", 0, np.nan, "biases"),
 ], ids=["nan mean", "inf std", "inf w", "nan bias"])
-def test_model_file_non_finite_refused(tmp_path, pattern, replacement, what):
+def test_model_file_non_finite_refused(tmp_path, field, index, value, what):
     # a model that would score every row nan gives no verdict
     path = tmp_path / "model.elm"
-    saved_model(path)
-    text = path.read_text()
-    edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
-    assert edited != text
-    path.write_text(edited)
-    with pytest.raises(elm.ElmError, match=f"model file.*non-finite.*{what}"):
-        elm.load_model(path)
-
-
-@pytest.mark.parametrize("key", ["beta", "mask", "means", "hidden"])
-def test_model_file_repeated_line_refused(tmp_path, key):
-    # a second copy would otherwise silently replace the first
-    path = tmp_path / "model.elm"
-    saved_model(path)
-    text = path.read_text()
-    path.write_text(text + re.search(rf"^{key} .*\n", text, re.M).group(0))
-    with pytest.raises(elm.ElmError, match=re.escape(
-            f"{path} line {text.count(chr(10)) + 1}: a second '{key}' line")):
-        elm.load_model(path)
-
-
-@pytest.mark.parametrize("pattern, replacement", [
-    (r"^hidden 6$", "hidden 6 99"),
-    (r"^input_dim 3$", "input_dim 3 7"),
-    (r"^hidden 6$", "hidden"),
-    (r"^input_dim 3$", "input_dim"),
-], ids=["hidden extra value", "input_dim extra value", "hidden no value",
-        "input_dim no value"])
-def test_model_file_size_line_holds_one_value(tmp_path, pattern,
-                                              replacement):
-    # a size line with more values than its key takes is a corrupt or
-    # hand-edited file, not one whose extra tokens may be ignored
-    path = tmp_path / "model.elm"
-    saved_model(path)
-    text = path.read_text()
-    edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
-    assert edited != text
-    path.write_text(edited)
-    key = replacement.split()[0]
-    n = edited.splitlines().index(replacement) + 1
-    with pytest.raises(elm.ElmError, match=re.escape(
-            f"malformed model file {path} line {n}: the {key} line must "
-            "hold exactly one value")):
-        elm.load_model(path)
-
-
-def test_model_file_text_weight_names_file(tmp_path):
-    path = tmp_path / "model.elm"
-    saved_model(path)
-    text = path.read_text()
-    edited = re.sub(r"^w \S+", "w abc", text, count=1, flags=re.M)
-    path.write_text(edited)
-    n = next(i for i, line in enumerate(edited.splitlines(), 1)
-             if line.startswith("w abc"))
-    with pytest.raises(elm.ElmError, match=re.escape(
-            f"malformed model file {path} line {n}: could not convert "
-            "string to float: 'abc'")):
+    arrays = fields(saved_model(path))
+    arrays[field] = arrays[field].copy()
+    arrays[field][index] = value
+    write_archive(path, arrays)
+    with pytest.raises(elm.ElmError, match=f"model file.*non-finite {what}"):
         elm.load_model(path)
 
 
 def test_unchanged_model_file_parsed_once(tmp_path):
-    # the same bytes, at any path, give back the model already parsed
+    # the same bytes, at any path, give back the model already read
     path = tmp_path / "model.elm"
     saved_model(path)
     first = elm.load_model(path)
@@ -431,16 +480,16 @@ def test_overwritten_model_file_gives_new_scores(tmp_path):
     flipped = dataclasses.replace(model, output_weights=-model.output_weights)
     elm.save_model(flipped, path)
     after = elm.predict_full(elm.load_model(path), raw)
-    assert np.allclose(after, -before, atol=1e-12)
-    assert np.allclose(after, elm.predict_full(flipped, raw), atol=1e-12)
+    assert np.array_equal(after, -before)
+    assert np.array_equal(after, elm.predict_full(flipped, raw))
 
 
 def test_malformed_overwrite_still_refused(tmp_path):
     path = tmp_path / "model.elm"
-    saved_model(path)
+    arrays = fields(saved_model(path))
     good = path.read_bytes()
     elm.load_model(path)
-    path.write_bytes(re.sub(rb"^hidden 6$", b"hidden 7", good, flags=re.M))
+    write_archive(path, {**arrays, "biases": np.zeros(7)})
     for _ in range(2):      # a refused file is not kept either
         with pytest.raises(elm.ElmError, match="hidden"):
             elm.load_model(path)
@@ -452,29 +501,9 @@ def test_loaded_model_arrays_read_only(tmp_path):
     path = tmp_path / "model.elm"
     saved_model(path)
     model = elm.load_model(path)
-    arrays = {f.name: getattr(model, f.name)
-              for f in dataclasses.fields(model)}
+    arrays = fields(model)
     assert len(arrays) == 7
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-
-
-@pytest.mark.parametrize("line_end, loads", [
-    ("\r\n", True), ("\r", True), ("\x0c", False), ("\x1c", False),
-    ("\u2028", False)], ids=["CRLF", "CR", "FF", "FS", "LS"])
-def test_model_file_line_ends(tmp_path, line_end, loads):
-    # lines end where a text-mode open() ends them; other Unicode line
-    # breaks are whitespace inside one line
-    path = tmp_path / "model.elm"
-    model = saved_model(path)
-    path.write_bytes(path.read_text().replace("\n", line_end)
-                     .encode("utf-8"))
-    raw = np.random.default_rng(14).normal(size=(4, 5))
-    if loads:
-        assert np.allclose(elm.predict_full(elm.load_model(path), raw),
-                           elm.predict_full(model, raw), atol=1e-12)
-    else:
-        with pytest.raises(elm.ElmError, match="model file"):
-            elm.load_model(path)
