@@ -33,23 +33,23 @@ def _sidecar_path(csv_path):
     if Path(csv_path).suffix == ".meta":
         raise UsageError(f"{csv_path}: a knowledge base path ending in "
                          "'.meta' names its own sidecar")
-    return str(Path(csv_path).with_suffix(".meta"))
+    return Path(csv_path).parent / (Path(csv_path).stem + ".meta")
 
 
-def _out(path, what, is_dir=False):
-    """The output `path`, checked before the work: one that names a
-    directory where a file goes, or the reverse, or lies under a file, is
+def _out(path, what, files):
+    """The files a command writes, `files(Path(path))`, each checked before
+    the work: one that names an existing directory or lies under a file is
     refused. A missing `path` is refused as a missing --out `what`."""
     if not path:
         raise UsageError(f"missing --out {what}")
-    out = Path(path)
-    if out.exists() and out.is_dir() != is_dir:
-        raise UsageError(f"{path} names an existing "
-                         + ("file" if is_dir else "directory"))
-    under = next(p for p in out.parents if p.exists())
-    if not under.is_dir():
-        raise UsageError(f"{path} lies under the file {under}")
-    return out
+    outs = files(Path(path))
+    for out in outs:
+        if out.is_dir():
+            raise UsageError(f"{out} names an existing directory")
+        under = next(p for p in out.parents if p.exists())
+        if not under.is_dir():
+            raise UsageError(f"{out} lies under the file {under}")
+    return outs
 
 
 def _require(path, what):
@@ -63,8 +63,8 @@ def _require(path, what):
 def cmd_generate(args):
     model_path = _require(args.model, "model file")
     grid_path = _require(args.grid, "grid spec")
-    out_path = _out(args.out, "path for the knowledge base")
-    sidecar_path = _out(_sidecar_path(out_path), "sidecar path")
+    out_path, sidecar_path = _out(args.out, "path for the knowledge base",
+                                  lambda out: (out, _sidecar_path(out)))
     model = simkit.load_model(model_path)
     spec = simkit.load_grid_spec(grid_path)
     if args.seed is not None:
@@ -105,8 +105,6 @@ def cmd_generate(args):
 def _prepare_training(args):
     kb_path = _require(args.kb, "knowledge base")
     kb = features.load_knowledge_base(kb_path, _sidecar_path(kb_path))
-    if len(set(kb.labels.tolist())) < 2:
-        raise UsageError("knowledge base contains a single class")
     seed = args.seed if args.seed is not None else kb.seed
     try:
         split = features.split_train_test(kb, args.split_fraction, seed)
@@ -159,7 +157,8 @@ def _standardize(kb, split, args):
 
 
 def cmd_optimize(args):
-    out_dir = _out(args.out, "directory", is_dir=True)
+    model_path, trace_path = _out(args.out, "directory", lambda out: (
+        out / "model.elm", out / "trace.csv"))
     kb, split, seed = _prepare_training(args)
     scaled = _standardize(kb, split, args)
     ctx = _fitness_context(kb, split, scaled[0], seed, args)
@@ -169,9 +168,7 @@ def cmd_optimize(args):
     w = a[:, mask]
     beta = elm.train(w, b, cf, ctx.samples[:, mask], ctx.labels)
     model = elm.ElmModel(w, b, cf, beta, mask, *scaled[1:])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = out_dir / "model.elm"
-    trace_path = out_dir / "trace.csv"
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     elm.save_model(model, model_path)
     swarm.save_trace(result.trace, trace_path)
     print(f"seed {seed}")
@@ -187,7 +184,8 @@ def cmd_optimize(args):
 
 def cmd_evaluate(args):
     model_path = _require(args.model, "model file")
-    out_dir = _out(args.out, "directory", is_dir=True)
+    metrics_path, report_path = _out(args.out, "directory", lambda out: (
+        out / "metrics.csv", out / "report.txt"))
     kb, split, seed = _prepare_training(args)
     model = elm.load_model(model_path)
     rows = []
@@ -199,19 +197,22 @@ def cmd_evaluate(args):
             raise elm.ElmError(f"{args.kb} sample {idx[exc.row] + 1} of "
                                f"{kb.n_samples} ({name} split): {exc}"
                                ) from None
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.save_report_csv(rows, out_dir / "metrics.csv")
+    metrics_path.parent.mkdir(parents=True, exist_ok=True)
+    metrics.save_report_csv(rows, metrics_path)
     text = (f"seed {seed}\n"
             + metrics.render_table(rows)
             + f"prediction time: {rows[0][1].predict_time_s * 1e3:.3f} ms "
             f"({len(split.test)} test samples)\n")
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    report_path.write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 
 
 def cmd_compare(args):
-    out_path = _out(args.out, "path for the comparison CSV")
+    # the table, and it again without the time column, which a rerun changes
+    out_path, det_path = _out(
+        args.out, "path for the comparison CSV",
+        lambda out: (out, out.parent / (out.stem + "_deterministic.csv")))
     if args.repeats < 1:
         raise UsageError("repeats must be at least 1")
     kb, split, seed = _prepare_training(args)
@@ -232,28 +233,21 @@ def cmd_compare(args):
             runs[name].append(
                 (result.best_fitness, int(np.sum(cf != elm.ACT_OFF)),
                  elapsed + shared.saved_s - saved))
-    best_overall = max(f for rows in runs.values() for f, _, _ in rows)
-    threshold = 0.95 * best_overall
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    det_lines = ["algorithm,mean_best_fitness,success_rate,"
-                 "mean_effective_nodes"]
-    full_lines = ["algorithm,mean_train_time_s,mean_best_fitness,"
-                  "success_rate,mean_effective_nodes"]
+    threshold = 0.95 * max(f for rows in runs.values() for f, _, _ in rows)
+    table = [("algorithm", "mean_train_time_s", "mean_best_fitness",
+              "success_rate", "mean_effective_nodes")]
     for name, rows in runs.items():
-        fits = [f for f, _, _ in rows]
-        nodes = [n for _, n, _ in rows]
-        times = [t for _, _, t in rows]
+        fits, nodes, times = zip(*rows)
         success = sum(f >= threshold for f in fits) / len(fits)
-        mean_fit = float(np.mean(fits))
-        mean_nodes = float(np.mean(nodes))
-        det_lines.append(f"{name},{mean_fit!r},{success!r},{mean_nodes!r}")
-        full_lines.append(f"{name},{float(np.mean(times)):.3f},"
-                          f"{mean_fit!r},{success!r},{mean_nodes!r}")
-    out_path.write_text("\n".join(full_lines) + "\n", encoding="utf-8")
-    det_path = out_path.with_name(out_path.stem + "_deterministic.csv")
-    det_path.write_text("\n".join(det_lines) + "\n", encoding="utf-8")
+        table.append((name, f"{float(np.mean(times)):.3f}", *map(repr, (
+            float(np.mean(fits)), success, float(np.mean(nodes))))))
+    text = "".join(",".join(row) + "\n" for row in table)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(text, encoding="utf-8")
+    det_path.write_text("".join(",".join(row[:1] + row[2:]) + "\n"
+                                for row in table), encoding="utf-8")
     print(f"seed {seed} (repeats {args.repeats})")
-    print("\n".join(full_lines))
+    print(text, end="")
     return EXIT_OK
 
 

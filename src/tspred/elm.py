@@ -5,8 +5,8 @@ optimizer); only the output weights are fitted, by the minimal-norm
 least-squares solve through the Moore-Penrose pseudoinverse.
 
 A trained model is saved as one numpy archive (`np.savez` into the path
-given, `model.elm` from `optimize`) and read back with pickles refused;
-`ElmModel` checks what it reads as it checks a model built in memory.
+given, `model.elm` from `optimize`). Its reader refuses pickles and checks
+each array's dtype kind; `ElmModel` checks the rest, built or read alike.
 """
 
 from dataclasses import dataclass

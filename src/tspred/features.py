@@ -6,6 +6,7 @@ the center-of-inertia (COI) frame with prefault static quantities. Labels
 follow the sign of 360° minus the largest pairwise rotor-angle excursion.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class WindowOutOfRangeError(FeatureError):
 
 
 class DegenerateDatasetError(FeatureError):
-    """Not enough samples (or classes) for the requested operation."""
+    """A KB of one class, or too few rows to standardize or to split."""
 
 
 def label_trajectory(trajectory):
@@ -105,9 +106,9 @@ def extract_features(trajectory):
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Labeled raw feature matrix (columns laid out as feature_names
-    lists them) plus its seed and provenance; a non-finite sample value or
-    a label other than +1 or -1 is refused. No field can be edited: the
-    arrays are read-only."""
+    lists them) plus its seed and provenance; a non-finite sample value, a
+    label other than +1 or -1 and a single class are refused. No field can
+    be edited: the arrays are read-only."""
 
     samples: np.ndarray        # (N, n)
     labels: np.ndarray         # (N,), values in {+1, -1}
@@ -122,9 +123,12 @@ class KnowledgeBase:
         bad = _bad_cell(np.column_stack([labels, samples]))
         if bad:
             raise FeatureError(f"sample {bad[0] + 1}, {bad[1]}")
-        labels = labels.astype(int)
+        labels = _frozen_int(labels)
+        if np.unique(labels).size < 2:
+            raise DegenerateDatasetError(
+                f"all {len(labels)} samples have one label: a knowledge base "
+                "needs both +1 and -1 rows")
         samples.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
 
@@ -203,8 +207,6 @@ def split_train_test(kb, train_fraction, seed):
     rng = np.random.default_rng(seed)
     classes = [np.nonzero(kb.labels == c)[0] for c in (STABLE, UNSTABLE)]
     counts = [len(c) for c in classes]
-    if min(counts) == 0:
-        raise DegenerateDatasetError("both classes must be present")
     if min(counts) >= 2 and not 2 <= n_train <= n - 2:
         raise DegenerateDatasetError("split leaves one side empty")
     # proportional allocation, largest remainder makes the total exact
@@ -236,27 +238,19 @@ def kfold_partition(labels, k, seed):
         raise ValueError("need k >= 2 folds")
     if n < k:
         raise ValueError(f"cannot make {k} folds from {n} samples")
+    # the shuffled stable rows, then the unstable: row j goes to fold j % k
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    cursor = 0
-    for c in (STABLE, UNSTABLE):
-        members = np.nonzero(labels == c)[0]
-        for idx in rng.permutation(members):
-            folds[cursor % k].append(int(idx))
-            cursor += 1
-    return [np.array(sorted(f), dtype=int) for f in folds]
+    order = np.concatenate([rng.permutation(np.nonzero(labels == c)[0])
+                            for c in (STABLE, UNSTABLE)])
+    return [np.sort(order[j::k]) for j in range(k)]
 
 
 def build_knowledge_base(trajectory, seed, provenance=""):
     """Raw (unstandardized) samples and labels of a simulated batch, one
     row per scenario."""
-    kb = KnowledgeBase(samples=extract_features(trajectory),
-                       labels=label_trajectory(trajectory),
-                       seed=seed, provenance=provenance)
-    if len(set(kb.labels.tolist())) < 2:
-        raise DegenerateDatasetError(
-            "knowledge base contains a single class")
-    return kb
+    return KnowledgeBase(samples=extract_features(trajectory),
+                         labels=label_trajectory(trajectory),
+                         seed=seed, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +259,23 @@ def build_knowledge_base(trajectory, seed, provenance=""):
 
 def save_knowledge_base(kb, csv_path, sidecar_path):
     """Write the KB CSV (CRLF line ends) and its sidecar, a `seed` and a
-    `provenance` line."""
+    `provenance` line. Each is written to a temporary file beside it, and
+    both are renamed into place only once both are written, so a failed
+    write leaves an earlier pair as it was and no temporary file."""
     header = ",".join(["label"] + [f"f_{j}" for j in range(kb.n_features)])
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\r\n")
-        for label, row in zip(kb.labels.tolist(), kb.samples):
-            fh.write(f"{label:+d},{','.join(map(repr, row.tolist()))}\r\n")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write(f"seed {kb.seed}\nprovenance {kb.provenance}\n")
+    temps = [f"{path}.{os.getpid()}.tmp" for path in (csv_path, sidecar_path)]
+    try:
+        with open(temps[0], "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + "\r\n")
+            for label, row in zip(kb.labels.tolist(), kb.samples):
+                fh.write(f"{label:+d},{','.join(map(repr, row.tolist()))}\r\n")
+        with open(temps[1], "w", encoding="utf-8") as fh:
+            fh.write(f"seed {kb.seed}\nprovenance {kb.provenance}\n")
+        os.replace(temps[0], csv_path)
+        os.replace(temps[1], sidecar_path)
+    finally:    # none is left once renamed
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
 
 
 # (digest, kb) of the last KB this process parsed; the digest covers the
@@ -286,9 +289,9 @@ def load_knowledge_base(csv_path, sidecar_path):
     `provenance` (such as the feature names and standardization statistics
     older sidecars hold) are skipped, as are blank CSV lines. Rows of
     another width than the header, a non-finite cell, a label other than
-    +1 or -1, a second `seed` or `provenance` line and a seed that is not
-    a non-negative integer are refused, naming the file and, where there
-    is one, the line.
+    +1 or -1, a single class, a second `seed` or `provenance` line and a
+    seed that is not a non-negative integer are refused, naming the file
+    and, where there is one, the line.
 
     Files holding the same bytes as the last KB parsed in this process
     return that same (immutable) KB without parsing it again.
@@ -334,5 +337,8 @@ def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
                 raise FeatureError(f"{sidecar_path} line {n}: {exc}") from None
         elif key == "provenance":
             provenance = value
-    return KnowledgeBase(samples=table[:, 1:], labels=table[:, 0], seed=seed,
-                         provenance=provenance)
+    try:
+        return KnowledgeBase(samples=table[:, 1:], labels=table[:, 0],
+                             seed=seed, provenance=provenance)
+    except DegenerateDatasetError as exc:   # a single class
+        raise DegenerateDatasetError(f"{csv_path}: {exc}") from None

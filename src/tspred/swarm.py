@@ -135,21 +135,18 @@ class FitnessContext:
     samples: np.ndarray
     labels: np.ndarray          # float ±1
     spec: EncodingSpec
-    folds: tuple                # (train_rows, test_rows) per fold
     # (N_FOLDS, max fold size) test rows; shorter folds are padded with
     # row N, which the Gram path reads as a zero row
     test_index: np.ndarray
 
     @classmethod
     def build(cls, samples, labels, spec, seed=0):
-        rows = np.arange(len(labels))
         tests = kfold_partition(labels, N_FOLDS, seed)
-        folds = tuple((np.setdiff1d(rows, test), test) for test in tests)
         test_index = np.full((N_FOLDS, max(map(len, tests))), len(labels))
         for k, test in enumerate(tests):
             test_index[k, :len(test)] = test
         return cls(samples=samples, labels=np.asarray(labels, dtype=float),
-                   spec=spec, folds=folds, test_index=test_index)
+                   spec=spec, test_index=test_index)
 
     def __call__(self, position):
         return evaluate_fitness(position, self)
@@ -223,7 +220,9 @@ def _svd_fold_scores(h, y, ctx):
     """Held-out rows classified correctly over all folds, each fold solved
     by `elm.pseudoinverse` at the full width's cutoff (the reference)."""
     correct = 0
-    for train, test in ctx.folds:
+    for test in ctx.test_index:
+        test = test[test < len(y)]          # the padding dropped
+        train = np.setdiff1d(np.arange(len(y)), test)
         beta = elm.pseudoinverse(h[train], width=ctx.spec.hidden) @ y[train]
         pred = np.where(h[test] @ beta >= 0.0, 1, -1)
         correct += int(np.count_nonzero(pred == y[test]))

@@ -808,21 +808,39 @@ def _write_malformed(case, kb_csv, tmp_path):
         _write_huge_kb(kb_csv, kb)
         return ["evaluate", "--kb", str(kb), "--model", str(model),
                 "--out", str(tmp_path / "run")]
-    if case.startswith("huge"):
-        _write_huge_kb(kb_csv, kb)
-        return [case.split()[-1], "--kb", str(kb), "--out",
-                str(tmp_path / "run"), "--hidden", "4", "--population", "4",
-                "--iterations", "1"]
+    if case.startswith(("huge", "single class")):
+        if case.startswith("huge"):
+            _write_huge_kb(kb_csv, kb)
+        else:   # every label +1
+            kb.write_text(re.sub(r"^-1,", "+1,", kb_csv.read_text(),
+                                 flags=re.M))
+            shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
+        argv = [case.split()[-1], "--kb", str(kb), "--out",
+                str(tmp_path / "run")]
+        if case.endswith("evaluate"):
+            model = tmp_path / "model.elm"
+            n = kb_csv.read_text().split("\n", 1)[0].count(",")
+            _write_model(model, n)
+            return argv + ["--model", str(model)]
+        return argv + ["--hidden", "4", "--population", "4",
+                       "--iterations", "1"]
     if case.startswith("out"):
-        # `--out` names the file `taken`, or a path under it
+        # `--out` names the file `taken`, or a path under it, or one of the
+        # files the command writes is the directory `made`
         taken = tmp_path / "taken"
         taken.write_text("")
         command, where = case.split()[1], case.split(" ", 2)[2]
-        out = {"names a file": taken, "under a file": taken / "sub" / "x",
-               "names a directory": tmp_path,
-               "sidecar names a directory": tmp_path / "run.csv"}[where]
-        if where.startswith("sidecar"):
-            (tmp_path / "run.meta").mkdir()
+        out, made = {
+            "names a file": (taken, None),
+            "under a file": (taken / "sub" / "x", None),
+            "names a directory": (tmp_path, None),
+            "sidecar names a directory": (tmp_path / "run.csv", "run.meta"),
+            "trace names a directory": (tmp_path / "run", "run/trace.csv"),
+            "report names a directory": (tmp_path / "run", "run/report.txt"),
+            "deterministic names a directory": (
+                tmp_path / "run.csv", "run_deterministic.csv")}[where]
+        if made:
+            (tmp_path / made).mkdir(parents=True)
         if command == "generate":
             return ["generate", "--model", f"{FIXTURES}/smib.sys", "--grid",
                     f"{FIXTURES}/smib.grid", "--out", str(out)]
@@ -1079,9 +1097,11 @@ def _write_malformed(case, kb_csv, tmp_path):
                  "5.2272727272727295e+299 and std inf, not both finite "
                  "numbers", id="huge cells in compare"),
     pytest.param("out optimize names a file", cli.EXIT_USAGE,
-                 "names an existing file", id="out optimize names a file"),
+                 "taken/model.elm lies under the file",
+                 id="out optimize names a file"),
     pytest.param("out evaluate names a file", cli.EXIT_USAGE,
-                 "names an existing file", id="out evaluate names a file"),
+                 "taken/metrics.csv lies under the file",
+                 id="out evaluate names a file"),
     pytest.param("out optimize under a file", cli.EXIT_USAGE,
                  "lies under the file", id="out optimize under a file"),
     pytest.param("out compare under a file", cli.EXIT_USAGE,
@@ -1097,6 +1117,25 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("out generate sidecar names a directory", cli.EXIT_USAGE,
                  "run.meta names an existing directory",
                  id="out generate sidecar names a directory"),
+    pytest.param("out optimize trace names a directory", cli.EXIT_USAGE,
+                 "run/trace.csv names an existing directory",
+                 id="out optimize trace names a directory"),
+    pytest.param("out evaluate report names a directory", cli.EXIT_USAGE,
+                 "run/report.txt names an existing directory",
+                 id="out evaluate report names a directory"),
+    pytest.param("out compare deterministic names a directory",
+                 cli.EXIT_USAGE,
+                 "run_deterministic.csv names an existing directory",
+                 id="out compare deterministic names a directory"),
+    pytest.param("single class in optimize", cli.EXIT_RUNTIME,
+                 "kb.csv: all 66 samples have one label",
+                 id="single class in optimize"),
+    pytest.param("single class in evaluate", cli.EXIT_RUNTIME,
+                 "kb.csv: all 66 samples have one label",
+                 id="single class in evaluate"),
+    pytest.param("single class in compare", cli.EXIT_RUNTIME,
+                 "kb.csv: all 66 samples have one label",
+                 id="single class in compare"),
     ("abbreviated flags", cli.EXIT_USAGE,
      "unrecognized arguments: --hid 4 --pop 4 --it 2"),
     ("abbreviated config keys", cli.EXIT_USAGE,
@@ -1106,8 +1145,10 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
                                    capsys, monkeypatch):
     # never a traceback: a blank KB record is skipped, the rest refused;
     # and a refusal comes before the work, with no RK4 step or fitness
-    # evaluation (a non-finite score in evaluate needs neither)
+    # evaluation (a non-finite score in evaluate needs neither), and
+    # writes no file
     argv = _write_malformed(case, kb_csv, tmp_path)
+    inputs = sorted(tmp_path.rglob("*"))
     calls = []
     for module, name in ((kernels, "rk4_step"), (swarm, "evaluate_fitness")):
         def counted(*args, _run=getattr(module, name), _name=name):
@@ -1124,6 +1165,8 @@ def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
     # the one accepted row runs the search, so the wrappers see the work
     assert bool(calls) == (code == cli.EXIT_OK), \
         f"{len(calls)} calls: {sorted(set(calls))}"
+    if code != cli.EXIT_OK:
+        assert sorted(tmp_path.rglob("*")) == inputs
 
 
 @pytest.mark.parametrize("case", ["kb ragged row", "kb text cell",

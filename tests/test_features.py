@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -195,12 +196,6 @@ class TestSplit:
         for side in (split.train, split.test):
             assert set(labels[side]) == {1, -1}
 
-    def test_single_class_rejected(self):
-        kb = features.KnowledgeBase(
-            samples=np.zeros((4, 1)), labels=np.ones(4, dtype=int), seed=0)
-        with pytest.raises(features.DegenerateDatasetError):
-            features.split_train_test(kb, 0.5, seed=0)
-
 
 class TestKFold:
     def test_equal_division(self):
@@ -223,6 +218,30 @@ class TestKFold:
     def test_n_less_than_k_rejected(self):
         with pytest.raises(ValueError):
             features.kfold_partition(np.array([1, -1, 1]), 5, seed=0)
+
+    @pytest.mark.parametrize("k", [2, 5, 7])
+    def test_matches_per_index_deal(self, k):
+        # the folds of dealing the stable rows, then the unstable ones, each
+        # permuted by one generator, one row at a time to fold j mod k
+        def reference(labels, seed):
+            rng = np.random.default_rng(seed)
+            folds = [[] for _ in range(k)]
+            cursor = 0
+            for c in (features.STABLE, features.UNSTABLE):
+                for idx in rng.permutation(np.nonzero(labels == c)[0]):
+                    folds[cursor % k].append(int(idx))
+                    cursor += 1
+            return [np.array(sorted(f), dtype=int) for f in folds]
+
+        rng = np.random.default_rng(k)
+        for seed in range(100):     # any size from k up, any class balance
+            n = int(rng.integers(k, 60))
+            labels = np.where(rng.random(n) < rng.random(), 1, -1)
+            got = features.kfold_partition(labels, k, seed)
+            want = reference(labels, seed)
+            assert len(got) == k
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_knowledge_base_round_trip(tmp_path, smib_kb):
@@ -341,3 +360,36 @@ def test_loaded_kb_immutable(tmp_path):
 
 def test_smib_kb_has_both_classes(smib_kb):
     assert set(smib_kb.labels.tolist()) == {1, -1}
+
+
+@pytest.mark.parametrize("label", [features.STABLE, features.UNSTABLE])
+def test_single_class_rejected(label):
+    # a KB of one class is refused where it is built, so no split, fold
+    # or fitness ever sees one
+    with pytest.raises(features.DegenerateDatasetError,
+                       match="all 4 samples have one label"):
+        features.KnowledgeBase(samples=np.zeros((4, 1)),
+                               labels=np.full(4, label), seed=0)
+
+
+def test_single_class_file_refused_naming_it(tmp_path):
+    csv_path, meta_path = tmp_path / "kb.csv", tmp_path / "kb.meta"
+    csv_path.write_text("label,f_0\n+1,1.0\n+1,2.0\n")
+    meta_path.write_text("seed 0\n")
+    with pytest.raises(features.DegenerateDatasetError,
+                       match=f"^{re.escape(str(csv_path))}: all 2 samples"):
+        features.load_knowledge_base(csv_path, meta_path)
+
+
+def test_failed_sidecar_write_keeps_the_earlier_pair(tmp_path):
+    # a provenance that UTF-8 cannot encode (an undecodable file name)
+    # fails the sidecar write after the CSV is written in full
+    csv_path, meta_path = saved_kb(tmp_path)
+    before = csv_path.read_bytes(), meta_path.read_bytes()
+    kb = separable_kb(n=12, n_features=3, seed=9)
+    kb = dataclasses.replace(kb, provenance="m:\udcff.grid")
+    with pytest.raises(UnicodeEncodeError):
+        features.save_knowledge_base(kb, csv_path, meta_path)
+    assert (csv_path.read_bytes(), meta_path.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.csv",
+                                                          "kb.meta"]

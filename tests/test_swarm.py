@@ -380,12 +380,12 @@ class TestEvaluateFitness:
     def test_folds_partition_the_rows(self):
         kb = separable_kb(n=47, n_features=3, seed=8)
         ctx = swarm.FitnessContext.build(kb.samples, kb.labels, SPEC, seed=5)
-        rows = np.arange(47)
-        tests = np.concatenate([test for _, test in ctx.folds])
-        assert len(ctx.folds) == 5
-        assert np.array_equal(np.sort(tests), rows)
-        for train, test in ctx.folds:
-            assert np.array_equal(train, np.setdiff1d(rows, test))
+        # 47 rows in 5 folds: two hold 10 rows, three 9 and the padding
+        # row 47
+        index = ctx.test_index
+        assert index.shape == (5, 10)
+        assert sorted(np.sum(index == 47, axis=1)) == [0, 0, 1, 1, 1]
+        assert np.array_equal(np.sort(index[index < 47]), np.arange(47))
 
 
 def sphere_fitness(pos):
