@@ -63,6 +63,15 @@ def _require(path, what):
 def cmd_generate(args):
     model_path = _require(args.model, "model file")
     grid_path = _require(args.grid, "grid spec")
+    # the sidecar, UTF-8 text, records the grid's file name
+    grid_name = Path(grid_path).name
+    try:
+        grid_name.encode("utf-8")
+    except UnicodeEncodeError:
+        shown = grid_path.encode("utf-8", "surrogateescape").decode(
+            "utf-8", "backslashreplace")
+        raise UsageError(f"{shown}: the grid file name is not UTF-8, so the "
+                         "KB sidecar cannot record it") from None
     out_path, sidecar_path = _out(args.out, "path for the knowledge base",
                                   lambda out: (out, _sidecar_path(out)))
     model = simkit.load_model(model_path)
@@ -83,7 +92,7 @@ def cmd_generate(args):
         raise UsageError(f"{exc} (latest clearing {cycles:g} cycles at f0 = "
                          f"{model.f0:g} Hz)") from exc
     kb = features.build_knowledge_base(
-        traj, spec["seed"], provenance=f"{model.name}:{Path(grid_path).name}")
+        traj, spec["seed"], provenance=f"{model.name}:{grid_name}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     features.save_knowledge_base(kb, out_path, sidecar_path)
     n_stable = int(np.sum(kb.labels == features.STABLE))

@@ -52,18 +52,24 @@ class NonFiniteScoreError(ElmError):
 
 
 def _sigmoid(v):
-    # piecewise form: exp never sees a positive argument, so never overflows
+    # piecewise form: exp never sees a positive argument, so never
+    # overflows; 1/(1 + e) for v >= 0 and e/(1 + e) below, one division
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def hidden_matrix(x, w, b, cf):
     """N×L hidden-layer outputs of the sample matrix x (N×n) under input
     weights w (L×n), biases b (L,) and per-neuron activation codes cf
     (L,): 0 → off (zero), 1 → sigmoid, 2 → identity."""
-    pre = x @ w.T + b
-    return np.where(cf == ACT_SIGMOID, _sigmoid(pre),
-                    np.where(cf == ACT_LINEAR, pre, 0.0))
+    h = x @ w.T + b
+    if h.dtype.kind != "f":         # integer inputs still give floats
+        h = h.astype(float)
+    h[:, cf == ACT_OFF] = 0.0
+    # only the sigmoid columns pay for the exponential
+    sig = cf == ACT_SIGMOID
+    h[:, sig] = _sigmoid(h[:, sig])
+    return h
 
 
 def pseudoinverse(h, width=None):

@@ -7,6 +7,7 @@ monitoring and a mutation rescue when the swarm stagnates below target.
 """
 
 import csv
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -31,12 +32,12 @@ class EncodingSpec:
     n_features: int
     hidden: int
 
-    @property
+    @functools.cached_property
     def dim(self):
         n, L = self.n_features, self.hidden
         return L * n + L + n + L
 
-    @property
+    @functools.cached_property
     def slices(self):
         n, L = self.n_features, self.hidden
         a_end = L * n
@@ -112,7 +113,8 @@ def decode_particle(position, spec):
     position = np.asarray(position, dtype=float)
     if position.shape != (spec.dim,):
         raise ValueError(f"position length {position.shape} != {spec.dim}")
-    if not np.all((position >= 0.0) & (position <= 1.0)):
+    # a NaN anywhere makes the minimum NaN, which fails the test too
+    if not (position.min() >= 0.0 and position.max() <= 1.0):
         raise ValueError("position outside the unit cube")
     sl = spec.slices
     a = 2.0 * position[sl["a"]].reshape(spec.hidden, spec.n_features) - 1.0
@@ -123,7 +125,7 @@ def decode_particle(position, spec):
     if not mask.any():
         mask[int(np.argmax(raw_s))] = True
     cf = np.minimum(np.floor(raw_cf * 3.0).astype(int), elm.ACT_LINEAR)
-    if not np.any(cf != elm.ACT_OFF):
+    if not cf.any():                    # every code is ACT_OFF, 0
         cf[int(np.argmax(raw_cf))] = elm.ACT_SIGMOID
     return a, b, mask, cf
 
@@ -248,15 +250,18 @@ def _gram_fold_scores(h, y, ctx):
     hy[:n, :width] = h
     hy[:n, width] = y
     full = hy.T @ hy
-    if not np.all(np.isfinite(full)):
+    if not np.isfinite(full).all():
         return None
     tau = GRAM_KEEP * np.trace(full[:width, :width])
     if tau <= 0.0:
         return None
     held = hy[ctx.test_index]               # (folds, rows, width + 1)
     grams = full - held.transpose(0, 2, 1) @ held
+    # G − τ·I, exactly: τ off the diagonals of a copy, by a strided view
+    shifted = grams[:, :width, :width].copy()
+    shifted.reshape(len(shifted), -1)[:, ::width + 1] -= tau
     try:
-        np.linalg.cholesky(grams[:, :width, :width] - tau * np.eye(width))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return None
     beta = np.linalg.solve(grams[:, :width, :width], grams[:, :width, width:])
@@ -297,9 +302,16 @@ def premature_check(var_prev, var_cur, best_improved=False):
 
 
 def velocity_update(v, s, p_best, g_best, w, r1, r2):
-    """One PSO velocity step with c1 = C1, c2 = C2 (elementwise; no
-    clamping)."""
-    return w * v + C1 * r1 * (p_best - s) + C2 * r2 * (g_best - s)
+    """One PSO velocity step, in place on the array v (elementwise, no
+    clamping): v ← w·v + C1·r1·(p_best − s) + C2·r2·(g_best − s), summed
+    left to right. The arrays r1 and r2 are overwritten."""
+    v *= w
+    r1 *= C1
+    r1 *= p_best - s
+    v += r1
+    r2 *= C2
+    r2 *= g_best - s
+    v += r2
 
 
 def mutate(positions, rng, exempt=None):
@@ -386,6 +398,7 @@ def _swarm(dim, config):
     velocities = np.zeros((n, dim))
     pbest = np.zeros((n, dim))          # filled by the initial scoring
     pbest_fit = np.full(n, -np.inf)
+    r1, r2 = np.empty(dim), np.empty(dim)   # one particle's draws, reused
 
     def seen(rows, positions, fits):
         for i in rows:
@@ -397,11 +410,13 @@ def _swarm(dim, config):
         w = _inertia(config, k)
         for i in range(n):
             rng = _rng(config.seed, _STREAM_UPDATE, k, i)
-            r1, r2 = rng.random(dim), rng.random(dim)
-            v = velocity_update(velocities[i], positions[i], pbest[i],
-                                gbest, w, r1, r2)
-            velocities[i] = v = np.clip(v, -V_MAX, V_MAX)
-            positions[i] = np.clip(positions[i] + v, 0.0, 1.0)
+            rng.random(out=r1)
+            rng.random(out=r2)
+            v, s = velocities[i], positions[i]
+            velocity_update(v, s, pbest[i], gbest, w, r1, r2)
+            np.clip(v, -V_MAX, V_MAX, out=v)
+            s += v
+            np.clip(s, 0.0, 1.0, out=s)
         return positions
 
     return move, seen

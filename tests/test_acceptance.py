@@ -155,9 +155,11 @@ def test_criterion_04_labeling_brute_force(capsys):
 def test_criterion_05_swarm_worked_examples(capsys):
     with criterion(capsys, 5, "swarm unit vectors v'=0.39, sigma^2=0.125, "
                               "mutated x=0.55 to 1e-12"):
-        v = swarm.velocity_update(0.1, 0.5, 0.6, 0.7, 0.9, 0.5, 0.5)
-        assert abs(v - 0.39) < 1e-12
-        assert abs((0.5 + v) - 0.89) < 1e-12
+        v = np.array([0.1])
+        swarm.velocity_update(v, 0.5, 0.6, 0.7, 0.9, np.array([0.5]),
+                              np.array([0.5]))
+        assert abs(v[0] - 0.39) < 1e-12
+        assert abs((0.5 + v[0]) - 0.89) < 1e-12
         assert abs(swarm.fitness_variance([0.5, 1.0]) - 0.125) < 1e-12
 
         class One:

@@ -868,6 +868,7 @@ def _write_malformed(case, kb_csv, tmp_path):
         return argv + ["--config", str(config)]
     model_text = Path(FIXTURES, "smib.sys").read_text()
     grid_text = Path(FIXTURES, "smib.grid").read_text()
+    grid_name = "model.grid"
     if case == "sys short gen line":
         model_text = model_text.replace("gen 1.5 0.0 0.3 1.0 0.5",
                                         "gen 1.5 0.0 0.3")
@@ -914,6 +915,8 @@ def _write_malformed(case, kb_csv, tmp_path):
             model_text = model_text.replace("f0 60.0", "f0 50.0")
     elif case == "grid unknown fault":
         grid_text = grid_text.replace("faults = fault", "faults = bus9")
+    elif case == "grid file name utf-8":
+        grid_name = "g\udcff.grid"
     elif case == "sys repeated matrix":
         prefault = model_text[model_text.index("matrix prefault"):
                               model_text.index("matrix fault:")]
@@ -923,7 +926,7 @@ def _write_malformed(case, kb_csv, tmp_path):
         _, value, key = case.split()    # nan or inf; step or horizon
         grid_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", grid_text,
                            flags=re.M)
-    model, grid = tmp_path / "model.sys", tmp_path / "model.grid"
+    model, grid = tmp_path / "model.sys", tmp_path / grid_name
     model.write_text(model_text, errors="surrogateescape")
     grid.write_text(grid_text, errors="surrogateescape")
     return ["generate", "--model", str(model), "--grid", str(grid),
@@ -1082,6 +1085,10 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("grid step over horizon", cli.EXIT_USAGE,
                  "integration step 1e+308 s exceeds the horizon 0.5 s",
                  id="grid step over horizon"),
+    # the sidecar is UTF-8 and records the grid's file name
+    pytest.param("grid file name utf-8", cli.EXIT_USAGE,
+                 "g\\xff.grid: the grid file name is not UTF-8, so the KB "
+                 "sidecar cannot record it", id="grid file name utf-8"),
     pytest.param("score not finite in predict", cli.EXIT_USAGE,
                  "--row line 1: the score inf is not a finite number, so the "
                  "row gets no verdict", id="score not finite in predict"),

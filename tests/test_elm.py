@@ -73,6 +73,24 @@ class TestActivation:
                                        np.array([elm.ACT_SIGMOID]))[:, 0]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(hidden.view(np.int64), sig.view(np.int64))
+        # the same bits as the nested-where layer it replaced, on mixed
+        # codes, with ±inf and NaN in every column, the off ones included
+        v = np.concatenate([EDGE_VALUES, [np.inf, -np.inf, np.nan, 750.0,
+                                          -750.0], np.linspace(-9, 9, 97)])
+        w = np.ones((6, 1))
+        b = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0])
+        codes = np.array([elm.ACT_SIGMOID, elm.ACT_LINEAR, elm.ACT_OFF,
+                          elm.ACT_LINEAR, elm.ACT_SIGMOID, elm.ACT_OFF])
+        with np.errstate(all="raise", under="ignore"):
+            pre = v[:, None] @ w.T + b
+            e = np.exp(-np.abs(pre))
+            old = np.where(codes == elm.ACT_SIGMOID,
+                           np.where(pre >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                           np.where(codes == elm.ACT_LINEAR, pre, 0.0))
+            got = elm.hidden_matrix(v[:, None], w, b, codes)
+        assert np.isnan(got[:, codes != elm.ACT_OFF]).any()
+        assert np.array_equal(got, old, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(old))
 
     @pytest.mark.parametrize("code", [-1, 3])
     def test_code_out_of_range_refused(self, code):
@@ -110,6 +128,12 @@ class TestHiddenMatrix:
                 else:
                     expected = pre
                 assert h[r, c] == pytest.approx(expected, rel=1e-12)
+        # integer arrays give their float copies' layer, not a truncated one
+        xi, wi, bi = np.array([[1, -2]]), np.array([[3, 1], [0, 2], [1, 1],
+                                                    [-1, 0]]), np.arange(4)
+        assert np.array_equal(elm.hidden_matrix(xi, wi, bi, cf),
+                              elm.hidden_matrix(xi * 1.0, wi * 1.0, bi * 1.0,
+                                                cf))
 
     def test_shape_mismatch(self):
         # hidden_matrix takes its arrays as given; predict_full checks the

@@ -175,14 +175,18 @@ class TestVelocityUpdate:
     def test_worked_example(self):
         # [PAPER] w=0.9, c1=c2=2, r1=r2=0.5, v=0.1, s=0.5,
         # pbest=0.6, gbest=0.7 -> v'=0.39, s'=0.89
-        v = swarm.velocity_update(0.1, 0.5, 0.6, 0.7, 0.9, 0.5, 0.5)
-        assert v == pytest.approx(0.39, abs=1e-12)
-        assert 0.5 + v == pytest.approx(0.89, abs=1e-12)
+        v = np.array([0.1])
+        swarm.velocity_update(v, 0.5, 0.6, 0.7, 0.9, np.array([0.5]),
+                              np.array([0.5]))
+        assert v[0] == pytest.approx(0.39, abs=1e-12)
+        assert 0.5 + v[0] == pytest.approx(0.89, abs=1e-12)
 
     def test_fixed_point(self):
         # [TRIVIAL] particle at pbest = gbest = s with v = 0 stays put
-        v = swarm.velocity_update(0.0, 0.4, 0.4, 0.4, 0.9, 0.3, 0.8)
-        assert v == 0.0
+        v = np.array([0.0])
+        swarm.velocity_update(v, 0.4, 0.4, 0.4, 0.9, np.array([0.3]),
+                              np.array([0.8]))
+        assert v[0] == 0.0
 
 
 class _ConstRng:
@@ -354,7 +358,7 @@ class TestEvaluateFitness:
         spec = swarm.EncodingSpec(n_features=1, hidden=3)
         ctx = swarm.FitnessContext.build(np.zeros((40, 1)), y, spec)
         for t in (1e-5, 1e-9):
-            assert swarm._gram_fold_scores(q * [1.0, t, 0.0], y, ctx) is None
+            assert swarm._gram_fold_scores(q * [1.0, t, 1.0], y, ctx) is None
         assert swarm._gram_fold_scores(q * [1.0, 0.0, 0.0], y, ctx) is None
         assert swarm._gram_fold_scores(np.zeros((40, 3)), y, ctx) is None
         h = q * [1.0, 0.1, 0.01]
@@ -541,6 +545,65 @@ class TestRunSwarm:
         digest = hashlib.sha256()
         update_digest(digest, res)
         assert digest.hexdigest() == frozen
+
+    # Frozen on the code before the activation, decode, Gram and move were
+    # rewritten in place: on the real fitness path, through the Gram
+    # certificate and the SVD, every scored position and each run's result
+    # keep their bits. No rescue fires in three iterations, so IPSO's runs
+    # are PSO's
+    @pytest.mark.parametrize("hidden, frozen", [
+        pytest.param(20, {
+            "ipso seed 3": "bf3b0b97f8e45ab64d385b424dd4b7a7"
+                           "6026f2ede2e2bf8748d414456ea3e2b6",
+            "pso seed 3": "bf3b0b97f8e45ab64d385b424dd4b7a7"
+                          "6026f2ede2e2bf8748d414456ea3e2b6",
+            "ga seed 3": "6d4aff9ed9f0ba26c79f7fa3c29d7e7e"
+                         "8abdb7a2dfc93ad3c78317a098c8f76e",
+            "ipso seed 1001": "7da55492b607932437569550f65fbb19"
+                              "d76ec4eddc2cf10dd3c38d8b31dbd070",
+            "pso seed 1001": "7da55492b607932437569550f65fbb19"
+                             "d76ec4eddc2cf10dd3c38d8b31dbd070",
+            "ga seed 1001": "1f06dcc9eb628497914a6c5bc701548e"
+                            "7c1cc47e9cbce09dc2a3e050d29ac5f4",
+        }, id="L=20"),
+        pytest.param(50, {
+            "ipso seed 3": "dad17f5f4ed7ef2013044bf7c6af7a5c"
+                           "66ca2d5ef4214e3cfb09a8e905ce688e",
+            "pso seed 3": "dad17f5f4ed7ef2013044bf7c6af7a5c"
+                          "66ca2d5ef4214e3cfb09a8e905ce688e",
+            "ga seed 3": "0699f46087f9753242a203c827badd4d"
+                         "ca557337a0f35e6f042df72761833d8b",
+            "ipso seed 1001": "9cc4a1fdfa709cf4c1b8b2332dc5b7d3"
+                              "fd34fe7422928e274d9ab8d0b9f4b066",
+            "pso seed 1001": "9cc4a1fdfa709cf4c1b8b2332dc5b7d3"
+                             "fd34fe7422928e274d9ab8d0b9f4b066",
+            "ga seed 1001": "4f92d1f2595ab26918304a22feed2315"
+                            "8f2149fc50d82e3e51392d0819449b26",
+        }, id="L=50"),
+    ])
+    def test_fitness_runs_match_frozen_reference(self, three_machine_kb,
+                                                 hidden, frozen):
+        kb = three_machine_kb
+        split = features.split_train_test(kb, 2 / 3, 7)
+        z, _, _ = features.standardize(kb.samples, split.train)
+        spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=hidden)
+        got = {}
+        for seed in (3, 1001):
+            ctx = swarm.FitnessContext.build(z[split.train],
+                                             kb.labels[split.train], spec,
+                                             seed=seed)
+            config = swarm.SwarmConfig(max_iterations=3, fitness_target=1.0,
+                                       seed=seed)
+            for name, run in swarm.OPTIMIZERS.items():
+                digest = hashlib.sha256()
+
+                def fitness(position):
+                    digest.update(position.tobytes())   # every move's bits
+                    return ctx(position)
+
+                update_digest(digest, run(fitness, spec.dim, config))
+                got[f"{name} seed {seed}"] = digest.hexdigest()
+        assert got == frozen
 
     def test_ga_identical_parents_crossover(self):
         # [TRIVIAL] uniform crossover of identical parents is the parent
