@@ -8,6 +8,7 @@ Three-phase faults are represented purely by switching matrices.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
@@ -229,20 +230,39 @@ def _power_mismatch(delta, emf, pm, y):
 def _newton(delta, emf, pm, y):
     """Newton's method on Pm − Pe(δ) = 0 from every start of `delta`
     (radians, ([N,] G)), updated in place with the last machine's angle
-    held: at most 50 steps of the analytic ∂Pe/∂δ, ending once no angle
-    moves by over 1e-12 or a Jacobian is singular. Returns `delta`."""
+    held: at most 50 steps of the analytic ∂Pe/∂δ, each row ending once
+    none of its angles moves by over 1e-12 or its Jacobian is singular.
+    Returns `delta`."""
+    d = np.atleast_2d(delta)
+    e, p = (np.broadcast_to(a, d.shape) for a in (emf, pm))
+    rows = np.arange(len(d))            # the rows still moving
     for _ in range(_NEWTON_MAX_STEPS):
-        jac = kernels.power_jacobian(delta, emf, y)
+        at, e_at = d[rows], e[rows]
+        jac = kernels.power_jacobian(at, e_at, y)[:, :-1, :-1]
+        rhs = _power_mismatch(at, e_at, p[rows], y)[:, :-1, None]
         try:
-            step = np.linalg.solve(
-                jac[..., :-1, :-1],
-                _power_mismatch(delta, emf, pm, y)[..., :-1, None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        delta[..., :-1] += step
-        if not np.max(np.abs(step), initial=0.0) > _NEWTON_STEP_TOL:
+            step = np.linalg.solve(jac, rhs)[..., 0]
+        except np.linalg.LinAlgError:   # a singular row takes no step
+            step = np.zeros(rhs.shape[:-1])
+            for r in range(len(rows)):
+                try:
+                    step[r] = np.linalg.solve(jac[r], rhs[r])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        d[rows, :-1] = at[:, :-1] + step
+        rows = rows[np.max(np.abs(step), axis=-1, initial=0.0)
+                    > _NEWTON_STEP_TOL]
+        if not len(rows):
             break
     return delta
+
+
+def _equilibria(emf, pm, y):
+    """(delta, mismatch): `_newton`'s angles from equal ones at EMFs `emf`
+    and Pm `pm` on `y`, ([N,] G), and each row's full residual, the largest
+    |Pm − Pe| with the reference machine's."""
+    delta = _newton(np.zeros(np.shape(pm)), emf, pm, y)
+    return delta, np.abs(_power_mismatch(delta, emf, pm, y)).max(axis=-1)
 
 
 def solve_equilibrium(model, emf=None, pm=None):
@@ -254,41 +274,60 @@ def solve_equilibrium(model, emf=None, pm=None):
     full residual (the reference machine's too) stays above 1e-8 pu.
     """
     emf, pm = (model.emf, model.pm) if emf is None else (emf, pm)
-    delta = _newton(np.zeros(model.n_generators), emf, pm, model.y_prefault)
-    mismatch = np.abs(_power_mismatch(delta, emf, pm, model.y_prefault)).max()
+    delta, mismatch = _equilibria(emf, pm, model.y_prefault)
     if not mismatch <= _EQUILIBRIUM_TOL:
         raise NoEquilibriumError(
             f"no prefault equilibrium (max mismatch {mismatch:.3e} pu)")
     return delta
 
 
-def operating_point(model, level):
-    """(emf, pm, delta0): EMFs, Pm and prefault angles of `model` at `level`.
+def operating_points(model, levels):
+    """(emf, pm, delta0), each (L, G): EMFs, Pm and prefault angles of
+    `model` at each of `levels`.
 
-    Level 1 keeps the model's own vectors. Otherwise Pm is scaled by
-    `level`; the EMF magnitudes are kept when the scaled system still has
+    Level 1 keeps the model's own vectors. Otherwise Pm is scaled by the
+    level; the EMF magnitudes are kept when the scaled system still has
     an equilibrium, else re-derived as E·sqrt(level), which scales every
-    power-flow term by `level` and preserves the base-case angles exactly.
-    Without transfer conductance ΣPe = ΣE_i²G_ii, so a scaled ΣPm off it
-    by over G·1e-8 cannot balance and is not tried. Each candidate is
-    solved at most once, and the angles come from the one that holds.
+    power-flow term by the level and preserves the base-case angles
+    exactly. Without transfer conductance ΣPe = ΣE_i²G_ii, so a scaled ΣPm
+    off it by over G·1e-8 cannot balance and is not tried. Each candidate
+    is solved once, in two rounds of one `_newton` call each: level 1 and
+    the levels that keep their EMFs, then the E·sqrt(level) ones. The
+    first of `levels` that no candidate holds raises NoEquilibriumError.
     """
-    if level == 1.0:
-        return model.emf, model.pm, solve_equilibrium(model)
-    pm, y = model.pm * level, model.y_prefault
-    excess = abs(np.sum(pm - model.emf ** 2 * y.real.diagonal()))
-    if not (_lossless_transfer(y)
-            and excess > model.n_generators * _EQUILIBRIUM_TOL):
-        try:
-            return model.emf, pm, solve_equilibrium(model, model.emf, pm)
-        except NoEquilibriumError:
-            pass
-    emf = model.emf * math.sqrt(level)
-    try:
-        return emf, pm, solve_equilibrium(model, emf, pm)
-    except NoEquilibriumError as exc:
+    levels = np.asarray(levels, dtype=float)
+    y = model.y_prefault
+    pm = levels[:, None] * model.pm
+    emf = np.repeat(model.emf[None], len(levels), axis=0)
+    delta = np.zeros_like(pm)
+    mismatch = np.full(len(levels), np.inf)
+    base = levels == 1.0
+    excess = np.abs(np.sum(pm - model.emf ** 2 * y.real.diagonal(), axis=1))
+    kept = base | ~(_lossless_transfer(y)
+                    & (excess > model.n_generators * _EQUILIBRIUM_TOL))
+
+    def solve(rows):
+        if len(rows):
+            delta[rows], mismatch[rows] = _equilibria(emf[rows], pm[rows], y)
+
+    solve(np.flatnonzero(kept))
+    rescaled = np.flatnonzero(~base & ~(mismatch <= _EQUILIBRIUM_TOL))
+    emf[rescaled] = model.emf * np.sqrt(levels[rescaled, None])
+    solve(rescaled)
+    failed = np.flatnonzero(~(mismatch <= _EQUILIBRIUM_TOL))
+    if len(failed):
+        k = failed[0]
         raise NoEquilibriumError(
-            f"load level {level} destroys the operating point") from exc
+            f"no prefault equilibrium (max mismatch {mismatch[k]:.3e} pu)"
+            if base[k] else
+            f"load level {levels[k]} destroys the operating point")
+    return emf, pm, delta
+
+
+def operating_point(model, level):
+    """(emf, pm, delta0) of `model` at one load level: `operating_points`
+    of that level alone."""
+    return tuple(a[0] for a in operating_points(model, [level]))
 
 
 # Transient-energy certificate (README, "Features and labeling"), after
@@ -306,50 +345,64 @@ def _lossless_transfer(y):
 
 
 def _energy_bound(ref, emf, y):
-    """(C, s, V_min) of EMFs `emf` on `y` about operating angles `ref`, or why
-    none applies: C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over pairs i < j.
+    """(C, s, V_min) of EMFs `emf` on `y` about operating angles `ref`,
+    ([L,] G) for L load levels, or why none applies at any level (the
+    first level's reason): C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over
+    pairs i < j, and V_min per level, −inf where the bound does not hold.
     Pair term −C(cos x − cos s) − C·sin s·(x − s) has its smaller end value
     C(2cos|s| − (π − 2|s|)·sin|s|), positive when C > 0 and |s| < 90°."""
     if not _lossless_transfer(y):
         return "transfer conductance in the postfault network"
-    i, j = np.triu_indices(len(ref), 1)
-    c, s = emf[i] * emf[j] * y.imag[i, j], ref[i] - ref[j]
-    if not np.all(c > 0):
-        return "a pair with C_ij <= 0"
+    i, j = np.triu_indices(ref.shape[-1], 1)
+    c, s = emf[..., i] * emf[..., j] * y.imag[i, j], ref[..., i] - ref[..., j]
     a = np.abs(s)
     v_min = np.min(c * (2 * np.cos(a) - (math.pi - 2 * a) * np.sin(a)),
-                   initial=math.inf)
-    if not (v_min > 0 and np.all(a < math.pi / 2)):    # both, for rounding
-        return "a pair 90 degrees or more apart at the operating point"
-    return c, s, v_min
+                   axis=-1, initial=math.inf)
+    coupled = np.all(c > 0, axis=-1)
+    # v_min and the angles both, for rounding
+    holds = coupled & (v_min > 0) & np.all(a < math.pi / 2, axis=-1)
+    if not np.any(holds):
+        return ("a pair 90 degrees or more apart at the operating point"
+                if np.ravel(coupled)[0] else "a pair with C_ij <= 0")
+    return c, s, np.where(holds, v_min, -math.inf)
 
 
-def _certified(d, w, e, pm, ref, ceiling, model):
-    """Rows of (d, w) (EMFs `e`, Pm `pm`, operating angles `ref`) with V
-    below `ceiling` and every pair angle in (−π − s, π − s). W = −ΣP_i·x_i
+def _pair_terms(e, pm, ref, y):
+    """What `_certified` needs of EMFs `e`, Pm `pm` and operating angles
+    `ref` on `y`, each with a leading row axis: C_ij, s_ij and cos s_ij
+    over pairs i < j, P_i − E_i²G_ii, and ref less the last machine's."""
+    i, j = np.triu_indices(ref.shape[-1], 1)
+    s = ref[:, i] - ref[:, j]
+    return (e[:, i] * e[:, j] * y.imag[i, j], s, np.cos(s),
+            pm - e ** 2 * y.real.diagonal(), ref - ref[:, -1:])
+
+
+def _certified(d, w, terms, ceiling, model):
+    """Rows of (d, w) with V below `ceiling` and every pair angle in
+    (−π − s, π − s), `terms` each row's `_pair_terms`. W = −ΣP_i·x_i
     − Σ_{i<j} C_ij(cos δ_ij − cos s_ij), x the angles relative to the last
     machine's from `ref`: its gradient over x is Pe − Pm."""
+    c, s, cos_s, p, ref = terms
     i, j = np.triu_indices(d.shape[-1], 1)
-    c = e[:, i] * e[:, j] * model.y_prefault.imag[i, j]
-    s = ref[:, i] - ref[:, j]
-    p = pm - e ** 2 * model.y_prefault.real.diagonal()
-    x = d - d[:, -1:] - (ref - ref[:, -1:])
+    pair = d[:, i] - d[:, j]
+    x = d - d[:, -1:] - ref
     pot = (-np.sum(p * x, axis=-1)
-           - np.sum(c * (np.cos(d[:, i] - d[:, j]) - np.cos(s)), axis=-1))
+           - np.sum(c * (np.cos(pair) - cos_s), axis=-1))
     energy = np.sum(model.inertia / model.omega0 * w ** 2, axis=-1) + pot
-    inside = np.all(np.abs(d[:, i] - d[:, j] + s) < math.pi, axis=-1)
+    inside = np.all(np.abs(pair + s) < math.pi, axis=-1)
     return (energy < ceiling) & inside
 
 
 def simulate_scenarios(model, scenarios, keep=None):
     """Integrate fault scenarios together with fixed-step RK4.
 
-    Each scenario starts from the prefault equilibrium at its load level,
-    solved once per distinct level. Its during-fault matrix is active on
-    [0, t_clear), the prefault one again afterwards; the step containing
-    t_clear is split in two so the state is continuous and the switching
-    instant is hit exactly (a clearing on the step grid gets a first part
-    of length zero). All scenarios share one step and horizon.
+    Each scenario starts from the prefault equilibrium at its load level;
+    `operating_points` solves the distinct levels together. Its
+    during-fault matrix is active on [0, t_clear), the prefault one again
+    afterwards; the step containing t_clear is split in two so the state
+    is continuous and the switching instant is hit exactly (a clearing on
+    the step grid gets a first part of length zero). All scenarios share
+    one step and horizon.
 
     `keep(t_clear, time)`, called before any step is taken, returns the
     grid steps to record for each scenario, ([S,] K) ints; by default
@@ -359,7 +412,8 @@ def simulate_scenarios(model, scenarios, keep=None):
     step is past, so with the default every row runs the whole horizon.
     When some row's last kept step lies before the horizon, a postfault
     row past its last kept step also leaves once its level's energy bound
-    proves it stable (checked every 24 steps); a full history tries no
+    proves it stable (checked every 24 steps, from the first step at
+    which some row is past its last kept one); a full history tries no
     bound. The overflow guard watches the rows still running. Pe is
     computed at the kept samples only. Returns one Trajectory, scenario
     axis first.
@@ -385,21 +439,24 @@ def simulate_scenarios(model, scenarios, keep=None):
     steps = np.broadcast_to(steps, (n_rows, np.shape(steps)[-1]))
     if not np.all((0 <= steps) & (steps <= nsteps)):
         raise ValueError("kept steps outside the integration grid")
-    levels = [sc.load_level for sc in scenarios]
-    operating = {v: operating_point(model, v) for v in dict.fromkeys(levels)}
+    levels = np.array([sc.load_level for sc in scenarios])
+    _, first, inverse = np.unique(levels, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)           # distinct levels in grid order
+    e_lv, p_lv, d_lv = operating_points(model, levels[first[order]])
+    at = np.argsort(order)[inverse]     # each row's level
     last = steps.max(axis=1)
     y_pre = model.y_prefault
-    ceiling, refused = {}, []           # a full history tries no bound
-    for lv, (e, p, d0) in operating.items() if np.any(last < nsteps) else ():
-        bound = _energy_bound(d0, e, y_pre)
-        if isinstance(bound, str):
-            refused.append(bound)
-        else:   # W = Σ pair terms − Σr_i·x_i, r = Pm − Pe(δ*) and |x_i| < 2π
-            ceiling[lv] = bound[2] - 2 * math.pi * np.sum(
-                np.abs(_power_mismatch(d0, e, p, y_pre)))
-    why = "" if ceiling else next(iter(refused), Trajectory.certificate)
-
-    emf, pm, d = map(np.array, zip(*(operating[v] for v in levels)))
+    why, certify = Trajectory.certificate, ()  # a full history tries no bound
+    if np.any(last < nsteps):
+        bound = _energy_bound(d_lv, e_lv, y_pre)
+        why = bound if isinstance(bound, str) else ""
+    if not why:     # W = Σ pair terms − Σr_i·x_i, r = Pm − Pe(δ*), |x_i| < 2π
+        top = bound[2] - 2 * math.pi * np.sum(
+            np.abs(_power_mismatch(d_lv, e_lv, p_lv, y_pre)), axis=-1)
+        certify = tuple(a[at] for a in (
+            top, *_pair_terms(e_lv, p_lv, d_lv, y_pre)))
+    emf, pm, d = e_lv[at], p_lv[at], d_lv[at]
     y_fault = np.array([model.y_fault[sc.fault] for sc in scenarios])
     delta = np.empty((*steps.shape, model.n_generators))
     speed = np.empty_like(delta)
@@ -420,10 +477,10 @@ def simulate_scenarios(model, scenarios, keep=None):
     w = np.zeros_like(d)
     gap = np.full(n_rows, -np.inf)
     y, shared_from = y_fault.copy(), max(clearing)
-    run = (emf, pm, n_fault, rem, steps, last, d.copy(),
-           np.array([ceiling.get(v, -np.inf) for v in levels]))
+    run = (emf, pm, n_fault, rem, steps, last, *certify)
+    first_settle = last.min()   # no row settles before this step
     for k in range(nsteps + 1):
-        e, p, n_f, r_f, kept, last, ref, top = run
+        e, p, n_f, r_f, kept, last, *cert = run
         if k:
             cut = np.nonzero(n_f == k - 1)[0] if k in clearing else ()
             step = dt
@@ -438,7 +495,7 @@ def simulate_scenarios(model, scenarios, keep=None):
                     p[cut], y_pre, model.omega0)
             if k == shared_from:
                 y = y_pre
-            if not np.all(np.abs(d) <= limit):
+            if not (np.abs(d) <= limit).all():
                 raise NumericOverflowError(
                     "rotor angle exceeded the overflow guard "
                     f"({OVERFLOW_LIMIT_DEG:g} degrees)")
@@ -447,11 +504,14 @@ def simulate_scenarios(model, scenarios, keep=None):
             at_r, at_c = np.nonzero(kept == k)
             delta[rows[at_r], at_c] = d[at_r]
             speed[rows[at_r], at_c] = w[at_r]
+        if k < first_settle:
+            continue
         settled = (gap >= INSTABILITY_THRESHOLD_DEG) & (last <= k)
-        if ceiling and not k % CERTIFY_EVERY:
+        if cert and not k % CERTIFY_EVERY:
+            top, *terms = cert
             settled |= (n_f < k) & (last <= k) & _certified(
-                d, w, e, p, ref, top, model)
-        if np.any(settled):
+                d, w, terms, top, model)
+        if settled.any():
             max_gap[rows[settled]] = gap[settled]
             stop_step[rows[settled]] = k
             going = np.flatnonzero(~settled)    # take is cheaper than a mask
@@ -463,13 +523,12 @@ def simulate_scenarios(model, scenarios, keep=None):
                 break
     max_gap[rows] = gap
 
-    # stored Pe: the fault's matrix on (0, t_clear), the prefault one
-    # elsewhere; each scores every kept sample once
-    faulted = (steps > 0) & (time[steps] < t_clear[:, None])
-    pe = np.where(faulted[..., None],
-                  kernels.electrical_power(delta, emf[:, None],
-                                           y_fault[:, None]),
-                  kernels.electrical_power(delta, emf[:, None], y_pre))
+    # stored Pe: the prefault matrix's at every kept sample, then the
+    # fault's at the samples taken on (0, t_clear)
+    pe = kernels.electrical_power(delta, emf[:, None], y_pre)
+    row, col = np.nonzero((steps > 0) & (time[steps] < t_clear[:, None]))
+    pe[row, col] = kernels.electrical_power(delta[row, col], emf[row],
+                                            y_fault[row])
     np.degrees(delta, out=delta)
     for arr in (time, delta, speed, pm, pe, t_clear, max_gap, stop_step):
         arr.setflags(write=False)
@@ -490,10 +549,18 @@ def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
     """Cartesian product of faults × clearing times × load levels.
 
     Deterministic order. `seed` is the grid file's master seed; no
-    scenario depends on it, so the same lists give the same grid.
+    scenario depends on it, so the same lists give the same grid. A value
+    a list repeats (clearing times and load levels compared as floats) is
+    refused: its scenarios would be the same rows twice.
     """
     if not faults or not len(clearing_cycles) or not len(load_levels):
         raise ValueError("grid lists must be non-empty")
+    for name, values in (("faults", faults),
+                         ("clearing_cycles", map(float, clearing_cycles)),
+                         ("load_levels", map(float, load_levels))):
+        repeated = [v for v, n in Counter(values).items() if n > 1]
+        if repeated:
+            raise ValueError(f"{name} lists {repeated[0]!r} more than once")
     lo, hi = CLEARING_RANGE_CYCLES
     for c in clearing_cycles:
         if not lo <= c <= hi:

@@ -9,6 +9,7 @@ monitoring and a mutation rescue when the swarm stagnates below target.
 import csv
 import functools
 import logging
+import operator
 import time
 from dataclasses import dataclass
 
@@ -328,7 +329,17 @@ def mutate(positions, rng, exempt=None):
 
 
 def _rng(seed, *key):
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    """default_rng(SeedSequence([seed, *key])), given the uint32 words
+    numpy makes of that list: the seed's little-endian 32-bit words ([0]
+    for 0), then the key's (each below 2³²). An array of words skips
+    numpy's slower coercion of a list."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"the seed {seed} is negative")
+    words = [seed >> n & 0xFFFF_FFFF
+             for n in range(0, seed.bit_length() or 1, 32)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array([*words, *key], dtype=np.uint32))))
 
 
 def _inertia(config, k):

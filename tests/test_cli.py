@@ -913,6 +913,8 @@ def _write_malformed(case, kb_csv, tmp_path):
                                       f"horizon = {case.split()[2]}")
         if case.endswith("50 Hz"):
             model_text = model_text.replace("f0 60.0", "f0 50.0")
+    elif case == "grid repeated load level":
+        grid_text = grid_text.replace("1.25, 1.3", "1.25, 1.3, 1.0")
     elif case == "grid unknown fault":
         grid_text = grid_text.replace("faults = fault", "faults = bus9")
     elif case == "grid file name utf-8":
@@ -1045,6 +1047,9 @@ def _write_malformed(case, kb_csv, tmp_path):
                  "window ends 0.3 s (latest clearing 10 cycles at f0 = 60 Hz)",
                  id="grid horizon 0.2 before the window"),
     ("grid unknown fault", cli.EXIT_USAGE, "unknown fault id 'bus9'"),
+    pytest.param("grid repeated load level", cli.EXIT_USAGE,
+                 "load_levels lists 1.0 more than once",
+                 id="grid repeated load level"),
     ("grid repeated key", cli.EXIT_RUNTIME,
      "model.grid line 7: a second 'load_levels' line"),
     ("grid unknown key", cli.EXIT_RUNTIME,

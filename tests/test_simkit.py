@@ -267,11 +267,26 @@ class TestScenarioGrid:
         with pytest.raises(ValueError):
             simkit.build_scenario_grid([], [5.0], [1.0], seed=1)
 
+    @pytest.mark.parametrize("faults, cycles, levels, message", [
+        (["a", "b", "a"], [5.0], [1.0], "faults lists 'a' more than once"),
+        (["a"], [5.0, 6, 6.0], [1.0],
+         "clearing_cycles lists 6.0 more than once"),
+        (["a"], [5.0], [1.0, 1.0, 0.9],
+         "load_levels lists 1.0 more than once"),
+        (["a"], [5.0], [1, 0.9, 1.0], "load_levels lists 1.0 more than once"),
+    ])
+    def test_repeated_value_rejected(self, faults, cycles, levels, message):
+        # a repeated value would give byte-identical rows, which a split
+        # could put on both sides of train and test
+        with pytest.raises(ValueError, match=message):
+            simkit.build_scenario_grid(faults, cycles, levels, seed=1)
+
 
 class TestLoadLevel:
     def test_identity(self, smib):
+        # level 1's row of the batch holds the model's own vectors
         emf, pm, delta0 = simkit.operating_point(smib, 1.0)
-        assert emf is smib.emf and pm is smib.pm
+        assert np.array_equal(emf, smib.emf) and np.array_equal(pm, smib.pm)
         assert np.array_equal(delta0, simkit.solve_equilibrium(smib))
 
     def test_smib_closed_form(self, smib):
@@ -303,30 +318,28 @@ class TestLoadLevel:
 def test_one_solve_per_candidate_model(monkeypatch):
     # [DERIVED] fixtures/three_machine.grid has 21 load levels and no
     # transfer conductance, so ΣPe = Σ E_i²·G_ii at every angle and no
-    # level but 1.0 can balance its scaled Pm: level 1.0 and each other
-    # level's E·sqrt(level) model are solved once, 21 solves, none
-    # raising. Trying the scaled-Pm model first would make it 41 (20
-    # raising); a second solve of the chosen model, 42 or more.
-    solve = simkit.solve_equilibrium
-    outcomes = []
+    # level but 1.0 can balance its scaled Pm: level 1.0 is the first
+    # Newton call's one row, and each other level's E·sqrt(level) row is
+    # in the second's, 21 rows, none failing. Trying the scaled-Pm rows
+    # first would make it 41 (20 failing); a second solve of a chosen row,
+    # 42 or more.
+    newton = simkit._newton
+    residuals = []
 
-    def counted(*args):
-        try:
-            delta = solve(*args)
-        except simkit.NoEquilibriumError:
-            outcomes.append(False)
-            raise
-        outcomes.append(True)
-        return delta
+    def recorded(delta, emf, pm, y):
+        out = newton(delta, emf, pm, y)
+        residuals.append(np.abs(simkit._power_mismatch(out, emf, pm, y))
+                         .max(axis=-1))
+        return out
 
-    monkeypatch.setattr(simkit, "solve_equilibrium", counted)
+    monkeypatch.setattr(simkit, "_newton", recorded)
     spec = simkit.load_grid_spec("fixtures/three_machine.grid")
     scenarios = simkit.build_scenario_grid(**spec)
     simkit.simulate_scenarios(simkit.load_model("fixtures/three_machine.sys"),
                               scenarios)
     assert len(spec["load_levels"]) == 21
-    assert len(outcomes) == 21
-    assert outcomes.count(False) == 0
+    assert [len(r) for r in residuals] == [1, 20]
+    assert all(np.all(r <= 1e-8) for r in residuals)
 
 
 def lossy(model, g=0.01):
@@ -342,22 +355,72 @@ def lossy(model, g=0.01):
 
 def test_lossy_level_tries_scaled_pm_first(monkeypatch, three_machine):
     # with transfer conductance ΣPe depends on the angles, so the scaled-Pm
-    # model is tried first and E·sqrt(level) only after it fails
+    # row is tried first and the E·sqrt(level) row only after it fails
     model = lossy(three_machine)
-    solve = simkit.solve_equilibrium
+    newton = simkit._newton
     tried = []
 
-    def recorded(m, emf, pm):
-        tried.append((emf, pm))
-        return solve(m, emf, pm)
+    def recorded(delta, emf, pm, y):
+        tried.append((emf.copy(), pm.copy()))
+        return newton(delta, emf, pm, y)
 
-    monkeypatch.setattr(simkit, "solve_equilibrium", recorded)
+    monkeypatch.setattr(simkit, "_newton", recorded)
     emf, pm, _ = simkit.operating_point(model, 0.8)
-    assert np.array_equal(tried[0][1], model.pm * 0.8)
-    assert np.array_equal(tried[0][0], model.emf)
-    assert tried[-1][0] is emf and tried[-1][1] is pm
-    assert len(tried) == 2
+    assert [len(e) for e, _ in tried] == [1, 1]
+    (first_emf, first_pm), (last_emf, last_pm) = tried
+    assert np.array_equal(first_pm[0], model.pm * 0.8)
+    assert np.array_equal(first_emf[0], model.emf)
+    assert np.array_equal(last_emf[0], emf) and np.array_equal(last_pm[0], pm)
     assert np.array_equal(emf, model.emf * math.sqrt(0.8))
+
+
+def test_singular_row_stops_alone(three_machine):
+    # a row without EMF has an all-zero Jacobian: the batched solve raises,
+    # that row keeps its start, and the others reach their one-level angles
+    levels = [0.8, 1.0, 1.2]
+    emf, pm, _ = simkit.operating_points(three_machine, levels)
+    emf, pm = np.insert(emf, 1, 0.0, axis=0), np.insert(pm, 1, pm[0], axis=0)
+    delta = simkit._newton(np.zeros(pm.shape), emf, pm,
+                           three_machine.y_prefault)
+    assert np.array_equal(delta[1], np.zeros(3))
+    for got, level in zip(delta[[0, 2, 3]], levels):
+        want = simkit.operating_point(three_machine, level)[2]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([1.1, 0.9, 1.0], "load level 1.1 destroys the operating point"),
+    ([0.9, 1.1], "load level 0.9 destroys the operating point"),
+    ([1.0, 0.9], "no prefault equilibrium (max mismatch"),
+])
+def test_first_failing_level_is_named(smib, levels, message):
+    # with Pm beyond the tie's 1 pu no level balances, and the first level
+    # in grid order names the refusal, in operating_points and in a run
+    bad = replace(smib, pm=np.array([5.0, -5.0]))
+    with pytest.raises(simkit.NoEquilibriumError) as caught:
+        simkit.operating_points(bad, levels)
+    assert message in str(caught.value)
+    grid = simkit.build_scenario_grid(["fault"], [5.0], levels, seed=1)
+    with pytest.raises(simkit.NoEquilibriumError) as caught:
+        simkit.simulate_scenarios(bad, grid)
+    assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("case", ["smib", "three_machine"])
+def test_operating_points_match_one_level(case):
+    # the batch holds each level's one-level EMF and Pm bit for bit, and
+    # its angles to rounding: SMIB's levels are solved in the first call,
+    # the three-machine ones but 1.0 in the second
+    model = simkit.load_model(f"fixtures/{case}.sys")
+    levels = simkit.load_grid_spec(f"fixtures/{case}.grid")["load_levels"]
+    emf, pm, delta0 = simkit.operating_points(model, levels)
+    assert emf.shape == pm.shape == delta0.shape == (len(levels),
+                                                     model.n_generators)
+    for n, level in enumerate(levels):
+        one_emf, one_pm, one_delta0 = simkit.operating_point(model, level)
+        assert np.array_equal(emf[n], one_emf)
+        assert np.array_equal(pm[n], one_pm)
+        assert np.allclose(delta0[n], one_delta0, rtol=0.0, atol=1e-14)
 
 
 def test_scenarios_build_no_model(monkeypatch, three_machine):
@@ -728,15 +791,16 @@ def test_bound_is_sound_on_full_histories(case):
                                           **LOSSLESS_GRID)
     traj = simkit.simulate_scenarios(model, grid)
     n_rows, n_t, g = traj.delta_deg.shape
-    levels = [simkit.operating_point(model, sc.load_level) for sc in grid]
-    emf = np.repeat([e for e, _, _ in levels], n_t, axis=0)
-    ref = np.repeat([d0 for _, _, d0 in levels], n_t, axis=0)
-    v_min = np.repeat([simkit._energy_bound(d0, e, model.y_prefault)[2]
-                       for e, _, d0 in levels], n_t)
+    emf, pm, ref = simkit.operating_points(
+        model, [sc.load_level for sc in grid])
+    v_min = np.repeat(simkit._energy_bound(ref, emf, model.y_prefault)[2],
+                      n_t)
+    terms = simkit._pair_terms(*(np.repeat(a, n_t, axis=0)
+                                 for a in (emf, pm, ref)), model.y_prefault)
     met = simkit._certified(
         np.radians(traj.delta_deg).reshape(-1, g),
-        traj.speed_dev.reshape(-1, g), emf, np.repeat(traj.pm, n_t, axis=0),
-        ref, v_min, model).reshape(n_rows, n_t)
+        traj.speed_dev.reshape(-1, g), terms, v_min, model
+    ).reshape(n_rows, n_t)
     met &= traj.time > traj.t_clear[:, None]
     gap = simkit.angle_gap(traj.delta_deg)
     later = np.maximum.accumulate(gap[:, ::-1], axis=1)[:, ::-1]

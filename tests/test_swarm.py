@@ -428,6 +428,20 @@ class TestRunSwarm:
         res = swarm.run_ipso(sphere_fitness, 1, config)
         assert len(res.trace) == 1
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 5,
+                                      2**64 + 5, 10**30])
+    def test_stream_is_the_seed_sequence_of_the_list(self, seed):
+        # each (seed, *key) stream is default_rng(SeedSequence([seed,
+        # *key])), seeds of one to four 32-bit words included
+        for key in [(), (0, 3), (1, 14, 19), (3, 2**32 - 1)]:
+            got = swarm._rng(seed, *key)
+            want = np.random.default_rng(
+                np.random.SeedSequence([seed, *key]))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.random(4), want.random(4))
+        with pytest.raises(ValueError, match="the seed -1 is negative"):
+            swarm._rng(-1, 0)
+
     def test_same_seed_identical_trace(self):
         config = swarm.SwarmConfig(max_iterations=15, seed=11,
                                    fitness_target=1.0)
