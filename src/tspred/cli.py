@@ -82,7 +82,8 @@ def cmd_generate(args):
         scenarios = simkit.build_scenario_grid(**spec)
         # before the first step, simulate_scenarios refuses a horizon that
         # ends before a clearing at the model's f0 and a fault it lacks,
-        # and sample_steps one that ends before a feature window
+        # and sample_steps one that ends before a feature window and a
+        # step that puts two of its instants on one grid step
         traj = simkit.simulate_scenarios(model, scenarios,
                                          keep=features.sample_steps)
     except ValueError as exc:

@@ -68,7 +68,8 @@ def feature_names(n_generators):
 def sample_steps(t_clear, time):
     """Grid steps a feature row reads, ([S,] 10): step 0, then the window
     instants t_clear + k/60 for k = 0..8 mapped to the integration grid
-    `time` by nearest-point selection."""
+    `time` by nearest-point selection. A step that puts two instants on
+    one grid step raises ValueError."""
     dt = time[1] - time[0]
     window = t_clear[..., None] + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ
     if np.max(window) > time[-1] + dt / 2:
@@ -76,6 +77,10 @@ def sample_steps(t_clear, time):
             "horizon shorter than the feature window: horizon "
             f"{time[-1]:.4g} s, window ends {np.max(window):.4g} s")
     idx = np.minimum(np.rint(window / dt).astype(int), len(time) - 1)
+    if np.any(np.diff(idx, axis=-1) <= 0):
+        raise ValueError(
+            f"integration step {dt:.4g} s puts two feature window instants, "
+            f"1/{WINDOW_RATE_HZ:g} s apart, on one grid step")
     return np.concatenate([np.zeros_like(idx[..., :1]), idx], axis=-1)
 
 

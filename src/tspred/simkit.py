@@ -257,30 +257,6 @@ def _newton(delta, emf, pm, y):
     return delta
 
 
-def _equilibria(emf, pm, y):
-    """(delta, mismatch): `_newton`'s angles from equal ones at EMFs `emf`
-    and Pm `pm` on `y`, ([N,] G), and each row's full residual, the largest
-    |Pm − Pe| with the reference machine's."""
-    delta = _newton(np.zeros(np.shape(pm)), emf, pm, y)
-    return delta, np.abs(_power_mismatch(delta, emf, pm, y)).max(axis=-1)
-
-
-def solve_equilibrium(model, emf=None, pm=None):
-    """Prefault operating point: rotor angles (radians) with Δω = 0.
-
-    At EMFs `emf` and Pm `pm` (the model's own when None), `_newton` holds
-    the last machine's angle at 0 and, from equal angles, solves the others
-    so every power mismatch vanishes. Raises NoEquilibriumError when the
-    full residual (the reference machine's too) stays above 1e-8 pu.
-    """
-    emf, pm = (model.emf, model.pm) if emf is None else (emf, pm)
-    delta, mismatch = _equilibria(emf, pm, model.y_prefault)
-    if not mismatch <= _EQUILIBRIUM_TOL:
-        raise NoEquilibriumError(
-            f"no prefault equilibrium (max mismatch {mismatch:.3e} pu)")
-    return delta
-
-
 def operating_points(model, levels):
     """(emf, pm, delta0), each (L, G): EMFs, Pm and prefault angles of
     `model` at each of `levels`.
@@ -292,8 +268,11 @@ def operating_points(model, levels):
     exactly. Without transfer conductance ΣPe = ΣE_i²G_ii, so a scaled ΣPm
     off it by over G·1e-8 cannot balance and is not tried. Each candidate
     is solved once, in two rounds of one `_newton` call each: level 1 and
-    the levels that keep their EMFs, then the E·sqrt(level) ones. The
-    first of `levels` that no candidate holds raises NoEquilibriumError.
+    the levels that keep their EMFs, then the E·sqrt(level) ones. Newton
+    holds the last machine's angle at 0 and, from equal angles, solves
+    the others; a candidate holds when its full residual (the reference
+    machine's too) is at most 1e-8 pu. The first of `levels` that no
+    candidate holds raises NoEquilibriumError.
     """
     levels = np.asarray(levels, dtype=float)
     y = model.y_prefault
@@ -308,7 +287,9 @@ def operating_points(model, levels):
 
     def solve(rows):
         if len(rows):
-            delta[rows], mismatch[rows] = _equilibria(emf[rows], pm[rows], y)
+            e, p = emf[rows], pm[rows]
+            delta[rows] = d = _newton(np.zeros(p.shape), e, p, y)
+            mismatch[rows] = np.abs(_power_mismatch(d, e, p, y)).max(axis=-1)
 
     solve(np.flatnonzero(kept))
     rescaled = np.flatnonzero(~base & ~(mismatch <= _EQUILIBRIUM_TOL))
@@ -322,12 +303,6 @@ def operating_points(model, levels):
             if base[k] else
             f"load level {levels[k]} destroys the operating point")
     return emf, pm, delta
-
-
-def operating_point(model, level):
-    """(emf, pm, delta0) of `model` at one load level: `operating_points`
-    of that level alone."""
-    return tuple(a[0] for a in operating_points(model, [level]))
 
 
 # Transient-energy certificate (README, "Features and labeling"), after
@@ -344,17 +319,22 @@ def _lossless_transfer(y):
     return not np.any(y.real - np.diag(np.diag(y.real)))
 
 
-def _energy_bound(ref, emf, y):
-    """(C, s, V_min) of EMFs `emf` on `y` about operating angles `ref`,
-    ([L,] G) for L load levels, or why none applies at any level (the
-    first level's reason): C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over
-    pairs i < j, and V_min per level, −inf where the bound does not hold.
+def _certificate(emf, pm, ref, y):
+    """Each load level's energy bound, or why none applies at any level
+    (the first level's reason). EMFs `emf`, Pm `pm` and operating angles
+    `ref` on `y` are each (L, G); returns (ceiling, C, s, cos s, P, x*),
+    each with the level axis first:
+    - C_ij = E_iE_jB_ij and s_ij = δ*_i − δ*_j over pairs i < j;
+    - P_i = Pm_i − E_i²G_ii, and x* is ref less the last machine's angle;
+    - ceiling = V_min − 2π·Σ|Pm − Pe(δ*)|, −inf where the bound fails.
     Pair term −C(cos x − cos s) − C·sin s·(x − s) has its smaller end value
-    C(2cos|s| − (π − 2|s|)·sin|s|), positive when C > 0 and |s| < 90°."""
+    C(2cos|s| − (π − 2|s|)·sin|s|), positive when C > 0 and |s| < 90°, and
+    V_min is the least over the pairs. The subtracted term covers W = Σ pair
+    terms − Σr_i·x_i, with r = Pm − Pe(δ*) and |x_i| < 2π."""
     if not _lossless_transfer(y):
         return "transfer conductance in the postfault network"
     i, j = np.triu_indices(ref.shape[-1], 1)
-    c, s = emf[..., i] * emf[..., j] * y.imag[i, j], ref[..., i] - ref[..., j]
+    c, s = emf[:, i] * emf[:, j] * y.imag[i, j], ref[:, i] - ref[:, j]
     a = np.abs(s)
     v_min = np.min(c * (2 * np.cos(a) - (math.pi - 2 * a) * np.sin(a)),
                    axis=-1, initial=math.inf)
@@ -363,26 +343,19 @@ def _energy_bound(ref, emf, y):
     holds = coupled & (v_min > 0) & np.all(a < math.pi / 2, axis=-1)
     if not np.any(holds):
         return ("a pair 90 degrees or more apart at the operating point"
-                if np.ravel(coupled)[0] else "a pair with C_ij <= 0")
-    return c, s, np.where(holds, v_min, -math.inf)
+                if coupled[0] else "a pair with C_ij <= 0")
+    ceiling = np.where(holds, v_min, -math.inf) - 2 * math.pi * np.sum(
+        np.abs(_power_mismatch(ref, emf, pm, y)), axis=-1)
+    return (ceiling, c, s, np.cos(s), pm - emf ** 2 * y.real.diagonal(),
+            ref - ref[:, -1:])
 
 
-def _pair_terms(e, pm, ref, y):
-    """What `_certified` needs of EMFs `e`, Pm `pm` and operating angles
-    `ref` on `y`, each with a leading row axis: C_ij, s_ij and cos s_ij
-    over pairs i < j, P_i − E_i²G_ii, and ref less the last machine's."""
-    i, j = np.triu_indices(ref.shape[-1], 1)
-    s = ref[:, i] - ref[:, j]
-    return (e[:, i] * e[:, j] * y.imag[i, j], s, np.cos(s),
-            pm - e ** 2 * y.real.diagonal(), ref - ref[:, -1:])
-
-
-def _certified(d, w, terms, ceiling, model):
-    """Rows of (d, w) with V below `ceiling` and every pair angle in
-    (−π − s, π − s), `terms` each row's `_pair_terms`. W = −ΣP_i·x_i
+def _certified(d, w, certificate, model):
+    """Rows of (d, w) with V below the ceiling and every pair angle in
+    (−π − s, π − s), `certificate` each row's `_certificate`. W = −ΣP_i·x_i
     − Σ_{i<j} C_ij(cos δ_ij − cos s_ij), x the angles relative to the last
-    machine's from `ref`: its gradient over x is Pe − Pm."""
-    c, s, cos_s, p, ref = terms
+    machine's from x*: its gradient over x is Pe − Pm."""
+    ceiling, c, s, cos_s, p, ref = certificate
     i, j = np.triu_indices(d.shape[-1], 1)
     pair = d[:, i] - d[:, j]
     x = d - d[:, -1:] - ref
@@ -449,13 +422,10 @@ def simulate_scenarios(model, scenarios, keep=None):
     y_pre = model.y_prefault
     why, certify = Trajectory.certificate, ()  # a full history tries no bound
     if np.any(last < nsteps):
-        bound = _energy_bound(d_lv, e_lv, y_pre)
+        bound = _certificate(e_lv, p_lv, d_lv, y_pre)
         why = bound if isinstance(bound, str) else ""
-    if not why:     # W = Σ pair terms − Σr_i·x_i, r = Pm − Pe(δ*), |x_i| < 2π
-        top = bound[2] - 2 * math.pi * np.sum(
-            np.abs(_power_mismatch(d_lv, e_lv, p_lv, y_pre)), axis=-1)
-        certify = tuple(a[at] for a in (
-            top, *_pair_terms(e_lv, p_lv, d_lv, y_pre)))
+        if not why:
+            certify = tuple(a[at] for a in bound)
     emf, pm, d = e_lv[at], p_lv[at], d_lv[at]
     y_fault = np.array([model.y_fault[sc.fault] for sc in scenarios])
     delta = np.empty((*steps.shape, model.n_generators))
@@ -508,9 +478,7 @@ def simulate_scenarios(model, scenarios, keep=None):
             continue
         settled = (gap >= INSTABILITY_THRESHOLD_DEG) & (last <= k)
         if cert and not k % CERTIFY_EVERY:
-            top, *terms = cert
-            settled |= (n_f < k) & (last <= k) & _certified(
-                d, w, terms, top, model)
+            settled |= (n_f < k) & (last <= k) & _certified(d, w, cert, model)
         if settled.any():
             max_gap[rows[settled]] = gap[settled]
             stop_step[rows[settled]] = k

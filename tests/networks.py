@@ -50,7 +50,7 @@ def smib_critical_clearing_time(model, load_level=1.0):
     pmax = (float(model.y_prefault[0, 1].imag)
             * float(model.emf[0]) * float(model.emf[1]))
     if pm > pmax:
-        # mirror simkit.operating_point: EMFs are rescaled by sqrt(level)
+        # mirror simkit.operating_points: EMFs are rescaled by sqrt(level)
         # only when the original magnitudes no longer admit an equilibrium
         pmax *= load_level
     ratio = pm / pmax

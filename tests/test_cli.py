@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import ast
 import os
 import re
 import shutil
@@ -1090,6 +1091,11 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("grid step over horizon", cli.EXIT_USAGE,
                  "integration step 1e+308 s exceeds the horizon 0.5 s",
                  id="grid step over horizon"),
+    # 1/60 s apart, the window's instants t_clear + k/60 fall two to a
+    # 0.02 s step
+    pytest.param("grid 0.02 step", cli.EXIT_USAGE,
+                 "integration step 0.02 s puts two feature window instants, "
+                 "1/60 s apart, on one grid step", id="grid 0.02 step"),
     # the sidecar is UTF-8 and records the grid's file name
     pytest.param("grid file name utf-8", cli.EXIT_USAGE,
                  "g\\xff.grid: the grid file name is not UTF-8, so the KB "
@@ -1215,3 +1221,29 @@ def test_cli_import_loads_every_module():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == []
+
+
+#: module-level names in src/ that only perfbench and the tests call
+#: (ROADMAP item 13 moves perfbench off them)
+PERFBENCH_ONLY = {"simkit.simulate_trajectory", "features.feature_dimension"}
+
+
+def test_every_module_level_name_is_named_elsewhere_in_src():
+    # a function or class that src/ names nowhere outside its own
+    # definition (code, comments or docstrings) serves only tests
+    package = Path(tspred.__file__).resolve().parent
+    texts = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    unnamed = []
+    for module, text in texts.items():
+        lines = text.splitlines(keepends=True)
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno,
+                         *(d.lineno for d in node.decorator_list)])
+            outside = "".join(lines[:first - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(other if name != module else outside)
+                       for name, other in texts.items()):
+                unnamed.append(f"{module}.{node.name}")
+    assert sorted(unnamed) == sorted(PERFBENCH_ONLY)

@@ -82,6 +82,31 @@ class TestExtraction:
         with pytest.raises(features.WindowOutOfRangeError):
             features.extract_features(traj)
 
+    @pytest.mark.parametrize("case", ["smib", "three_machine"])
+    def test_step_that_merges_window_instants_refused(self, case):
+        # nearest-point selection at 0.02 s puts two of the window's
+        # instants, 1/60 s apart, on one grid step (9 of the SMIB grid's
+        # 54 distinct window samples): refused before the first step. At
+        # the fixtures' 1/240 s every instant keeps its own step, 4 apart,
+        # so the KB reads the same samples as before the check
+        model = simkit.load_model(f"fixtures/{case}.sys")
+        spec = simkit.load_grid_spec(f"fixtures/{case}.grid")
+
+        def windowed(step):
+            grid = simkit.build_scenario_grid(**{**spec, "step": step})
+            return simkit.simulate_scenarios(model, grid,
+                                             keep=features.sample_steps)
+
+        with pytest.raises(ValueError, match=re.escape(
+                "integration step 0.02 s puts two feature window instants, "
+                "1/60 s apart, on one grid step")):
+            windowed(0.02)
+        traj = windowed(spec["step"])
+        window = traj.t_clear[:, None] + np.arange(9) / 60.0
+        nearest = np.rint(window / spec["step"]).astype(int)
+        assert np.array_equal(traj.steps[:, 1:], nearest)
+        assert np.all(np.diff(nearest) == 4)
+
     def test_batch_equals_stacked_scenarios(self, three_machine):
         # off-grid and on-grid clearings at several load levels
         grid = simkit.build_scenario_grid(

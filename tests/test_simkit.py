@@ -13,8 +13,15 @@ from conftest import simulate_one
 REFERENCE_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
+def one_level(model, level=1.0):
+    """(emf, pm, delta0) of `model` at one load level: row 0 of
+    `operating_points` of that level alone (level 1: the model's own
+    vectors and its prefault angles)."""
+    return tuple(a[0] for a in simkit.operating_points(model, [level]))
+
+
 def test_smib_equilibrium_is_arcsine(smib):
-    delta = simkit.solve_equilibrium(smib)
+    delta = one_level(smib)[2]
     assert np.degrees(delta[0]) == pytest.approx(30.0, abs=1e-6)
     assert delta[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -26,12 +33,12 @@ def test_zero_injection_equilibrium_has_equal_angles():
         inertia=np.array([3.0, 3.0]), damping=np.zeros(2),
         emf=np.array([1.0, 1.0]),
         pm=np.zeros(2), y_prefault=y, y_fault={"fault": np.zeros((2, 2))})
-    delta = simkit.solve_equilibrium(model)
+    delta = one_level(model)[2]
     assert delta[0] - delta[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_three_machine_equilibrium_residual(three_machine):
-    delta = simkit.solve_equilibrium(three_machine)
+    delta = one_level(three_machine)[2]
     mismatch = simkit._power_mismatch(delta, three_machine.emf,
                                       three_machine.pm,
                                       three_machine.y_prefault)
@@ -41,8 +48,9 @@ def test_three_machine_equilibrium_residual(three_machine):
 def test_infeasible_operating_point_raises(smib):
     from dataclasses import replace
     bad = replace(smib, pm=np.array([5.0, -5.0]))  # above the 1.0 pu tie
-    with pytest.raises(simkit.NoEquilibriumError):
-        simkit.solve_equilibrium(bad)
+    with pytest.raises(simkit.NoEquilibriumError,
+                       match="no prefault equilibrium"):
+        one_level(bad)
 
 
 @pytest.mark.parametrize("shape", [(3,), (378, 3), (5, 7, 10), (4, 1)])
@@ -163,7 +171,7 @@ def test_energy_drift_is_small_without_damping():
         emf=np.array([1.0, 1.0]),
         pm=np.array([0.4, -0.4]),
         y_prefault=y, y_fault={"fault": np.zeros((2, 2))})
-    d = simkit.solve_equilibrium(model) + np.array([0.1, 0.0])
+    d = one_level(model)[2] + np.array([0.1, 0.0])
     w = np.zeros(2)
     w0 = model.omega0
     dt = 1.0 / 960.0
@@ -285,19 +293,20 @@ class TestScenarioGrid:
 class TestLoadLevel:
     def test_identity(self, smib):
         # level 1's row of the batch holds the model's own vectors
-        emf, pm, delta0 = simkit.operating_point(smib, 1.0)
+        emf, pm, delta0 = one_level(smib, 1.0)
         assert np.array_equal(emf, smib.emf) and np.array_equal(pm, smib.pm)
-        assert np.array_equal(delta0, simkit.solve_equilibrium(smib))
+        assert np.array_equal(delta0, simkit._newton(
+            np.zeros((1, 2)), smib.emf, smib.pm, smib.y_prefault)[0])
 
     def test_smib_closed_form(self, smib):
-        emf, pm, delta0 = simkit.operating_point(smib, 1.3)
+        emf, pm, delta0 = one_level(smib, 1.3)
         assert pm[0] == pytest.approx(smib.pm[0] * 1.3)
         assert np.array_equal(emf, smib.emf)
         assert np.degrees(delta0[0]) == pytest.approx(
             math.degrees(math.asin(0.65)), abs=1e-6)
 
     def test_three_machine_residual(self, three_machine):
-        emf, pm, delta0 = simkit.operating_point(three_machine, 0.8)
+        emf, pm, delta0 = one_level(three_machine, 0.8)
         assert np.array_equal(emf, three_machine.emf * math.sqrt(0.8))
         assert np.max(np.abs(simkit._power_mismatch(
             delta0, emf, pm, three_machine.y_prefault))) < 1e-8
@@ -305,7 +314,7 @@ class TestLoadLevel:
     def test_original_model_unmodified(self, three_machine):
         pm_before = three_machine.pm.copy()
         emf_before = three_machine.emf.copy()
-        simkit.operating_point(three_machine, 1.2)
+        one_level(three_machine, 1.2)
         assert np.array_equal(three_machine.pm, pm_before)
         assert np.array_equal(three_machine.emf, emf_before)
 
@@ -350,7 +359,7 @@ def lossy(model, g=0.01):
     out = replace(model, y_prefault=model.y_prefault + extra,
                   y_fault={k: v + extra for k, v in model.y_fault.items()})
     return replace(out, pm=kernels.electrical_power(
-        simkit.solve_equilibrium(model), model.emf, out.y_prefault))
+        one_level(model)[2], model.emf, out.y_prefault))
 
 
 def test_lossy_level_tries_scaled_pm_first(monkeypatch, three_machine):
@@ -365,7 +374,7 @@ def test_lossy_level_tries_scaled_pm_first(monkeypatch, three_machine):
         return newton(delta, emf, pm, y)
 
     monkeypatch.setattr(simkit, "_newton", recorded)
-    emf, pm, _ = simkit.operating_point(model, 0.8)
+    emf, pm, _ = one_level(model, 0.8)
     assert [len(e) for e, _ in tried] == [1, 1]
     (first_emf, first_pm), (last_emf, last_pm) = tried
     assert np.array_equal(first_pm[0], model.pm * 0.8)
@@ -384,7 +393,7 @@ def test_singular_row_stops_alone(three_machine):
                            three_machine.y_prefault)
     assert np.array_equal(delta[1], np.zeros(3))
     for got, level in zip(delta[[0, 2, 3]], levels):
-        want = simkit.operating_point(three_machine, level)[2]
+        want = one_level(three_machine, level)[2]
         assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
 
@@ -417,7 +426,7 @@ def test_operating_points_match_one_level(case):
     assert emf.shape == pm.shape == delta0.shape == (len(levels),
                                                      model.n_generators)
     for n, level in enumerate(levels):
-        one_emf, one_pm, one_delta0 = simkit.operating_point(model, level)
+        one_emf, one_pm, one_delta0 = one_level(model, level)
         assert np.array_equal(emf[n], one_emf)
         assert np.array_equal(pm[n], one_pm)
         assert np.allclose(delta0[n], one_delta0, rtol=0.0, atol=1e-14)
@@ -449,13 +458,13 @@ def test_level_angles_match_level_models(case):
     model = simkit.load_model(f"fixtures/{case}.sys")
     for level in simkit.load_grid_spec(f"fixtures/{case}.grid")[
             "load_levels"]:
-        emf, pm, delta0 = simkit.operating_point(model, level)
+        emf, pm, delta0 = one_level(model, level)
         rescaled = case == "three_machine" and level != 1.0
         level_model = replace(model, pm=model.pm * level, emf=model.emf * (
             math.sqrt(level) if rescaled else 1.0))
         assert np.array_equal(emf, level_model.emf)
         assert np.array_equal(pm, level_model.pm)
-        assert np.array_equal(delta0, simkit.solve_equilibrium(level_model))
+        assert np.array_equal(delta0, one_level(level_model)[2])
 
 
 class TestModelValidation:
@@ -618,7 +627,7 @@ def count_row_steps(monkeypatch):
 
 
 def windowed_runs(monkeypatch, model, grid):
-    """`generate`'s windowed run of `grid`, first with `_energy_bound`
+    """`generate`'s windowed run of `grid`, first with `_certificate`
     patched to refuse every level, then as it is: each (trajectory,
     row-steps)."""
     counted = count_row_steps(monkeypatch)
@@ -627,7 +636,7 @@ def windowed_runs(monkeypatch, model, grid):
         counted.clear()
         with monkeypatch.context() as m:
             if patched:
-                m.setattr(simkit, "_energy_bound", lambda *_: "not requested")
+                m.setattr(simkit, "_certificate", lambda *_: "not requested")
             runs.append((simkit.simulate_scenarios(
                 model, grid, keep=features.sample_steps), sum(counted)))
     return runs
@@ -639,7 +648,7 @@ def test_full_history_builds_no_certificate(monkeypatch, smib):
     def refused(*_):
         raise AssertionError("full history built a certificate")
 
-    monkeypatch.setattr(simkit, "_energy_bound", refused)
+    monkeypatch.setattr(simkit, "_certificate", refused)
     grid = simkit.build_scenario_grid(["fault"], [5.0, 10.0], [1.0], seed=1)
     traj = simkit.simulate_scenarios(smib, grid)
     assert traj.certificate == "full history"
@@ -719,7 +728,7 @@ def uncoupled(model):
     y = model.y_prefault.copy()
     y[0, 1] = y[1, 0] = 0.0
     return replace(model, y_prefault=y, pm=kernels.electrical_power(
-        simkit.solve_equilibrium(model), model.emf, y))
+        one_level(model)[2], model.emf, y))
 
 
 @pytest.mark.parametrize("case, why", [
@@ -747,10 +756,12 @@ def test_uncertified_networks_run_full_horizon(case, why, monkeypatch,
 @pytest.mark.parametrize("level", [0.8, 1.0, 1.3])
 def test_energy_bound_is_the_equal_area_energy(smib, level):
     # on SMIB the closest unstable equilibrium is π − s, so V_min is the
-    # equal-area critical energy ∫_s^{π−s} (C·sin x − P) dx
-    emf, pm, ref = simkit.operating_point(smib, level)
+    # equal-area critical energy ∫_s^{π−s} (C·sin x − P) dx; the ceiling
+    # is V_min less 2π·Σ|Pm − Pe(δ*)|, under 1e-14 on these levels
+    emf, pm, ref = one_level(smib, level)
     y = smib.y_prefault
-    c, s, v_min = simkit._energy_bound(ref, emf, y)
+    ceiling, c, s, *_ = (a[0] for a in simkit._certificate(
+        emf[None], pm[None], ref[None], y))
     p = pm[0] - emf[0] ** 2 * y[0, 0].real
     assert c[0] == emf[0] * emf[1] * y[0, 1].imag
     assert s[0] == ref[0] - ref[1] and 0 < s[0] < math.pi / 2
@@ -759,28 +770,31 @@ def test_energy_bound_is_the_equal_area_energy(smib, level):
         return -c[0] * math.cos(x) - p * x
 
     critical = antiderivative(math.pi - s[0]) - antiderivative(s[0])
-    assert v_min == pytest.approx(critical, rel=0, abs=1e-12)
+    assert ceiling == pytest.approx(critical, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("angle", [90.0, 95.0, 150.0])
 def test_energy_bound_refuses_pairs_far_apart(smib, angle):
     # the pair term's smaller end value is ≤ 0 from |s| = 90° on
-    why = simkit._energy_bound(np.radians([angle, 0.0]), smib.emf,
-                               smib.y_prefault)
-    assert why == "a pair 90 degrees or more apart at the operating point"
-    assert simkit._energy_bound(np.radians([0.0, angle]), smib.emf,
-                                smib.y_prefault) == why
+    def why(ref):
+        return simkit._certificate(smib.emf[None], smib.pm[None],
+                                   np.radians([ref]), smib.y_prefault)
+
+    assert why([angle, 0.0]) == \
+        "a pair 90 degrees or more apart at the operating point"
+    assert why([0.0, angle]) == why([angle, 0.0])
 
 
 def test_energy_bound_refuses_negative_coupling(smib):
-    assert simkit._energy_bound(simkit.solve_equilibrium(smib), smib.emf,
-                                -smib.y_prefault) == "a pair with C_ij <= 0"
+    emf, pm, ref = (a[None] for a in one_level(smib))
+    assert simkit._certificate(emf, pm, ref, -smib.y_prefault) == \
+        "a pair with C_ij <= 0"
 
 
 @pytest.mark.parametrize("case", ["smib", "4 machines", "10 machines"])
 def test_bound_is_sound_on_full_histories(case):
-    # a row that meets the row test at any postfault step, with V_min in
-    # place of the run's lower ceiling, never reaches a 360° gap later
+    # a row that meets the row test at any postfault step, with the
+    # ceiling a windowed run applies, never reaches a 360° gap later
     if case == "smib":
         model = simkit.load_model("fixtures/smib.sys")
         grid = simkit.build_scenario_grid(
@@ -793,13 +807,11 @@ def test_bound_is_sound_on_full_histories(case):
     n_rows, n_t, g = traj.delta_deg.shape
     emf, pm, ref = simkit.operating_points(
         model, [sc.load_level for sc in grid])
-    v_min = np.repeat(simkit._energy_bound(ref, emf, model.y_prefault)[2],
-                      n_t)
-    terms = simkit._pair_terms(*(np.repeat(a, n_t, axis=0)
-                                 for a in (emf, pm, ref)), model.y_prefault)
+    certificate = simkit._certificate(emf, pm, ref, model.y_prefault)
     met = simkit._certified(
         np.radians(traj.delta_deg).reshape(-1, g),
-        traj.speed_dev.reshape(-1, g), terms, v_min, model
+        traj.speed_dev.reshape(-1, g),
+        [np.repeat(a, n_t, axis=0) for a in certificate], model
     ).reshape(n_rows, n_t)
     met &= traj.time > traj.t_clear[:, None]
     gap = simkit.angle_gap(traj.delta_deg)
