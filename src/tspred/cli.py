@@ -80,10 +80,10 @@ def cmd_generate(args):
         spec["seed"] = args.seed
     try:
         scenarios = simkit.build_scenario_grid(**spec)
-        # before the first step, simulate_scenarios refuses a horizon that
-        # ends before a clearing at the model's f0 and a fault it lacks,
-        # and sample_steps one that ends before a feature window and a
-        # step that puts two of its instants on one grid step
+        # before the first step, simulate_scenarios refuses a bad step,
+        # horizon, clearing or level, a fault the model lacks and a horizon
+        # that ends before a clearing at its f0; sample_steps one that ends
+        # before a feature window and a step that does not divide 1/60 s
         traj = simkit.simulate_scenarios(model, scenarios,
                                          keep=features.sample_steps)
     except ValueError as exc:

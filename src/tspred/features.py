@@ -67,20 +67,22 @@ def feature_names(n_generators):
 
 def sample_steps(t_clear, time):
     """Grid steps a feature row reads, ([S,] 10): step 0, then the window
-    instants t_clear + k/60 for k = 0..8 mapped to the integration grid
-    `time` by nearest-point selection. A step that puts two instants on
-    one grid step raises ValueError."""
+    instants t_clear + k/60 for k = 0..8 on the integration grid `time`:
+    the clearing's nearest step, then every 1/60 s. A step that does not
+    divide 1/60 s (within 1e-9) raises ValueError."""
     dt = time[1] - time[0]
     window = t_clear[..., None] + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ
     if np.max(window) > time[-1] + dt / 2:
         raise WindowOutOfRangeError(
             "horizon shorter than the feature window: horizon "
             f"{time[-1]:.4g} s, window ends {np.max(window):.4g} s")
-    idx = np.minimum(np.rint(window / dt).astype(int), len(time) - 1)
-    if np.any(np.diff(idx, axis=-1) <= 0):
-        raise ValueError(
-            f"integration step {dt:.4g} s puts two feature window instants, "
-            f"1/{WINDOW_RATE_HZ:g} s apart, on one grid step")
+    per = 1.0 / (WINDOW_RATE_HZ * dt)   # grid steps between two instants
+    n = int(np.rint(per))
+    if n < 1 or abs(per - n) > 1e-9 * per:
+        raise ValueError(f"integration step {dt:.4g} s does not divide the "
+                         f"1/{WINDOW_RATE_HZ:g} s feature window spacing")
+    idx = np.minimum(np.rint(t_clear / dt).astype(int)[..., None]
+                     + n * np.arange(WINDOW_SAMPLES), len(time) - 1)
     return np.concatenate([np.zeros_like(idx[..., :1]), idx], axis=-1)
 
 

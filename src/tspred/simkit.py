@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,37 +129,14 @@ class PowerSystemModel:
         return 2.0 * math.pi * self.f0
 
 
-@dataclass(frozen=True)
-class SimulationScenario:
-    """One disturbance case: which fault, how long, at what load."""
+class SimulationScenario(NamedTuple):
+    """One disturbance case; a plain row, checked by simulate_scenarios."""
 
     fault: str
     clearing_cycles: float
     load_level: float = 1.0
     step: float = DEFAULT_STEP
     horizon: float = DEFAULT_HORIZON
-
-    def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise ValueError("integration step must be positive and finite")
-        if self.clearing_cycles < 0:
-            raise ValueError("clearing time must be non-negative")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
-        if self.step > self.horizon:
-            raise ValueError(f"integration step {self.step:.4g} s exceeds "
-                             f"the horizon {self.horizon:.4g} s")
-        if self.horizon / self.step > MAX_STEPS:
-            raise ValueError(f"horizon / step = {self.horizon / self.step:.4g}"
-                             f" exceeds the {MAX_STEPS:,}-step limit")
-        lo, hi = LOAD_LEVEL_RANGE
-        if not lo <= self.load_level <= hi:
-            raise ValueError(
-                f"load level {self.load_level} outside [{lo}, {hi}]")
-
-    def clearing_time(self, f0):
-        """Fault clearing time in seconds at base frequency f0."""
-        return self.clearing_cycles / f0
 
 
 @dataclass(frozen=True)
@@ -374,8 +352,8 @@ def simulate_scenarios(model, scenarios, keep=None):
     during-fault matrix is active on [0, t_clear), the prefault one again
     afterwards; the step containing t_clear is split in two so the state
     is continuous and the switching instant is hit exactly (a clearing on
-    the step grid gets a first part of length zero). All scenarios share
-    one step and horizon.
+    the step grid gets a first part of length zero). All rows share one
+    step and horizon; each check runs once over the batch (ValueError).
 
     `keep(t_clear, time)`, called before any step is taken, returns the
     grid steps to record for each scenario, ([S,] K) ints; by default
@@ -393,13 +371,35 @@ def simulate_scenarios(model, scenarios, keep=None):
     """
     if not scenarios:
         raise ValueError("the scenario list is empty")
-    dt, horizon = scenarios[0].step, scenarios[0].horizon
-    if any(sc.step != dt or sc.horizon != horizon for sc in scenarios):
+    faults, *columns = zip(*scenarios)
+    cycles, levels, dts, spans = (np.array(c, dtype=float) for c in columns)
+    lo, hi = LOAD_LEVEL_RANGE
+    with np.errstate(all="ignore"):     # a nan or inf row fails below
+        ok = ((0 < dts) & (dts <= spans) & (spans < math.inf) & (cycles >= 0)
+              & (spans / dts <= MAX_STEPS) & (lo <= levels) & (levels <= hi))
+    # the first row failing a check, else row 0: its checks in row order
+    _, cyc, level, dt, horizon = scenarios[np.argmin(ok)]
+    if not 0 < dt < math.inf:
+        raise ValueError("integration step must be positive and finite")
+    if not cyc >= 0:
+        raise ValueError("clearing time must be non-negative")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if dt > horizon:
+        raise ValueError(f"integration step {dt:.4g} s exceeds the horizon "
+                         f"{horizon:.4g} s")
+    if horizon / dt > MAX_STEPS:
+        raise ValueError(f"horizon / step = {horizon / dt:.4g} exceeds the "
+                         f"{MAX_STEPS:,}-step limit")
+    if not lo <= level <= hi:
+        raise ValueError(f"load level {level} outside [{lo}, {hi}]")
+    if np.any(dts != dt) or np.any(spans != horizon):
         raise ValueError("scenarios must share one step and horizon")
-    for sc in scenarios:
-        if sc.fault not in model.y_fault:
-            raise ValueError(f"unknown fault id '{sc.fault}'")
-    t_clear = np.array([sc.clearing_time(model.f0) for sc in scenarios])
+    try:
+        y_fault = np.array([model.y_fault[f] for f in faults])
+    except KeyError as exc:
+        raise ValueError(f"unknown fault id '{exc.args[0]}'") from None
+    t_clear = cycles / model.f0
     if np.any(horizon < t_clear):
         raise ValueError(
             "horizon shorter than the fault clearing time: horizon "
@@ -412,7 +412,6 @@ def simulate_scenarios(model, scenarios, keep=None):
     steps = np.broadcast_to(steps, (n_rows, np.shape(steps)[-1]))
     if not np.all((0 <= steps) & (steps <= nsteps)):
         raise ValueError("kept steps outside the integration grid")
-    levels = np.array([sc.load_level for sc in scenarios])
     _, first, inverse = np.unique(levels, return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)           # distinct levels in grid order
@@ -427,7 +426,6 @@ def simulate_scenarios(model, scenarios, keep=None):
         if not why:
             certify = tuple(a[at] for a in bound)
     emf, pm, d = e_lv[at], p_lv[at], d_lv[at]
-    y_fault = np.array([model.y_fault[sc.fault] for sc in scenarios])
     delta = np.empty((*steps.shape, model.n_generators))
     speed = np.empty_like(delta)
     max_gap = np.empty(n_rows)
@@ -533,11 +531,8 @@ def build_scenario_grid(faults, clearing_cycles, load_levels, seed,
     for c in clearing_cycles:
         if not lo <= c <= hi:
             raise ValueError(f"clearing time {c} cycles outside [{lo}, {hi}]")
-    return [SimulationScenario(fault=fault, clearing_cycles=float(cyc),
-                               load_level=float(lvl), step=step,
-                               horizon=horizon)
-            for fault, cyc, lvl in product(faults, clearing_cycles,
-                                           load_levels)]
+    return [SimulationScenario(f, float(cyc), float(lvl), step, horizon)
+            for f, cyc, lvl in product(faults, clearing_cycles, load_levels)]
 
 
 # ---------------------------------------------------------------------------

@@ -1094,8 +1094,12 @@ def _write_malformed(case, kb_csv, tmp_path):
     # 1/60 s apart, the window's instants t_clear + k/60 fall two to a
     # 0.02 s step
     pytest.param("grid 0.02 step", cli.EXIT_USAGE,
-                 "integration step 0.02 s puts two feature window instants, "
-                 "1/60 s apart, on one grid step", id="grid 0.02 step"),
+                 "integration step 0.02 s does not divide the 1/60 s feature "
+                 "window spacing", id="grid 0.02 step"),
+    # 0.01 s reads the window 0.02, 0.02, 0.01 s apart, no two on one step
+    pytest.param("grid 0.01 step", cli.EXIT_USAGE,
+                 "integration step 0.01 s does not divide the 1/60 s feature "
+                 "window spacing", id="grid 0.01 step"),
     # the sidecar is UTF-8 and records the grid's file name
     pytest.param("grid file name utf-8", cli.EXIT_USAGE,
                  "g\\xff.grid: the grid file name is not UTF-8, so the KB "

@@ -84,11 +84,11 @@ class TestExtraction:
 
     @pytest.mark.parametrize("case", ["smib", "three_machine"])
     def test_step_that_merges_window_instants_refused(self, case):
-        # nearest-point selection at 0.02 s puts two of the window's
-        # instants, 1/60 s apart, on one grid step (9 of the SMIB grid's
-        # 54 distinct window samples): refused before the first step. At
-        # the fixtures' 1/240 s every instant keeps its own step, 4 apart,
-        # so the KB reads the same samples as before the check
+        # 0.02 s is not a whole fraction of the window's 1/60 s spacing
+        # (nearest-point selection would put two instants on one grid
+        # step): refused before the first step. At the fixtures' 1/240 s
+        # every instant keeps its own step, 4 apart, so the KB reads the
+        # same samples as before the check
         model = simkit.load_model(f"fixtures/{case}.sys")
         spec = simkit.load_grid_spec(f"fixtures/{case}.grid")
 
@@ -98,14 +98,36 @@ class TestExtraction:
                                              keep=features.sample_steps)
 
         with pytest.raises(ValueError, match=re.escape(
-                "integration step 0.02 s puts two feature window instants, "
-                "1/60 s apart, on one grid step")):
+                "integration step 0.02 s does not divide the 1/60 s feature "
+                "window spacing")):
             windowed(0.02)
         traj = windowed(spec["step"])
         window = traj.t_clear[:, None] + np.arange(9) / 60.0
         nearest = np.rint(window / spec["step"]).astype(int)
         assert np.array_equal(traj.steps[:, 1:], nearest)
         assert np.all(np.diff(nearest) == 4)
+
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_step_that_does_not_divide_the_window_refused(self, step):
+        # 1/60 s is 1.67 steps of 0.01 s: each instant read at its nearest
+        # step would give samples 0.02, 0.02, 0.01 s apart, none shared
+        time = np.arange(301) * step
+        with pytest.raises(ValueError, match=re.escape(
+                f"integration step {step:g} s does not divide the 1/60 s "
+                "feature window spacing")):
+            features.sample_steps(np.array([5.0, 6.3]) / 60.0, time)
+
+    @pytest.mark.parametrize("per", [1, 2, 3, 4, 8])
+    def test_window_is_whole_steps_apart(self, per):
+        # 1/120, 1/240 and 1/480 s are accepted, and so are 1/60 and
+        # 1/180 s; a clearing half a step off the grid (5.5 cycles) would
+        # round its instants to alternate sides of their steps
+        step = 1.0 / (60.0 * per)
+        time = np.arange(int(round(1.0 / step)) + 1) * step
+        t_clear = np.array([5.0, 5.5, 6.3, 9.9]) / 60.0
+        steps = features.sample_steps(t_clear, time)
+        assert np.array_equal(steps[:, 1], np.rint(t_clear / step))
+        assert np.all(np.diff(steps[:, 1:]) == per)
 
     def test_batch_equals_stacked_scenarios(self, three_machine):
         # off-grid and on-grid clearings at several load levels

@@ -81,10 +81,44 @@ def test_clearing_zero_is_a_fixed_point(smib):
     pytest.param(1e7, 6.0, simkit.DEFAULT_STEP, id="1e7 horizon"),
     pytest.param(500_000.5, 6.0, 0.5, id="cap+1 steps"),
 ])
-def test_scenario_rejects_bad_horizon(horizon, cycles, step):
+def test_scenario_rejects_bad_horizon(smib, horizon, cycles, step):
+    # a scenario is a plain row: the batch is checked before the time grid
+    # is allocated
+    sc = simkit.SimulationScenario(fault="fault", clearing_cycles=cycles,
+                                   horizon=horizon, step=step)
     with pytest.raises(ValueError):
-        simkit.SimulationScenario(fault="fault", clearing_cycles=cycles,
-                                  horizon=horizon, step=step)
+        simkit.simulate_scenarios(smib, [sc])
+
+
+def test_nan_clearing_time_refused(smib):
+    # nan < 0 is false, so only a test that nan fails refuses this row,
+    # here behind a good one
+    rows = [simkit.SimulationScenario(fault="fault", clearing_cycles=c,
+                                      horizon=0.5) for c in (6.0, math.nan)]
+    with pytest.raises(ValueError,
+                       match="clearing time must be non-negative"):
+        simkit.simulate_scenarios(smib, rows)
+
+
+def test_batch_check_names_the_first_failing_row(smib):
+    # rows 1 and 2 both fail; row 1's check gives the message, as the
+    # per-row check gave it
+    rows = [simkit.SimulationScenario("fault", 6.0, level)
+            for level in (1.0, 1.35, 0.7)]
+    with pytest.raises(ValueError,
+                       match=r"load level 1\.35 outside \[0\.8, 1\.3\]"):
+        simkit.simulate_scenarios(smib, rows)
+    rows[2] = rows[2]._replace(load_level=1.0, step=1.0, horizon=0.5)
+    with pytest.raises(ValueError, match=r"load level 1\.35 outside"):
+        simkit.simulate_scenarios(smib, rows)
+    rows[1] = rows[1]._replace(load_level=1.0)
+    with pytest.raises(ValueError, match="integration step 1 s exceeds the "
+                       "horizon 0.5 s"):
+        simkit.simulate_scenarios(smib, rows)
+    rows[2] = rows[2]._replace(step=0.01)
+    with pytest.raises(ValueError,
+                       match="scenarios must share one step and horizon"):
+        simkit.simulate_scenarios(smib, rows)
 
 
 @pytest.mark.parametrize("f0, horizon", [(60.0, 0.05), (50.0, 0.11)],
@@ -151,7 +185,7 @@ def test_stage_continuity_across_clearing(smib):
     sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
                                    horizon=1.0)
     traj = simulate_one(smib, sc)
-    k = int(round(sc.clearing_time(smib.f0) / sc.step))
+    k = int(round(sc.clearing_cycles / smib.f0 / sc.step))
     d_delta = np.abs(np.diff(traj.delta_deg[:, 0]))
     d_speed = np.abs(np.diff(traj.speed_dev[:, 0]))
     # state increments around the switch stay on the same scale as elsewhere
@@ -207,7 +241,7 @@ def test_batch_matches_per_scenario_runs(three_machine):
     for s, sc in enumerate(grid):
         alone = simulate_one(three_machine, sc)
         assert batch.t_clear[s] == alone.t_clear == \
-            sc.clearing_time(three_machine.f0)
+            sc.clearing_cycles / three_machine.f0
         assert np.max(np.abs(batch.delta_deg[s] - alone.delta_deg)) < 1e-9
         assert np.max(np.abs(batch.speed_dev[s] - alone.speed_dev)) < 1e-9
         assert np.max(np.abs(batch.pe[s] - alone.pe)) < 1e-9
@@ -267,11 +301,13 @@ class TestScenarioGrid:
         g2 = simkit.build_scenario_grid(["a"], [5.0, 6.0], [1.0], seed=9)
         assert g1 == g2
 
-    def test_out_of_range_rejected(self):
+    def test_out_of_range_rejected(self, smib):
         with pytest.raises(ValueError):
             simkit.build_scenario_grid(["a"], [4.0], [1.0], seed=1)
+        # the level range is checked once for the batch, when it runs
+        grid = simkit.build_scenario_grid(["fault"], [5.0], [1.5], seed=1)
         with pytest.raises(ValueError):
-            simkit.build_scenario_grid(["a"], [5.0], [1.5], seed=1)
+            simkit.simulate_scenarios(smib, grid)
         with pytest.raises(ValueError):
             simkit.build_scenario_grid([], [5.0], [1.0], seed=1)
 
@@ -318,10 +354,11 @@ class TestLoadLevel:
         assert np.array_equal(three_machine.pm, pm_before)
         assert np.array_equal(three_machine.emf, emf_before)
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, smib):
+        sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
+                                       load_level=1.4)
         with pytest.raises(ValueError, match="load level 1.4 outside"):
-            simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
-                                      load_level=1.4)
+            simkit.simulate_scenarios(smib, [sc])
 
 
 def test_one_solve_per_candidate_model(monkeypatch):
