@@ -198,6 +198,10 @@ def cmd_evaluate(args):
         out / "metrics.csv", out / "report.txt"))
     kb, split, seed = _prepare_training(args)
     model = elm.load_model(model_path)
+    n_full = model.feature_mask.shape[0]
+    if kb.n_features != n_full:
+        raise elm.ShapeMismatchError(f"{args.kb}: {kb.n_features} features, "
+                                     f"the model {model_path} expects {n_full}")
     rows = []
     for name, idx in (("test", split.test), ("train", split.train)):
         try:
@@ -276,11 +280,16 @@ def cmd_predict(args):
         raise UsageError("provide --row or --input")
     # every row is checked before any is scored
     table, numbers = textio.rows(lines, where, UsageError)
-    if table.shape[1] == n_full + 1:
-        table = table[:, 1:]    # leading label column from a KB CSV
+    width = f"{table.shape[1]} values, the model expects {n_full}"
+    if table.shape[1] == n_full + 1:    # a KB CSV row: a label, then the row
+        bad = next(((n, v) for n, v in zip(numbers, table[:, 0].tolist())
+                    if v not in (features.STABLE, features.UNSTABLE)), None)
+        if bad:
+            raise UsageError(f"{where} line {bad[0]}: {width}, and the leading "
+                             f"value {bad[1]!r} is not a label (+1 or -1)")
+        table = table[:, 1:]
     if table.shape[1] != n_full:
-        raise UsageError(f"{where} line {numbers[0]}: {table.shape[1]} "
-                         f"values, the model expects {n_full}")
+        raise UsageError(f"{where} line {numbers[0]}: {width}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise UsageError(f"{where} line {numbers[np.argmin(finite)]}: "

@@ -274,8 +274,11 @@ def save_knowledge_base(kb, csv_path, sidecar_path):
     try:
         with open(temps[0], "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
+            # 17 significant digits name every double, so the text reads
+            # back to the same bits; one format call per row
+            line = "%+d," + ",".join(["%.17g"] * kb.n_features) + "\r\n"
             for label, row in zip(kb.labels.tolist(), kb.samples):
-                fh.write(f"{label:+d},{','.join(map(repr, row.tolist()))}\r\n")
+                fh.write(line % (label, *row.tolist()))
         with open(temps[1], "w", encoding="utf-8") as fh:
             fh.write(f"seed {kb.seed}\nprovenance {kb.provenance}\n")
         os.replace(temps[0], csv_path)

@@ -329,6 +329,20 @@ class TestEvaluate:
         assert np.array_equal(means1, means2)
         assert np.array_equal(stds1, stds2)
 
+    def test_model_of_another_width_refused(self, kb_csv, tmp_path, capsys):
+        # a model of the three-machine width (132) on the SMIB KB (94):
+        # exit 1, naming both files, before any row is scored
+        model = tmp_path / "model3.elm"
+        _write_model(model, 132)
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--kb", str(kb_csv), "--model", str(model),
+                    "--out", str(out)]) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"runtime error: {kb_csv}: 94 features, the model {model} "
+                "expects 132\n") == captured.err
+        assert not (out / "metrics.csv").exists()
+
 
 def test_kb_path_of_a_sidecar_refused(kb_csv, tmp_path, capsys):
     assert run(["optimize", "--kb", str(kb_csv.with_suffix(".meta")),
@@ -786,6 +800,12 @@ def _write_malformed(case, kb_csv, tmp_path):
             rows.write_text("1.0,2.0\n1.0,\udcff2.0\n",
                             errors="surrogateescape")
             return ["predict", "--model", str(model), "--input", str(rows)]
+        if case == "predict input label 5.0":
+            rows = tmp_path / "rows.csv"
+            rows.write_text("+1,1.0,2.0\n5.0,1.0,2.0\n")
+            return ["predict", "--model", str(model), "--input", str(rows)]
+        if case == "predict row label 5.0":
+            return ["predict", "--model", str(model), "--row=5.0,1.0,2.0"]
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
     if case.startswith("elm no"):
         # one linear neuron on the first of the KB's features
@@ -1104,6 +1124,15 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("grid file name utf-8", cli.EXIT_USAGE,
                  "g\\xff.grid: the grid file name is not UTF-8, so the KB "
                  "sidecar cannot record it", id="grid file name utf-8"),
+    # one value wider than the model is a KB row only behind a label
+    pytest.param("predict row label 5.0", cli.EXIT_USAGE,
+                 "--row line 1: 3 values, the model expects 2, and the "
+                 "leading value 5.0 is not a label (+1 or -1)",
+                 id="predict row label 5.0"),
+    pytest.param("predict input label 5.0", cli.EXIT_USAGE,
+                 "rows.csv line 2: 3 values, the model expects 2, and the "
+                 "leading value 5.0 is not a label (+1 or -1)",
+                 id="predict input label 5.0"),
     pytest.param("score not finite in predict", cli.EXIT_USAGE,
                  "--row line 1: the score inf is not a finite number, so the "
                  "row gets no verdict", id="score not finite in predict"),

@@ -305,6 +305,38 @@ def test_knowledge_base_round_trip(tmp_path, smib_kb):
     assert meta_path.read_text() == f"seed {kb.seed}\nprovenance \n"
 
 
+def test_knowledge_base_text_is_exact(tmp_path):
+    # random finite doubles, the signed zero, the smallest subnormal and
+    # the largest magnitudes read back to the same bits, and the loaded KB
+    # writes the same bytes again
+    rng = np.random.default_rng(11)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=(40, 12), dtype=np.int64, endpoint=True)
+    samples = bits.view(np.float64).copy()
+    samples[~np.isfinite(samples)] = 0.5
+    samples[0, :11] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 0.1, 1.3, 3.0, -2.0, 1e22,
+                       2.0 ** 53]
+    labels = np.where(np.arange(40) % 3 == 0, features.UNSTABLE,
+                      features.STABLE)
+    kb = features.KnowledgeBase(samples=samples, labels=labels, seed=3,
+                                provenance="bits")
+    paths = [tmp_path / name for name in ("a.csv", "a.meta", "b.csv",
+                                          "b.meta")]
+    features.save_knowledge_base(kb, *paths[:2])
+    assert paths[0].read_bytes().split(b"\r\n")[1].startswith(
+        b"-1,-0,4.9406564584124654e-324,-4.9406564584124654e-324,"
+        b"1.7976931348623157e+308,-1.7976931348623157e+308,"
+        b"0.10000000000000001,1.3,3,-2,1e+22,9007199254740992,")
+    loaded = features.load_knowledge_base(*paths[:2])
+    assert np.array_equal(loaded.samples.view(np.int64),
+                          samples.view(np.int64))
+    assert np.array_equal(loaded.labels, labels)
+    features.save_knowledge_base(loaded, *paths[2:])
+    for first, again in zip(paths[:2], paths[2:]):
+        assert first.read_bytes() == again.read_bytes()
+
+
 def test_loads_sidecar_with_feature_lines(tmp_path, smib_kb):
     # earlier writers named each column on a `feature <j> <name>` line after
     # the seed and provenance; such a sidecar loads to the same KB
