@@ -137,8 +137,8 @@ def _fitness_context(kb, split, z, seed, args):
 
 
 def _optimize_once(ctx, fitness, seed, optimizer, args):
-    """Optimize `fitness` (`ctx`, or a memo over it); returns the result
-    and the optimizer's run time."""
+    """Optimize `fitness` (`ctx`, or a `swarm.SharedFitness` of it);
+    returns the result and the optimizer's run time."""
     try:    # runs before anything is written
         config = swarm.SwarmConfig(population=args.population,
                                    max_iterations=args.iterations,
@@ -232,21 +232,25 @@ def cmd_compare(args):
     kb, split, seed = _prepare_training(args)
     scaled = _standardize(kb, split, args)
     runs = {name: [] for name in swarm.OPTIMIZERS}
+    took, rescued = 0, []
     for r in range(args.repeats):
-        # the optimizers of a repeat start from one seeded population, and
-        # IPSO is PSO until its first rescue: each distinct particle is
-        # scored once, and a run is charged the time of the scores it
-        # took from the memo as well as its own
+        # PSO takes IPSO's run of the repeat when IPSO made no rescue, and
+        # is charged that run's time (`swarm.SharedFitness`)
         ctx = _fitness_context(kb, split, scaled[0], seed + r, args)
         shared = swarm.SharedFitness(ctx)
+        results = {}
         for name in swarm.OPTIMIZERS:
             saved = shared.saved_s
             result, elapsed = _optimize_once(ctx, shared, seed + r, name, args)
+            results[name] = result
             # the effective hidden size, as ElmModel counts it
             cf = swarm.decode_particle(result.best_position, ctx.spec)[3]
             runs[name].append(
                 (result.best_fitness, int(np.sum(cf != elm.ACT_OFF)),
                  elapsed + shared.saved_s - saved))
+        took += results["pso"] is results["ipso"]
+        if any(rec.mutated for rec in results["ipso"].trace):
+            rescued.append(f"{r + 1} (seed {seed + r})")
     threshold = 0.95 * max(f for rows in runs.values() for f, _, _ in rows)
     table = [("algorithm", "mean_train_time_s", "mean_best_fitness",
               "success_rate", "mean_effective_nodes")]
@@ -262,6 +266,9 @@ def cmd_compare(args):
                                 for row in table), encoding="utf-8")
     print(f"seed {seed} (repeats {args.repeats})")
     print(text, end="")
+    print(f"pso took ipso's rescue-free run in {took} of {args.repeats} "
+          "repeats" + (f"; ipso rescued in repeat {', '.join(rescued)}"
+                       if took < args.repeats else ""))
     return EXIT_OK
 
 

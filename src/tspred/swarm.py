@@ -148,42 +148,34 @@ class FitnessContext:
         test_index = np.full((N_FOLDS, max(map(len, tests))), len(labels))
         for k, test in enumerate(tests):
             test_index[k, :len(test)] = test
-        return cls(samples=samples, labels=np.asarray(labels, dtype=float),
-                   spec=spec, test_index=test_index)
+        samples, labels = np.asarray(samples).view(), np.array(labels, float)
+        for array in (samples, labels, test_index):
+            array.setflags(write=False)     # one context is one fitness
+        return cls(samples, labels, spec, test_index)
 
     def __call__(self, position):
         return evaluate_fitness(position, self)
 
 
 class SharedFitness:
-    """`fitness` scored once per distinct position, for optimizers that
-    share one fitness and revisit each other's positions.
+    """`fitness`, every call forwarded, holding IPSO's rescue-free runs
+    for `run_pso` to take instead of repeating them.
 
-    A position whose float64 bytes were scored before returns the stored
-    score without calling `fitness`; a copy hits, a one-ulp move misses.
-    The key is the position's sha256 digest, so the memo holds 32 bytes per
-    distinct position, not the position. `saved_s` sums the compute time
-    of every score returned from the memo.
+    PSO and IPSO are one `_search` from the same seeded streams, and only
+    `mutated = rescue and premature_check(...)` reads `rescue`: until it is
+    true both score the same positions in the same order. So an IPSO run
+    with no mutated record is PSO's whole result, best position bytes, best
+    fitness, trace and evaluations alike. `runs` maps (dim, config) to
+    (result, seconds); `saved_s` sums the seconds of the runs PSO took.
     """
 
     def __init__(self, fitness):
-        import hashlib  # here, so that `import tspred.cli` does not load it
-        self._sha256 = hashlib.sha256
         self._fitness = fitness
-        self._scores = {}           # digest -> (score, seconds to compute)
+        self.runs = {}
         self.saved_s = 0.0
 
     def __call__(self, position):
-        key = self._sha256(
-            np.ascontiguousarray(position, dtype=np.float64)).digest()
-        stored = self._scores.get(key)
-        if stored is not None:
-            self.saved_s += stored[1]
-            return stored[0]
-        t0 = time.perf_counter()
-        score = self._fitness(position)
-        self._scores[key] = (score, time.perf_counter() - t0)
-        return score
+        return self._fitness(position)
 
 
 # Certificate floor of the Gram path, relative to the trace of the all-row
@@ -379,6 +371,7 @@ def _search(fitness, dim, config, move, seen=None, rescue=False):
             return False
         g_idx, gbest_fit = best, float(fits[best])
         gbest = positions[best].copy()
+        gbest.setflags(write=False)     # a shared result reaches two callers
         return True
 
     everyone = list(range(n))
@@ -435,12 +428,21 @@ def _swarm(dim, config):
 
 def run_pso(fitness, dim, config):
     """Plain particle swarm (no stagnation monitoring)."""
+    if isinstance(fitness, SharedFitness) and (dim, config) in fitness.runs:
+        result, seconds = fitness.runs[dim, config]
+        fitness.saved_s += seconds
+        return result
     return _search(fitness, dim, config, *_swarm(dim, config))
 
 
 def run_ipso(fitness, dim, config):
     """PSO plus variance monitoring and mutation rescue."""
-    return _search(fitness, dim, config, *_swarm(dim, config), rescue=True)
+    t0 = time.perf_counter()
+    result = _search(fitness, dim, config, *_swarm(dim, config), rescue=True)
+    if (isinstance(fitness, SharedFitness)
+            and not any(rec.mutated for rec in result.trace)):
+        fitness.runs[dim, config] = result, time.perf_counter() - t0
+    return result
 
 
 def run_ga(fitness, dim, config):

@@ -427,8 +427,8 @@ class TestCompare:
 
     def test_shared_fitness_matches_standalone_runs(
             self, three_machine_kb, tmp_path, monkeypatch):
-        # IPSO, PSO and GA of a repeat share one memoized fitness; each run
-        # must equal the same optimizer on the context alone
+        # IPSO, PSO and GA of a repeat share one fitness; each run must
+        # equal the same optimizer on the context alone
         kb_path = tmp_path / "kb3.csv"
         features.save_knowledge_base(three_machine_kb, kb_path,
                                      kb_path.with_suffix(".meta"))
@@ -467,13 +467,38 @@ class TestCompare:
             assert shared.best_fitness == alone.best_fitness
             assert shared.trace == alone.trace
             assert shared.evaluations == alone.evaluations
-        # IPSO made no rescue, so PSO took every score from the memo, and GA
-        # at least those of its initial population
+        # IPSO made no rescue, so PSO took its run without a fitness call
         evals = {n: 0 for n in swarm.OPTIMIZERS}
         for name, _, result in shared_runs:
             evals[name] += result.evaluations
             assert name != "ipso" or not any(r.mutated for r in result.trace)
-        assert len(calls) <= evals["ipso"] + evals["ga"] - 2 * 20
+        assert len(calls) == evals["ipso"] + evals["ga"]
+
+    def test_stdout_says_pso_took_ipsos_run(self, three_machine_kb, tmp_path,
+                                            capsys):
+        # the CI smoke run on the three-machine fixture KB
+        kb_path = tmp_path / "kb3.csv"
+        features.save_knowledge_base(three_machine_kb, kb_path,
+                                     kb_path.with_suffix(".meta"))
+        assert run(["compare", "--kb", str(kb_path),
+                    "--out", str(tmp_path / "cmp" / "compare.csv"),
+                    "--hidden", "20", "--iterations", "3", "--target", "1.0",
+                    "--repeats", "2", "--seed", "7"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "pso took ipso's rescue-free run in 2 of 2 repeats")
+
+    def test_stdout_names_the_repeats_ipso_rescued(self, kb_csv, tmp_path,
+                                                  capsys, monkeypatch):
+        # a rescue in every iteration: PSO runs on its own in each repeat
+        monkeypatch.setattr(swarm, "premature_check", lambda *args: True)
+        assert run(["compare", "--kb", str(kb_csv),
+                    "--out", str(tmp_path / "compare.csv"),
+                    "--seed", "5", "--repeats", "2", "--hidden", "5",
+                    "--population", "5", "--iterations", "2",
+                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "pso took ipso's rescue-free run in 0 of 2 repeats; "
+            "ipso rescued in repeat 1 (seed 5), 2 (seed 6)")
 
 
 class TestPredict:

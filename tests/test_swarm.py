@@ -667,37 +667,87 @@ class TestSwarmConfig:
         assert swarm._inertia(c, 200) == pytest.approx(0.4)
 
 
+def bowl(pos):
+    """Smooth fitness on which IPSO makes no rescue at `SHARED`."""
+    return 1.0 - float(np.mean((pos - 0.3) ** 2))
+
+
+SHARED = swarm.SwarmConfig(population=6, max_iterations=8,
+                           fitness_target=1.0, seed=1)
+
+
+def counted_bowl():
+    """`bowl`, and the list it appends one entry to per call."""
+    calls = []
+
+    def fitness(pos):
+        calls.append(1)
+        return bowl(pos)
+
+    return fitness, calls
+
+
+def assert_same_run(got, want):
+    assert got.trace == want.trace
+    assert got.best_fitness == want.best_fitness
+    assert got.evaluations == want.evaluations
+    assert got.best_position.tobytes() == want.best_position.tobytes()
+
+
 class TestSharedFitness:
     def test_copy_hits_and_one_ulp_misses(self):
-        scored = []
-
-        def fitness(pos):
-            scored.append(pos.copy())
-            return float(pos.sum())
-
-        shared = swarm.SharedFitness(fitness)
-        pos = np.random.default_rng(3).random(7)
-        first = shared(pos)
-        assert shared(pos.copy()) == first
-        assert shared(pos[np.newaxis, :][0]) == first
-        assert len(scored) == 1
-        moved = pos.copy()
-        moved[4] = np.nextafter(moved[4], 1.0)
-        shared(moved)
-        assert len(scored) == 2
-        assert np.array_equal(scored[1], moved)
+        # PSO of IPSO's own dim and config takes IPSO's rescue-free run
+        # without a fitness call; a config one seed away runs on its own
+        counted, calls = counted_bowl()
+        shared = swarm.SharedFitness(counted)
+        ipso = swarm.run_ipso(shared, 4, SHARED)
+        assert not any(rec.mutated for rec in ipso.trace)
+        assert len(calls) == ipso.evaluations
+        together = swarm.run_pso(shared, 4, SHARED)
+        assert len(calls) == ipso.evaluations
+        assert_same_run(together, swarm.run_pso(bowl, 4, SHARED))
+        moved = dataclasses.replace(SHARED, seed=SHARED.seed + 1)
+        other = swarm.run_pso(shared, 4, moved)
+        assert len(calls) == ipso.evaluations + other.evaluations
+        assert_same_run(other, swarm.run_pso(bowl, 4, moved))
 
     def test_saved_time_counts_hits_only(self, monkeypatch):
-        # the one miss reads the clock twice: 1.5 s of compute
+        # IPSO's run reads the clock twice: 1.5 s; nothing else reads it
         ticks = iter([10.0, 11.5])
         monkeypatch.setattr(swarm.time, "perf_counter", lambda: next(ticks))
-        shared = swarm.SharedFitness(sphere_fitness)
-        pos = np.array([0.4])
-        shared(pos)
+        shared = swarm.SharedFitness(bowl)
+        swarm.run_ipso(shared, 4, SHARED)
         assert shared.saved_s == 0.0
-        shared(pos)
-        shared(pos)
+        swarm.run_pso(shared, 4, SHARED)
+        assert shared.saved_s == 1.5
+        swarm.run_pso(shared, 4, dataclasses.replace(SHARED, seed=2))
+        swarm.run_ga(shared, 4, SHARED)
+        assert shared.saved_s == 1.5
+        swarm.run_pso(shared, 4, SHARED)
         assert shared.saved_s == 3.0
+
+    @pytest.mark.parametrize("dim, config", [
+        (3, SHARED),
+        (4, dataclasses.replace(SHARED, seed=2)),
+        (4, dataclasses.replace(SHARED, population=7)),
+    ], ids=["dim", "seed", "population"])
+    def test_other_runs_share_nothing(self, dim, config):
+        counted, calls = counted_bowl()
+        shared = swarm.SharedFitness(counted)
+        swarm.run_ipso(shared, 4, SHARED)
+        before = len(calls)
+        result = swarm.run_pso(shared, dim, config)
+        assert len(calls) - before == result.evaluations
+        assert_same_run(result, swarm.run_pso(bowl, dim, config))
+
+    def test_pso_before_ipso_shares_nothing(self):
+        counted, calls = counted_bowl()
+        shared = swarm.SharedFitness(counted)
+        pso = swarm.run_pso(shared, 4, SHARED)
+        ipso = swarm.run_ipso(shared, 4, SHARED)
+        assert len(calls) == pso.evaluations + ipso.evaluations
+        assert shared.saved_s == 0.0
+        assert_same_run(pso, swarm.run_pso(bowl, 4, SHARED))
 
     def test_ipso_then_pso_through_rescues_equal_unshared_runs(self):
         # a flat fitness forces IPSO's rescue, so the two runs part at its
@@ -714,6 +764,7 @@ class TestSharedFitness:
 
         shared = swarm.SharedFitness(counted)
         for run in (swarm.run_ipso, swarm.run_pso, swarm.run_ga):
+            before = len(calls)
             alone = run(flat, 4, config)
             together = run(shared, 4, config)
             assert together.trace == alone.trace
@@ -724,8 +775,21 @@ class TestSharedFitness:
             if run is swarm.run_ipso:
                 assert any(rec.mutated for rec in alone.trace)
                 ipso_calls = len(calls)
-        # PSO repeats IPSO up to the first rescue; GA shares the start
+            if run is swarm.run_pso:
+                # IPSO rescued, so it left no run: PSO makes its own calls
+                assert len(calls) - before == together.evaluations
+        # every optimizer scores its own positions
         assert ipso_calls < len(calls) < 3 * ipso_calls
+
+    def test_shared_state_is_read_only(self):
+        kb = separable_kb(n=40, n_features=3, seed=1)
+        ctx = swarm.FitnessContext.build(kb.samples, kb.labels, SPEC)
+        result = swarm.run_pso(ctx, SPEC.dim, swarm.SwarmConfig(
+            population=4, max_iterations=2, seed=3))
+        for array in (result.best_position, ctx.samples, ctx.labels,
+                      ctx.test_index):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
 
 class TestSaveTrace:
