@@ -72,6 +72,12 @@ def cmd_generate(args):
             "utf-8", "backslashreplace")
         raise UsageError(f"{shown}: the grid file name is not UTF-8, so the "
                          "KB sidecar cannot record it") from None
+    # its `provenance` line ends at a CR or LF and is read back stripped
+    if ("\r" in grid_name or "\n" in grid_name
+            or grid_name != grid_name.rstrip()):
+        raise UsageError(f"{grid_path!r}: the grid file name holds a line "
+                         "break or ends in whitespace, so the KB sidecar "
+                         "cannot record it")
     out_path, sidecar_path = _out(args.out, "path for the knowledge base",
                                   lambda out: (out, _sidecar_path(out)))
     model = simkit.load_model(model_path)
@@ -202,20 +208,23 @@ def cmd_evaluate(args):
     if kb.n_features != n_full:
         raise elm.ShapeMismatchError(f"{args.kb}: {kb.n_features} features, "
                                      f"the model {model_path} expects {n_full}")
-    rows = []
+    rows, predict_s = [], {}
     for name, idx in (("test", split.test), ("train", split.train)):
+        samples = kb.samples[idx]
+        t0 = time.perf_counter()
         try:
-            rows.append((name, metrics.evaluate(model, kb.samples[idx],
-                                                kb.labels[idx])))
+            scores = elm.predict_full(model, samples)
         except elm.NonFiniteScoreError as exc:
             raise elm.ElmError(f"{args.kb} sample {idx[exc.row] + 1} of "
                                f"{kb.n_samples} ({name} split): {exc}"
                                ) from None
+        predict_s[name] = time.perf_counter() - t0
+        rows.append((name, metrics.evaluate(scores, kb.labels[idx])))
     metrics_path.parent.mkdir(parents=True, exist_ok=True)
     metrics.save_report_csv(rows, metrics_path)
     text = (f"seed {seed}\n"
             + metrics.render_table(rows)
-            + f"prediction time: {rows[0][1].predict_time_s * 1e3:.3f} ms "
+            + f"prediction time: {predict_s['test'] * 1e3:.3f} ms "
             f"({len(split.test)} test samples)\n")
     report_path.write_text(text, encoding="utf-8")
     print(text, end="")
@@ -240,14 +249,14 @@ def cmd_compare(args):
         shared = swarm.SharedFitness(ctx)
         results = {}
         for name in swarm.OPTIMIZERS:
-            saved = shared.saved_s
             result, elapsed = _optimize_once(ctx, shared, seed + r, name, args)
             results[name] = result
+            if name == "pso" and result is results["ipso"]:
+                elapsed = runs["ipso"][-1][2]
             # the effective hidden size, as ElmModel counts it
             cf = swarm.decode_particle(result.best_position, ctx.spec)[3]
             runs[name].append(
-                (result.best_fitness, int(np.sum(cf != elm.ACT_OFF)),
-                 elapsed + shared.saved_s - saved))
+                (result.best_fitness, int(np.sum(cf != elm.ACT_OFF)), elapsed))
         took += results["pso"] is results["ipso"]
         if any(rec.mutated for rec in results["ipso"].trace):
             rescued.append(f"{r + 1} (seed {seed + r})")

@@ -2,12 +2,9 @@
 ROC AUC, and their composite mean."""
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import elm
 
 
 class MetricsError(Exception):
@@ -99,23 +96,21 @@ class EvaluationReport:
     kap: float
     auc: float          # None when the test set is single-class
     eta: float          # None when auc is None
-    predict_time_s: float
     note: str = ""
 
 
-def evaluate(model, samples, labels):
-    """Score every raw full-dimension sample once through
-    elm.predict_full (standardize, mask, score) and assemble all metrics.
+def evaluate(scores, labels):
+    """All metrics of one decision score per label, a score >= 0 read as
+    stable (+1).
 
     A single-class set yields acc/kappa only, with the AUC error noted.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    if samples.shape[0] == 0:
+    if scores.shape != labels.shape:
+        raise MetricsError(f"{scores.shape} scores for {labels.shape} labels")
+    if scores.size == 0:
         raise EmptyEvaluationError("no samples to evaluate")
-    t0 = time.perf_counter()
-    scores = elm.predict_full(model, samples)
-    predict_time = time.perf_counter() - t0
     predicted = np.where(scores >= 0.0, 1, -1)
     cm = ConfusionMatrix.from_labels(labels, predicted)
     acc_value = accuracy(cm)
@@ -129,8 +124,7 @@ def evaluate(model, samples, labels):
         eta_value = None
         note = f"AUC undefined: {exc}"
     return EvaluationReport(confusion=cm, acc=acc_value, kap=kap_value,
-                            auc=auc_value, eta=eta_value,
-                            predict_time_s=predict_time, note=note)
+                            auc=auc_value, eta=eta_value, note=note)
 
 
 def _fmt(value, spec):

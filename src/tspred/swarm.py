@@ -10,7 +10,6 @@ import csv
 import functools
 import logging
 import operator
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,13 +165,12 @@ class SharedFitness:
     true both score the same positions in the same order. So an IPSO run
     with no mutated record is PSO's whole result, best position bytes, best
     fitness, trace and evaluations alike. `runs` maps (dim, config) to
-    (result, seconds); `saved_s` sums the seconds of the runs PSO took.
+    that result.
     """
 
     def __init__(self, fitness):
         self._fitness = fitness
         self.runs = {}
-        self.saved_s = 0.0
 
     def __call__(self, position):
         return self._fitness(position)
@@ -429,19 +427,16 @@ def _swarm(dim, config):
 def run_pso(fitness, dim, config):
     """Plain particle swarm (no stagnation monitoring)."""
     if isinstance(fitness, SharedFitness) and (dim, config) in fitness.runs:
-        result, seconds = fitness.runs[dim, config]
-        fitness.saved_s += seconds
-        return result
+        return fitness.runs[dim, config]
     return _search(fitness, dim, config, *_swarm(dim, config))
 
 
 def run_ipso(fitness, dim, config):
     """PSO plus variance monitoring and mutation rescue."""
-    t0 = time.perf_counter()
     result = _search(fitness, dim, config, *_swarm(dim, config), rescue=True)
     if (isinstance(fitness, SharedFitness)
             and not any(rec.mutated for rec in result.trace)):
-        fitness.runs[dim, config] = result, time.perf_counter() - t0
+        fitness.runs[dim, config] = result
     return result
 
 

@@ -487,6 +487,29 @@ class TestCompare:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "pso took ipso's rescue-free run in 2 of 2 repeats")
 
+    @pytest.mark.parametrize("rescue, pso_s", [(False, "2.000"),
+                                                (True, "0.250")],
+                             ids=["pso took ipso's run", "ipso rescued"])
+    def test_pso_charged_ipsos_time_for_the_run_it_took(
+            self, kb_csv, tmp_path, capsys, monkeypatch, rescue, pso_s):
+        # a fake clock, read only around each optimizer: the repeats' ipso,
+        # pso and ga runs take 1.5, 0.25 and 4 s, then 2.5, 0.25 and 3 s
+        ticks = iter([0.0, 1.5, 1.5, 1.75, 1.75, 5.75,
+                      5.75, 8.25, 8.25, 8.5, 8.5, 11.5])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        if rescue:
+            monkeypatch.setattr(swarm, "premature_check", lambda *args: True)
+        out = tmp_path / "compare.csv"
+        assert run(["compare", "--kb", str(kb_csv), "--out", str(out),
+                    "--seed", "5", "--repeats", "2", "--hidden", "5",
+                    "--population", "5", "--iterations", "2",
+                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            f"pso took ipso's rescue-free run in {0 if rescue else 2} of 2 ")
+        times = dict(line.split(",")[:2]
+                     for line in out.read_text().splitlines()[1:])
+        assert times == {"ipso": "2.000", "pso": pso_s, "ga": "3.500"}
+
     def test_stdout_names_the_repeats_ipso_rescued(self, kb_csv, tmp_path,
                                                   capsys, monkeypatch):
         # a rescue in every iteration: PSO runs on its own in each repeat
@@ -965,6 +988,10 @@ def _write_malformed(case, kb_csv, tmp_path):
         grid_text = grid_text.replace("faults = fault", "faults = bus9")
     elif case == "grid file name utf-8":
         grid_name = "g\udcff.grid"
+    elif case == "grid file name line break":
+        grid_name = "a\nseed 9.grid"
+    elif case == "grid file name trailing space":
+        grid_name = "c.grid "
     elif case == "sys repeated matrix":
         prefault = model_text[model_text.index("matrix prefault"):
                               model_text.index("matrix fault:")]
@@ -1149,6 +1176,15 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("grid file name utf-8", cli.EXIT_USAGE,
                  "g\\xff.grid: the grid file name is not UTF-8, so the KB "
                  "sidecar cannot record it", id="grid file name utf-8"),
+    # the sidecar's provenance line ends at a break and is read back stripped
+    pytest.param("grid file name line break", cli.EXIT_USAGE,
+                 "a\\nseed 9.grid': the grid file name holds a line break or "
+                 "ends in whitespace, so the KB sidecar cannot record it",
+                 id="grid file name line break"),
+    pytest.param("grid file name trailing space", cli.EXIT_USAGE,
+                 "c.grid ': the grid file name holds a line break or ends in "
+                 "whitespace, so the KB sidecar cannot record it",
+                 id="grid file name trailing space"),
     # one value wider than the model is a KB row only behind a label
     pytest.param("predict row label 5.0", cli.EXIT_USAGE,
                  "--row line 1: 3 values, the model expects 2, and the "
@@ -1305,3 +1341,20 @@ def test_every_module_level_name_is_named_elsewhere_in_src():
                        for name, other in texts.items()):
                 unnamed.append(f"{module}.{node.name}")
     assert sorted(unnamed) == sorted(PERFBENCH_ONLY)
+
+
+def test_only_cli_reads_the_clock_and_metrics_imports_no_tspred_module():
+    # the CLI times what it reports, so swarm and metrics return pure
+    # values; metrics takes scores, not a model, and stays a leaf
+    package = Path(tspred.__file__).resolve().parent
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        tops = imported.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                tops.add("tspred" if node.level else
+                         node.module.split(".")[0])
+    assert [m for m, tops in imported.items() if "time" in tops] == ["cli"]
+    assert "tspred" not in imported["metrics"]

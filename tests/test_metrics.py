@@ -174,7 +174,7 @@ class TestEvaluate:
         model = linear_model([1.0])
         x = np.array([[0.9], [-0.2], [0.5], [-0.1]])
         labels = np.array([1, 1, -1, -1])
-        report = metrics.evaluate(model, x, labels)
+        report = metrics.evaluate(elm.predict_full(model, x), labels)
         cm = report.confusion
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 1)
         assert report.acc == 0.5
@@ -189,14 +189,14 @@ class TestEvaluate:
         model = linear_model([1.0])
         x = np.array([[0.3], [-0.3], [0.0], [0.0]])
         labels = np.array([1, -1, 1, -1])
-        cm = metrics.evaluate(model, x, labels).confusion
+        cm = metrics.evaluate(elm.predict_full(model, x), labels).confusion
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (2, 0, 1, 1)
 
     def test_single_class_noted(self):
         model = linear_model([1.0], bias=10.0)
         x = np.array([[1.0], [2.0]])
         labels = np.array([1, 1])
-        report = metrics.evaluate(model, x, labels)
+        report = metrics.evaluate(elm.predict_full(model, x), labels)
         assert report.acc == 1.0
         assert report.auc is None
         assert report.eta is None
@@ -208,22 +208,32 @@ class TestEvaluate:
         x = rng.normal(size=(20, 2))
         labels = np.where(rng.random(20) < 0.5, 1, -1)
         labels[0], labels[1] = 1, -1
-        a = metrics.evaluate(model, x, labels)
-        b = metrics.evaluate(model, x, labels)
-        assert (a.confusion, a.acc, a.kap, a.auc, a.eta) == \
-            (b.confusion, b.acc, b.kap, b.auc, b.eta)
+        a = metrics.evaluate(elm.predict_full(model, x), labels)
+        b = metrics.evaluate(elm.predict_full(model, x), labels)
+        assert a == b
 
     def test_acc_consistent_with_matrix(self):
         model = linear_model([1.0])
         x = np.array([[0.3], [-0.4], [0.6]])
         labels = np.array([1, -1, -1])
-        report = metrics.evaluate(model, x, labels)
+        report = metrics.evaluate(elm.predict_full(model, x), labels)
         assert metrics.accuracy(report.confusion) == report.acc
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.5], [1, -1, 1, -1]),
+        ([0.5, -0.5], [1]),
+        ([[0.5], [-0.5]], [1, -1]),
+    ], ids=["one score", "one label", "column of scores"])
+    def test_shape_mismatch_refused(self, scores, labels):
+        # one score would broadcast against four labels and miscount
+        with pytest.raises(metrics.MetricsError, match="scores for"):
+            metrics.evaluate(np.array(scores), np.array(labels))
 
     def test_empty_rejected(self):
         model = linear_model([1.0])
         with pytest.raises(metrics.EmptyEvaluationError):
-            metrics.evaluate(model, np.empty((0, 1)), np.empty(0))
+            metrics.evaluate(elm.predict_full(model, np.empty((0, 1))),
+                             np.empty(0))
 
 
 class TestRendering:
@@ -231,7 +241,7 @@ class TestRendering:
         model = linear_model([1.0])
         x = np.array([[0.9], [-0.2], [0.5], [-0.1]])
         labels = np.array([1, 1, -1, -1])
-        report = metrics.evaluate(model, x, labels)
+        report = metrics.evaluate(elm.predict_full(model, x), labels)
         return [("demo", report)]
 
     def test_table_header_and_percent(self):

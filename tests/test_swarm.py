@@ -711,21 +711,6 @@ class TestSharedFitness:
         assert len(calls) == ipso.evaluations + other.evaluations
         assert_same_run(other, swarm.run_pso(bowl, 4, moved))
 
-    def test_saved_time_counts_hits_only(self, monkeypatch):
-        # IPSO's run reads the clock twice: 1.5 s; nothing else reads it
-        ticks = iter([10.0, 11.5])
-        monkeypatch.setattr(swarm.time, "perf_counter", lambda: next(ticks))
-        shared = swarm.SharedFitness(bowl)
-        swarm.run_ipso(shared, 4, SHARED)
-        assert shared.saved_s == 0.0
-        swarm.run_pso(shared, 4, SHARED)
-        assert shared.saved_s == 1.5
-        swarm.run_pso(shared, 4, dataclasses.replace(SHARED, seed=2))
-        swarm.run_ga(shared, 4, SHARED)
-        assert shared.saved_s == 1.5
-        swarm.run_pso(shared, 4, SHARED)
-        assert shared.saved_s == 3.0
-
     @pytest.mark.parametrize("dim, config", [
         (3, SHARED),
         (4, dataclasses.replace(SHARED, seed=2)),
@@ -746,7 +731,6 @@ class TestSharedFitness:
         pso = swarm.run_pso(shared, 4, SHARED)
         ipso = swarm.run_ipso(shared, 4, SHARED)
         assert len(calls) == pso.evaluations + ipso.evaluations
-        assert shared.saved_s == 0.0
         assert_same_run(pso, swarm.run_pso(bowl, 4, SHARED))
 
     def test_ipso_then_pso_through_rescues_equal_unshared_runs(self):
