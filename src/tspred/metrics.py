@@ -1,65 +1,23 @@
-"""Classification metrics: confusion matrix, accuracy, Cohen's kappa,
-ROC AUC, and their composite mean."""
+"""Classification metrics of decision scores: the confusion counts,
+accuracy, Cohen's kappa, ROC AUC and their composite mean."""
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
 class MetricsError(Exception):
-    pass
+    """Scores and labels that have no metrics."""
 
 
-class EmptyEvaluationError(MetricsError):
-    pass
-
-
-class SingleClassError(MetricsError):
-    """AUC needs at least one positive and one negative label."""
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts with +1 (stable) as the positive class."""
-
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fn, self.fp, self.tn) < 0:
-            raise MetricsError("negative count")
-
-    @property
-    def total(self):
-        return self.tp + self.fn + self.fp + self.tn
-
-    @classmethod
-    def from_labels(cls, true_labels, predicted):
-        t = np.asarray(true_labels)
-        p = np.asarray(predicted)
-        return cls(tp=int(np.sum((t == 1) & (p == 1))),
-                   fn=int(np.sum((t == 1) & (p == -1))),
-                   fp=int(np.sum((t == -1) & (p == 1))),
-                   tn=int(np.sum((t == -1) & (p == -1))))
-
-
-def accuracy(cm):
-    if cm.total == 0:
-        raise EmptyEvaluationError("empty confusion matrix")
-    return (cm.tp + cm.tn) / cm.total
-
-
-def kappa(cm):
-    """Cohen's kappa; a degenerate chance agreement of 1 maps to 1 for
-    perfect predictions and 0 otherwise."""
-    if cm.total == 0:
-        raise EmptyEvaluationError("empty confusion matrix")
-    p_o = accuracy(cm)
-    p_e = ((cm.tp + cm.fn) * (cm.tp + cm.fp)
-           + (cm.tn + cm.fp) * (cm.tn + cm.fn)) / cm.total ** 2
+def kappa(tp, fn, fp, tn):
+    """Cohen's kappa of the four counts (at least one nonzero); a
+    degenerate chance agreement of 1 maps to 1 for perfect predictions and
+    0 otherwise."""
+    total = tp + fn + fp + tn
+    p_o = (tp + tn) / total
+    p_e = ((tp + fn) * (tp + fp) + (tn + fp) * (tn + fn)) / total ** 2
     if p_e == 1.0:
         return 1.0 if p_o == 1.0 else 0.0
     return (p_o - p_e) / (1.0 - p_e)
@@ -75,7 +33,7 @@ def auc(scores, labels):
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError("AUC needs both classes present")
+        raise MetricsError("AUC needs both classes present")
     # U = negatives below each positive, plus one half per tie
     negatives = np.sort(scores[neg])
     u = (np.searchsorted(negatives, scores[pos], side="left").sum()
@@ -89,59 +47,70 @@ def eta(acc, kap, auc_value):
     return (acc + kap + auc_value) / 3.0
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    confusion: ConfusionMatrix
+class EvaluationReport(NamedTuple):
+    """Confusion counts with +1 (stable) as the positive class, and the
+    metrics; on a single-class set auc and eta are None and the note says
+    why."""
+
+    tp: int
+    fn: int
+    fp: int
+    tn: int
     acc: float
     kap: float
-    auc: float          # None when the test set is single-class
-    eta: float          # None when auc is None
-    note: str = ""
+    auc: float | None
+    eta: float | None
+    note: str
 
 
 def evaluate(scores, labels):
     """All metrics of one decision score per label, a score >= 0 read as
     stable (+1).
 
-    A single-class set yields acc/kappa only, with the AUC error noted.
+    Scores and labels of different shapes, none at all, a label other
+    than +1 or -1 and a score that is not finite raise MetricsError.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise MetricsError(f"{scores.shape} scores for {labels.shape} labels")
     if scores.size == 0:
-        raise EmptyEvaluationError("no samples to evaluate")
-    predicted = np.where(scores >= 0.0, 1, -1)
-    cm = ConfusionMatrix.from_labels(labels, predicted)
-    acc_value = accuracy(cm)
-    kap_value = kappa(cm)
-    note = ""
+        raise MetricsError("no samples to evaluate")
+    bad = (labels != 1) & (labels != -1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MetricsError(
+            f"position {i}: the label {labels.flat[i]} is not +1 or -1")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MetricsError(
+            f"position {i}: the score {scores.flat[i]} is not a finite number")
+    positive = labels == 1
+    stable = scores >= 0.0
+    tp = int(np.count_nonzero(positive & stable))
+    fn = int(np.count_nonzero(positive)) - tp
+    fp = int(np.count_nonzero(stable)) - tp
+    tn = scores.size - tp - fn - fp
+    acc = (tp + tn) / scores.size
+    kap = kappa(tp, fn, fp, tn)
     try:
         auc_value = auc(scores, labels)
-        eta_value = eta(acc_value, kap_value, auc_value)
-    except SingleClassError as exc:
-        auc_value = None
-        eta_value = None
-        note = f"AUC undefined: {exc}"
-    return EvaluationReport(confusion=cm, acc=acc_value, kap=kap_value,
-                            auc=auc_value, eta=eta_value, note=note)
-
-
-def _fmt(value, spec):
-    return "-" if value is None else spec.format(value)
+    except MetricsError as exc:
+        return EvaluationReport(tp, fn, fp, tn, acc, kap, None, None,
+                                f"AUC undefined: {exc}")
+    return EvaluationReport(tp, fn, fp, tn, acc, kap, auc_value,
+                            eta(acc, kap, auc_value), "")
 
 
 def render_table(rows):
     """Aligned plain-text table: model, Acc/%, Kap, AUC, eta."""
-    header = ["model", "Acc/%", "Kap", "AUC", "eta"]
-    table = [header]
-    for name, report in rows:
-        table.append([name,
-                      _fmt(report.acc * 100.0, "{:.2f}"),
-                      _fmt(report.kap, "{:.3f}"),
-                      _fmt(report.auc, "{:.3f}"),
-                      _fmt(report.eta, "{:.3f}")])
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
+    table = [["model", "Acc/%", "Kap", "AUC", "eta"]]
+    for name, r in rows:
+        table.append([name, f"{r.acc * 100.0:.2f}", f"{r.kap:.3f}",
+                      *("-" if v is None else f"{v:.3f}"
+                        for v in (r.auc, r.eta))])
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]
     return "\n".join(lines) + "\n"
@@ -154,9 +123,6 @@ def save_report_csv(rows, path):
         writer.writerow(["model", "acc", "kap", "auc", "eta",
                          "tp", "fn", "fp", "tn", "note"])
         for name, r in rows:
-            writer.writerow([
-                name, repr(r.acc), repr(r.kap),
-                "" if r.auc is None else repr(r.auc),
-                "" if r.eta is None else repr(r.eta),
-                r.confusion.tp, r.confusion.fn, r.confusion.fp,
-                r.confusion.tn, r.note])
+            writer.writerow([name, *("" if v is None else repr(v)
+                                     for v in (r.acc, r.kap, r.auc, r.eta)),
+                             r.tp, r.fn, r.fp, r.tn, r.note])

@@ -197,14 +197,13 @@ def test_criterion_07_metric_oracles(capsys):
             total = tp + fn + fp + tn
             if total == 0:
                 continue
-            cm = metrics.ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
             p_o = (tp + tn) / total
             p_e = ((tp + fn) * (tp + fp) + (tn + fp) * (tn + fn)) / total**2
             if p_e == 1.0:
                 expected = 1.0 if p_o == 1.0 else 0.0
             else:
                 expected = (p_o - p_e) / (1.0 - p_e)
-            assert abs(metrics.kappa(cm) - expected) < 1e-12
+            assert abs(metrics.kappa(tp, fn, fp, tn) - expected) < 1e-12
 
 
 def test_criterion_08_optimizer_sanity(capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tspred
-from tspred import cli, features, kernels, swarm
+from tspred import cli, elm, features, kernels, swarm
 
 FIXTURES = "fixtures"
 
@@ -316,6 +316,37 @@ class TestEvaluate:
                         "--split-fraction", "0.7"]) == cli.EXIT_OK
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_frozen_metrics_and_report_bytes(self, kb_csv, tmp_path, capsys):
+        # score = feature 92 + 0.5 exactly (one linear neuron on raw
+        # values), so the counts and ranks, and with them every figure,
+        # do not move with BLAS; feature 92 takes 11 values, so scores tie
+        n = 94
+        model = tmp_path / "model.elm"
+        elm.save_model(elm.ElmModel(
+            input_weights=np.ones((1, 1)), biases=np.array([0.5]),
+            activations=np.array([elm.ACT_LINEAR]), output_weights=np.ones(1),
+            feature_mask=np.arange(n) == 92, means=np.zeros(n),
+            stds=np.ones(n)), model)
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--kb", str(kb_csv), "--model", str(model),
+                    "--out", str(out), "--seed", "7"]) == cli.EXIT_OK
+        assert (out / "metrics.csv").read_bytes() == (
+            b"model,acc,kap,auc,eta,tp,fn,fp,tn,note\r\n"
+            b"test,0.6363636363636364,0.33834586466165406,0.8058823529411765,"
+            b"0.5935306179888223,9,8,0,5,\r\n"
+            b"train,0.6818181818181818,0.37777777777777766,0.859504132231405,"
+            b"0.6397000306091215,20,13,1,10,\r\n")
+        report = (out / "report.txt").read_text()
+        assert capsys.readouterr().out == report
+        timing = report.splitlines()[-1]
+        assert re.fullmatch(r"prediction time: \d+\.\d{3} ms "
+                            r"\(22 test samples\)", timing)
+        assert report[:-len(timing) - 1] == (
+            "seed 7\n"
+            "model  Acc/%  Kap    AUC    eta\n"
+            "test   63.64  0.338  0.806  0.594\n"
+            "train  68.18  0.378  0.860  0.640\n")
 
     def test_no_standardization_leakage(self, kb_csv, trained, tmp_path):
         # corrupting test rows must not change training statistics

@@ -36,55 +36,49 @@ def linear_model(weights, bias=0.0):
                         means=np.zeros(n), stds=np.ones(n))
 
 
+def counted(tp, fn, fp, tn):
+    """Scores and labels whose report holds the four counts: +1 and -1
+    labels scored 1 (stable) or -1 (unstable)."""
+    return ([1.0] * tp + [-1.0] * fn + [1.0] * fp + [-1.0] * tn,
+            [1] * (tp + fn) + [-1] * (fp + tn))
+
+
 class TestConfusionMatrix:
     def test_from_labels(self):
         t = [1, 1, -1, -1, 1]
         p = [1, -1, -1, 1, 1]
-        cm = metrics.ConfusionMatrix.from_labels(t, p)
-        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (2, 1, 1, 1)
-        assert cm.total == 5
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(metrics.MetricsError):
-            metrics.ConfusionMatrix(tp=-1, fn=0, fp=0, tn=0)
+        report = metrics.evaluate(p, t)
+        assert report[:4] == (2, 1, 1, 1)
 
 
 class TestAccuracy:
     def test_worked_example(self):
         # [TRIVIAL] TP=40, FN=10, FP=5, TN=45 -> 0.85
-        cm = metrics.ConfusionMatrix(tp=40, fn=10, fp=5, tn=45)
-        assert metrics.accuracy(cm) == 0.85
+        assert metrics.evaluate(*counted(40, 10, 5, 45)).acc == 0.85
 
     def test_perfect(self):
-        cm = metrics.ConfusionMatrix(tp=3, fn=0, fp=0, tn=7)
-        assert metrics.accuracy(cm) == 1.0
+        assert metrics.evaluate(*counted(3, 0, 0, 7)).acc == 1.0
 
     def test_all_wrong(self):
-        cm = metrics.ConfusionMatrix(tp=0, fn=4, fp=6, tn=0)
-        assert metrics.accuracy(cm) == 0.0
+        assert metrics.evaluate(*counted(0, 4, 6, 0)).acc == 0.0
 
     def test_empty_rejected(self):
-        cm = metrics.ConfusionMatrix(tp=0, fn=0, fp=0, tn=0)
-        with pytest.raises(metrics.EmptyEvaluationError):
-            metrics.accuracy(cm)
+        with pytest.raises(metrics.MetricsError, match="no samples"):
+            metrics.evaluate([], [])
 
 
 class TestKappa:
     def test_worked_example(self):
         # [DERIVED] p_e = (50*45 + 50*55)/100^2 = 0.5 -> kappa 0.7
-        cm = metrics.ConfusionMatrix(tp=40, fn=10, fp=5, tn=45)
-        assert metrics.kappa(cm) == pytest.approx(0.7, abs=1e-12)
+        assert metrics.kappa(40, 10, 5, 45) == pytest.approx(0.7, abs=1e-12)
 
     def test_perfect_both_classes(self):
-        cm = metrics.ConfusionMatrix(tp=6, fn=0, fp=0, tn=4)
-        assert metrics.kappa(cm) == 1.0
+        assert metrics.kappa(6, 0, 0, 4) == 1.0
 
     def test_degenerate_chance_agreement(self):
         # p_e = 1 when both marginals are single-class
-        perfect = metrics.ConfusionMatrix(tp=5, fn=0, fp=0, tn=0)
-        imperfect = metrics.ConfusionMatrix(tp=4, fn=0, fp=1, tn=0)
-        assert metrics.kappa(perfect) == 1.0
-        assert metrics.kappa(imperfect) == 0.0
+        assert metrics.kappa(5, 0, 0, 0) == 1.0
+        assert metrics.kappa(4, 0, 1, 0) == 0.0
 
     def test_independent_predictions_near_zero(self):
         # [DERIVED] random predictions, balanced classes -> kappa ~ 0
@@ -93,14 +87,12 @@ class TestKappa:
         for _ in range(400):
             t = rng.choice([1, -1], size=200)
             p = rng.choice([1, -1], size=200)
-            values.append(metrics.kappa(
-                metrics.ConfusionMatrix.from_labels(t, p)))
+            values.append(metrics.evaluate(p, t).kap)
         assert abs(np.mean(values)) < 0.05
 
     def test_marginal_independence_zero(self):
         # constructed matrix with predictions independent of truth
-        cm = metrics.ConfusionMatrix(tp=30, fn=10, fp=45, tn=15)
-        assert metrics.kappa(cm) == pytest.approx(0.0, abs=1e-12)
+        assert metrics.kappa(30, 10, 45, 15) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAuc:
@@ -119,7 +111,7 @@ class TestAuc:
         assert metrics.auc([0.4, 0.4, 0.4], [1, -1, -1]) == 0.5
 
     def test_single_class_rejected(self):
-        with pytest.raises(metrics.SingleClassError):
+        with pytest.raises(metrics.MetricsError, match="both classes"):
             metrics.auc([0.1, 0.2], [1, 1])
 
     def test_pairwise_oracle_random(self):
@@ -175,8 +167,7 @@ class TestEvaluate:
         x = np.array([[0.9], [-0.2], [0.5], [-0.1]])
         labels = np.array([1, 1, -1, -1])
         report = metrics.evaluate(elm.predict_full(model, x), labels)
-        cm = report.confusion
-        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 1)
+        assert report[:4] == (1, 1, 1, 1)
         assert report.acc == 0.5
         assert report.kap == pytest.approx(0.0, abs=1e-12)
         assert report.auc == pytest.approx(
@@ -189,8 +180,8 @@ class TestEvaluate:
         model = linear_model([1.0])
         x = np.array([[0.3], [-0.3], [0.0], [0.0]])
         labels = np.array([1, -1, 1, -1])
-        cm = metrics.evaluate(elm.predict_full(model, x), labels).confusion
-        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (2, 0, 1, 1)
+        report = metrics.evaluate(elm.predict_full(model, x), labels)
+        assert report[:4] == (2, 0, 1, 1)
 
     def test_single_class_noted(self):
         model = linear_model([1.0], bias=10.0)
@@ -200,7 +191,7 @@ class TestEvaluate:
         assert report.acc == 1.0
         assert report.auc is None
         assert report.eta is None
-        assert "AUC undefined" in report.note
+        assert report.note == "AUC undefined: AUC needs both classes present"
 
     def test_deterministic_metrics(self):
         model = linear_model([1.0, -0.5])
@@ -217,21 +208,31 @@ class TestEvaluate:
         x = np.array([[0.3], [-0.4], [0.6]])
         labels = np.array([1, -1, -1])
         report = metrics.evaluate(elm.predict_full(model, x), labels)
-        assert metrics.accuracy(report.confusion) == report.acc
+        assert report.acc == (report.tp + report.tn) / sum(report[:4])
 
-    @pytest.mark.parametrize("scores, labels", [
-        ([0.5], [1, -1, 1, -1]),
-        ([0.5, -0.5], [1]),
-        ([[0.5], [-0.5]], [1, -1]),
-    ], ids=["one score", "one label", "column of scores"])
-    def test_shape_mismatch_refused(self, scores, labels):
+    @pytest.mark.parametrize("scores, labels, message", [
         # one score would broadcast against four labels and miscount
-        with pytest.raises(metrics.MetricsError, match="scores for"):
+        ([0.5], [1, -1, 1, -1], "(1,) scores for (4,) labels"),
+        ([0.5, -0.5], [1], "(2,) scores for (1,) labels"),
+        ([[0.5], [-0.5]], [1, -1], "(2, 1) scores for (2,) labels"),
+        # a label of neither class would drop out of every count
+        ([0.5, -0.5, 0.7], [1, 0, 1],
+         "position 1: the label 0 is not +1 or -1"),
+        # a NaN fails every comparison, so it would be read as unstable
+        ([float("nan"), -0.5, 0.7, 0.2], [1, -1, 1, -1],
+         "position 0: the score nan is not a finite number"),
+        ([0.1, float("-inf")], [1, -1],
+         "position 1: the score -inf is not a finite number"),
+    ], ids=["one score", "one label", "column of scores", "label 0",
+            "nan score", "infinite score"])
+    def test_shape_mismatch_refused(self, scores, labels, message):
+        with pytest.raises(metrics.MetricsError) as info:
             metrics.evaluate(np.array(scores), np.array(labels))
+        assert str(info.value) == message
 
     def test_empty_rejected(self):
         model = linear_model([1.0])
-        with pytest.raises(metrics.EmptyEvaluationError):
+        with pytest.raises(metrics.MetricsError, match="no samples"):
             metrics.evaluate(elm.predict_full(model, np.empty((0, 1))),
                              np.empty(0))
 
