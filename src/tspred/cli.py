@@ -88,13 +88,14 @@ def cmd_generate(args):
         scenarios = simkit.build_scenario_grid(**spec)
         # before the first step, simulate_scenarios refuses a bad step,
         # horizon, clearing or level, a fault the model lacks and a horizon
-        # that ends before a clearing at its f0; sample_steps one that ends
-        # before a feature window and a step that does not divide 1/60 s
+        # that ends before a clearing at its f0; sample_steps a step that
+        # does not divide 1/60 s and, the only FeatureError here, a horizon
+        # that ends before a feature window
         traj = simkit.simulate_scenarios(model, scenarios,
                                          keep=features.sample_steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    except features.WindowOutOfRangeError as exc:
+    except features.FeatureError as exc:
         cycles = max(sc.clearing_cycles for sc in scenarios)
         raise UsageError(f"{exc} (latest clearing {cycles:g} cycles at f0 = "
                          f"{model.f0:g} Hz)") from exc
@@ -124,7 +125,7 @@ def _prepare_training(args):
     seed = args.seed if args.seed is not None else kb.seed
     try:
         split = features.split_train_test(kb, args.split_fraction, seed)
-    except ValueError as exc:       # the fraction out of (0, 1)
+    except ValueError as exc:   # out of (0, 1), or a side under 2 rows
         raise UsageError(str(exc)) from exc
     return kb, split, seed
 
@@ -138,8 +139,13 @@ def _fitness_context(kb, split, z, seed, args):
         raise UsageError(
             f"population x particle length = {args.population} x {spec.dim:,}"
             f" exceeds the {swarm.MAX_SWARM_VALUES:,}-value swarm limit")
-    return swarm.FitnessContext.build(z[split.train], kb.labels[split.train],
-                                      spec, seed=seed)
+    try:
+        return swarm.FitnessContext.build(
+            z[split.train], kb.labels[split.train], spec, seed=seed)
+    except ValueError as exc:   # fewer training rows than CV folds
+        raise UsageError(f"--split-fraction {args.split_fraction!r} leaves "
+                         f"{len(split.train)} of {kb.n_samples} rows to "
+                         f"train on: {exc}") from exc
 
 
 def _optimize_once(ctx, fitness, seed, optimizer, args):
@@ -206,8 +212,8 @@ def cmd_evaluate(args):
     model = elm.load_model(model_path)
     n_full = model.feature_mask.shape[0]
     if kb.n_features != n_full:
-        raise elm.ShapeMismatchError(f"{args.kb}: {kb.n_features} features, "
-                                     f"the model {model_path} expects {n_full}")
+        raise elm.ElmError(f"{args.kb}: {kb.n_features} features, the model "
+                           f"{model_path} expects {n_full}")
     rows, predict_s = [], {}
     for name, idx in (("test", split.test), ("train", split.train)):
         samples = kb.samples[idx]
@@ -284,7 +290,7 @@ def cmd_compare(args):
 def cmd_predict(args):
     model = elm.load_model(_require(args.model, "model file"))
     n_full = model.feature_mask.shape[0]
-    if args.row:
+    if args.row is not None:
         where, lines = "--row", [args.row]
     elif args.input:
         where = _require(args.input, "input file")

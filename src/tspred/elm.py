@@ -37,10 +37,6 @@ class ElmError(Exception):
     pass
 
 
-class ShapeMismatchError(ElmError):
-    pass
-
-
 class NonFiniteScoreError(ElmError):
     """A row's decision score is not finite, so it has no class; `row` is
     the row's index."""
@@ -115,8 +111,7 @@ class ElmModel:
             # arrays were cut
             arr = np.array(getattr(self, name), dtype=dtype, order="C")
             if arr.ndim != ndim:
-                raise ShapeMismatchError(
-                    f"{name}: {arr.ndim} dimensions, not {ndim}")
+                raise ElmError(f"{name}: {arr.ndim} dimensions, not {ndim}")
             if not np.all(np.isfinite(arr)):
                 raise ElmError(f"non-finite {name.replace('_', ' ')}")
             arr.setflags(write=False)
@@ -143,7 +138,7 @@ class ElmModel:
                   int(np.count_nonzero(mask)))]
         for what, a, b in sizes:
             if a != b:
-                raise ShapeMismatchError(f"{what}: {a} != {b}")
+                raise ElmError(f"{what}: {a} != {b}")
 
     @property
     def effective_hidden_size(self):
@@ -157,7 +152,7 @@ def train(w, b, cf, x, y):
     y = np.asarray(y, dtype=float)
     h = hidden_matrix(x, w, b, cf)
     if y.shape != (h.shape[0],):
-        raise ShapeMismatchError("target length != sample count")
+        raise ElmError("target length != sample count")
     return pseudoinverse(h) @ y
 
 
@@ -167,7 +162,7 @@ def predict_full(model, x_full):
     score is not finite raises NonFiniteScoreError."""
     x_full = np.atleast_2d(np.asarray(x_full, dtype=float))
     if x_full.shape[1] != model.feature_mask.shape[0]:
-        raise ShapeMismatchError(
+        raise ElmError(
             f"expected {model.feature_mask.shape[0]} features, "
             f"got {x_full.shape[1]}")
     # a finite raw value far outside the training range can overflow; the

@@ -24,15 +24,8 @@ _CONSTANT_SIGMA = 1e-12
 
 
 class FeatureError(Exception):
-    """Base class for knowledge-base failures."""
-
-
-class WindowOutOfRangeError(FeatureError):
-    """Trajectory ends before the measurement window does."""
-
-
-class DegenerateDatasetError(FeatureError):
-    """A KB of one class, or too few rows to standardize or to split."""
+    """A trajectory that ends before the measurement window does, a KB
+    that is malformed or of one class, or too few rows to standardize."""
 
 
 def label_trajectory(trajectory):
@@ -68,12 +61,13 @@ def feature_names(n_generators):
 def sample_steps(t_clear, time):
     """Grid steps a feature row reads, ([S,] 10): step 0, then the window
     instants t_clear + k/60 for k = 0..8 on the integration grid `time`:
-    the clearing's nearest step, then every 1/60 s. A step that does not
-    divide 1/60 s (within 1e-9) raises ValueError."""
+    the clearing's nearest step, then every 1/60 s. A window that ends
+    past the grid raises FeatureError, and a step that does not divide
+    1/60 s (within 1e-9) ValueError."""
     dt = time[1] - time[0]
     window = t_clear[..., None] + np.arange(WINDOW_SAMPLES) / WINDOW_RATE_HZ
     if np.max(window) > time[-1] + dt / 2:
-        raise WindowOutOfRangeError(
+        raise FeatureError(
             "horizon shorter than the feature window: horizon "
             f"{time[-1]:.4g} s, window ends {np.max(window):.4g} s")
     per = 1.0 / (WINDOW_RATE_HZ * dt)   # grid steps between two instants
@@ -132,7 +126,7 @@ class KnowledgeBase:
             raise FeatureError(f"sample {bad[0] + 1}, {bad[1]}")
         labels = _frozen_int(labels)
         if np.unique(labels).size < 2:
-            raise DegenerateDatasetError(
+            raise FeatureError(
                 f"all {len(labels)} samples have one label: a knowledge base "
                 "needs both +1 and -1 rows")
         samples.setflags(write=False)
@@ -169,7 +163,7 @@ def standardize(samples, train_rows):
     maps to all zeros.
     """
     if len(samples) < 2:
-        raise DegenerateDatasetError("need at least 2 samples")
+        raise FeatureError("need at least 2 samples")
     train = samples[np.asarray(train_rows)]
     means = train.mean(axis=0)
     stds = train.std(axis=0, ddof=1)
@@ -206,7 +200,9 @@ def _frozen_int(arr):
 
 
 def split_train_test(kb, train_fraction, seed):
-    """Stratified random train/test split, reproducible from the seed."""
+    """Stratified random train/test split, reproducible from the seed. A
+    fraction outside (0, 1) raises ValueError, as does one that leaves a
+    side fewer than 2 rows when each class has 2 or more."""
     if not 0 < train_fraction < 1:
         raise ValueError("train fraction must be in (0, 1)")
     n = kb.n_samples
@@ -215,7 +211,9 @@ def split_train_test(kb, train_fraction, seed):
     classes = [np.nonzero(kb.labels == c)[0] for c in (STABLE, UNSTABLE)]
     counts = [len(c) for c in classes]
     if min(counts) >= 2 and not 2 <= n_train <= n - 2:
-        raise DegenerateDatasetError("split leaves one side empty")
+        raise ValueError(f"train fraction {train_fraction!r} puts {n_train} "
+                         f"of {n} rows in training; each side needs at "
+                         "least 2")
     # proportional allocation, largest remainder makes the total exact
     quotas = [train_fraction * c for c in counts]
     takes = [int(q) for q in quotas]
@@ -350,5 +348,5 @@ def _parse_knowledge_base(csv_data, csv_path, sidecar_data, sidecar_path):
     try:
         return KnowledgeBase(samples=table[:, 1:], labels=table[:, 0],
                              seed=seed, provenance=provenance)
-    except DegenerateDatasetError as exc:   # a single class
-        raise DegenerateDatasetError(f"{csv_path}: {exc}") from None
+    except FeatureError as exc:     # a single class, as _bad_cell ran
+        raise FeatureError(f"{csv_path}: {exc}") from None

@@ -23,11 +23,34 @@ def kappa(tp, fn, fp, tn):
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def auc(scores, labels):
-    """Probability a random positive outscores a random negative, ties
-    counting one half (Mann-Whitney statistic)."""
+def _checked(scores, labels):
+    """`scores` and `labels` as arrays. Scores and labels of different
+    shapes, none at all, a label other than +1 or -1 and a score that is
+    not finite raise MetricsError."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise MetricsError(f"{scores.shape} scores for {labels.shape} labels")
+    if scores.size == 0:
+        raise MetricsError("no samples to evaluate")
+    bad = (labels != 1) & (labels != -1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MetricsError(
+            f"position {i}: the label {labels.flat[i]} is not +1 or -1")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MetricsError(
+            f"position {i}: the score {scores.flat[i]} is not a finite number")
+    return scores, labels
+
+
+def auc(scores, labels):
+    """Probability a random positive outscores a random negative, ties
+    counting one half (Mann-Whitney statistic). Inputs `_checked` refuses
+    and a single class raise MetricsError."""
+    scores, labels = _checked(scores, labels)
     pos = labels == 1
     neg = labels == -1
     n_pos = int(pos.sum())
@@ -67,25 +90,9 @@ def evaluate(scores, labels):
     """All metrics of one decision score per label, a score >= 0 read as
     stable (+1).
 
-    Scores and labels of different shapes, none at all, a label other
-    than +1 or -1 and a score that is not finite raise MetricsError.
+    Inputs `_checked` refuses raise MetricsError.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
-        raise MetricsError(f"{scores.shape} scores for {labels.shape} labels")
-    if scores.size == 0:
-        raise MetricsError("no samples to evaluate")
-    bad = (labels != 1) & (labels != -1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MetricsError(
-            f"position {i}: the label {labels.flat[i]} is not +1 or -1")
-    finite = np.isfinite(scores)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise MetricsError(
-            f"position {i}: the score {scores.flat[i]} is not a finite number")
+    scores, labels = _checked(scores, labels)
     positive = labels == 1
     stable = scores >= 0.0
     tp = int(np.count_nonzero(positive & stable))

@@ -25,7 +25,7 @@ DEFAULT_HORIZON = 3.0
 #: most steps a scenario may integrate (horizon / step)
 MAX_STEPS = 1_000_000
 
-#: |δ| beyond this many degrees aborts with NumericOverflowError
+#: |δ| beyond this many degrees aborts with SimkitError
 OVERFLOW_LIMIT_DEG = 1.0e6
 
 CLEARING_RANGE_CYCLES = (5.0, 10.0)
@@ -38,19 +38,9 @@ _NEWTON_STEP_TOL = 1e-12
 
 
 class SimkitError(Exception):
-    """Base class for simulator failures."""
-
-
-class ModelFormatError(SimkitError):
-    """Malformed or inconsistent power-system model."""
-
-
-class NoEquilibriumError(SimkitError):
-    """The prefault operating point cannot be solved."""
-
-
-class NumericOverflowError(SimkitError):
-    """Rotor angle blew past the overflow guard (step/model pathology)."""
+    """A malformed or inconsistent power-system model, a prefault
+    operating point that cannot be solved, or a rotor angle past the
+    overflow guard."""
 
 
 def _readonly(arr, dtype=float):
@@ -93,31 +83,31 @@ class PowerSystemModel:
     def _validate(self):
         ng = self.n_generators
         if ng == 0:
-            raise ModelFormatError("model has no generators")
+            raise SimkitError("model has no generators")
         for name in ("damping", "emf", "pm"):
             if getattr(self, name).shape != (ng,):
-                raise ModelFormatError(f"{name} length != generator count")
+                raise SimkitError(f"{name} length != generator count")
         for name in ("f0", "inertia", "damping", "emf", "pm"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ModelFormatError(f"{name} must be finite")
+                raise SimkitError(f"{name} must be finite")
         if np.any(self.inertia <= 0):
-            raise ModelFormatError("inertia constants must be positive")
+            raise SimkitError("inertia constants must be positive")
         if np.any(self.damping < 0):
-            raise ModelFormatError("damping must be non-negative")
+            raise SimkitError("damping must be non-negative")
         if self.f0 <= 0:
-            raise ModelFormatError("base frequency must be positive")
+            raise SimkitError("base frequency must be positive")
         for label, mat in [("prefault", self.y_prefault), *(
                 (f"fault '{fid}'", m) for fid, m in self.y_fault.items())]:
             if mat.shape != (ng, ng):
-                raise ModelFormatError(
+                raise SimkitError(
                     f"{label} matrix shape {mat.shape} != ({ng}, {ng})")
             if not np.all(np.isfinite(mat)):
-                raise ModelFormatError(f"{label} matrix must be finite")
+                raise SimkitError(f"{label} matrix must be finite")
             if not np.allclose(mat, mat.T, atol=_MATRIX_SYMMETRY_TOL,
                                rtol=0.0):
-                raise ModelFormatError(f"{label} matrix is not symmetric")
+                raise SimkitError(f"{label} matrix is not symmetric")
         if not self.y_fault:
-            raise ModelFormatError("model defines no during-fault matrix")
+            raise SimkitError("model defines no during-fault matrix")
 
     @property
     def n_generators(self):
@@ -250,7 +240,7 @@ def operating_points(model, levels):
     holds the last machine's angle at 0 and, from equal angles, solves
     the others; a candidate holds when its full residual (the reference
     machine's too) is at most 1e-8 pu. The first of `levels` that no
-    candidate holds raises NoEquilibriumError.
+    candidate holds raises SimkitError.
     """
     levels = np.asarray(levels, dtype=float)
     y = model.y_prefault
@@ -276,7 +266,7 @@ def operating_points(model, levels):
     failed = np.flatnonzero(~(mismatch <= _EQUILIBRIUM_TOL))
     if len(failed):
         k = failed[0]
-        raise NoEquilibriumError(
+        raise SimkitError(
             f"no prefault equilibrium (max mismatch {mismatch[k]:.3e} pu)"
             if base[k] else
             f"load level {levels[k]} destroys the operating point")
@@ -464,7 +454,7 @@ def simulate_scenarios(model, scenarios, keep=None):
             if k == shared_from:
                 y = y_pre
             if not (np.abs(d) <= limit).all():
-                raise NumericOverflowError(
+                raise SimkitError(
                     "rotor angle exceeded the overflow guard "
                     f"({OVERFLOW_LIMIT_DEG:g} degrees)")
         gap = np.maximum(gap, angle_gap(np.degrees(d)))
@@ -543,7 +533,7 @@ def load_model(path):
     """Parse the textual .sys model file; a line it cannot read is refused,
     naming the file and the line."""
     with open(path, "rb") as fh:
-        lines = textio.directives(fh.read(), path, error=ModelFormatError,
+        lines = textio.directives(fh.read(), path, error=SimkitError,
                                   once=("name", "f0", "generators"))
     name, f0, declared, gens, matrices = "unnamed", 60.0, None, [], {}
     for n, key, value in lines:
@@ -588,20 +578,20 @@ def load_model(path):
             else:
                 raise ValueError(f"unknown directive '{key}'")
         except ValueError as exc:
-            raise ModelFormatError(f"{path} line {n}: {exc}") from None
+            raise SimkitError(f"{path} line {n}: {exc}") from None
     if not gens:
-        raise ModelFormatError(f"{path}: no generators defined")
+        raise SimkitError(f"{path}: no generators defined")
     if declared is not None and declared[1] != len(gens):
-        raise ModelFormatError(
+        raise SimkitError(
             f"{path} line {declared[0]}: 'generators {declared[1]}' but "
             f"{len(gens)} gen lines")
     if "prefault" not in matrices or "postfault" not in matrices:
-        raise ModelFormatError(f"{path}: prefault/postfault matrix missing")
+        raise SimkitError(f"{path}: prefault/postfault matrix missing")
     # checked, not kept: the prefault matrix holds again after clearing
     pre, post = matrices["prefault"], matrices["postfault"]
     if post.shape != pre.shape or not np.allclose(
             post, pre, atol=_MATRIX_SYMMETRY_TOL, rtol=0.0, equal_nan=True):
-        raise ModelFormatError(
+        raise SimkitError(
             f"{path}: postfault matrix must equal the prefault matrix "
             "(successful reclosure assumption)")
     faults = {label.split(":", 1)[1]: mat
@@ -612,8 +602,8 @@ def load_model(path):
             name=name, f0=f0,
             inertia=arr[:, 0], damping=arr[:, 1], emf=arr[:, 3],
             pm=arr[:, 4], y_prefault=pre, y_fault=faults)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    except SimkitError as exc:
+        raise SimkitError(f"{path}: {exc}") from None
 
 
 def _items(text):

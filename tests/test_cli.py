@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line pipeline."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -885,6 +887,8 @@ def _write_malformed(case, kb_csv, tmp_path):
             return ["predict", "--model", str(model), "--input", str(rows)]
         if case == "predict row label 5.0":
             return ["predict", "--model", str(model), "--row=5.0,1.0,2.0"]
+        if case == "predict empty row":
+            return ["predict", "--model", str(model), "--row", ""]
         return ["predict", "--model", str(model), "--row=1.0,2.0"]
     if case.startswith("elm no"):
         # one linear neuron on the first of the KB's features
@@ -924,6 +928,18 @@ def _write_malformed(case, kb_csv, tmp_path):
             return argv + ["--model", str(model)]
         return argv + ["--hidden", "4", "--population", "4",
                        "--iterations", "1"]
+    if case.startswith("split fraction"):
+        # on the 66-row KB, 0.999 leaves no row to test, and 0.05 leaves 3
+        # rows to train on, fewer than the 5 CV folds
+        _, _, fraction, _, command = case.split()
+        argv = [command, "--kb", str(kb_csv), "--out", str(tmp_path / "run"),
+                "--split-fraction", fraction]
+        if command == "evaluate":
+            model = tmp_path / "model.elm"
+            n = kb_csv.read_text().split("\n", 1)[0].count(",")
+            _write_model(model, n)
+            return argv + ["--model", str(model)]
+        return argv + ["--hidden", "4", "--population", "4"]
     if case.startswith("out"):
         # `--out` names the file `taken`, or a path under it, or one of the
         # files the command writes is the directory `made`
@@ -1225,6 +1241,9 @@ def _write_malformed(case, kb_csv, tmp_path):
                  "rows.csv line 2: 3 values, the model expects 2, and the "
                  "leading value 5.0 is not a label (+1 or -1)",
                  id="predict input label 5.0"),
+    # an empty --row is a row with no values, not a missing --row
+    pytest.param("predict empty row", cli.EXIT_USAGE, "--row: no samples",
+                 id="predict empty row"),
     pytest.param("score not finite in predict", cli.EXIT_USAGE,
                  "--row line 1: the score inf is not a finite number, so the "
                  "row gets no verdict", id="score not finite in predict"),
@@ -1279,6 +1298,20 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("single class in compare", cli.EXIT_RUNTIME,
                  "kb.csv: all 66 samples have one label",
                  id="single class in compare"),
+    # a fraction inside (0, 1) that the KB cannot honour is a flag value
+    # out of range
+    pytest.param("split fraction 0.999 in evaluate", cli.EXIT_USAGE,
+                 "error: train fraction 0.999 puts 66 of 66 rows in training; "
+                 "each side needs at least 2",
+                 id="split fraction 0.999 in evaluate"),
+    pytest.param("split fraction 0.05 in optimize", cli.EXIT_USAGE,
+                 "error: --split-fraction 0.05 leaves 3 of 66 rows to train "
+                 "on: cannot make 5 folds from 3 samples",
+                 id="split fraction 0.05 in optimize"),
+    pytest.param("split fraction 0.05 in compare", cli.EXIT_USAGE,
+                 "error: --split-fraction 0.05 leaves 3 of 66 rows to train "
+                 "on: cannot make 5 folds from 3 samples",
+                 id="split fraction 0.05 in compare"),
     ("abbreviated flags", cli.EXIT_USAGE,
      "unrecognized arguments: --hid 4 --pop 4 --it 2"),
     ("abbreviated config keys", cli.EXIT_USAGE,
@@ -1389,3 +1422,22 @@ def test_only_cli_reads_the_clock_and_metrics_imports_no_tspred_module():
                          node.module.split(".")[0])
     assert [m for m, tops in imported.items() if "time" in tops] == ["cli"]
     assert "tspred" not in imported["metrics"]
+
+
+def test_one_error_class_per_module():
+    # no caller tells two refusals of one module apart, so each module's
+    # error class derives from Exception alone; the one subclass carries
+    # the row that evaluate and predict name
+    bases = {}
+    for info in pkgutil.iter_modules(tspred.__path__):
+        module = importlib.import_module(f"tspred.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__):
+                bases[f"{info.name}.{cls.__name__}"] = cls.__bases__
+    assert bases == {"cli.UsageError": (Exception,),
+                     "elm.ElmError": (Exception,),
+                     "elm.NonFiniteScoreError": (elm.ElmError,),
+                     "features.FeatureError": (Exception,),
+                     "metrics.MetricsError": (Exception,),
+                     "simkit.SimkitError": (Exception,)}

@@ -138,7 +138,7 @@ class TestHiddenMatrix:
     def test_shape_mismatch(self):
         # hidden_matrix takes its arrays as given; predict_full checks the
         # width of the rows that come from outside
-        with pytest.raises(elm.ShapeMismatchError):
+        with pytest.raises(elm.ElmError, match="expected 1 features, got 2"):
             elm.predict_full(identity_model(identity_layer(), [1.0]),
                              [[1.0, 2.0]])
 
@@ -464,7 +464,7 @@ def test_model_file_truncated_refused(tmp_path, keep):
 ], ids=["mask bits", "means", "stds", "beta", "input weights", "activations"])
 def test_model_sizes_checked_on_construction(tmp_path, field, value, what):
     model = saved_model(tmp_path / "model.elm")
-    with pytest.raises(elm.ShapeMismatchError, match=what):
+    with pytest.raises(elm.ElmError, match=what):
         dataclasses.replace(model, **{field: value})
 
 

@@ -79,7 +79,8 @@ class TestExtraction:
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
                                        horizon=0.15)
         traj = simulate_one(smib, sc)
-        with pytest.raises(features.WindowOutOfRangeError):
+        with pytest.raises(features.FeatureError,
+                           match="horizon shorter than the feature window"):
             features.extract_features(traj)
 
     @pytest.mark.parametrize("case", ["smib", "three_machine"])
@@ -445,7 +446,7 @@ def test_smib_kb_has_both_classes(smib_kb):
 def test_single_class_rejected(label):
     # a KB of one class is refused where it is built, so no split, fold
     # or fitness ever sees one
-    with pytest.raises(features.DegenerateDatasetError,
+    with pytest.raises(features.FeatureError,
                        match="all 4 samples have one label"):
         features.KnowledgeBase(samples=np.zeros((4, 1)),
                                labels=np.full(4, label), seed=0)
@@ -455,7 +456,7 @@ def test_single_class_file_refused_naming_it(tmp_path):
     csv_path, meta_path = tmp_path / "kb.csv", tmp_path / "kb.meta"
     csv_path.write_text("label,f_0\n+1,1.0\n+1,2.0\n")
     meta_path.write_text("seed 0\n")
-    with pytest.raises(features.DegenerateDatasetError,
+    with pytest.raises(features.FeatureError,
                        match=f"^{re.escape(str(csv_path))}: all 2 samples"):
         features.load_knowledge_base(csv_path, meta_path)
 

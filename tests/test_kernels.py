@@ -164,7 +164,7 @@ class TestRk4Span:
                                       horizon=3.0)
             for c in (0.0, 180.0))
         simkit.simulate_scenarios(model, [calm])
-        with pytest.raises(simkit.NumericOverflowError):
+        with pytest.raises(simkit.SimkitError, match="overflow guard"):
             simkit.simulate_scenarios(model, [calm, runaway])
 
     def test_two_half_spans_equal_one(self):

@@ -210,24 +210,31 @@ class TestEvaluate:
         report = metrics.evaluate(elm.predict_full(model, x), labels)
         assert report.acc == (report.tp + report.tn) / sum(report[:4])
 
-    @pytest.mark.parametrize("scores, labels, message", [
+    @pytest.mark.parametrize("function, scores, labels, message", [
         # one score would broadcast against four labels and miscount
-        ([0.5], [1, -1, 1, -1], "(1,) scores for (4,) labels"),
-        ([0.5, -0.5], [1], "(2,) scores for (1,) labels"),
-        ([[0.5], [-0.5]], [1, -1], "(2, 1) scores for (2,) labels"),
+        ("evaluate", [0.5], [1, -1, 1, -1], "(1,) scores for (4,) labels"),
+        ("evaluate", [0.5, -0.5], [1], "(2,) scores for (1,) labels"),
+        ("evaluate", [[0.5], [-0.5]], [1, -1],
+         "(2, 1) scores for (2,) labels"),
         # a label of neither class would drop out of every count
-        ([0.5, -0.5, 0.7], [1, 0, 1],
+        ("evaluate", [0.5, -0.5, 0.7], [1, 0, 1],
          "position 1: the label 0 is not +1 or -1"),
         # a NaN fails every comparison, so it would be read as unstable
-        ([float("nan"), -0.5, 0.7, 0.2], [1, -1, 1, -1],
+        ("evaluate", [float("nan"), -0.5, 0.7, 0.2], [1, -1, 1, -1],
          "position 0: the score nan is not a finite number"),
-        ([0.1, float("-inf")], [1, -1],
+        ("evaluate", [0.1, float("-inf")], [1, -1],
          "position 1: the score -inf is not a finite number"),
+        # auc on its own refuses the same inputs: a NaN would rank below
+        # every negative, and a label 0 drop out of both classes
+        ("auc", [float("nan"), 0.1, 0.2], [1, -1, 1],
+         "position 0: the score nan is not a finite number"),
+        ("auc", [0.1, 0.2, 0.5], [-1, 1, 0],
+         "position 2: the label 0 is not +1 or -1"),
     ], ids=["one score", "one label", "column of scores", "label 0",
-            "nan score", "infinite score"])
-    def test_shape_mismatch_refused(self, scores, labels, message):
+            "nan score", "infinite score", "auc nan score", "auc label 0"])
+    def test_shape_mismatch_refused(self, function, scores, labels, message):
         with pytest.raises(metrics.MetricsError) as info:
-            metrics.evaluate(np.array(scores), np.array(labels))
+            getattr(metrics, function)(np.array(scores), np.array(labels))
         assert str(info.value) == message
 
     def test_empty_rejected(self):
