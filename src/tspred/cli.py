@@ -199,7 +199,7 @@ def cmd_optimize(args):
           f"{result.best_fitness:.4f} after {len(result.trace) - 1} "
           f"iterations ({result.evaluations} evaluations, {mutations} "
           f"mutations, {elapsed:.2f}s)")
-    print(f"effective hidden nodes: {model.effective_hidden_size}")
+    print(f"effective hidden nodes: {elm.effective_hidden_size(cf)}")
     print(f"wrote {model_path} and {trace_path}")
     return EXIT_OK
 
@@ -259,10 +259,9 @@ def cmd_compare(args):
             results[name] = result
             if name == "pso" and result is results["ipso"]:
                 elapsed = runs["ipso"][-1][2]
-            # the effective hidden size, as ElmModel counts it
             cf = swarm.decode_particle(result.best_position, ctx.spec)[3]
-            runs[name].append(
-                (result.best_fitness, int(np.sum(cf != elm.ACT_OFF)), elapsed))
+            runs[name].append((result.best_fitness,
+                               elm.effective_hidden_size(cf), elapsed))
         took += results["pso"] is results["ipso"]
         if any(rec.mutated for rec in results["ipso"].trace):
             rescued.append(f"{r + 1} (seed {seed + r})")
@@ -325,8 +324,8 @@ def cmd_predict(args):
             raise UsageError(f"{where} line {n}: {exc}") from None
         scored.append((score, (time.perf_counter() - t0) * 1e3))
     for score, latency_ms in scored:
-        label = 1 if score >= 0.0 else -1
-        print(f"{label:+d} score={score!r} latency_ms={latency_ms:.3f}")
+        print(f"{metrics.verdict(score):+d} score={score!r} "
+              f"latency_ms={latency_ms:.3f}")
     return EXIT_OK
 
 

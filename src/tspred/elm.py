@@ -140,10 +140,10 @@ class ElmModel:
             if a != b:
                 raise ElmError(f"{what}: {a} != {b}")
 
-    @property
-    def effective_hidden_size(self):
-        """Neurons with a non-zero activation code."""
-        return int(np.count_nonzero(self.activations != ACT_OFF))
+
+def effective_hidden_size(activations):
+    """Neurons with a non-zero activation code."""
+    return int(np.count_nonzero(np.asarray(activations) != ACT_OFF))
 
 
 def train(w, b, cf, x, y):

@@ -8,6 +8,7 @@ follow the sign of 360° minus the largest pairwise rotor-angle excursion.
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,18 @@ _CONSTANT_SIGMA = 1e-12
 class FeatureError(Exception):
     """A trajectory that ends before the measurement window does, a KB
     that is malformed or of one class, or too few rows to standardize."""
+
+
+def readonly(arr, dtype=float):
+    """A read-only array of `dtype`: `arr` itself when it already is one
+    that no writeable array shares memory with, else a read-only copy."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base    # None past the array that owns the memory
+    if base is not None or arr.dtype != dtype:
+        arr = np.array(arr, dtype=dtype)
+        arr.setflags(write=False)
+    return arr
 
 
 def label_trajectory(trajectory):
@@ -117,19 +130,18 @@ class KnowledgeBase:
     provenance: str = ""
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
-        labels = np.array(self.labels)
+        samples = readonly(self.samples)
+        labels = np.asarray(self.labels)
         if samples.shape[0] != labels.shape[0]:
             raise FeatureError("sample/label count mismatch")
         bad = _bad_cell(np.column_stack([labels, samples]))
         if bad:
             raise FeatureError(f"sample {bad[0] + 1}, {bad[1]}")
-        labels = _frozen_int(labels)
+        labels = readonly(labels, int)
         if np.unique(labels).size < 2:
             raise FeatureError(
                 f"all {len(labels)} samples have one label: a knowledge base "
                 "needs both +1 and -1 rows")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
 
@@ -183,20 +195,11 @@ def _zscore(x, means, stds):
     return z
 
 
-@dataclass(frozen=True)
-class SplitIndex:
+class SplitIndex(NamedTuple):
+    """A KB's training and test rows: sorted, read-only int arrays."""
+
     train: np.ndarray
     test: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "train", _frozen_int(self.train))
-        object.__setattr__(self, "test", _frozen_int(self.test))
-
-
-def _frozen_int(arr):
-    out = np.array(arr, dtype=int)
-    out.setflags(write=False)
-    return out
 
 
 def split_train_test(kb, train_fraction, seed):
@@ -231,8 +234,8 @@ def split_train_test(kb, train_fraction, seed):
         perm = rng.permutation(cls_idx)
         train_parts.append(perm[:take])
         test_parts.append(perm[take:])
-    return SplitIndex(train=np.sort(np.concatenate(train_parts)),
-                      test=np.sort(np.concatenate(test_parts)))
+    return SplitIndex(*(readonly(np.sort(np.concatenate(parts)), int)
+                        for parts in (train_parts, test_parts)))
 
 
 def kfold_partition(labels, k, seed):

@@ -1,5 +1,5 @@
-"""Classification metrics of decision scores: the confusion counts,
-accuracy, Cohen's kappa, ROC AUC and their composite mean."""
+"""The stability verdict of decision scores and its metrics: confusion
+counts, accuracy, Cohen's kappa, ROC AUC and their composite mean."""
 
 import csv
 from typing import NamedTuple
@@ -9,6 +9,12 @@ import numpy as np
 
 class MetricsError(Exception):
     """Scores and labels that have no metrics."""
+
+
+def verdict(scores):
+    """The stability verdict of each decision score: +1 (stable) where it
+    is >= 0, a tie and -0.0 included, else -1. A scalar gives a scalar."""
+    return np.where(np.asarray(scores) >= 0.0, 1, -1)[()]
 
 
 def kappa(tp, fn, fp, tn):
@@ -87,14 +93,14 @@ class EvaluationReport(NamedTuple):
 
 
 def evaluate(scores, labels):
-    """All metrics of one decision score per label, a score >= 0 read as
-    stable (+1).
+    """All metrics of one decision score per label, each score's class
+    its `verdict`.
 
     Inputs `_checked` refuses raise MetricsError.
     """
     scores, labels = _checked(scores, labels)
     positive = labels == 1
-    stable = scores >= 0.0
+    stable = verdict(scores) == 1
     tp = int(np.count_nonzero(positive & stable))
     fn = int(np.count_nonzero(positive)) - tp
     fp = int(np.count_nonzero(stable)) - tp

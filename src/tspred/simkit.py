@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, textio
-from .features import INSTABILITY_THRESHOLD_DEG
+from .features import INSTABILITY_THRESHOLD_DEG, readonly
 
 #: default integration step: a quarter of a 60 Hz cycle
 DEFAULT_STEP = 1.0 / 240.0
@@ -43,16 +43,6 @@ class SimkitError(Exception):
     overflow guard."""
 
 
-def _readonly(arr, dtype=float):
-    """Read-only array of `dtype`; one that already is one is not copied."""
-    if (isinstance(arr, np.ndarray) and arr.dtype == dtype
-            and not arr.flags.writeable):
-        return arr
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class PowerSystemModel:
     """Generators plus reduced admittance matrices for each fault stage.
@@ -72,12 +62,12 @@ class PowerSystemModel:
 
     def __post_init__(self):
         for name in ("inertia", "damping", "emf", "pm"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            object.__setattr__(self, name, readonly(getattr(self, name)))
         object.__setattr__(self, "y_prefault",
-                           _readonly(self.y_prefault, complex))
+                           readonly(self.y_prefault, complex))
         object.__setattr__(
             self, "y_fault",
-            {k: _readonly(v, complex) for k, v in self.y_fault.items()})
+            {k: readonly(v, complex) for k, v in self.y_fault.items()})
         self._validate()
 
     def _validate(self):
@@ -161,9 +151,9 @@ class Trajectory:
     def __post_init__(self):
         for name in ("time", "delta_deg", "speed_dev", "pm", "pe",
                      "t_clear", "max_gap_deg", "inertia"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        object.__setattr__(self, "steps", _readonly(self.steps, int))
-        object.__setattr__(self, "stop_step", _readonly(self.stop_step, int))
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        object.__setattr__(self, "steps", readonly(self.steps, int))
+        object.__setattr__(self, "stop_step", readonly(self.stop_step, int))
 
     def row(self, s):
         """Scenario `s` of a batch, without the scenario axis (views)."""

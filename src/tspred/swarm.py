@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elm
+from . import elm, metrics
 from .features import kfold_partition
 
 logger = logging.getLogger(__name__)
@@ -132,7 +132,8 @@ def decode_particle(position, spec):
 
 @dataclass(frozen=True)
 class FitnessContext:
-    """5-fold cross-validation fitness over a fixed fold partition."""
+    """5-fold cross-validation fitness over a fixed fold partition; its
+    `samples` is a read-only view, so the caller's rows stay writeable."""
 
     samples: np.ndarray
     labels: np.ndarray          # float ±1
@@ -149,7 +150,7 @@ class FitnessContext:
             test_index[k, :len(test)] = test
         samples, labels = np.asarray(samples).view(), np.array(labels, float)
         for array in (samples, labels, test_index):
-            array.setflags(write=False)     # one context is one fitness
+            array.setflags(write=False)
         return cls(samples, labels, spec, test_index)
 
     def __call__(self, position):
@@ -217,7 +218,7 @@ def _svd_fold_scores(h, y, ctx):
         test = test[test < len(y)]          # the padding dropped
         train = np.setdiff1d(np.arange(len(y)), test)
         beta = elm.pseudoinverse(h[train], width=ctx.spec.hidden) @ y[train]
-        pred = np.where(h[test] @ beta >= 0.0, 1, -1)
+        pred = metrics.verdict(h[test] @ beta)
         correct += int(np.count_nonzero(pred == y[test]))
     return correct
 
@@ -257,7 +258,7 @@ def _gram_fold_scores(h, y, ctx):
         return None
     beta = np.linalg.solve(grams[:, :width, :width], grams[:, :width, width:])
     scores = (held[:, :, :width] @ beta)[:, :, 0]
-    pred = np.where(scores >= 0.0, 1.0, -1.0)
+    pred = metrics.verdict(scores)
     return int(np.count_nonzero(pred == held[:, :, width]))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tspred
-from tspred import cli, elm, features, kernels, swarm
+from tspred import cli, elm, features, kernels, metrics, swarm
 
 FIXTURES = "fixtures"
 
@@ -1055,12 +1055,12 @@ def _write_malformed(case, kb_csv, tmp_path):
             "--out", str(kb)]
 
 
-# A row added, or one whose message is reworded, takes its case name as its
-# test id, which a later rewording keeps; the other rows keep the ids
-# pytest derives from all three values until their message changes.
+# Each row takes its case name as its test id, which a rewording of its
+# message keeps.
 @pytest.mark.parametrize("case, code, message", [
-    ("kb blank line", cli.EXIT_OK, ""),
-    ("kb header only", cli.EXIT_RUNTIME, "no samples"),
+    pytest.param("kb blank line", cli.EXIT_OK, "", id="kb blank line"),
+    pytest.param("kb header only", cli.EXIT_RUNTIME, "no samples",
+                 id="kb header only"),
     pytest.param("kb nan cell", cli.EXIT_RUNTIME,
                  "kb.csv line 3: CSV column 95 holds nan, not a finite number",
                  id="kb nan cell"),
@@ -1070,10 +1070,14 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("kb narrow rows", cli.EXIT_RUNTIME,
                  "kb.csv line 2: 94 columns, the header names 95",
                  id="kb narrow rows"),
-    ("kb ragged row", cli.EXIT_RUNTIME, "number of columns changed"),
-    ("kb text cell", cli.EXIT_RUNTIME, "could not convert string 'abc'"),
-    ("kb utf-8", cli.EXIT_RUNTIME,
-     "kb.csv line 3: 'utf-8' codec can't decode byte 0xff in position"),
+    pytest.param("kb ragged row", cli.EXIT_RUNTIME,
+                 "number of columns changed", id="kb ragged row"),
+    pytest.param("kb text cell", cli.EXIT_RUNTIME,
+                 "could not convert string 'abc'", id="kb text cell"),
+    pytest.param("kb utf-8", cli.EXIT_RUNTIME,
+                 "kb.csv line 3: 'utf-8' codec can't decode byte 0xff in "
+                 "position",
+                 id="kb utf-8"),
     pytest.param("elm nan mean", cli.EXIT_RUNTIME,
                  "model.elm: non-finite means",
                  id="elm nan mean"),
@@ -1123,27 +1127,44 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("elm no standardization", cli.EXIT_RUNTIME,
                  "model.elm: no means array",
                  id="elm no standardization"),
-    ("predict input utf-8", cli.EXIT_USAGE,
-     "rows.csv line 2: 'utf-8' codec can't decode byte 0xff in position 12:"),
-    ("sys short gen line", cli.EXIT_RUNTIME, "'gen 1.5 0.0 0.3' needs 5"),
-    ("sys long gen line", cli.EXIT_RUNTIME,
-     "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E Pm), not 6"),
-    ("sys generators 4", cli.EXIT_RUNTIME, "'generators 4' but 2 gen lines"),
-    ("sys generators x", cli.EXIT_RUNTIME, "invalid literal for int()"),
-    ("sys repeated f0", cli.EXIT_RUNTIME,
-     "model.sys line 3: a second 'f0' line"),
-    ("sys repeated matrix", cli.EXIT_RUNTIME,
-     "model.sys line 13: a second 'matrix prefault' line"),
-    ("sys utf-8", cli.EXIT_RUNTIME,
-     "model.sys line 2: 'utf-8' codec can't decode byte 0xff in position 17:"),
-    ("sys unknown directive", cli.EXIT_RUNTIME,
-     "model.sys line 16: unknown directive 'speed'"),
-    ("sys matrix row length", cli.EXIT_RUNTIME,
-     "model.sys line 8: matrix 'prefault' row 0 has 3 values, expected 4"),
-    ("sys matrix dimension -2", cli.EXIT_RUNTIME,
-     "model.sys line 10: matrix 'fault:fault' dimension -2 is below 1"),
-    ("sys matrix cut short", cli.EXIT_RUNTIME,
-     "model.sys line 14: matrix 'postfault' row 1 has 0 values, expected 4"),
+    pytest.param("predict input utf-8", cli.EXIT_USAGE,
+                 "rows.csv line 2: 'utf-8' codec can't decode byte 0xff in "
+                 "position 12:",
+                 id="predict input utf-8"),
+    pytest.param("sys short gen line", cli.EXIT_RUNTIME,
+                 "'gen 1.5 0.0 0.3' needs 5", id="sys short gen line"),
+    pytest.param("sys long gen line", cli.EXIT_RUNTIME,
+                 "'gen 1.5 0.0 0.3 1.0 0.5 9.9' needs 5 values (H D x'd E "
+                 "Pm), not 6",
+                 id="sys long gen line"),
+    pytest.param("sys generators 4", cli.EXIT_RUNTIME,
+                 "'generators 4' but 2 gen lines", id="sys generators 4"),
+    pytest.param("sys generators x", cli.EXIT_RUNTIME,
+                 "invalid literal for int()", id="sys generators x"),
+    pytest.param("sys repeated f0", cli.EXIT_RUNTIME,
+                 "model.sys line 3: a second 'f0' line", id="sys repeated f0"),
+    pytest.param("sys repeated matrix", cli.EXIT_RUNTIME,
+                 "model.sys line 13: a second 'matrix prefault' line",
+                 id="sys repeated matrix"),
+    pytest.param("sys utf-8", cli.EXIT_RUNTIME,
+                 "model.sys line 2: 'utf-8' codec can't decode byte 0xff in "
+                 "position 17:",
+                 id="sys utf-8"),
+    pytest.param("sys unknown directive", cli.EXIT_RUNTIME,
+                 "model.sys line 16: unknown directive 'speed'",
+                 id="sys unknown directive"),
+    pytest.param("sys matrix row length", cli.EXIT_RUNTIME,
+                 "model.sys line 8: matrix 'prefault' row 0 has 3 values, "
+                 "expected 4",
+                 id="sys matrix row length"),
+    pytest.param("sys matrix dimension -2", cli.EXIT_RUNTIME,
+                 "model.sys line 10: matrix 'fault:fault' dimension -2 is "
+                 "below 1",
+                 id="sys matrix dimension -2"),
+    pytest.param("sys matrix cut short", cli.EXIT_RUNTIME,
+                 "model.sys line 14: matrix 'postfault' row 1 has 0 values, "
+                 "expected 4",
+                 id="sys matrix cut short"),
     pytest.param("sys matrix label fualt:fault", cli.EXIT_RUNTIME,
                  "model.sys line 10: matrix label 'fualt:fault' is not "
                  "prefault, postfault or fault:<id>",
@@ -1151,42 +1172,58 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("sys matrix label fault:", cli.EXIT_RUNTIME,
                  "model.sys line 10: matrix label 'fault:' is not prefault, "
                  "postfault or fault:<id>", id="sys matrix label fault:"),
-    ("grid nan step", cli.EXIT_USAGE, "step must be positive"),
-    ("grid nan horizon", cli.EXIT_USAGE, "horizon must be positive"),
-    ("grid inf step", cli.EXIT_USAGE, "step must be positive and finite"),
-    ("grid inf horizon", cli.EXIT_USAGE,
-     "horizon must be positive and finite"),
-    ("grid horizon 0.15", cli.EXIT_USAGE,
-     "horizon shorter than the fault clearing time: horizon 0.15 s, latest "
-     "clearing 0.1667 s (10 cycles at f0 = 60 Hz)"),
-    ("grid horizon 0.18 at 50 Hz", cli.EXIT_USAGE,
-     "horizon shorter than the fault clearing time: horizon 0.18 s, latest "
-     "clearing 0.2 s (10 cycles at f0 = 50 Hz)"),
+    pytest.param("grid nan step", cli.EXIT_USAGE, "step must be positive",
+                 id="grid nan step"),
+    pytest.param("grid nan horizon", cli.EXIT_USAGE,
+                 "horizon must be positive", id="grid nan horizon"),
+    pytest.param("grid inf step", cli.EXIT_USAGE,
+                 "step must be positive and finite", id="grid inf step"),
+    pytest.param("grid inf horizon", cli.EXIT_USAGE,
+                 "horizon must be positive and finite", id="grid inf horizon"),
+    pytest.param("grid horizon 0.15", cli.EXIT_USAGE,
+                 "horizon shorter than the fault clearing time: horizon "
+                 "0.15 s, latest clearing 0.1667 s (10 cycles at f0 = 60 Hz)",
+                 id="grid horizon 0.15"),
+    pytest.param("grid horizon 0.18 at 50 Hz", cli.EXIT_USAGE,
+                 "horizon shorter than the fault clearing time: horizon "
+                 "0.18 s, latest clearing 0.2 s (10 cycles at f0 = 50 Hz)",
+                 id="grid horizon 0.18 at 50 Hz"),
     pytest.param("grid horizon 0.2 before the window", cli.EXIT_USAGE,
                  "horizon shorter than the feature window: horizon 0.2 s, "
                  "window ends 0.3 s (latest clearing 10 cycles at f0 = 60 Hz)",
                  id="grid horizon 0.2 before the window"),
-    ("grid unknown fault", cli.EXIT_USAGE, "unknown fault id 'bus9'"),
+    pytest.param("grid unknown fault", cli.EXIT_USAGE,
+                 "unknown fault id 'bus9'", id="grid unknown fault"),
     pytest.param("grid repeated load level", cli.EXIT_USAGE,
                  "load_levels lists 1.0 more than once",
                  id="grid repeated load level"),
-    ("grid repeated key", cli.EXIT_RUNTIME,
-     "model.grid line 7: a second 'load_levels' line"),
-    ("grid unknown key", cli.EXIT_RUNTIME,
-     "model.grid line 7: unknown key 'horizen'"),
-    ("grid line without =", cli.EXIT_RUNTIME,
-     "model.grid line 7: 'junk line' has no '='"),
-    ("grid utf-8", cli.EXIT_RUNTIME,
-     "model.grid line 6: 'utf-8' codec can't decode byte 0xff in position 186:"),
-    ("config repeated key", cli.EXIT_USAGE,
-     "run.cfg line 3: a second 'population' line"),
-    ("config utf-8", cli.EXIT_USAGE,
-     "run.cfg line 2: 'utf-8' codec can't decode byte 0xff in position 24:"),
-    ("config key spelled twice", cli.EXIT_USAGE,
-     "run.cfg gives the key 'split-fraction' twice"),
+    pytest.param("grid repeated key", cli.EXIT_RUNTIME,
+                 "model.grid line 7: a second 'load_levels' line",
+                 id="grid repeated key"),
+    pytest.param("grid unknown key", cli.EXIT_RUNTIME,
+                 "model.grid line 7: unknown key 'horizen'",
+                 id="grid unknown key"),
+    pytest.param("grid line without =", cli.EXIT_RUNTIME,
+                 "model.grid line 7: 'junk line' has no '='",
+                 id="grid line without ="),
+    pytest.param("grid utf-8", cli.EXIT_RUNTIME,
+                 "model.grid line 6: 'utf-8' codec can't decode byte 0xff in "
+                 "position 186:",
+                 id="grid utf-8"),
+    pytest.param("config repeated key", cli.EXIT_USAGE,
+                 "run.cfg line 3: a second 'population' line",
+                 id="config repeated key"),
+    pytest.param("config utf-8", cli.EXIT_USAGE,
+                 "run.cfg line 2: 'utf-8' codec can't decode byte 0xff in "
+                 "position 24:",
+                 id="config utf-8"),
+    pytest.param("config key spelled twice", cli.EXIT_USAGE,
+                 "run.cfg gives the key 'split-fraction' twice",
+                 id="config key spelled twice"),
     # 2.4e9 steps: a run would allocate its 18 GiB time grid first
-    ("grid 1e7 horizon", cli.EXIT_USAGE,
-     "horizon / step = 2.4e+09 exceeds the 1,000,000-step limit"),
+    pytest.param("grid 1e7 horizon", cli.EXIT_USAGE,
+                 "horizon / step = 2.4e+09 exceeds the 1,000,000-step limit",
+                 id="grid 1e7 horizon"),
     # the SMIB sidecar holds 2 lines: seed, provenance
     pytest.param("meta seed repeated", cli.EXIT_RUNTIME,
                  "kb.meta line 3: a second 'seed' line",
@@ -1197,10 +1234,12 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("meta utf-8", cli.EXIT_RUNTIME,
                  "kb.meta line 3: 'utf-8' codec can't decode byte 0xff in "
                  "position", id="meta utf-8"),
-    ("meta seed x", cli.EXIT_RUNTIME,
-     "kb.meta line 1: the seed 'x' is not an integer"),
-    ("meta seed empty", cli.EXIT_RUNTIME,
-     "kb.meta line 1: the seed '' is not an integer"),
+    pytest.param("meta seed x", cli.EXIT_RUNTIME,
+                 "kb.meta line 1: the seed 'x' is not an integer",
+                 id="meta seed x"),
+    pytest.param("meta seed empty", cli.EXIT_RUNTIME,
+                 "kb.meta line 1: the seed '' is not an integer",
+                 id="meta seed empty"),
     pytest.param("meta seed negative", cli.EXIT_RUNTIME,
                  "kb.meta line 1: the seed -5 is negative",
                  id="meta seed negative"),
@@ -1312,10 +1351,12 @@ def _write_malformed(case, kb_csv, tmp_path):
                  "error: --split-fraction 0.05 leaves 3 of 66 rows to train "
                  "on: cannot make 5 folds from 3 samples",
                  id="split fraction 0.05 in compare"),
-    ("abbreviated flags", cli.EXIT_USAGE,
-     "unrecognized arguments: --hid 4 --pop 4 --it 2"),
-    ("abbreviated config keys", cli.EXIT_USAGE,
-     "unrecognized arguments: --pop=4 --iter=2 --hid=4"),
+    pytest.param("abbreviated flags", cli.EXIT_USAGE,
+                 "unrecognized arguments: --hid 4 --pop 4 --it 2",
+                 id="abbreviated flags"),
+    pytest.param("abbreviated config keys", cli.EXIT_USAGE,
+                 "unrecognized arguments: --pop=4 --iter=2 --hid=4",
+                 id="abbreviated config keys"),
 ])
 def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
                                    capsys, monkeypatch):
@@ -1441,3 +1482,49 @@ def test_one_error_class_per_module():
                      "features.FeatureError": (Exception,),
                      "metrics.MetricsError": (Exception,),
                      "simkit.SimkitError": (Exception,)}
+
+
+def test_every_verdict_follows_metrics_verdict(kb_csv, trained, monkeypatch,
+                                               capsys):
+    # evaluate's counts, predict's label and the CV fitness on its Gram and
+    # SVD paths all take a score's class from metrics.verdict: under a
+    # sign-flipped rule each verdict flips
+    kb = features.load_knowledge_base(kb_csv, kb_csv.with_suffix(".meta"))
+    split = features.split_train_test(kb, 0.7, 5)
+    z = features.standardize(kb.samples, split.train)[0]
+    spec = swarm.EncodingSpec(n_features=kb.n_features, hidden=4)
+    ctx = swarm.FitnessContext.build(z[split.train], kb.labels[split.train],
+                                     spec, seed=5)
+    position = np.random.default_rng(5).random(spec.dim)
+    row = kb_csv.read_text().splitlines()[1]
+    argv = ["predict", "--model", str(trained / "model.elm"), "--row", row]
+    gram = swarm._gram_fold_scores
+
+    def outcomes():
+        answers = []
+
+        def recorded(*args):
+            answers.append(gram(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(swarm, "_gram_fold_scores", recorded)
+        on_gram = swarm.evaluate_fitness(position, ctx)
+        assert answers[0] is not None       # the Gram path answered
+        monkeypatch.setattr(swarm, "_gram_fold_scores", lambda *args: None)
+        on_svd = swarm.evaluate_fitness(position, ctx)
+        assert run(argv) == cli.EXIT_OK
+        label, score = capsys.readouterr().out.split()[:2]
+        report = metrics.evaluate([0.5, -0.5, 0.0], [1, -1, -1])
+        return report[:4], label, score, on_gram, on_svd
+
+    counts, label, score, on_gram, on_svd = outcomes()
+    assert counts == (1, 0, 1, 1)
+    rule = metrics.verdict
+    monkeypatch.setattr(metrics, "verdict", lambda scores: -rule(scores))
+    flipped = outcomes()
+    assert flipped[0] == (0, 1, 1, 1)
+    assert flipped[1:3] == ({"+1": "-1", "-1": "+1"}[label], score)
+    # every held-out row's verdict flips, so each right answer turns wrong
+    n = len(ctx.labels)
+    assert [round(f * n) for f in flipped[3:]] == \
+        [n - round(f * n) for f in (on_gram, on_svd)]

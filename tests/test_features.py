@@ -430,12 +430,37 @@ def test_malformed_kb_overwrite_still_refused(tmp_path):
 
 def test_loaded_kb_immutable(tmp_path):
     kb = features.load_knowledge_base(*saved_kb(tmp_path))
-    for arr in (kb.samples, kb.labels):
+    split = features.split_train_test(kb, 0.5, seed=1)
+    for arr in (kb.samples, kb.labels, split.train, split.test):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+    assert [arr.dtype for arr in (kb.labels, split.train, split.test)] == \
+        [np.dtype(int)] * 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         kb.seed = 1
+
+
+def test_readonly_copies_only_what_it_must():
+    frozen = features.readonly([1.0, 2.0])
+    assert not frozen.flags.writeable and frozen.dtype == float
+    assert features.readonly(frozen) is frozen
+    # another dtype, or a writeable array, gives a read-only copy
+    ints = features.readonly(frozen, int)
+    assert ints.dtype == int and not ints.flags.writeable
+    writeable = np.array([1.0, 2.0])
+    copy = features.readonly(writeable)
+    assert not copy.flags.writeable and writeable.flags.writeable
+    # a read-only view of a writeable array could still change under it
+    view = writeable.view()
+    view.setflags(write=False)
+    for arr in (ints, copy, features.readonly(view)):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, frozen)
+        assert not np.shares_memory(arr, writeable)
+    # a read-only view of a read-only array is kept
+    row = frozen[:1]
+    assert features.readonly(row) is row
 
 
 def test_smib_kb_has_both_classes(smib_kb):

@@ -182,6 +182,13 @@ class TestEvaluate:
         labels = np.array([1, -1, 1, -1])
         report = metrics.evaluate(elm.predict_full(model, x), labels)
         assert report[:4] == (2, 0, 1, 1)
+        # the rule itself, scalar or array: -0.0 ties, and -5e-324, the
+        # negative double nearest 0, does not
+        for scores, want in [(0.0, 1), (-0.0, 1), (-5e-324, -1),
+                             ([0.0, -0.0, -5e-324, 0.3], [1, 1, -1, 1])]:
+            got = metrics.verdict(scores)
+            assert np.ndim(got) == np.ndim(want)
+            assert np.array_equal(got, want)
 
     def test_single_class_noted(self):
         model = linear_model([1.0], bias=10.0)
