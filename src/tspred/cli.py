@@ -336,25 +336,6 @@ COMMANDS = {"generate": cmd_generate, "optimize": cmd_optimize,
             "predict": cmd_predict}
 
 
-def _config_args(path):
-    """A --config file's `key = value` lines as `--key=value` arguments
-    (`_` in a key read as `-`), which the grammar checks as it does flags."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
-    args = {}
-    for _, key, value in textio.directives(
-            data, path, sep="=", error=argparse.ArgumentTypeError):
-        name = key.replace("_", "-")    # split_fraction is split-fraction
-        if name == "config" or name in args:
-            raise argparse.ArgumentTypeError(
-                f"{path} names another config file" if name == "config"
-                else f"{path} gives the key '{name}' twice")
-        args[name] = f"--{name}={value}"
-    return list(args.values())
-
-
 @functools.cache
 def build_parser():
     """The argument grammar, built once per process: parse_args returns a
@@ -365,15 +346,10 @@ def build_parser():
         description="Transient stability prediction with a swarm-optimized "
                     "extreme learning machine")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag or config key is spelled out: no prefix stands for a flag
+    # a flag is spelled out: no prefix stands for one
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(p):
-        p.add_argument("--config", type=_config_args, metavar="FILE",
-                       help="key = value lines read as flags")
-
     def seeded(p):
-        common(p)
         p.add_argument("--seed", type=textio.seed, help="master seed")
 
     def training_flags(p):
@@ -419,7 +395,6 @@ def build_parser():
 
     p = add_parser("predict", help="score one raw sample with a "
                                    "persisted model")
-    common(p)
     p.add_argument("--model", help="trained model (.elm)")
     rows = p.add_mutually_exclusive_group()
     rows.add_argument("--row", help="comma-separated raw feature row")
@@ -442,11 +417,7 @@ def _bind_row(argv):
 
 def main(argv=None):
     argv = _bind_row(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # after the subcommand, before the command line, whose flags win
-        args = parser.parse_args(argv[:1] + args.config + argv[1:])
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except UsageError as exc:

@@ -21,7 +21,8 @@ WINDOW_SAMPLES = 9
 WINDOW_RATE_HZ = 60.0
 INSTABILITY_THRESHOLD_DEG = 360.0
 
-_CONSTANT_SIGMA = 1e-12
+# a column is constant when its std is within rounding of its magnitude
+_CONSTANT_SCALE = 1e-9
 
 
 class FeatureError(Exception):
@@ -171,8 +172,8 @@ def standardize(samples, train_rows):
     """Z-score each column with statistics from the training rows only.
 
     Returns (z, means, stds). Uses the sample standard deviation (N−1
-    divisor); a column whose training standard deviation is below 1e-12
-    maps to all zeros.
+    divisor); a column whose training standard deviation is at most
+    1e-9 · max(1, |mean|) maps to all zeros.
     """
     if len(samples) < 2:
         raise FeatureError("need at least 2 samples")
@@ -189,7 +190,7 @@ def apply_standardization(x, means, stds):
 
 def _zscore(x, means, stds):
     """(x − mean) / std per column; a constant column maps to zeros."""
-    constant = stds < _CONSTANT_SIGMA
+    constant = stds <= _CONSTANT_SCALE * np.maximum(1.0, np.abs(means))
     z = (x - means) / np.where(constant, 1.0, stds)
     z[:, constant] = 0.0
     return z

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -227,52 +228,6 @@ class TestOptimize:
         assert (out / "trace.csv").read_bytes() == \
             (trained / "trace.csv").read_bytes()
 
-    def test_config_file_fills_flags(self, kb_csv, trained, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("optimizer = ipso\nseed = 5\nhidden = 8\n"
-                       "population = 8\niterations = 12\n"
-                       "split_fraction = 0.7\n")
-        out = tmp_path / "from_cfg"
-        assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
-                    "--config", str(cfg)]) == cli.EXIT_OK
-        assert (out / "model.elm").read_bytes() == \
-            (trained / "model.elm").read_bytes()
-
-    def test_flag_beats_config_key(self, kb_csv, trained, tmp_path):
-        # keys take either spelling of the flag name; --seed 5 on the
-        # command line beats seed = 9 in the file
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 9\nhidden = 8\npopulation = 8\n"
-                       "iterations = 12\nsplit-fraction = 0.7\n")
-        out = tmp_path / "from_cfg"
-        assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
-                    "--config", str(cfg), "--seed", "5"]) == cli.EXIT_OK
-        assert (out / "model.elm").read_bytes() == \
-            (trained / "model.elm").read_bytes()
-
-    @pytest.mark.parametrize("line", ["iterashuns = 3", "seed = abc",
-                                      "hidden = 2.5", "config = other.cfg"])
-    def test_config_line_refused_as_flag_would_be(self, kb_csv, tmp_path,
-                                                   line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"hidden = 4\npopulation = 4\niterations = 1\n"
-                       f"{line}\n")
-        (tmp_path / "other.cfg").write_text("seed = 3\n")
-        with pytest.raises(SystemExit) as exc:
-            run(["optimize", "--kb", str(kb_csv), "--out", str(tmp_path),
-                 "--config", str(cfg)])
-        assert exc.value.code == cli.EXIT_USAGE
-
-    def test_missing_config_file_usage_error(self, kb_csv, tmp_path,
-                                             capsys):
-        missing = tmp_path / "absent.cfg"
-        with pytest.raises(SystemExit) as exc:
-            run(["optimize", "--kb", str(kb_csv), "--out", str(tmp_path),
-                 "--config", str(missing)])
-        assert exc.value.code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert str(missing) in err and "Traceback" not in err
-
     @pytest.mark.parametrize("flag, value, code", [
         ("--hidden", "0", cli.EXIT_USAGE),
         ("--split-fraction", "0", cli.EXIT_USAGE),
@@ -411,6 +366,27 @@ def test_flag_the_handler_never_reads_refused(kb_csv, trained, tmp_path,
     with pytest.raises(SystemExit) as exc:
         run(argv[command] + [flag, "1"])
     assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_settable_flags_pinned():
+    # the CLI's settable flags, -h aside: adding or removing one is a
+    # decision this list records
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {name: [opt for action in parser._actions
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")]
+             for name, parser in sub.choices.items()}
+    training = ["--seed", "--kb", "--split-fraction"]
+    swarm_flags = training + ["--population", "--iterations", "--hidden",
+                              "--target"]
+    assert flags == {
+        "generate": ["--seed", "--model", "--grid", "--out"],
+        "optimize": swarm_flags + ["--optimizer", "--out"],
+        "evaluate": training + ["--model", "--out"],
+        "compare": swarm_flags + ["--repeats", "--out"],
+        "predict": ["--model", "--row", "--input"]}
+    assert sum(map(len, flags.values())) == 30
 
 
 class TestCompare:
@@ -593,31 +569,10 @@ class TestPredict:
         separate = capsys.readouterr().out
         assert separate.split()[:2] == joined.split()[:2]
 
-    def test_config_row_scored_and_flag_row_wins(self, kb_csv, trained,
-                                                 tmp_path, capsys):
-        rows = kb_csv.read_text().splitlines()[1:]
-        stable = next(r for r in rows if r.startswith("+1"))
-        unstable = next(r for r in rows if r.startswith("-1"))
-        model = str(trained / "model.elm")
-        scores = {}
-        for row in (stable, unstable):
-            assert run(["predict", "--model", model, "--row", row]) == \
-                cli.EXIT_OK
-            scores[row] = capsys.readouterr().out.split()[1]
-        assert scores[stable] != scores[unstable]
-        cfg = tmp_path / "predict.cfg"
-        cfg.write_text(f"model = {model}\nrow = {unstable}\n")
-        assert run(["predict", "--config", str(cfg)]) == cli.EXIT_OK
-        assert capsys.readouterr().out.split()[1] == scores[unstable]
-        assert run(["predict", "--config", str(cfg), "--row", stable]) == \
-            cli.EXIT_OK
-        assert capsys.readouterr().out.split()[1] == scores[stable]
-
     def test_repeated_calls_share_no_arguments(self, kb_csv, trained,
                                                tmp_path, monkeypatch,
                                                capsys):
-        # one process, one parser: each call sees only its own flags and
-        # the config file it names
+        # one process, one parser: each call sees only its own flags
         seen = []
         for name in ("predict", "optimize"):
             def record(args, command=cli.COMMANDS[name]):
@@ -627,17 +582,15 @@ class TestPredict:
             monkeypatch.setitem(cli.COMMANDS, name, record)
         model = str(trained / "model.elm")
         row = kb_csv.read_text().splitlines()[1]
-        config = tmp_path / "opt.cfg"
-        config.write_text(f"kb = {kb_csv}\nout = {tmp_path / 'a'}\n"
-                          "seed = 9\nsplit_fraction = 0.7\nhidden = 4\n"
-                          "population = 4\niterations = 2\n")
         kb_seed = features.load_knowledge_base(
             kb_csv, kb_csv.with_suffix(".meta")).seed
         assert kb_seed != 9
         calls = [
             ["predict", "--model", model, "--row", row],
             ["predict", "--model", model, "--input", str(kb_csv)],
-            ["optimize", "--config", str(config)],
+            ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "a"),
+             "--seed", "9", "--split-fraction", "0.7", "--hidden", "4",
+             "--population", "4", "--iterations", "2"],
             ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "b"),
              "--hidden", "3", "--population", "4", "--iterations", "1"],
         ]
@@ -651,7 +604,7 @@ class TestPredict:
         assert (seen[2]["seed"], seen[2]["hidden"], seen[2]["iterations"],
                 seen[2]["split_fraction"]) == (9, 4, 2, 0.7)
         assert outputs[2][0] == "seed 9"
-        assert seen[3]["config"] is None and seen[3]["seed"] is None
+        assert seen[3]["seed"] is None
         assert (seen[3]["split_fraction"] == cli.DEFAULT_SPLIT_FRACTION
                 and seen[3]["hidden"] == 3)
         assert outputs[3][0] == f"seed {kb_seed}"
@@ -968,20 +921,12 @@ def _write_malformed(case, kb_csv, tmp_path):
             return argv + ["--model", str(model)]
         return argv + ["--hidden", "4", "--population", "4",
                        "--iterations", "1"]
-    if case.startswith(("abbreviated", "config")):
+    if case in ("abbreviated flags", "config flag removed"):
         argv = ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "run")]
         if case == "abbreviated flags":
             return argv + ["--hid", "4", "--pop", "4", "--it", "2"]
-        config = tmp_path / "run.cfg"
-        config.write_text({
-            "abbreviated config keys": "pop = 4\niter = 2\nhid = 4\n",
-            "config repeated key": "population = 4\nhidden = 4\n"
-                                   "population = 6\n",
-            "config key spelled twice": "split_fraction = 0.5\n"
-                                        "split-fraction = 0.9\n",
-            "config utf-8": "population = 4\nhidden = \udcff4\n"}[case],
-            errors="surrogateescape")
-        return argv + ["--config", str(config)]
+        (tmp_path / "x.cfg").write_text("hidden = 4\n")
+        return argv + ["--config", str(tmp_path / "x.cfg")]
     model_text = Path(FIXTURES, "smib.sys").read_text()
     grid_text = Path(FIXTURES, "smib.grid").read_text()
     grid_name = "model.grid"
@@ -1210,16 +1155,6 @@ def _write_malformed(case, kb_csv, tmp_path):
                  "model.grid line 6: 'utf-8' codec can't decode byte 0xff in "
                  "position 186:",
                  id="grid utf-8"),
-    pytest.param("config repeated key", cli.EXIT_USAGE,
-                 "run.cfg line 3: a second 'population' line",
-                 id="config repeated key"),
-    pytest.param("config utf-8", cli.EXIT_USAGE,
-                 "run.cfg line 2: 'utf-8' codec can't decode byte 0xff in "
-                 "position 24:",
-                 id="config utf-8"),
-    pytest.param("config key spelled twice", cli.EXIT_USAGE,
-                 "run.cfg gives the key 'split-fraction' twice",
-                 id="config key spelled twice"),
     # 2.4e9 steps: a run would allocate its 18 GiB time grid first
     pytest.param("grid 1e7 horizon", cli.EXIT_USAGE,
                  "horizon / step = 2.4e+09 exceeds the 1,000,000-step limit",
@@ -1354,9 +1289,9 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("abbreviated flags", cli.EXIT_USAGE,
                  "unrecognized arguments: --hid 4 --pop 4 --it 2",
                  id="abbreviated flags"),
-    pytest.param("abbreviated config keys", cli.EXIT_USAGE,
-                 "unrecognized arguments: --pop=4 --iter=2 --hid=4",
-                 id="abbreviated config keys"),
+    # a `key = value` file is no longer read as flags
+    pytest.param("config flag removed", cli.EXIT_USAGE,
+                 "unrecognized arguments: --config", id="config flag removed"),
 ])
 def test_malformed_input_exit_code(case, code, message, kb_csv, tmp_path,
                                    capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspred import features, simkit
+from tspred import elm, features, simkit
 from conftest import make_trajectory, row, separable_kb, simulate_one
 
 
@@ -186,6 +186,24 @@ class TestStandardize:
         z, _, stds = self._all_rows(self._x([5.0, 5.0, 5.0]))
         assert np.all(z[:, 0] == 0.0)
         assert stds[0] == 0.0
+
+    @pytest.mark.parametrize("n", [252, 2200])
+    def test_column_within_rounding_of_one_value_is_constant(self, n):
+        # a prefault angle under the E·√level rule: one value up to a few
+        # ulps. At 2,200 rows the axis-0 mean's rounding gives it a std of
+        # about 2e-12, which an absolute 1e-12 floor read as information
+        rng = np.random.default_rng(n)
+        value = -58.2
+        x = np.column_stack([rng.normal(size=n), value + np.spacing(value)
+                             * rng.integers(-2, 3, size=n)])
+        z, means, stds = self._all_rows(x)
+        assert np.all(z[:, 1] == 0.0)
+        model = elm.ElmModel(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4),
+                             np.full(4, elm.ACT_SIGMOID), rng.normal(size=4),
+                             np.ones(2, bool), means, stds)
+        moved = x + [0.0, 1e-9]
+        assert elm.predict_full(model, moved).tobytes() == \
+            elm.predict_full(model, x).tobytes()
 
     def test_idempotent(self):
         z, _, _ = self._all_rows(self._x([1.0, 4.0, 7.0, 2.0]))

@@ -108,7 +108,7 @@ def run_quietly(argv):
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
     """Valid inputs of every format: a small SMIB KB, a model trained on
-    it, a file of its rows and a predict --config file."""
+    it and a file of its rows."""
     root = tmp_path_factory.mktemp("fuzz")
     files = {f"{name}.sys": (FIXTURES / f"{name}.sys").read_bytes()
              for name in SMALL_GRIDS}
@@ -125,7 +125,6 @@ def base(tmp_path_factory):
     for name in ("kb.csv", "kb.meta", "model.elm"):
         files[name] = (root / name).read_bytes()
     files["rows.csv"] = b"".join(files["kb.csv"].splitlines(True)[:3])
-    files["predict.cfg"] = b"model = model.elm\ninput = rows.csv\n"
     return files
 
 
@@ -139,8 +138,6 @@ def command(target):
     if target.startswith("kb."):
         return ["evaluate", "--kb", "kb.csv", "--model", "model.elm",
                 "--out", "out", "--split-fraction", "0.5"]
-    if target == "predict.cfg":
-        return ["predict", "--config", "predict.cfg"]
     return ["predict", "--model", "model.elm", "--input", "rows.csv"]
 
 
@@ -178,7 +175,7 @@ def mutated(draw, data):
 
 TARGETS = ["smib.sys", "three_machine.sys", "smib.grid",
            "three_machine.grid", "kb.csv", "kb.meta", "model.elm",
-           "rows.csv", "predict.cfg"]
+           "rows.csv"]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
