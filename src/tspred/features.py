@@ -94,26 +94,28 @@ def sample_steps(t_clear, time):
     return np.concatenate([np.zeros_like(idx[..., :1]), idx], axis=-1)
 
 
-def extract_features(trajectory):
-    """Feature row of one trajectory, or an (S, n) matrix of a batch's
-    rows (see feature_names for the layout), read at sample_steps."""
-    steps = sample_steps(trajectory.t_clear, trajectory.time)
-    delta0 = trajectory.at(steps[..., :1])[0]
-    delta, speed, pe = trajectory.at(steps[..., 1:])
-    h = trajectory.inertia
+def extract_features(delta_deg, speed_dev, pe, pm, inertia, f0):
+    """Feature row of one sampled window, or an (S, n) matrix of a batch's
+    rows (see feature_names for the layout). `delta_deg` (degrees),
+    `speed_dev` (rad/s) and `pe` (per-unit) are ([S,] 10, G): the prefault
+    instant, of which only the angles are read, then the nine window
+    instants; `pm` is ([S,] G), `inertia` (G,) and f0 in Hz."""
+    delta0 = delta_deg[..., :1, :]
+    delta, speed, pe = (x[..., 1:, :] for x in (delta_deg, speed_dev, pe))
+    h = inertia
 
     def coi(x):
         return (x @ h / h.sum())[..., None]
 
-    pm = trajectory.pm[..., None, :]
+    pm = pm[..., None, :]
     per_machine = np.stack(
         [delta - coi(delta), speed - coi(speed), pm - pe,
-         h * speed ** 2 / (2.0 * np.pi * trajectory.f0)], axis=-1)
+         h * speed ** 2 / (2.0 * np.pi * f0)], axis=-1)
     per_instant = np.concatenate(
         [per_machine.reshape(*delta.shape[:-1], -1),
          np.ptp(delta, axis=-1)[..., None], coi(speed)], axis=-1)
     statics = np.stack([pm, delta0 - coi(delta0)], axis=-1)
-    lead = steps.shape[:-1]
+    lead = delta.shape[:-2]
     return np.concatenate([per_instant.reshape(*lead, -1),
                            statics.reshape(*lead, -1)], axis=-1)
 
@@ -256,10 +258,17 @@ def kfold_partition(labels, k, seed):
 
 def build_knowledge_base(trajectory, seed, provenance=""):
     """Raw (unstandardized) samples and labels of a simulated batch, one
-    row per scenario."""
-    return KnowledgeBase(samples=extract_features(trajectory),
-                         labels=label_trajectory(trajectory),
-                         seed=seed, provenance=provenance)
+    row per scenario. The trajectory must keep exactly the samples that
+    sample_steps names, as `generate`'s run does; else FeatureError."""
+    t = trajectory
+    if not np.array_equal(t.steps, sample_steps(t.t_clear, t.time)):
+        raise FeatureError("the trajectory does not hold the feature "
+                           "window's samples: simulate it with "
+                           "keep=features.sample_steps")
+    return KnowledgeBase(
+        samples=extract_features(t.delta_deg, t.speed_dev, t.pe, t.pm,
+                                 t.inertia, t.f0),
+        labels=label_trajectory(t), seed=seed, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -161,17 +161,6 @@ class Trajectory:
                                 ("steps", "delta_deg", "speed_dev", "pm",
                                  "pe", "t_clear", "max_gap_deg", "stop_step")})
 
-    def at(self, steps):
-        """(delta_deg, speed_dev, pe) at grid `steps` ([S,] n), each
-        ([S,] n, G); a step the run did not keep raises ValueError."""
-        pos = np.argmax(self.steps[..., None, :] == steps[..., None], axis=-1)
-        if not np.array_equal(np.take_along_axis(self.steps, pos, -1),
-                              steps):
-            raise ValueError("trajectory keeps no sample at some of grid "
-                             f"steps {np.unique(steps).tolist()}")
-        return tuple(np.take_along_axis(x, pos[..., None], axis=-2)
-                     for x in (self.delta_deg, self.speed_dev, self.pe))
-
 
 def angle_gap(delta_deg):
     """Largest pairwise rotor-angle gap at each instant: max − min over the

@@ -10,6 +10,19 @@ from tspred import elm, features, simkit
 from conftest import make_trajectory, row, separable_kb, simulate_one
 
 
+def windowed_one(model, sc):
+    """Row 0 of a one-scenario run kept at features.sample_steps, as
+    `generate` keeps its rows."""
+    return row(simkit.simulate_scenarios(model, [sc],
+                                         keep=features.sample_steps), 0)
+
+
+def window_features(traj):
+    """extract_features of a trajectory kept at features.sample_steps."""
+    return features.extract_features(traj.delta_deg, traj.speed_dev,
+                                     traj.pe, traj.pm, traj.inertia, traj.f0)
+
+
 class TestLabeling:
     def test_small_excursion_is_stable(self):
         traj = make_trajectory([[0.0, 50.0], [0.0, 100.0]])
@@ -68,20 +81,20 @@ class TestExtraction:
     def test_equilibrium_trajectory_features_are_static(self, smib):
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=0.0,
                                        horizon=1.0)
-        traj = simulate_one(smib, sc)
-        vec = features.extract_features(traj)
+        traj = windowed_one(smib, sc)
+        vec = window_features(traj)
         names = features.feature_names(2)
         for name, value in zip(names, vec):
             if "acc_power" in name or "speed" in name or "kinetic" in name:
                 assert abs(value) < 1e-6, name
 
     def test_window_out_of_range(self, smib):
+        # sample_steps refuses the window before the first step
         sc = simkit.SimulationScenario(fault="fault", clearing_cycles=6.0,
                                        horizon=0.15)
-        traj = simulate_one(smib, sc)
         with pytest.raises(features.FeatureError,
                            match="horizon shorter than the feature window"):
-            features.extract_features(traj)
+            windowed_one(smib, sc)
 
     @pytest.mark.parametrize("case", ["smib", "three_machine"])
     def test_step_that_merges_window_instants_refused(self, case):
@@ -135,26 +148,25 @@ class TestExtraction:
         grid = simkit.build_scenario_grid(
             sorted(three_machine.y_fault), [5.3, 6.0, 7.77, 9.9],
             [0.8, 1.0, 1.15, 1.3], seed=2)
-        batch = simkit.simulate_scenarios(three_machine, grid)
+        batch = simkit.simulate_scenarios(three_machine, grid,
+                                          keep=features.sample_steps)
         rows = [row(batch, s) for s in range(len(grid))]
         labels = features.label_trajectory(batch)
         assert labels.tolist() == [features.label_trajectory(r) for r in rows]
         assert set(labels.tolist()) == {features.STABLE, features.UNSTABLE}
-        stacked = np.array([features.extract_features(r) for r in rows])
-        assert np.allclose(features.extract_features(batch), stacked,
+        stacked = np.array([window_features(r) for r in rows])
+        assert np.allclose(window_features(batch), stacked,
                            rtol=0.0, atol=1e-12)
 
     def test_generator_permutation_permutes_blocks(self, three_machine):
         sc = simkit.SimulationScenario(fault="bus1", clearing_cycles=6.0,
                                        horizon=1.0)
-        traj = simulate_one(three_machine, sc)
-        vec = features.extract_features(traj)
+        traj = windowed_one(three_machine, sc)
+        vec = window_features(traj)
         perm = [2, 0, 1]
-        permuted = dataclasses.replace(
-            traj, delta_deg=traj.delta_deg[:, perm],
-            speed_dev=traj.speed_dev[:, perm], pm=traj.pm[perm],
-            pe=traj.pe[:, perm], inertia=traj.inertia[perm])
-        vec_p = features.extract_features(permuted)
+        vec_p = features.extract_features(
+            traj.delta_deg[:, perm], traj.speed_dev[:, perm],
+            traj.pe[:, perm], traj.pm[perm], traj.inertia[perm], traj.f0)
         names = features.feature_names(3)
         lookup = dict(zip(names, vec))
         lookup_p = dict(zip(names, vec_p))
@@ -167,6 +179,57 @@ class TestExtraction:
                                       abs=1e-12)
             assert lookup_p[f"w{k}_max_angle_gap"] == \
                 pytest.approx(lookup[f"w{k}_max_angle_gap"])
+
+    def test_two_machine_window_matches_written_out_formulas(self):
+        # a hand-built window: instant 0 is prefault, instants 1..9 the
+        # window; every column of feature_names(2) from its formula
+        rng = np.random.default_rng(11)
+        delta = rng.uniform(-90.0, 200.0, size=(10, 2))
+        speed = rng.uniform(-5.0, 5.0, size=(10, 2))
+        pe = rng.uniform(0.0, 2.0, size=(10, 2))
+        pm = np.array([0.9, 1.4])
+        h = np.array([3.5, 6.25])
+        f0 = 50.0
+        vec = features.extract_features(delta, speed, pe, pm, h, f0)
+        want = {}
+        for k in range(features.WINDOW_SAMPLES):
+            d, w, p = delta[k + 1], speed[k + 1], pe[k + 1]
+            d_coi = (h[0] * d[0] + h[1] * d[1]) / (h[0] + h[1])
+            w_coi = (h[0] * w[0] + h[1] * w[1]) / (h[0] + h[1])
+            for i in range(2):
+                want[f"w{k}_g{i}_angle_coi"] = d[i] - d_coi
+                want[f"w{k}_g{i}_speed_coi"] = w[i] - w_coi
+                want[f"w{k}_g{i}_acc_power"] = pm[i] - p[i]
+                want[f"w{k}_g{i}_kinetic"] = \
+                    h[i] * w[i] ** 2 / (2.0 * np.pi * f0)
+            want[f"w{k}_max_angle_gap"] = abs(d[0] - d[1])
+            want[f"w{k}_coi_speed"] = w_coi
+        d0_coi = (h[0] * delta[0, 0] + h[1] * delta[0, 1]) / (h[0] + h[1])
+        for i in range(2):
+            want[f"static_g{i}_pm"] = pm[i]
+            want[f"static_g{i}_angle0_coi"] = delta[0, i] - d0_coi
+        names = features.feature_names(2)
+        assert vec.shape == (len(names),)
+        for name, value in zip(names, vec):
+            assert value == pytest.approx(want[name], rel=1e-12,
+                                          abs=1e-12), name
+        # only the prefault angles are read at instant 0
+        speed[0], pe[0] = [7.0, -3.0], [5.0, -1.0]
+        again = features.extract_features(delta, speed, pe, pm, h, f0)
+        assert again.tobytes() == vec.tobytes()
+
+    def test_full_history_refused_by_build_knowledge_base(self, smib):
+        # a run that kept every step does not hold the window's samples
+        # where build_knowledge_base reads them
+        grid = simkit.build_scenario_grid(
+            ["fault"], [5.0, 10.0], [0.8, 1.0, 1.3], seed=3)
+        traj = simkit.simulate_scenarios(smib, grid)
+        assert set(features.label_trajectory(traj).tolist()) == \
+            {features.STABLE, features.UNSTABLE}
+        with pytest.raises(features.FeatureError, match=re.escape(
+                "the trajectory does not hold the feature window's "
+                "samples")):
+            features.build_knowledge_base(traj, 3)
 
 
 class TestStandardize:
