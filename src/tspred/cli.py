@@ -82,8 +82,6 @@ def cmd_generate(args):
                                   lambda out: (out, _sidecar_path(out)))
     model = simkit.load_model(model_path)
     spec = simkit.load_grid_spec(grid_path)
-    if args.seed is not None:
-        spec["seed"] = args.seed
     try:
         scenarios = simkit.build_scenario_grid(**spec)
         # before the first step, simulate_scenarios refuses a bad step,
@@ -124,9 +122,9 @@ def _prepare_training(args):
     kb = features.load_knowledge_base(kb_path, _sidecar_path(kb_path))
     seed = args.seed if args.seed is not None else kb.seed
     try:
-        split = features.split_train_test(kb, args.split_fraction, seed)
-    except ValueError as exc:   # out of (0, 1), or a side under 2 rows
-        raise UsageError(str(exc)) from exc
+        split = features.split_train_test(kb, DEFAULT_SPLIT_FRACTION, seed)
+    except ValueError as exc:   # a KB too small to leave each side 2 rows
+        raise UsageError(f"{kb_path}: {exc}") from exc
     return kb, split, seed
 
 
@@ -143,7 +141,7 @@ def _fitness_context(kb, split, z, seed, args):
         return swarm.FitnessContext.build(
             z[split.train], kb.labels[split.train], spec, seed=seed)
     except ValueError as exc:   # fewer training rows than CV folds
-        raise UsageError(f"--split-fraction {args.split_fraction!r} leaves "
+        raise UsageError(f"{args.kb}: the 2/3 training split leaves "
                          f"{len(split.train)} of {kb.n_samples} rows to "
                          f"train on: {exc}") from exc
 
@@ -349,14 +347,9 @@ def build_parser():
     # a flag is spelled out: no prefix stands for one
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def seeded(p):
-        p.add_argument("--seed", type=textio.seed, help="master seed")
-
     def training_flags(p):
-        seeded(p)
+        p.add_argument("--seed", type=textio.seed, help="master seed")
         p.add_argument("--kb", help="knowledge base CSV")
-        p.add_argument("--split-fraction", type=float,
-                       default=DEFAULT_SPLIT_FRACTION)
 
     def swarm_flags(p):
         training_flags(p)
@@ -369,7 +362,6 @@ def build_parser():
 
     p = add_parser("generate", help="simulate a scenario grid into a "
                                     "knowledge base CSV")
-    seeded(p)
     p.add_argument("--model", help="power-system model (.sys)")
     p.add_argument("--grid", help="scenario grid spec (.grid)")
     p.add_argument("--out", help="knowledge base CSV path")

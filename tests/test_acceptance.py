@@ -321,8 +321,8 @@ def test_criterion_12_prediction_latency(capsys, smib_kb_path, tmp_path):
         assert cli.main(["optimize", "--kb", str(smib_kb_path),
                          "--out", str(out), "--optimizer", "ipso",
                          "--seed", "3", "--hidden", "8",
-                         "--population", "8", "--iterations", "10",
-                         "--split-fraction", "0.7"]) == cli.EXIT_OK
+                         "--population", "8", "--iterations", "10"]) == \
+            cli.EXIT_OK
         row = smib_kb_path.read_text().splitlines()[1]
         # warm-up, then measured call
         for _ in range(2):

@@ -43,7 +43,7 @@ def trained(kb_csv, tmp_path_factory):
     code = run(["optimize", "--kb", str(kb_csv), "--out", str(out_dir),
                 "--optimizer", "ipso", "--seed", "5",
                 "--hidden", "8", "--population", "8",
-                "--iterations", "12", "--split-fraction", "0.7"])
+                "--iterations", "12"])
     assert code == cli.EXIT_OK
     return out_dir
 
@@ -152,8 +152,7 @@ class TestOptimize:
         assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
                     "--optimizer", "ipso", "--seed", "5",
                     "--hidden", "6", "--population", "6",
-                    "--iterations", "8", "--target", "1.0",
-                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+                    "--iterations", "8", "--target", "1.0"]) == cli.EXIT_OK
         counts = re.search(r"\((\d+) evaluations, (\d+) mutations, [\d.]+s\)",
                            capsys.readouterr().out)
         rows = [ln.split(",") for ln in
@@ -207,8 +206,7 @@ class TestOptimize:
             assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
                         "--optimizer", name, "--seed", "5",
                         "--hidden", "6", "--population", "6",
-                        "--iterations", "8",
-                        "--split-fraction", "0.7"]) == cli.EXIT_OK
+                        "--iterations", "8"]) == cli.EXIT_OK
             traces[name] = (out / "trace.csv").read_text().splitlines()
         ipso_rows = [ln.split(",") for ln in traces["ipso"][1:]]
         mutated_at = next((i for i, row in enumerate(ipso_rows)
@@ -221,8 +219,7 @@ class TestOptimize:
         assert run(["optimize", "--kb", str(kb_csv), "--out", str(out),
                     "--optimizer", "ipso", "--seed", "5",
                     "--hidden", "8", "--population", "8",
-                    "--iterations", "12",
-                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+                    "--iterations", "12"]) == cli.EXIT_OK
         assert (out / "model.elm").read_bytes() == \
             (trained / "model.elm").read_bytes()
         assert (out / "trace.csv").read_bytes() == \
@@ -230,8 +227,6 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--hidden", "0", cli.EXIT_USAGE),
-        ("--split-fraction", "0", cli.EXIT_USAGE),
-        ("--split-fraction", "1.5", cli.EXIT_USAGE),
         ("--iterations", "-1", cli.EXIT_USAGE),
         ("--population", "1", cli.EXIT_USAGE),
         ("--target", "2", cli.EXIT_USAGE),
@@ -251,8 +246,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert run(["evaluate", "--kb", str(kb_csv),
                     "--model", str(trained / "model.elm"),
-                    "--out", str(out), "--seed", "5",
-                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+                    "--out", str(out), "--seed", "5"]) == cli.EXIT_OK
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0].startswith("model,acc,kap,auc,eta")
         for ln in lines[1:]:
@@ -269,8 +263,7 @@ class TestEvaluate:
             out = tmp_path / name
             assert run(["evaluate", "--kb", str(kb_csv),
                         "--model", str(trained / "model.elm"),
-                        "--out", str(out), "--seed", "5",
-                        "--split-fraction", "0.7"]) == cli.EXIT_OK
+                        "--out", str(out), "--seed", "5"]) == cli.EXIT_OK
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
 
@@ -339,8 +332,7 @@ def test_kb_path_of_a_sidecar_refused(kb_csv, tmp_path, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["generate", "optimize", "evaluate",
-                                     "compare"])
+@pytest.mark.parametrize("command", ["optimize", "evaluate", "compare"])
 def test_negative_seed_flag_refused(command, tmp_path, capsys):
     # refused by the grammar, before any input is read
     with pytest.raises(SystemExit) as exc:
@@ -355,17 +347,29 @@ def test_negative_seed_flag_refused(command, tmp_path, capsys):
     ("evaluate", "--hidden"), ("evaluate", "--population"),
     ("evaluate", "--iterations"), ("evaluate", "--target"),
     ("predict", "--seed"),
+    # the grid's seed is the KB's, and every split is the paper's 2/3
+    ("generate", "--seed"), ("optimize", "--split-fraction"),
+    ("evaluate", "--split-fraction"), ("compare", "--split-fraction"),
 ])
 def test_flag_the_handler_never_reads_refused(kb_csv, trained, tmp_path,
-                                              command, flag):
-    model = str(trained / "model.elm")
-    argv = {"evaluate": ["evaluate", "--kb", str(kb_csv), "--model", model,
-                         "--out", str(tmp_path)],
+                                              capsys, command, flag):
+    model, out = str(trained / "model.elm"), str(tmp_path / "out")
+    argv = {"generate": ["generate", "--model", f"{FIXTURES}/smib.sys",
+                         "--grid", f"{FIXTURES}/smib.grid", "--out", out],
+            "optimize": ["optimize", "--kb", str(kb_csv), "--out", out],
+            "evaluate": ["evaluate", "--kb", str(kb_csv), "--model", model,
+                         "--out", out],
+            "compare": ["compare", "--kb", str(kb_csv), "--out", out],
             "predict": ["predict", "--model", model,
                         "--row", kb_csv.read_text().splitlines()[1]]}
     with pytest.raises(SystemExit) as exc:
         run(argv[command] + [flag, "1"])
     assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_settable_flags_pinned():
@@ -377,16 +381,16 @@ def test_settable_flags_pinned():
                     for opt in action.option_strings
                     if opt not in ("-h", "--help")]
              for name, parser in sub.choices.items()}
-    training = ["--seed", "--kb", "--split-fraction"]
+    training = ["--seed", "--kb"]
     swarm_flags = training + ["--population", "--iterations", "--hidden",
                               "--target"]
     assert flags == {
-        "generate": ["--seed", "--model", "--grid", "--out"],
+        "generate": ["--model", "--grid", "--out"],
         "optimize": swarm_flags + ["--optimizer", "--out"],
         "evaluate": training + ["--model", "--out"],
         "compare": swarm_flags + ["--repeats", "--out"],
         "predict": ["--model", "--row", "--input"]}
-    assert sum(map(len, flags.values())) == 30
+    assert sum(map(len, flags.values())) == 26
 
 
 class TestCompare:
@@ -395,8 +399,7 @@ class TestCompare:
         assert run(["compare", "--kb", str(kb_csv), "--out", str(out),
                     "--seed", "5", "--repeats", "1",
                     "--hidden", "5", "--population", "5",
-                    "--iterations", "4",
-                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+                    "--iterations", "4"]) == cli.EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == ("algorithm,mean_train_time_s,mean_best_fitness,"
                             "success_rate,mean_effective_nodes")
@@ -413,16 +416,15 @@ class TestCompare:
             assert run(["compare", "--kb", str(kb_csv), "--out", str(out),
                         "--seed", "5", "--repeats", "1",
                         "--hidden", "5", "--population", "5",
-                        "--iterations", "4",
-                        "--split-fraction", "0.7"]) == cli.EXIT_OK
+                        "--iterations", "4"]) == cli.EXIT_OK
             det = out.with_name(out.stem + "_deterministic.csv")
             dets.append(det.read_bytes())
         assert dets[0] == dets[1]
 
     def test_bad_repeats_usage_error(self, kb_csv, tmp_path):
         assert run(["compare", "--kb", str(kb_csv),
-                    "--out", str(tmp_path / "c.csv"), "--repeats", "0",
-                    "--split-fraction", "0.7"]) == cli.EXIT_USAGE
+                    "--out", str(tmp_path / "c.csv"), "--repeats", "0"]) == \
+            cli.EXIT_USAGE
 
     def test_bad_hidden_refused_before_any_context(self, kb_csv, tmp_path,
                                                    monkeypatch):
@@ -431,8 +433,8 @@ class TestCompare:
 
         monkeypatch.setattr(swarm.FitnessContext, "build", build)
         assert run(["compare", "--kb", str(kb_csv),
-                    "--out", str(tmp_path / "c.csv"), "--hidden", "0",
-                    "--split-fraction", "0.7"]) == cli.EXIT_USAGE
+                    "--out", str(tmp_path / "c.csv"), "--hidden", "0"]) == \
+            cli.EXIT_USAGE
 
     def test_shared_fitness_matches_standalone_runs(
             self, three_machine_kb, tmp_path, monkeypatch):
@@ -511,8 +513,7 @@ class TestCompare:
         out = tmp_path / "compare.csv"
         assert run(["compare", "--kb", str(kb_csv), "--out", str(out),
                     "--seed", "5", "--repeats", "2", "--hidden", "5",
-                    "--population", "5", "--iterations", "2",
-                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+                    "--population", "5", "--iterations", "2"]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1].startswith(
             f"pso took ipso's rescue-free run in {0 if rescue else 2} of 2 ")
         times = dict(line.split(",")[:2]
@@ -526,8 +527,7 @@ class TestCompare:
         assert run(["compare", "--kb", str(kb_csv),
                     "--out", str(tmp_path / "compare.csv"),
                     "--seed", "5", "--repeats", "2", "--hidden", "5",
-                    "--population", "5", "--iterations", "2",
-                    "--split-fraction", "0.7"]) == cli.EXIT_OK
+                    "--population", "5", "--iterations", "2"]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == (
             "pso took ipso's rescue-free run in 0 of 2 repeats; "
             "ipso rescued in repeat 1 (seed 5), 2 (seed 6)")
@@ -589,8 +589,8 @@ class TestPredict:
             ["predict", "--model", model, "--row", row],
             ["predict", "--model", model, "--input", str(kb_csv)],
             ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "a"),
-             "--seed", "9", "--split-fraction", "0.7", "--hidden", "4",
-             "--population", "4", "--iterations", "2"],
+             "--seed", "9", "--hidden", "4", "--population", "4",
+             "--iterations", "2"],
             ["optimize", "--kb", str(kb_csv), "--out", str(tmp_path / "b"),
              "--hidden", "3", "--population", "4", "--iterations", "1"],
         ]
@@ -601,12 +601,10 @@ class TestPredict:
         assert seen[0]["row"] == row and seen[0]["input"] is None
         assert seen[1]["row"] is None and seen[1]["input"] == str(kb_csv)
         assert len(outputs[0]) == 1 and len(outputs[1]) == 66
-        assert (seen[2]["seed"], seen[2]["hidden"], seen[2]["iterations"],
-                seen[2]["split_fraction"]) == (9, 4, 2, 0.7)
+        assert (seen[2]["seed"], seen[2]["hidden"],
+                seen[2]["iterations"]) == (9, 4, 2)
         assert outputs[2][0] == "seed 9"
-        assert seen[3]["seed"] is None
-        assert (seen[3]["split_fraction"] == cli.DEFAULT_SPLIT_FRACTION
-                and seen[3]["hidden"] == 3)
+        assert seen[3]["seed"] is None and seen[3]["hidden"] == 3
         assert outputs[3][0] == f"seed {kb_seed}"
 
     def test_predict_matches_training_labels(self, kb_csv, trained,
@@ -881,12 +879,18 @@ def _write_malformed(case, kb_csv, tmp_path):
             return argv + ["--model", str(model)]
         return argv + ["--hidden", "4", "--population", "4",
                        "--iterations", "1"]
-    if case.startswith("split fraction"):
-        # on the 66-row KB, 0.999 leaves no row to test, and 0.05 leaves 3
-        # rows to train on, fewer than the 5 CV folds
-        _, _, fraction, _, command = case.split()
-        argv = [command, "--kb", str(kb_csv), "--out", str(tmp_path / "run"),
-                "--split-fraction", fraction]
+    if case.startswith("small kb"):
+        # the paper's 2/3 split of 2 stable and 2 unstable rows leaves 1 to
+        # test; of 4 stable and 2 unstable, 4 to train on, fewer than the 5
+        # CV folds
+        _, _, _, n, _, _, command = case.split()
+        header, *rows = kb_csv.read_text().splitlines(keepends=True)
+        stable = [row for row in rows if row.startswith("+1,")]
+        unstable = [row for row in rows if row.startswith("-1,")]
+        n_stable = int(n) - 2
+        kb.write_text("".join([header, *stable[:n_stable], *unstable[:2]]))
+        shutil.copy(kb_csv.with_suffix(".meta"), kb.with_suffix(".meta"))
+        argv = [command, "--kb", str(kb), "--out", str(tmp_path / "run")]
         if command == "evaluate":
             model = tmp_path / "model.elm"
             n = kb_csv.read_text().split("\n", 1)[0].count(",")
@@ -1272,20 +1276,19 @@ def _write_malformed(case, kb_csv, tmp_path):
     pytest.param("single class in compare", cli.EXIT_RUNTIME,
                  "kb.csv: all 66 samples have one label",
                  id="single class in compare"),
-    # a fraction inside (0, 1) that the KB cannot honour is a flag value
-    # out of range
-    pytest.param("split fraction 0.999 in evaluate", cli.EXIT_USAGE,
-                 "error: train fraction 0.999 puts 66 of 66 rows in training; "
-                 "each side needs at least 2",
-                 id="split fraction 0.999 in evaluate"),
-    pytest.param("split fraction 0.05 in optimize", cli.EXIT_USAGE,
-                 "error: --split-fraction 0.05 leaves 3 of 66 rows to train "
-                 "on: cannot make 5 folds from 3 samples",
-                 id="split fraction 0.05 in optimize"),
-    pytest.param("split fraction 0.05 in compare", cli.EXIT_USAGE,
-                 "error: --split-fraction 0.05 leaves 3 of 66 rows to train "
-                 "on: cannot make 5 folds from 3 samples",
-                 id="split fraction 0.05 in compare"),
+    # a KB too small for the paper's 2/3 split is refused as a usage error
+    pytest.param("small kb of 4 rows in evaluate", cli.EXIT_USAGE,
+                 "kb.csv: train fraction 0.6666666666666666 puts 3 of 4 rows "
+                 "in training; each side needs at least 2",
+                 id="small kb of 4 rows in evaluate"),
+    pytest.param("small kb of 6 rows in optimize", cli.EXIT_USAGE,
+                 "kb.csv: the 2/3 training split leaves 4 of 6 rows to train "
+                 "on: cannot make 5 folds from 4 samples",
+                 id="small kb of 6 rows in optimize"),
+    pytest.param("small kb of 6 rows in compare", cli.EXIT_USAGE,
+                 "kb.csv: the 2/3 training split leaves 4 of 6 rows to train "
+                 "on: cannot make 5 folds from 4 samples",
+                 id="small kb of 6 rows in compare"),
     pytest.param("abbreviated flags", cli.EXIT_USAGE,
                  "unrecognized arguments: --hid 4 --pop 4 --it 2",
                  id="abbreviated flags"),

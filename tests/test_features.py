@@ -325,6 +325,11 @@ class TestSplit:
         for side in (split.train, split.test):
             assert set(labels[side]) == {1, -1}
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_refused(self, fraction):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
+            features.split_train_test(separable_kb(10), fraction, seed=0)
+
 
 class TestKFold:
     def test_equal_division(self):

@@ -120,8 +120,8 @@ def base(tmp_path_factory):
                         "--out", str(root / "kb.csv")]) == cli.EXIT_OK
     assert run_quietly(["optimize", "--kb", str(root / "kb.csv"),
                         "--out", str(root), "--hidden", "4",
-                        "--population", "4", "--iterations", "1",
-                        "--split-fraction", "0.5"]) == cli.EXIT_OK
+                        "--population", "4", "--iterations", "1"]) == \
+        cli.EXIT_OK
     for name in ("kb.csv", "kb.meta", "model.elm"):
         files[name] = (root / name).read_bytes()
     files["rows.csv"] = b"".join(files["kb.csv"].splitlines(True)[:3])
@@ -137,7 +137,7 @@ def command(target):
                 f"{name}.grid", "--out", "out/kb.csv"]
     if target.startswith("kb."):
         return ["evaluate", "--kb", "kb.csv", "--model", "model.elm",
-                "--out", "out", "--split-fraction", "0.5"]
+                "--out", "out"]
     return ["predict", "--model", "model.elm", "--input", "rows.csv"]
 
 
